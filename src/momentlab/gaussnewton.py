@@ -2,11 +2,23 @@
 
 One solver covers the package's three uses: latent-space collision search,
 invariant-based recovery, and on-manifold root finding for the codimension
-probe. Steps are Levenberg-Marquardt damped solutions of the augmented
-system [J; sqrt(lam) I] delta = [-r; 0], which handles under- and
-over-determined Jacobians alike (for underdetermined systems the undamped
-limit is the minimal-norm step). A retraction hook lets callers step on a
-manifold instead of in coordinates.
+probe. A retraction hook lets callers step on a manifold instead of in
+coordinates.
+
+Steps are Levenberg-Marquardt: the trial step for damping lam is the exact
+minimizer of ||J delta + r||^2 + lam ||delta||^2. One thin SVD
+J = U diag(s) V^T per outer iteration gives it for every lam as
+
+    delta = -V (s / (s^2 + lam) * U^T r),
+
+so a rejected step costs a vector rescale and one matrix-vector product
+rather than a new factorization. The formula holds for tall, square and
+wide J alike; for wide J the undamped limit is the minimal-norm step.
+
+The normal matrix J^T J is neither formed nor factored: its condition
+number is the square of J's, and for the wide codimension-probe systems
+(d up to a few hundred columns, a handful of rows) a d x d factorization
+costs more than the SVD of the R x d Jacobian.
 """
 
 from __future__ import annotations
@@ -63,12 +75,12 @@ def damped_gauss_newton(
         if f <= f_tol:
             return GaussNewtonResult(x, f, it - 1, True)
         J = np.asarray(jacobian(x), dtype=float)
-        d = J.shape[1]
+        U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+        c = U.T @ r
+        sv2 = sv * sv
         accepted = False
         while lam <= lam_max:
-            J_aug = np.vstack([J, np.sqrt(lam) * np.eye(d)])
-            rhs = np.concatenate([-r, np.zeros(d)])
-            step = np.linalg.lstsq(J_aug, rhs, rcond=None)[0]
+            step = -((sv / (sv2 + lam) * c) @ Vt)
             if np.linalg.norm(step) <= step_tol:
                 break
             x_new = retract(x, step)

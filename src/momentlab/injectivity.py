@@ -113,6 +113,11 @@ def _is_collision(residual, separation, scale, residual_tol, separation_tol):
     )
 
 
+def _check_restarts(restarts) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
 def _latent_parametrizations(prior, rng):
     """Yield (z0, forward, jacobian) triples, one per restart branch.
 
@@ -184,6 +189,7 @@ def collision_search(
     from the trivial x = +-y pairs. Deterministic given the seed. If a
     qualifying collision appears, remaining restarts are skipped.
     """
+    _check_restarts(restarts)
     rng = as_rng(seed)
     tracker = _PairTracker(separation_tol)
     spen = np.sqrt(penalty)
@@ -214,8 +220,9 @@ def collision_search(
             s = max(np.linalg.norm(x), np.linalg.norm(y))
             if s <= 0.0:
                 return np.zeros((blocks.R + 1, 2 * K))
-            Jx = measurement_jacobian(x, A, blocks) @ jac1(u[:K]) / s**2
-            Jy = measurement_jacobian(y, A, blocks) @ jac2(u[K:]) / s**2
+            G1, G2 = jac1(u[:K]), jac2(u[K:])
+            Jx = measurement_jacobian(x, A, blocks) @ G1 / s**2
+            Jy = measurement_jacobian(y, A, blocks) @ G2 / s**2
             Jm = np.hstack([Jx, -Jy])
             d_minus = np.linalg.norm(x - y)
             d_plus = np.linalg.norm(x + y)
@@ -226,7 +233,7 @@ def collision_search(
                 diff = (x - sign * y) / sep
                 # scale s frozen within one linearization
                 row = (-spen / s) * np.concatenate(
-                    [diff @ jac1(u[:K]), -sign * (diff @ jac2(u[K:]))]
+                    [diff @ G1, -sign * (diff @ G2)]
                 )
             return np.vstack([Jm, row[None, :]])
 
@@ -408,6 +415,7 @@ def codimension_probe(
     mixings preserve total energy, so on the special-orthogonal manifold y
     is rescaled to ||x|| first -- without that the constraint set is empty.
     """
+    _check_restarts(restarts)
     x = blocks.check_signal(np.asarray(x, dtype=float))
     y = blocks.check_signal(np.asarray(y, dtype=float))
     N, R = blocks.N, blocks.R
@@ -433,28 +441,30 @@ def codimension_probe(
 
     if manifold == "general-linear":
         tangent_dim = N * N
+        rows = np.arange(N)
 
         def jac(A):
             G = 2.0 * (A @ D)       # row j: gradient of its block constraint wrt w_j
-            J = np.zeros((R, tangent_dim))
-            for j in range(N):
-                J[block_of_row[j], j * N:(j + 1) * N] = G[j]
-            return J
+            J = np.zeros((R, N, N))
+            J[block_of_row, rows] = G   # J[k, j] is the slice j*N:(j+1)*N of row k
+            return J.reshape(R, tangent_dim)
 
         retract = lambda A, step: A + step.reshape(N, N)
         draw = lambda: rng.normal(size=(N, N))
     elif manifold == "special-orthogonal":
         iu = np.triu_indices(N, 1)
         tangent_dim = N * (N - 1) // 2
+        a_idx, b_idx = iu
+        cols = np.arange(tangent_dim)   # column of generator (a, b): rows a and b move
+        plus_at = (block_of_row[a_idx], cols)
+        minus_at = (block_of_row[b_idx], cols)
 
         def jac(A):
             G = 2.0 * (A @ D)
             H = G @ A.T             # H[j, c] = <grad_j, row c of A>
             J = np.zeros((R, tangent_dim))
-            a_idx, b_idx = iu
-            for col, (a, b) in enumerate(zip(a_idx, b_idx)):
-                J[block_of_row[a], col] += H[a, b]
-                J[block_of_row[b], col] -= H[b, a]
+            np.add.at(J, plus_at, H[a_idx, b_idx])
+            np.subtract.at(J, minus_at, H[b_idx, a_idx])
             return J
 
         def retract(A, step):

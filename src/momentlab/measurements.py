@@ -15,6 +15,7 @@ unitary, so block energies sum to the squared 2-norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,10 +62,15 @@ class BlockStructure:
     def R(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def starts(self) -> np.ndarray:
-        """Start index of each block (for np.add.reduceat and slicing)."""
-        return np.concatenate(([0], np.cumsum(self.dims)[:-1])).astype(np.intp)
+        """Start index of each block (for np.add.reduceat and slicing).
+
+        Built once per layout and shared by every caller, hence read-only.
+        """
+        starts = np.concatenate(([0], np.cumsum(self.dims)[:-1])).astype(np.intp)
+        starts.flags.writeable = False
+        return starts
 
     def slices(self) -> list[slice]:
         return [slice(int(s), int(s) + d) for s, d in zip(self.starts, self.dims)]
@@ -208,11 +214,8 @@ def separable_measurement(x, A, blocks: BlockStructure) -> np.ndarray:
         raise DimensionError(
             f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
         )
-    out = np.empty(blocks.R)
-    for k, sl in enumerate(blocks.slices()):
-        s = A[sl] @ x
-        out[k] = s @ s
-    return out
+    s = A @ x
+    return np.add.reduceat(s * s, blocks.starts)
 
 
 def measurement_jacobian(x, A, blocks: BlockStructure) -> np.ndarray:
@@ -226,8 +229,4 @@ def measurement_jacobian(x, A, blocks: BlockStructure) -> np.ndarray:
         raise DimensionError(
             f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
         )
-    J = np.empty((blocks.R, blocks.N))
-    for k, sl in enumerate(blocks.slices()):
-        rows = A[sl]
-        J[k] = 2.0 * (rows.T @ (rows @ x))
-    return J
+    return 2.0 * np.add.reduceat((A @ x)[:, None] * A, blocks.starts, axis=0)

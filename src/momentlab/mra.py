@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussnewton import damped_gauss_newton
-from .injectivity import _latent_parametrizations
+from .injectivity import _check_restarts, _latent_parametrizations
 from .measurements import (
     BlockStructure,
     DimensionError,
@@ -50,6 +50,7 @@ __all__ = [
     "random_group_element",
     "simulate_observations",
     "estimate_second_moment",
+    "simulate_second_moment",
     "exact_population_moment",
     "extract_invariants",
     "recover",
@@ -66,6 +67,9 @@ _TAG_GROUPS = {v: k for k, v in _GROUP_TAGS.items()}
 _MAGIC = b"MRA1"
 _HEADER = struct.Struct("<4sIQdBQ")
 _NO_SEED = 0xFFFFFFFFFFFFFFFF
+
+#: Observations are drawn this many rows at a time (see ``_observation_chunks``).
+_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,10 @@ def _reflection_matrix(N: int) -> np.ndarray:
 def _orbit_matrices(kind: str, N: int) -> np.ndarray:
     """All group-element matrices for the finite groups, stacked."""
     shifts = np.stack([_shift_matrix(N, s) for s in range(N)])
-    if kind == "cyclic":
-        return shifts
-    refl = _reflection_matrix(N)
-    return np.concatenate([shifts, shifts @ refl], axis=0)
+    if kind == "dihedral":
+        shifts = np.concatenate([shifts, shifts @ _reflection_matrix(N)], axis=0)
+    shifts.flags.writeable = False      # shared by every caller
+    return shifts
 
 
 def action_matrix(g, group: GroupAction) -> np.ndarray:
@@ -208,21 +212,33 @@ def simulate_observations(
     x: np.ndarray, group: GroupAction, n: int, sigma: float, seed=0
 ) -> MRAObservationSet:
     """Draw n observations g_i . x + eps_i with Haar g_i and N(0, sigma^2 I) noise."""
+    x = group.blocks.check_signal(x)
+    obs = np.concatenate(list(_observation_chunks(x, group, n, sigma, as_rng(seed))))
+    return MRAObservationSet(obs, float(sigma), group, seed, true_signal=x.copy())
+
+
+def _observation_chunks(x, group: GroupAction, n: int, sigma: float, rng):
+    """Yield the n observations of ``simulate_observations``, _CHUNK_ROWS at a time.
+
+    All n group elements are drawn before any noise, and numpy fills the noise
+    in row order, so the rows are those of one-shot draws of the (n, N) array.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    x = group.blocks.check_signal(x)
-    rng = as_rng(seed)
-    if group.kind in ("cyclic", "dihedral"):
+    finite = group.kind in ("cyclic", "dihedral")
+    if finite:
         orbit = _orbit_matrices(group.kind, group.N) @ x
         idx = rng.integers(0, orbit.shape[0], size=n)
-        clean = orbit[idx]
     else:
         angles = haar_euler_angles(rng, size=n)
-        clean = rotate_bandlimited(group.L, angles, x)
-    obs = clean if sigma == 0 else clean + rng.normal(0.0, sigma, size=(n, group.N))
-    return MRAObservationSet(obs, float(sigma), group, seed, true_signal=x.copy())
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        rows = orbit[idx[lo:hi]] if finite else rotate_bandlimited(group.L, angles[lo:hi], x)
+        if sigma != 0:
+            rows = rows + rng.normal(0.0, sigma, size=(hi - lo, group.N))
+        yield rows
 
 
 @dataclass
@@ -244,6 +260,23 @@ def estimate_second_moment(obs: MRAObservationSet) -> SecondMomentEstimate:
     M = (Y.T @ Y) / obs.n - obs.sigma**2 * np.eye(Y.shape[1])
     M = 0.5 * (M + M.T)
     return SecondMomentEstimate(M, obs.n, obs.sigma)
+
+
+def simulate_second_moment(
+    x: np.ndarray, group: GroupAction, n: int, sigma: float, seed=0
+) -> SecondMomentEstimate:
+    """``estimate_second_moment(simulate_observations(...))`` in bounded memory.
+
+    Same draws, _CHUNK_ROWS rows at a time; the chunk moments are averaged
+    with weights rows/n, so the n x N observations are never held at once.
+    Up to _CHUNK_ROWS rows the result is the same to the bit.
+    """
+    x = group.blocks.check_signal(x)
+    M = 0.0
+    for rows in _observation_chunks(x, group, n, sigma, as_rng(seed)):
+        chunk = MRAObservationSet(rows, float(sigma), group)
+        M = M + (chunk.n / n) * estimate_second_moment(chunk).matrix
+    return SecondMomentEstimate(M, n, float(sigma))
 
 
 def exact_population_moment(x: np.ndarray, group: GroupAction) -> np.ndarray:
@@ -310,6 +343,7 @@ def recover(
     invariants the optimum sits at the noise floor, so ``converged`` only
     reflects whether some start reached the (relative) target residual.
     """
+    _check_restarts(restarts)
     invariants = np.asarray(invariants, dtype=float)
     if invariants.shape != (blocks.R,):
         raise DimensionError(f"invariants shape {invariants.shape}, expected ({blocks.R},)")
@@ -456,10 +490,10 @@ def sample_complexity_sweep(
 
     def cell_error(sigma_idx, n_idx, seed):
         ss = np.random.SeedSequence((int(true_seed), sigma_idx, n_idx, int(seed)))
-        obs = simulate_observations(
+        moment = simulate_second_moment(
             x_star, group, int(grid[n_idx]), sigma_list[sigma_idx], np.random.default_rng(ss)
         )
-        inv = extract_invariants(estimate_second_moment(obs), blocks)
+        inv = extract_invariants(moment, blocks)
         rec = recover(
             inv,
             prior,
@@ -519,7 +553,13 @@ def load_observations(path) -> MRAObservationSet:
         magic, N, n, sigma, tag, seed = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != _MAGIC:
             raise ValueError(f"not an observation file (magic {magic!r})")
-        data = np.frombuffer(fh.read(8 * n * N), dtype="<f8").reshape(n, N)
+        payload = fh.read()
+    if len(payload) != 8 * n * N:
+        raise ValueError(
+            f"{path}: header declares n={n} rows of N={N} float64 values "
+            f"({8 * n * N} bytes) but the file holds {len(payload)} data bytes"
+        )
+    data = np.frombuffer(payload, dtype="<f8").reshape(n, N)
     kind = _TAG_GROUPS[tag]
     if kind == "so3-bandlimited":
         L = int(round(np.sqrt(N))) - 1

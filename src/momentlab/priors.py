@@ -77,8 +77,9 @@ def _parse_activation(tag: str):
     return name, params
 
 
-def _apply_activation(tag: str, a: np.ndarray) -> np.ndarray:
-    name, params = _parse_activation(tag)
+def _apply_activation(act, a: np.ndarray) -> np.ndarray:
+    """Apply a parsed activation ``(name, params)`` elementwise."""
+    name, params = act
     if name == "identity":
         return a
     if name == "relu":
@@ -91,9 +92,9 @@ def _apply_activation(tag: str, a: np.ndarray) -> np.ndarray:
     return np.clip(a, lo, hi)
 
 
-def _activation_derivative(tag: str, a: np.ndarray) -> np.ndarray:
+def _activation_derivative(act, a: np.ndarray) -> np.ndarray:
     """Elementwise derivative at pre-activation values a (0 at kinks)."""
-    name, params = _parse_activation(tag)
+    name, params = act
     if name == "identity":
         return np.ones_like(a)
     if name == "relu":
@@ -112,13 +113,15 @@ class Layer:
     weight: np.ndarray
     activation: str = "identity"
     bias: np.ndarray | None = None
+    #: ``activation`` parsed once into (name, params).
+    _act: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.weight, dtype=float)
         if W.ndim != 2:
             raise DimensionError(f"layer weight must be 2-d, got shape {W.shape}")
         object.__setattr__(self, "weight", W)
-        _parse_activation(self.activation)
+        object.__setattr__(self, "_act", _parse_activation(self.activation))
         if self.bias is not None:
             b = np.asarray(self.bias, dtype=float)
             if b.shape != (W.shape[0],):
@@ -169,7 +172,7 @@ def generator_forward(net: GeneratorNetwork, z: np.ndarray) -> np.ndarray:
         a = layer.weight @ a
         if layer.bias is not None:
             a = a + layer.bias
-        a = _apply_activation(layer.activation, a)
+        a = _apply_activation(layer._act, a)
     return a
 
 
@@ -190,8 +193,8 @@ def generator_jacobian(net: GeneratorNetwork, z: np.ndarray) -> np.ndarray:
         if layer.bias is not None:
             a = a + layer.bias
         J = layer.weight @ J
-        d = _activation_derivative(layer.activation, a)
-        a = _apply_activation(layer.activation, a)
+        d = _activation_derivative(layer._act, a)
+        a = _apply_activation(layer._act, a)
         J = d[:, None] * J
     return J
 

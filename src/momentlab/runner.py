@@ -43,13 +43,12 @@ from .measurements import (
 from .mra import (
     GroupAction,
     draw_ground_truth,
-    estimate_second_moment,
     exact_population_moment,
     extract_invariants,
     recover,
     sample_complexity_sweep,
     select_conditioned_instance,
-    simulate_observations,
+    simulate_second_moment,
 )
 from .priors import (
     GeneratorNetwork,
@@ -365,8 +364,7 @@ def _run_mra_sim(p: dict, out: Path, threads: int):
     if p.get("block_scalar_check"):
         M_exact = exact_population_moment(x_star, group)
         energies = second_moment_blocks(x_star, blocks)
-        obs = simulate_observations(x_star, group, n, sigma, seed=base_seed)
-        M_mc = estimate_second_moment(obs).matrix
+        M_mc = simulate_second_moment(x_star, group, n, sigma, seed=base_seed).matrix
         rows = []
         off_mask = np.ones((N, N), dtype=bool)
         for sl in blocks.slices():
@@ -400,10 +398,10 @@ def _run_mra_sim(p: dict, out: Path, threads: int):
         true_inv = second_moment_blocks(x_star, blocks)
 
         def one(rep):
-            obs = simulate_observations(
+            moment = simulate_second_moment(
                 x_star, group, n, sigma, seed=np.random.SeedSequence((base_seed, rep))
             )
-            inv = extract_invariants(estimate_second_moment(obs), blocks)
+            inv = extract_invariants(moment, blocks)
             rec = recover(
                 inv,
                 prior,
@@ -433,8 +431,8 @@ def _run_mra_sim(p: dict, out: Path, threads: int):
 
     if not csv_files:
         # bare simulation: report invariant estimates only
-        obs = simulate_observations(x_star, group, n, sigma, seed=base_seed)
-        inv = extract_invariants(estimate_second_moment(obs), blocks)
+        moment = simulate_second_moment(x_star, group, n, sigma, seed=base_seed)
+        inv = extract_invariants(moment, blocks)
         rows = [
             {"repeat": 0, "sigma": sigma, "n": n, "invariant_rmse": float(
                 np.sqrt(np.mean((inv - second_moment_blocks(x_star, blocks)) ** 2))

@@ -85,6 +85,8 @@ def _y_generator_eig(l: int):
         Jp[i + 1, i] = np.sqrt(l * (l + 1) - m[i] * (m[i] + 1))
     Jy = (Jp - Jp.T) / 2j
     w, V = np.linalg.eigh(Jy)
+    w.flags.writeable = False           # cached: shared by every caller
+    V.flags.writeable = False
     return w, V
 
 
@@ -103,7 +105,9 @@ def _real_basis_transform(l: int) -> np.ndarray:
         T[idx(m), idx(m)] = (-1) ** m / np.sqrt(2)
         T[idx(-m), idx(-m)] = 1j / np.sqrt(2)
         T[idx(-m), idx(m)] = -1j * (-1) ** m / np.sqrt(2)
-    return np.conj(T)
+    U = np.conj(T)
+    U.flags.writeable = False           # cached: shared by every caller
+    return U
 
 
 def wigner_degree_block(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from momentlab.gaussnewton import damped_gauss_newton
 
@@ -58,3 +59,53 @@ def test_callback_sees_every_accepted_iterate(rng):
     )
     assert len(seen) >= 2
     assert seen == sorted(seen, reverse=True)
+
+
+def first_trial_step(J, r0, lam):
+    """The solver's first damped step at ``lam`` for the linear residual J x + r0."""
+    steps = []
+
+    def retract(x, delta):
+        steps.append(delta)
+        return x + delta
+
+    damped_gauss_newton(
+        lambda x: J @ x + r0, lambda x: J, np.zeros(J.shape[1]),
+        retract=retract, max_iter=1, lam0=lam,
+    )
+    return steps[0]
+
+
+def augmented_lstsq_step(J, r0, lam):
+    """Reference form: least squares on the stacked system [J; sqrt(lam) I]."""
+    d = J.shape[1]
+    J_aug = np.vstack([J, np.sqrt(lam) * np.eye(d)])
+    rhs = np.concatenate([-r0, np.zeros(d)])
+    return np.linalg.lstsq(J_aug, rhs, rcond=None)[0]
+
+
+def rel_err(a, b):
+    """Normwise relative error: entries near zero carry no meaning of their own."""
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+STEP_SHAPES = [(7, 4), (5, 2), (8, 8), (9, 256), (11, 190)]
+
+
+@pytest.mark.parametrize("shape", STEP_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("lam", [1e-8, 1e-2, 1e4])
+def test_svd_step_matches_augmented_lstsq(shape, lam):
+    r = np.random.default_rng(shape[0] * 1000 + shape[1])
+    J = r.normal(size=shape)
+    r0 = r.normal(size=shape[0])
+    assert rel_err(first_trial_step(J, r0, lam), augmented_lstsq_step(J, r0, lam)) < 1e-9
+
+
+@pytest.mark.parametrize("shape", STEP_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_svd_step_tends_to_minimal_norm_solution(shape):
+    # at the smallest damping the step is the pseudo-inverse (least-squares,
+    # minimal-norm) solution; the augmented system is too ill-conditioned here
+    r = np.random.default_rng(shape[0] * 1000 + shape[1])
+    J = r.normal(size=shape)
+    r0 = r.normal(size=shape[0])
+    assert rel_err(first_trial_step(J, r0, 1e-14), -np.linalg.pinv(J) @ r0) < 1e-9

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from momentlab import injectivity
 from momentlab.injectivity import (
     brute_force_collision_oracle,
     codimension_probe,
@@ -24,6 +25,53 @@ from momentlab.priors import (
     sample_mixing,
     standard_basis_sparse_prior,
 )
+
+
+def loop_gl_probe_jacobian(A, x, y, blocks):
+    """Reference form of the general-linear constraint Jacobian (one row at a time)."""
+    N, R = blocks.N, blocks.R
+    block_of_row = np.repeat(np.arange(R), blocks.dims)
+    G = 2.0 * (A @ (np.outer(x, x) - np.outer(y, y)))
+    J = np.zeros((R, N * N))
+    for j in range(N):
+        J[block_of_row[j], j * N:(j + 1) * N] = G[j]
+    return J
+
+
+def loop_so_probe_jacobian(A, x, y, blocks):
+    """Reference form of the SO(N) constraint Jacobian (one generator at a time)."""
+    N, R = blocks.N, blocks.R
+    block_of_row = np.repeat(np.arange(R), blocks.dims)
+    G = 2.0 * (A @ (np.outer(x, x) - np.outer(y, y)))
+    H = G @ A.T
+    J = np.zeros((R, N * (N - 1) // 2))
+    a_idx, b_idx = np.triu_indices(N, 1)
+    for col, (a, b) in enumerate(zip(a_idx, b_idx)):
+        J[block_of_row[a], col] += H[a, b]
+        J[block_of_row[b], col] -= H[b, a]
+    return J
+
+
+def probe_normalized(x, y, manifold):
+    """The pair as codimension_probe rescales it before building constraints."""
+    if manifold == "special-orthogonal":
+        y = y * (np.linalg.norm(x) / np.linalg.norm(y))
+    joint = max(np.linalg.norm(x), np.linalg.norm(y))
+    return x / joint, y / joint
+
+
+def probe_jacobian(monkeypatch, x, y, manifold, blocks):
+    """The constraint Jacobian that codimension_probe hands to the solver."""
+    seen = []
+    solve = injectivity.damped_gauss_newton
+
+    def spy(residual, jacobian, x0, **kwargs):
+        seen.append(jacobian)
+        return solve(residual, jacobian, x0, **kwargs)
+
+    monkeypatch.setattr(injectivity, "damped_gauss_newton", spy)
+    codimension_probe(x, y, manifold, blocks, seed=0, restarts=1, max_iter=1)
+    return seen[0]
 
 
 def pair_block_embedding_network(N: int, block_start: int) -> GeneratorNetwork:
@@ -82,6 +130,11 @@ class TestCollisionSearch:
         )
         if rep.verdict == "collision":
             assert rep.separation >= 1e-3 * rep.scale
+
+    def test_rejects_zero_restarts(self):
+        blocks = block_structure_for_power_spectrum(4)
+        with pytest.raises(ValueError, match="restarts"):
+            collision_search(ambient_network(4), np.eye(4), blocks, restarts=0)
 
     def test_deterministic_given_seed(self):
         N = 8
@@ -196,6 +249,27 @@ class TestCodimensionProbe:
         # scaled copies collapse to sign pairs on the rotation manifold
         with pytest.raises(ValueError):
             codimension_probe(x, 2.0 * x, "special-orthogonal", blocks, seed=0)
+
+    def test_rejects_zero_restarts(self, rng):
+        blocks = block_structure_for_power_spectrum(5)
+        x, y = rng.normal(size=5), rng.normal(size=5)
+        with pytest.raises(ValueError, match="restarts"):
+            codimension_probe(x, y, "general-linear", blocks, restarts=0)
+
+    @pytest.mark.parametrize("blocks", [
+        block_structure_for_power_spectrum(7),
+        block_structure_for_power_spectrum(16),
+        BlockStructure((1, 3, 5)),
+    ], ids=lambda b: str(b.dims))
+    @pytest.mark.parametrize("manifold", ["general-linear", "special-orthogonal"])
+    def test_jacobian_equals_loop_form(self, monkeypatch, rng, blocks, manifold):
+        x, y = rng.normal(size=blocks.N), rng.normal(size=blocks.N)
+        jac = probe_jacobian(monkeypatch, x, y, manifold, blocks)
+        xn, yn = probe_normalized(x, y, manifold)
+        loop = loop_gl_probe_jacobian if manifold == "general-linear" else loop_so_probe_jacobian
+        for i in range(3):
+            A = sample_mixing(blocks.N, manifold, i).entries
+            np.testing.assert_array_equal(jac(A), loop(A, xn, yn, blocks))
 
     def test_singleton_block_factorization_at_solution(self, rng):
         # every singleton-block row of a solution is orthogonal to x - y or x + y

@@ -15,6 +15,30 @@ from momentlab.measurements import (
     separable_measurement,
     to_real_fourier,
 )
+from momentlab.so3 import band_limit_blocks
+
+
+def loop_separable_measurement(x, A, blocks):
+    """Reference form: one matrix-vector product per block."""
+    out = np.empty(blocks.R)
+    for k, sl in enumerate(blocks.slices()):
+        s = A[sl] @ x
+        out[k] = s @ s
+    return out
+
+
+def loop_measurement_jacobian(x, A, blocks):
+    """Reference form: row k is 2 * sum_j <x, w_j> w_j over block k's rows."""
+    J = np.empty((blocks.R, blocks.N))
+    for k, sl in enumerate(blocks.slices()):
+        rows = A[sl]
+        J[k] = 2.0 * (rows.T @ (rows @ x))
+    return J
+
+
+KERNEL_LAYOUTS = [block_structure_for_power_spectrum(N) for N in range(1, 21)] + [
+    band_limit_blocks(L) for L in range(5)
+]
 
 
 def dft_block_energy_oracle(v):
@@ -48,6 +72,14 @@ class TestBlockStructure:
     def test_block_count_formula(self):
         for N in range(1, 40):
             assert block_structure_for_power_spectrum(N).R == N // 2 + 1
+
+    def test_starts_cached_and_read_only(self):
+        blocks = BlockStructure((1, 3, 5))
+        assert blocks.starts is blocks.starts
+        np.testing.assert_array_equal(blocks.starts, [0, 1, 4])
+        with pytest.raises(ValueError):
+            blocks.starts[0] = 3
+        np.testing.assert_array_equal(blocks.starts, [0, 1, 4])
 
     def test_invalid_dimension(self):
         with pytest.raises(DimensionError):
@@ -236,6 +268,34 @@ class TestMeasurementJacobian:
             scale = max(np.max(np.abs(J)), 1e-12)
             worst = max(worst, np.max(np.abs(J - J_fd)) / scale)
         assert worst < 1e-6
+
+
+class TestKernelOracles:
+    """The reduceat kernels agree with their block-loop reference forms."""
+
+    @pytest.mark.parametrize("blocks", KERNEL_LAYOUTS, ids=lambda b: str(b.dims))
+    def test_measurement_matches_loop_form(self, blocks):
+        r = np.random.default_rng(blocks.N)
+        for _ in range(5):
+            x = r.normal(size=blocks.N)
+            A = r.normal(size=(blocks.N, blocks.N))
+            np.testing.assert_allclose(
+                separable_measurement(x, A, blocks),
+                loop_separable_measurement(x, A, blocks),
+                rtol=1e-12,
+            )
+
+    @pytest.mark.parametrize("blocks", KERNEL_LAYOUTS, ids=lambda b: str(b.dims))
+    def test_jacobian_matches_loop_form(self, blocks):
+        r = np.random.default_rng(blocks.N)
+        for _ in range(5):
+            x = r.normal(size=blocks.N)
+            A = r.normal(size=(blocks.N, blocks.N))
+            np.testing.assert_allclose(
+                measurement_jacobian(x, A, blocks),
+                loop_measurement_jacobian(x, A, blocks),
+                rtol=1e-12,
+            )
 
 
 class TestMixingMatrix:

@@ -7,7 +7,9 @@ from momentlab.measurements import (
     to_real_fourier,
 )
 from momentlab.mra import (
+    _CHUNK_ROWS,
     GroupAction,
+    _orbit_matrices,
     act,
     action_matrix,
     estimate_second_moment,
@@ -20,6 +22,7 @@ from momentlab.mra import (
     sample_complexity_sweep,
     save_observations,
     simulate_observations,
+    simulate_second_moment,
 )
 from momentlab.priors import (
     GeneratorNetwork,
@@ -27,7 +30,13 @@ from momentlab.priors import (
     random_relu_network,
     sample_mixing,
 )
-from momentlab.so3 import haar_euler_angles, wigner_block
+from momentlab.so3 import (
+    _real_basis_transform,
+    _y_generator_eig,
+    haar_euler_angles,
+    rotate_bandlimited,
+    wigner_block,
+)
 
 
 class TestGroupAction:
@@ -36,6 +45,17 @@ class TestGroupAction:
             x = rng.normal(size=group.N)
             e = 0 if group.kind == "cyclic" else (0, 0) if group.kind == "dihedral" else (0, 0, 0)
             np.testing.assert_allclose(act(e, x, group), x, atol=1e-12)
+
+    def test_cached_matrices_are_read_only(self):
+        before = action_matrix(0, GroupAction.cyclic(4)).copy()
+        with pytest.raises(ValueError):
+            action_matrix(0, GroupAction.cyclic(4))[0, 0] = 2.0
+        np.testing.assert_array_equal(action_matrix(0, GroupAction.cyclic(4)), before)
+        with pytest.raises(ValueError):
+            action_matrix((1, 1), GroupAction.dihedral(4))[0, 0] = 2.0
+        for cached in (*_y_generator_eig(2), _real_basis_transform(2)):
+            with pytest.raises(ValueError):
+                cached[0, ...] = 0.0
 
     def test_cyclic_inverse(self, rng):
         group = GroupAction.cyclic(9)
@@ -121,7 +141,50 @@ class TestGroupAction:
             act((1, 2), rng.normal(size=8), GroupAction.dihedral(8))
 
 
+def one_shot_observations(x, group, n, sigma, seed):
+    """Reference form: every group element, then all the noise, in single draws."""
+    rng = np.random.default_rng(seed)
+    if group.kind in ("cyclic", "dihedral"):
+        orbit = _orbit_matrices(group.kind, group.N) @ x
+        clean = orbit[rng.integers(0, orbit.shape[0], size=n)]
+    else:
+        clean = rotate_bandlimited(group.L, haar_euler_angles(rng, size=n), x)
+    return clean if sigma == 0 else clean + rng.normal(0.0, sigma, size=(n, group.N))
+
+
+STREAMED_CASES = [
+    (GroupAction.cyclic(8), 2 * _CHUNK_ROWS + 5, 0.7),
+    (GroupAction.dihedral(5), _CHUNK_ROWS + 1, 0.0),
+    (GroupAction.sphere(1), _CHUNK_ROWS + 3, 0.2),
+]
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("group, n, sigma", STREAMED_CASES, ids=["cyclic", "dihedral", "so3"])
+    def test_chunked_draws_equal_one_shot_draws(self, group, n, sigma):
+        x = np.random.default_rng(group.N).normal(size=group.N)
+        obs = simulate_observations(x, group, n, sigma, seed=7)
+        np.testing.assert_array_equal(
+            obs.observations, one_shot_observations(x, group, n, sigma, 7)
+        )
+
+    @pytest.mark.parametrize("group, n, sigma", STREAMED_CASES, ids=["cyclic", "dihedral", "so3"])
+    def test_streamed_moment_matches_full_estimate(self, group, n, sigma):
+        x = np.random.default_rng(group.N).normal(size=group.N)
+        full = estimate_second_moment(simulate_observations(x, group, n, sigma, seed=7))
+        streamed = simulate_second_moment(x, group, n, sigma, seed=7)
+        assert (streamed.n_used, streamed.sigma_assumed) == (n, sigma)
+        np.testing.assert_allclose(streamed.matrix, full.matrix, rtol=1e-12, atol=1e-15)
+
+    def test_one_chunk_is_the_plain_estimate(self, rng):
+        group = GroupAction.cyclic(6)
+        x = rng.normal(size=6)
+        obs = simulate_observations(x, group, _CHUNK_ROWS, 0.3, seed=4)
+        np.testing.assert_array_equal(
+            simulate_second_moment(x, group, _CHUNK_ROWS, 0.3, seed=4).matrix,
+            estimate_second_moment(obs).matrix,
+        )
+
     def test_noiseless_orbit_preserves_energies(self, rng):
         group = GroupAction.cyclic(8)
         x = rng.normal(size=8)
@@ -249,6 +312,12 @@ class TestBlockScalarLaw:
 
 
 class TestRecovery:
+    def test_rejects_zero_restarts(self):
+        blocks = block_structure_for_power_spectrum(4)
+        prior = random_relu_network((2, 6, 4), seed=0)
+        with pytest.raises(ValueError, match="restarts"):
+            recover(np.ones(blocks.R), prior, np.eye(4), blocks, restarts=0)
+
     def test_noiseless_round_trip(self, rng):
         N = 9
         blocks = block_structure_for_power_spectrum(N)
@@ -344,6 +413,14 @@ class TestPersistence:
         assert loaded.sigma == 0.25
         assert loaded.seed == 12
         np.testing.assert_array_equal(loaded.observations, obs.observations)
+
+    def test_truncated_file_names_both_lengths(self, rng, tmp_path):
+        obs = simulate_observations(rng.normal(size=6), GroupAction.cyclic(6), 5, 0.1)
+        path = tmp_path / "obs.mra"
+        save_observations(path, obs)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=r"\(240 bytes\).*237 data bytes"):
+            load_observations(path)
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "bad.mra"

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from momentlab import priors
 from momentlab.measurements import (
     DimensionError,
     block_structure_for_power_spectrum,
@@ -66,6 +67,23 @@ class TestGeneratorForward:
         )
         hard = GeneratorNetwork((Layer(np.eye(4), "hardtanh(-1,1)"),))
         np.testing.assert_allclose(generator_forward(hard, z), [-1.0, -0.5, 0.5, 1.0])
+
+    def test_activation_tags_parsed_once_per_layer(self, monkeypatch):
+        net = random_relu_network((2, 6, 5), seed=0, activation="leaky-relu(0.1)")
+        calls = []
+        parse = priors._parse_activation
+        monkeypatch.setattr(
+            priors, "_parse_activation", lambda tag: calls.append(tag) or parse(tag)
+        )
+        z = np.array([0.3, -1.2])
+        generator_forward(net, z)
+        generator_jacobian(net, z)
+        assert calls == []
+        Layer(np.eye(2), "relu")
+        assert calls == ["relu"]
+        for bad in ("swish", "relu(1)", "hardtanh(1,-1)", "leaky-relu"):
+            with pytest.raises(ValueError):
+                Layer(np.eye(2), bad)
 
     @given(st.integers(0, 10**6), st.floats(0.1, 10.0))
     def test_positive_homogeneity_of_relu_nets(self, seed, c):
