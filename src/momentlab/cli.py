@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, validate_config
 from .presets import PRESETS, get_preset, list_presets
 from .runner import run as run_experiment
 
@@ -24,27 +24,24 @@ def _cmd_run(args) -> int:
             config = load_config(args.config)
         else:
             config = get_preset(args.preset).config
-    except (ConfigError, KeyError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if args.override:
         params = dict(config.parameters)
-        for item in args.override:
-            key, _, raw = item.partition("=")
-            if not _:
-                print(f"run: bad --set {item!r}, expected key=jsonvalue", file=sys.stderr)
-                return 2
+        for item in args.override or ():
+            key, sep, raw = item.partition("=")
+            if not sep:
+                raise ConfigError(f"--set {item!r}: expected key=jsonvalue")
             try:
                 params[key] = json.loads(raw)
             except json.JSONDecodeError:
                 params[key] = raw
-        config = type(config)(
-            command=config.command,
-            parameters=params,
-            output_dir=config.output_dir,
-            schema_version=config.schema_version,
-        )
-    report = run_experiment(config, out_dir=args.out, threads=args.threads)
+        config = validate_config({**config.to_dict(), "parameters": params})
+    except (ConfigError, KeyError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    try:
+        report = run_experiment(config, out_dir=args.out)
+    except ConfigError as e:       # checks that need the built experiment
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     summary = {k: v for k, v in report.results.items() if not isinstance(v, list)}
     print(json.dumps(summary, sort_keys=True, default=str))
     return 0
@@ -86,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", help=f"preset name ({', '.join(sorted(PRESETS))})"
     )
     p_run.add_argument("--out", default=None, help="output directory (default: cwd)")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads")
     p_run.add_argument(
         "--set",
         dest="override",

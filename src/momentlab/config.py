@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -165,9 +166,71 @@ def build_mixing(spec: dict, N: int) -> MixingMatrix:
 
 
 def build_blocks(params: dict, N: int) -> BlockStructure:
-    if "blocks" in params:
-        return BlockStructure(tuple(int(d) for d in params["blocks"]))
-    return block_structure_for_power_spectrum(N)
+    if "blocks" not in params:
+        return block_structure_for_power_spectrum(N)
+    blocks = BlockStructure(tuple(params["blocks"]))
+    if blocks.N != N:
+        raise ConfigError(f"parameters.blocks: dims sum to {blocks.N}, the signal has length {N}")
+    return blocks
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_count(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+def _is_seed(v) -> bool:
+    return _is_int(v) and v >= 0
+
+
+def _non_empty_list_of(item_ok):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(item_ok(x) for x in v)
+
+
+#: (check, description) of each parameter the runner reads as a number or a
+#: list of numbers, applied under whichever command carries the key.
+_PARAMETER_RULES = {
+    **dict.fromkeys(
+        ("restarts", "pairs", "repeats", "n", "recover_restarts", "n_min", "n_cap", "N"),
+        (_is_count, "an integer >= 1"),
+    ),
+    **dict.fromkeys(("seed", "signal_seed"), (_is_seed, "an integer >= 0")),
+    **dict.fromkeys(
+        ("seeds", "mixing_seeds"),
+        (_non_empty_list_of(_is_seed), "a non-empty list of integers >= 0"),
+    ),
+    **dict.fromkeys(
+        ("blocks", "N_range", "M_range"),
+        (_non_empty_list_of(_is_count), "a non-empty list of integers >= 1"),
+    ),
+    **dict.fromkeys(
+        ("residual_tol", "separation_tol", "residual_target", "rank_rtol", "amp_threshold"),
+        (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    ),
+    "penalty": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "oracle_grid": (lambda v: _is_int(v) and 1 <= v <= 200, "an integer in [1, 200]"),
+    "sigma": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "grid_ratio": (lambda v: _is_number(v) and v > 1, "a number > 1"),
+    "target_error": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "sigma_list": (
+        lambda v: _non_empty_list_of(lambda x: _is_number(x) and x > 0)(v) and v == sorted(v),
+        "a non-empty ascending list of numbers > 0",
+    ),
+}
+
+
+def _check_parameter_ranges(p: dict):
+    for key, value in p.items():
+        rule = _PARAMETER_RULES.get(key)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"parameters.{key}: must be {rule[1]}, got {value!r}")
 
 
 def _check_command_parameters(command: str, p: dict):
@@ -190,6 +253,8 @@ def _check_command_parameters(command: str, p: dict):
             raise ConfigError(
                 "parameters.manifold: must be general-linear or special-orthogonal"
             )
+        if p["manifold"] == "special-orthogonal" and p["N"] < 2:
+            raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")
         if "seed" not in p:
             raise ConfigError("parameters.seed: explicit seed required")
     elif command == "mra-sim":
@@ -237,6 +302,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     except jsonschema.ValidationError as e:
         path = ".".join(str(p) for p in e.absolute_path) or "(root)"
         raise ConfigError(f"{path}: {e.message}") from None
+    _check_parameter_ranges(data["parameters"])
     _check_command_parameters(data["command"], data["parameters"])
     return ExperimentConfig(
         command=data["command"],

@@ -56,7 +56,9 @@ def damped_gauss_newton(
     residual(x) -> (m,) array; jacobian(x) -> (m, d) array in the step
     coordinates; retract(x, delta) -> new point (default: x + delta).
     ``callback(x, r)`` is invoked once per accepted iterate (including the
-    start), which collision search uses to track candidate pairs.
+    start), right after ``residual`` was evaluated at that same ``x`` object;
+    collision search relies on this to track candidate pairs without
+    re-evaluating them.
 
     Convergence means the final objective dropped below ``f_tol``; a result
     with ``converged=False`` still carries the best iterate found.

@@ -206,10 +206,17 @@ def collision_search(
         def split(u):
             return fwd1(u[:K]), fwd2(u[K:])
 
+        # damped_gauss_newton calls on_iterate with the very array whose
+        # residual it has just evaluated, so on_iterate reuses that
+        # evaluation's signals and measurement gap instead of recomputing them.
+        last = None
+
         def residual(u):
+            nonlocal last
             x, y = split(u)
             s = max(np.linalg.norm(x), np.linalg.norm(y))
             rm = separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
+            last = (u, x, y, rm)
             if s <= 0.0:
                 return np.concatenate([rm, [spen * separation_tol]])
             sep = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
@@ -238,11 +245,9 @@ def collision_search(
             return np.vstack([Jm, row[None, :]])
 
         def on_iterate(u, r):
-            x, y = split(u)
-            raw = np.linalg.norm(
-                separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
-            )
-            tracker.update(x, y, raw)
+            evaluated_u, x, y, rm = last
+            assert evaluated_u is u
+            tracker.update(x, y, np.linalg.norm(rm))
 
         res = damped_gauss_newton(
             residual, jacobian, u0, max_iter=max_iter, f_tol=1e-30, callback=on_iterate
@@ -536,18 +541,9 @@ def regime_label(N: int, M: int, kind: str) -> str:
 
 
 @dataclass
-class SweepCell:
-    N: int
-    M: int
-    regime: str
-    kind: str
-    collisions_found_fraction: float
-
-
-@dataclass
 class SweepResult:
     rows: list[dict]            # per-seed detail, CSV-ready
-    cells: list[SweepCell]
+    cells: list[dict]           # N, M, regime, collisions_found_fraction
 
 
 def threshold_sweep(
@@ -571,6 +567,7 @@ def threshold_sweep(
 
     if blocks_for is None:
         blocks_for = block_structure_for_power_spectrum
+    seeds = list(seeds)
     rows = []
     cells = []
     for N in N_range:
@@ -603,7 +600,14 @@ def threshold_sweep(
                         "separation": report.separation,
                     }
                 )
-            cells.append(SweepCell(N, M, regime, kind, hits / max(len(list(seeds)), 1)))
+            cells.append(
+                {
+                    "N": N,
+                    "M": M,
+                    "regime": regime,
+                    "collisions_found_fraction": hits / max(len(seeds), 1),
+                }
+            )
     return SweepResult(rows, cells)
 
 

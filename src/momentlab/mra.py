@@ -478,6 +478,8 @@ def sample_complexity_sweep(
         raise ValueError("sigma_list must be sorted ascending")
     if not 0.0 < target_error < 1.0:
         raise ValueError("target_error must lie in (0, 1)")
+    if n_min < 1 or grid_ratio <= 1.0:
+        raise ValueError(f"need n_min >= 1 and grid_ratio > 1, got {n_min} and {grid_ratio}")
     seeds = list(seeds)
     blocks = group.blocks
     Ae = A.entries if hasattr(A, "entries") else np.asarray(A, dtype=float)

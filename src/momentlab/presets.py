@@ -79,7 +79,6 @@ _PRESET_LIST = [
                 "mixing_seeds": [31, 32, 33],
                 "restarts": 200,
                 "seed": 0,
-                "report_image_dimension": True,
             },
         ),
     ),

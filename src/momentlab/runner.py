@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,13 +82,6 @@ def write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _collect_seeds(obj, out):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -122,7 +114,7 @@ class RunReport:
         )
 
 
-def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunReport:
+def run(config: ExperimentConfig, out_dir=None) -> RunReport:
     """Execute one experiment config and write its artifacts to out_dir."""
     t0 = time.perf_counter()
     out = Path(out_dir if out_dir is not None else (config.output_dir or "."))
@@ -135,7 +127,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunReport:
         "mra-sim": _run_mra_sim,
         "sweep": _run_sweep,
     }[config.command]
-    results, csv_files = runner(config.parameters, out, threads)
+    results, csv_files = runner(config.parameters, out)
 
     seeds: list[int] = []
     _collect_seeds(config.parameters, seeds)
@@ -157,7 +149,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunReport:
 # measure
 # ---------------------------------------------------------------------------
 
-def _run_measure(p: dict, out: Path, threads: int):
+def _run_measure(p: dict, out: Path):
     if "signal" in p:
         sig = np.asarray(p["signal"], dtype=float)
     else:
@@ -187,7 +179,7 @@ def _prior_dimension_summary(prior) -> int:
     return estimate_image_dimension(prior, trials=32, seed=0).value
 
 
-def _run_collide(p: dict, out: Path, threads: int):
+def _run_collide(p: dict, out: Path):
     prior = build_prior(p["prior"])
     N = prior_output_dim(prior)
     blocks = build_blocks(p, N)
@@ -215,7 +207,7 @@ def _run_collide(p: dict, out: Path, threads: int):
         )
         return mseed, rep
 
-    reports = _parallel_map(one, mixing_seeds, threads)
+    reports = [one(mseed) for mseed in mixing_seeds]
     rows = [
         {
             "N": N,
@@ -263,7 +255,7 @@ PROBE_CSV_HEADER = (
 )
 
 
-def _run_probe_dim(p: dict, out: Path, threads: int):
+def _run_probe_dim(p: dict, out: Path):
     N = int(p["N"])
     blocks = build_blocks(p, N)
     manifold = p["manifold"]
@@ -288,7 +280,7 @@ def _run_probe_dim(p: dict, out: Path, threads: int):
         )
         return i, est
 
-    probes = _parallel_map(one, range(pairs), threads)
+    probes = [one(i) for i in range(pairs)]
     rows = [
         {
             "pair": i,
@@ -334,7 +326,7 @@ def _build_group(spec: dict) -> GroupAction:
     return GroupAction(spec["kind"], int(spec["N"]))
 
 
-def _run_mra_sim(p: dict, out: Path, threads: int):
+def _run_mra_sim(p: dict, out: Path):
     group = _build_group(p["group"])
     blocks = group.blocks
     N = group.N
@@ -420,7 +412,7 @@ def _run_mra_sim(p: dict, out: Path, threads: int):
                 "recovery_converged": rec.converged,
             }
 
-        rows = _parallel_map(one, range(repeats), threads)
+        rows = [one(rep) for rep in range(repeats)]
         path = out / "mra.csv"
         write_csv(path, MRA_CSV_HEADER, rows)
         csv_files.append(path)
@@ -469,7 +461,7 @@ def _sparse_family(kind):
     return family
 
 
-def _run_sweep(p: dict, out: Path, threads: int):
+def _run_sweep(p: dict, out: Path):
     if p["sweep_kind"] == "threshold":
         fam_spec = p.get("prior_family", {"type": "relu-network"})
         if fam_spec["type"] == "relu-network":
@@ -486,16 +478,7 @@ def _run_sweep(p: dict, out: Path, threads: int):
         )
         path = out / "sweep.csv"
         write_csv(path, SWEEP_CSV_HEADER, result.rows)
-        cells = [
-            {
-                "N": c.N,
-                "M": c.M,
-                "regime": c.regime,
-                "collisions_found_fraction": c.collisions_found_fraction,
-            }
-            for c in result.cells
-        ]
-        return {"cells": cells}, [path]
+        return {"cells": result.cells}, [path]
 
     # sample-complexity
     group = _build_group(p["group"])

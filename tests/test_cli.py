@@ -1,7 +1,11 @@
 import json
+import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentlab.cli import main
 from momentlab.config import ConfigError, load_config, validate_config
@@ -170,28 +174,6 @@ class TestDeterminism:
         run(load_config(path), out_dir=out2)
         assert (out1 / "probes.csv").read_bytes() == (out2 / "probes.csv").read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg = load_config(
-            write_config(
-                tmp_path,
-                {
-                    "schema_version": 1,
-                    "command": "probe-dim",
-                    "parameters": {
-                        "N": 8,
-                        "manifold": "general-linear",
-                        "pairs": 4,
-                        "seed": 1,
-                    },
-                },
-            )
-        )
-        run(cfg, out_dir=tmp_path / "t1", threads=1)
-        run(cfg, out_dir=tmp_path / "t4", threads=4)
-        assert (tmp_path / "t1" / "probes.csv").read_bytes() == (
-            tmp_path / "t4" / "probes.csv"
-        ).read_bytes()
-
 
 class TestOverrides:
     def test_set_flag_overrides_parameters(self, tmp_path, capsys):
@@ -209,3 +191,70 @@ class TestOverrides:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["collisions_found"] == 1
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("prior=3", "parameters.prior"),
+            ("restarts=0", "parameters.restarts"),
+            ('restarts="x"', "parameters.restarts"),
+            ("mixing_seeds=5", "parameters.mixing_seeds"),
+            ("pairs=-1", "parameters.pairs"),
+            ("n_min=0", "parameters.n_min"),
+            ("grid_ratio=1", "parameters.grid_ratio"),
+            ("seed=-1", "parameters.seed"),
+            ("residual_tol=0", "parameters.residual_tol"),
+            ("oracle_grid=500", "parameters.oracle_grid"),
+            ("sigma_list=[2,1]", "parameters.sigma_list"),
+            ("N_range=[]", "parameters.N_range"),
+        ],
+    )
+    def test_bad_override_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
+        argv = ["run", "--preset", "thm2-so", "--out", str(tmp_path), "--set", override]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_blocks_not_matching_the_signal_exit_2(self, tmp_path, capsys):
+        argv = ["run", "--preset", "lemma-codim-gl-blocks", "--out", str(tmp_path)]
+        assert main([*argv, "--set", "blocks=[1,2]"]) == 2
+        assert "parameters.blocks" in capsys.readouterr().err
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "ctrl-torus", "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
+
+
+_FUZZ_KEYS = {
+    "ctrl-torus": ["prior", "mixing", "restarts", "seed", "mixing_seeds"],
+    "lemma-codim-gl": ["N", "manifold", "pairs", "seed", "restarts"],
+}
+
+# Values valid for some key are drawn as often as invalid ones, so that
+# both exit codes occur.
+_FUZZ_VALUES = st.one_of(
+    st.integers(1, 6),
+    st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    st.sampled_from(
+        ["general-linear", "special-orthogonal", {"kind": "identity"}, {"type": "ambient", "N": 4}]
+    ),
+    st.none() | st.booleans() | st.integers(-2, 6),
+    st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf]),
+    st.text(max_size=3) | st.lists(st.integers(-1, 6), max_size=3),
+)
+
+
+@pytest.mark.parametrize("preset", sorted(_FUZZ_KEYS))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_fuzzed_overrides_run_or_exit_2(preset, data):
+    overrides = data.draw(
+        st.dictionaries(st.sampled_from(_FUZZ_KEYS[preset]), _FUZZ_VALUES, min_size=1, max_size=2)
+    )
+    argv = ["run", "--preset", preset]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    with tempfile.TemporaryDirectory() as out:
+        assert main([*argv, "--out", out]) in (0, 2)
