@@ -11,16 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from .measurements import BlockStructure, MixingMatrix, block_structure_for_power_spectrum
 from .priors import (
-    GeneratorNetwork,
-    SparsePrior,
     ambient_network,
     generic_linear_sparse_prior,
     generic_orthonormal_sparse_prior,
@@ -77,45 +74,51 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _require(params: dict, key: str, where: str):
-    if key not in params:
-        raise ConfigError(f"parameters.{where}{key}: required field missing")
-    return params[key]
+def _require(d: dict, keys, where: str, why: str = "required"):
+    for key in keys:
+        if key not in d:
+            raise ConfigError(f"{where}{key}: {why}")
 
 
-_PRIOR_TYPES = ("relu-network", "network-file", "sparse", "sparse-file", "ambient")
+#: The fields each prior type requires.
+_PRIOR_FIELDS = {
+    "relu-network": ("widths",),
+    "network-file": ("path",),
+    "sparse": ("N", "M"),
+    "sparse-file": ("path",),
+    "ambient": ("N",),
+}
 _MIXING_KINDS = ("general-linear", "special-orthogonal", "identity")
+_GROUP_KINDS = ("cyclic", "dihedral", "so3-bandlimited")
 
 
 def _check_prior_spec(spec, where: str):
     if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"parameters.{where}: prior spec must be an object with a 'type'")
+        raise ConfigError(f"{where}: prior spec must be an object with a 'type'")
     t = spec["type"]
-    if t not in _PRIOR_TYPES:
-        raise ConfigError(f"parameters.{where}.type: unknown prior type {t!r}")
-    if t == "relu-network" and "widths" not in spec:
-        raise ConfigError(f"parameters.{where}.widths: required for relu-network")
-    if t in ("network-file", "sparse-file"):
-        path = spec.get("path")
-        if not path:
-            raise ConfigError(f"parameters.{where}.path: required for {t}")
-        if not Path(path).exists():
-            raise ConfigError(f"parameters.{where}.path: file not found: {path}")
-    if t == "sparse":
-        for k in ("N", "M"):
-            if k not in spec:
-                raise ConfigError(f"parameters.{where}.{k}: required for sparse prior")
-    if t == "ambient" and "N" not in spec:
-        raise ConfigError(f"parameters.{where}.N: required for ambient prior")
+    if t not in _PRIOR_FIELDS:
+        raise ConfigError(f"{where}.type: unknown prior type {t!r}")
+    _require(spec, _PRIOR_FIELDS[t], f"{where}.", f"required for {t}")
+    _check_fields(spec, _SPEC_RULES, f"{where}.")
+    if "path" in spec and not Path(spec["path"]).exists():
+        raise ConfigError(f"{where}.path: file not found: {spec['path']}")
+    if t == "sparse" and spec["M"] > spec["N"]:
+        raise ConfigError(f"{where}.M: must be <= N = {spec['N']}")
 
 
 def _check_mixing_spec(spec, where: str):
     if not isinstance(spec, dict) or spec.get("kind") not in _MIXING_KINDS:
-        raise ConfigError(
-            f"parameters.{where}.kind: must be one of {_MIXING_KINDS}"
-        )
-    if spec["kind"] != "identity" and "seed" not in spec:
-        raise ConfigError(f"parameters.{where}.seed: explicit seed required")
+        raise ConfigError(f"{where}.kind: must be one of {_MIXING_KINDS}")
+    if spec["kind"] != "identity":
+        _require(spec, ("seed",), f"{where}.", "explicit seed required")
+    _check_fields(spec, _SPEC_RULES, f"{where}.")
+
+
+def _check_group_spec(spec, where: str):
+    if not isinstance(spec, dict) or spec.get("kind") not in _GROUP_KINDS:
+        raise ConfigError(f"{where}.kind: must be one of {_GROUP_KINDS}")
+    _require(spec, ("L" if spec["kind"] == "so3-bandlimited" else "N",), f"{where}.")
+    _check_fields(spec, _SPEC_RULES, f"{where}.")
 
 
 def build_prior(spec: dict):
@@ -151,14 +154,6 @@ def build_prior(spec: dict):
     raise ConfigError(f"unknown sparse prior kind {kind!r}")
 
 
-def prior_output_dim(prior) -> int:
-    if isinstance(prior, GeneratorNetwork):
-        return prior.output_dim
-    if isinstance(prior, SparsePrior):
-        return prior.N
-    raise TypeError(type(prior).__name__)
-
-
 def build_mixing(spec: dict, N: int) -> MixingMatrix:
     if spec["kind"] == "identity":
         return MixingMatrix.identity(N)
@@ -186,34 +181,54 @@ def _is_count(v) -> bool:
     return _is_int(v) and v >= 1
 
 
-def _is_seed(v) -> bool:
+def _is_natural(v) -> bool:
     return _is_int(v) and v >= 0
+
+
+def _is_positive(v) -> bool:
+    return _is_number(v) and v > 0
 
 
 def _non_empty_list_of(item_ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(item_ok(x) for x in v)
 
 
-#: (check, description) of each parameter the runner reads as a number or a
-#: list of numbers, applied under whichever command carries the key.
+#: (check, description) of each parameter the runner reads that has a type or
+#: range to respect, applied under whichever command carries the key.
 _PARAMETER_RULES = {
     **dict.fromkeys(
         ("restarts", "pairs", "repeats", "n", "recover_restarts", "n_min", "n_cap", "N"),
         (_is_count, "an integer >= 1"),
     ),
-    **dict.fromkeys(("seed", "signal_seed"), (_is_seed, "an integer >= 0")),
+    **dict.fromkeys(("seed", "signal_seed"), (_is_natural, "an integer >= 0")),
+    "true_seed": (
+        lambda v: _is_natural(v) or v == "auto-conditioned",
+        'an integer >= 0 or "auto-conditioned"',
+    ),
     **dict.fromkeys(
         ("seeds", "mixing_seeds"),
-        (_non_empty_list_of(_is_seed), "a non-empty list of integers >= 0"),
+        (_non_empty_list_of(_is_natural), "a non-empty list of integers >= 0"),
     ),
     **dict.fromkeys(
         ("blocks", "N_range", "M_range"),
         (_non_empty_list_of(_is_count), "a non-empty list of integers >= 1"),
     ),
     **dict.fromkeys(
-        ("residual_tol", "separation_tol", "residual_target", "rank_rtol", "amp_threshold"),
-        (lambda v: _is_number(v) and v > 0, "a number > 0"),
+        (
+            "residual_tol",
+            "separation_tol",
+            "residual_target",
+            "rank_rtol",
+            "amp_threshold",
+            "signal_norm",
+        ),
+        (_is_positive, "a number > 0"),
     ),
+    **dict.fromkeys(
+        ("oracle_check", "block_scalar_check", "recover"),
+        (lambda v: isinstance(v, bool), "true or false"),
+    ),
+    "signal": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
     "penalty": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
     "oracle_grid": (lambda v: _is_int(v) and 1 <= v <= 200, "an integer in [1, 200]"),
     "sigma": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
@@ -225,12 +240,29 @@ _PARAMETER_RULES = {
     ),
 }
 
+#: The same for the fields of a prior, mixing or group spec.
+_SPEC_RULES = {
+    "widths": (
+        lambda v: _non_empty_list_of(_is_count)(v) and len(v) >= 2,
+        "a list of at least two integers >= 1",
+    ),
+    "hidden_widths": (
+        lambda v: isinstance(v, list) and all(_is_count(w) for w in v),
+        "a list of integers >= 1",
+    ),
+    **dict.fromkeys(("N", "M"), (_is_count, "an integer >= 1")),
+    **dict.fromkeys(("seed", "perturb_seed", "L"), (_is_natural, "an integer >= 0")),
+    "perturb_scale": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "perturb_final_layer": (lambda v: isinstance(v, bool), "true or false"),
+    "path": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+}
 
-def _check_parameter_ranges(p: dict):
-    for key, value in p.items():
-        rule = _PARAMETER_RULES.get(key)
+
+def _check_fields(d: dict, rules: dict, where: str):
+    for key, value in d.items():
+        rule = rules.get(key)
         if rule is not None and not rule[0](value):
-            raise ConfigError(f"parameters.{key}: must be {rule[1]}, got {value!r}")
+            raise ConfigError(f"{where}{key}: must be {rule[1]}, got {value!r}")
 
 
 def _check_command_parameters(command: str, p: dict):
@@ -242,53 +274,47 @@ def _check_command_parameters(command: str, p: dict):
                 f"parameters.signal_path: file not found: {p['signal_path']}"
             )
     elif command == "collide":
-        _check_prior_spec(_require(p, "prior", ""), "prior")
-        _check_mixing_spec(_require(p, "mixing", ""), "mixing")
-        if "seed" not in p:
-            raise ConfigError("parameters.seed: explicit seed required")
+        _require(p, ("prior", "mixing", "seed"), "parameters.")
+        _check_prior_spec(p["prior"], "parameters.prior")
+        _check_mixing_spec(p["mixing"], "parameters.mixing")
     elif command == "probe-dim":
-        if "N" not in p:
-            raise ConfigError("parameters.N: required")
+        _require(p, ("N", "seed"), "parameters.")
         if p.get("manifold") not in ("general-linear", "special-orthogonal"):
             raise ConfigError(
                 "parameters.manifold: must be general-linear or special-orthogonal"
             )
         if p["manifold"] == "special-orthogonal" and p["N"] < 2:
             raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")
-        if "seed" not in p:
-            raise ConfigError("parameters.seed: explicit seed required")
     elif command == "mra-sim":
-        group = p.get("group", {})
-        if group.get("kind") not in ("cyclic", "dihedral", "so3-bandlimited"):
-            raise ConfigError("parameters.group.kind: unknown group kind")
-        if group["kind"] == "so3-bandlimited" and "L" not in group:
-            raise ConfigError("parameters.group.L: band limit required")
-        if group["kind"] != "so3-bandlimited" and "N" not in group:
-            raise ConfigError("parameters.group.N: dimension required")
-        if "sigma" not in p:
-            raise ConfigError("parameters.sigma: required")
-        if "n" not in p:
-            raise ConfigError("parameters.n: required")
-        if "seed" not in p:
-            raise ConfigError("parameters.seed: explicit seed required")
+        _require(p, ("group", "sigma", "n", "seed"), "parameters.")
+        _check_group_spec(p["group"], "parameters.group")
         if "prior" in p:
-            _check_prior_spec(p["prior"], "prior")
+            _check_prior_spec(p["prior"], "parameters.prior")
         if "mixing" in p:
-            _check_mixing_spec(p["mixing"], "mixing")
+            _check_mixing_spec(p["mixing"], "parameters.mixing")
+        if p.get("true_seed") == "auto-conditioned":
+            raise ConfigError(
+                "parameters.true_seed: auto-conditioned applies to sample-complexity sweeps"
+            )
     elif command == "sweep":
         kind = p.get("sweep_kind")
         if kind == "threshold":
-            for k in ("N_range", "M_range", "mixing_kind", "seeds"):
-                if k not in p:
-                    raise ConfigError(f"parameters.{k}: required for threshold sweep")
+            _require(p, ("N_range", "M_range", "mixing_kind", "seeds"), "parameters.")
             if p["mixing_kind"] not in ("general-linear", "special-orthogonal"):
                 raise ConfigError("parameters.mixing_kind: bad value")
+            fam = p.get("prior_family", {"type": "relu-network"})
+            if not isinstance(fam, dict) or fam.get("type") not in ("relu-network", "sparse"):
+                raise ConfigError("parameters.prior_family.type: must be relu-network or sparse")
+            _check_fields(fam, _SPEC_RULES, "parameters.prior_family.")
         elif kind == "sample-complexity":
-            for k in ("sigma_list", "target_error", "seeds", "prior", "mixing", "group"):
-                if k not in p:
-                    raise ConfigError(f"parameters.{k}: required for sample-complexity sweep")
-            _check_prior_spec(p["prior"], "prior")
-            _check_mixing_spec(p["mixing"], "mixing")
+            _require(
+                p,
+                ("sigma_list", "target_error", "seeds", "prior", "mixing", "group"),
+                "parameters.",
+            )
+            _check_prior_spec(p["prior"], "parameters.prior")
+            _check_mixing_spec(p["mixing"], "parameters.mixing")
+            _check_group_spec(p["group"], "parameters.group")
         else:
             raise ConfigError(
                 "parameters.sweep_kind: must be 'threshold' or 'sample-complexity'"
@@ -302,7 +328,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     except jsonschema.ValidationError as e:
         path = ".".join(str(p) for p in e.absolute_path) or "(root)"
         raise ConfigError(f"{path}: {e.message}") from None
-    _check_parameter_ranges(data["parameters"])
+    _check_fields(data["parameters"], _PARAMETER_RULES, "parameters.")
     _check_command_parameters(data["command"], data["parameters"])
     return ExperimentConfig(
         command=data["command"],

@@ -3,7 +3,8 @@
 One solver covers the package's three uses: latent-space collision search,
 invariant-based recovery, and on-manifold root finding for the codimension
 probe. A retraction hook lets callers step on a manifold instead of in
-coordinates.
+coordinates. All three restart the solver from fresh starting points under
+one policy, :func:`multistart`: try in order, stop at the first success.
 
 Steps are Levenberg-Marquardt: the trial step for damping lam is the exact
 minimizer of ||J delta + r||^2 + lam ||delta||^2. One thin SVD
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["GaussNewtonResult", "damped_gauss_newton"]
+__all__ = ["GaussNewtonResult", "damped_gauss_newton", "multistart"]
 
 
 @dataclass
@@ -99,3 +100,18 @@ def damped_gauss_newton(
         if not accepted:
             return GaussNewtonResult(x, f, it, f <= f_tol)
     return GaussNewtonResult(x, f, it, f <= f_tol)
+
+
+def multistart(attempt: Callable[[], object], restarts: int, succeeded: Callable) -> list:
+    """Call ``attempt()`` up to ``restarts`` times, stopping after a success.
+
+    Returns every attempt's result in order, the first one for which
+    ``succeeded`` holds last, so ``len(results)`` is the number of restarts
+    used. ``attempt`` draws its own starting point and runs its own solve.
+    """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    results = [attempt()]
+    while len(results) < restarts and not succeeded(results[-1]):
+        results.append(attempt())
+    return results

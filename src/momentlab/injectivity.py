@@ -20,24 +20,25 @@ verdicts invariant under rescaling a candidate pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm
 
-from .gaussnewton import damped_gauss_newton
+from .gaussnewton import damped_gauss_newton, multistart
 from .measurements import (
     BlockStructure,
     MixingMatrix,
+    block_structure_for_power_spectrum,
     measurement_jacobian,
-    second_moment_blocks,
     separable_measurement,
 )
 from .priors import (
     GeneratorNetwork,
-    SparsePrior,
     as_rng,
     generator_forward,
-    generator_jacobian,
+    latent_parametrizations,
+    sample_mixing,
 )
 
 __all__ = [
@@ -113,42 +114,6 @@ def _is_collision(residual, separation, scale, residual_tol, separation_tol):
     )
 
 
-def _check_restarts(restarts) -> None:
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-
-
-def _latent_parametrizations(prior, rng):
-    """Yield (z0, forward, jacobian) triples, one per restart branch.
-
-    Generator networks use Gaussian latent starts; sparse priors draw a
-    fresh random support per restart and optimize its coefficients (the
-    map is then linear in the latent).
-    """
-    if isinstance(prior, GeneratorNetwork):
-        K = prior.latent_dim
-        fwd = lambda z: generator_forward(prior, z)
-        jac = lambda z: generator_jacobian(prior, z)
-        while True:
-            yield rng.normal(size=K), fwd, jac
-    elif isinstance(prior, SparsePrior):
-        M = prior.sparsity
-        while True:
-            support = np.sort(rng.choice(prior.N, size=M, replace=False))
-            B = prior.basis[:, support]
-            yield rng.normal(size=M), (lambda z, B=B: B @ z), (lambda z, B=B: B)
-    else:
-        raise TypeError(f"unsupported prior type {type(prior).__name__}")
-
-
-def _prior_latent_dim(prior) -> int:
-    if isinstance(prior, GeneratorNetwork):
-        return prior.latent_dim
-    if isinstance(prior, SparsePrior):
-        return prior.sparsity
-    raise TypeError(f"unsupported prior type {type(prior).__name__}")
-
-
 class _PairTracker:
     """Keeps the best separated candidate seen across all GN iterates."""
 
@@ -189,15 +154,12 @@ def collision_search(
     from the trivial x = +-y pairs. Deterministic given the seed. If a
     qualifying collision appears, remaining restarts are skipped.
     """
-    _check_restarts(restarts)
     rng = as_rng(seed)
     tracker = _PairTracker(separation_tol)
     spen = np.sqrt(penalty)
-    params = _latent_parametrizations(prior, rng)
-    any_converged = False
-    restarts_used = restarts
+    params = latent_parametrizations(prior, rng)
 
-    for rs in range(restarts):
+    def attempt():
         z1, fwd1, jac1 = next(params)
         z2, fwd2, jac2 = next(params)
         K = z1.shape[0]
@@ -252,14 +214,15 @@ def collision_search(
         res = damped_gauss_newton(
             residual, jacobian, u0, max_iter=max_iter, f_tol=1e-30, callback=on_iterate
         )
-        any_converged = any_converged or res.converged
+        return res.converged
 
+    def found(_):
         cand = tracker.best
-        if cand is not None and _is_collision(
+        return cand is not None and _is_collision(
             cand[1], cand[2], cand[3], 0.01 * residual_tol, 1.05 * separation_tol
-        ):
-            restarts_used = rs + 1
-            break
+        )
+
+    converged = multistart(attempt, restarts, found)
 
     nres, raw, sep, s, x, y = tracker.result()
     hit = _is_collision(raw, sep, s, residual_tol, separation_tol)
@@ -270,9 +233,9 @@ def collision_search(
         separation=float(sep),
         scale=float(s),
         verdict="collision" if hit else "no-collision-found",
-        restarts_used=restarts_used,
+        restarts_used=len(converged),
         seed=seed,
-        converged=bool(any_converged or hit),
+        converged=bool(any(converged) or hit),
     )
 
 
@@ -293,7 +256,7 @@ def brute_force_collision_oracle(
     minimal measurement gap among sufficiently separated pairs. Only latent
     dimension K <= 2 is supported.
     """
-    K = _prior_latent_dim(prior)
+    K = prior.latent_dim
     if K > 2:
         raise ValueError(f"oracle supports latent dimension <= 2, got {K}")
     if grid_points_per_axis > 200:
@@ -309,8 +272,6 @@ def brute_force_collision_oracle(
     if isinstance(prior, GeneratorNetwork):
         X = np.stack([generator_forward(prior, z) for z in lat])
     else:
-        from itertools import combinations
-
         cols = []
         for support in combinations(range(prior.N), prior.sparsity):
             B = prior.basis[:, list(support)]
@@ -420,7 +381,6 @@ def codimension_probe(
     mixings preserve total energy, so on the special-orthogonal manifold y
     is rescaled to ||x|| first -- without that the constraint set is empty.
     """
-    _check_restarts(restarts)
     x = blocks.check_signal(np.asarray(x, dtype=float))
     y = blocks.check_signal(np.asarray(y, dtype=float))
     N, R = blocks.N, blocks.R
@@ -477,43 +437,39 @@ def codimension_probe(
             S[iu] = step
             return expm(S - S.T) @ A
 
-        from .priors import sample_mixing
-
-        def draw():
-            return sample_mixing(N, "special-orthogonal", rng).entries
+        draw = lambda: sample_mixing(N, "special-orthogonal", rng).entries
     else:
         raise ValueError(f"unknown manifold {manifold!r}")
 
-    last_res = np.inf
-    for rs in range(restarts):
-        A0 = draw()
+    def attempt():
         gn = damped_gauss_newton(
-            resid, jac, A0, retract=retract, max_iter=max_iter, f_tol=residual_target**2
+            resid, jac, draw(), retract=retract, max_iter=max_iter, f_tol=residual_target**2
         )
-        res_norm = float(np.sqrt(gn.f))
-        last_res = min(last_res, res_norm)
-        if res_norm <= residual_target:
-            J = jac(gn.x)
-            sv = np.linalg.svd(J, compute_uv=False)
-            rank = int(np.sum(sv > rank_rtol * sv[0])) if sv.size and sv[0] > 0 else 0
-            return CodimensionEstimate(
-                ambient_dim=tangent_dim,
-                estimated_solution_dim=tangent_dim - rank,
-                theoretical_bound=bound,
-                singular_values=sv,
-                converged=True,
-                residual=res_norm,
-                restarts_used=rs + 1,
-                solution=np.asarray(gn.x),
-            )
+        return float(np.sqrt(gn.f)), gn.x
+
+    tries = multistart(attempt, restarts, lambda t: t[0] <= residual_target)
+    res_norm, A = tries[-1]
+    if res_norm > residual_target:
+        return CodimensionEstimate(
+            ambient_dim=tangent_dim,
+            estimated_solution_dim=None,
+            theoretical_bound=bound,
+            singular_values=np.array([]),
+            converged=False,
+            residual=min(r for r, _ in tries),
+            restarts_used=len(tries),
+        )
+    sv = np.linalg.svd(jac(A), compute_uv=False)
+    rank = int(np.sum(sv > rank_rtol * sv[0])) if sv.size and sv[0] > 0 else 0
     return CodimensionEstimate(
         ambient_dim=tangent_dim,
-        estimated_solution_dim=None,
+        estimated_solution_dim=tangent_dim - rank,
         theoretical_bound=bound,
-        singular_values=np.array([]),
-        converged=False,
-        residual=float(last_res),
-        restarts_used=restarts,
+        singular_values=sv,
+        converged=True,
+        residual=res_norm,
+        restarts_used=len(tries),
+        solution=np.asarray(A),
     )
 
 
@@ -563,8 +519,6 @@ def threshold_sweep(
     Regimes are labeled from the mixing kind's thresholds; below-threshold
     cells are reported without any expectation attached.
     """
-    from .measurements import block_structure_for_power_spectrum
-
     if blocks_for is None:
         blocks_for = block_structure_for_power_spectrum
     seeds = list(seeds)
@@ -612,7 +566,5 @@ def threshold_sweep(
 
 
 def _cell_mixing(N, kind, seed):
-    from .priors import sample_mixing
-
     # derive an independent stream so the mixing is decoupled from the search
     return sample_mixing(N, kind, np.random.SeedSequence((int(seed), 0xA)))

@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussnewton import damped_gauss_newton
-from .injectivity import _check_restarts, _latent_parametrizations
+from .gaussnewton import damped_gauss_newton, multistart
 from .measurements import (
     BlockStructure,
     DimensionError,
@@ -30,7 +29,7 @@ from .measurements import (
     measurement_jacobian,
     separable_measurement,
 )
-from .priors import as_rng
+from .priors import as_rng, latent_parametrizations
 from .so3 import (
     band_limit_blocks,
     haar_euler_angles,
@@ -343,18 +342,15 @@ def recover(
     invariants the optimum sits at the noise floor, so ``converged`` only
     reflects whether some start reached the (relative) target residual.
     """
-    _check_restarts(restarts)
     invariants = np.asarray(invariants, dtype=float)
     if invariants.shape != (blocks.R,):
         raise DimensionError(f"invariants shape {invariants.shape}, expected ({blocks.R},)")
     rng = as_rng(seed)
-    params = _latent_parametrizations(prior, rng)
+    params = latent_parametrizations(prior, rng)
     Ae = A.entries if hasattr(A, "entries") else np.asarray(A, dtype=float)
     f_target = (f_rel_tol * max(1.0, np.linalg.norm(invariants))) ** 2
 
-    best = None     # (f, prior point)
-    used = restarts
-    for rs in range(restarts):
+    def attempt():
         z0, fwd, jac = next(params)
 
         def residual(z):
@@ -366,20 +362,16 @@ def recover(
         res = damped_gauss_newton(
             residual, jacobian, z0, max_iter=max_iter, f_tol=f_target
         )
-        p = fwd(res.x)
-        if best is None or res.f < best[0]:
-            best = (res.f, p)
-        if res.f <= f_target:
-            used = rs + 1
-            break
+        return res.f, fwd(res.x)
 
-    f, p = best
+    tries = multistart(attempt, restarts, lambda t: t[0] <= f_target)
+    f, p = min(tries, key=lambda t: t[0])      # the first of the best
     return RecoveryResult(
         x_hat=Ae @ p,
         prior_point=p,
         residual=float(np.sqrt(f)),
         converged=bool(f <= f_target),
-        restarts_used=used,
+        restarts_used=len(tries),
     )
 
 
@@ -393,7 +385,7 @@ class SampleComplexityResult:
 def draw_ground_truth(prior, Ae, true_seed, signal_norm: float | None):
     """One fixed draw x* = A p(z*) from the mixed prior, optionally rescaled."""
     rng = as_rng(true_seed)
-    z0, fwd, jac = next(_latent_parametrizations(prior, rng))
+    z0, fwd, jac = next(latent_parametrizations(prior, rng))
     p = fwd(z0)
     x_star = Ae @ p
     if signal_norm is not None:

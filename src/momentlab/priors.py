@@ -29,6 +29,7 @@ __all__ = [
     "generator_forward",
     "generator_jacobian",
     "estimate_image_dimension",
+    "latent_parametrizations",
     "sample_sparse",
     "sample_mixing",
     "ambient_network",
@@ -261,6 +262,37 @@ class SparsePrior:
     @property
     def N(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def latent_dim(self) -> int:
+        return self.sparsity
+
+    @property
+    def output_dim(self) -> int:
+        return self.N
+
+
+def latent_parametrizations(prior, rng):
+    """Yield (z0, forward, jacobian) triples, one per restart branch.
+
+    Generator networks use Gaussian latent starts; sparse priors draw a
+    fresh random support per restart and optimize its coefficients (the
+    map is then linear in the latent).
+    """
+    if isinstance(prior, GeneratorNetwork):
+        K = prior.latent_dim
+        fwd = lambda z: generator_forward(prior, z)
+        jac = lambda z: generator_jacobian(prior, z)
+        while True:
+            yield rng.normal(size=K), fwd, jac
+    elif isinstance(prior, SparsePrior):
+        M = prior.sparsity
+        while True:
+            support = np.sort(rng.choice(prior.N, size=M, replace=False))
+            B = prior.basis[:, support]
+            yield rng.normal(size=M), (lambda z, B=B: B @ z), (lambda z, B=B: B)
+    else:
+        raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 
 def sample_sparse(prior: SparsePrior, seed=0) -> np.ndarray:

@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    build_blocks,
-    build_mixing,
-    build_prior,
-    prior_output_dim,
-)
+from .config import ConfigError, ExperimentConfig, build_blocks, build_mixing, build_prior
 from .injectivity import (
     SWEEP_CSV_HEADER,
     brute_force_collision_oracle,
@@ -31,14 +25,7 @@ from .injectivity import (
     regime_label,
     threshold_sweep,
 )
-from .measurements import (
-    BlockStructure,
-    MixingMatrix,
-    block_structure_for_power_spectrum,
-    second_moment_blocks,
-    separable_measurement,
-    to_real_fourier,
-)
+from .measurements import second_moment_blocks, separable_measurement, to_real_fourier
 from .mra import (
     GroupAction,
     draw_ground_truth,
@@ -49,12 +36,7 @@ from .mra import (
     select_conditioned_instance,
     simulate_second_moment,
 )
-from .priors import (
-    GeneratorNetwork,
-    SparsePrior,
-    estimate_image_dimension,
-    random_relu_network,
-)
+from .priors import SparsePrior, estimate_image_dimension
 
 __all__ = ["RunReport", "run"]
 
@@ -80,6 +62,17 @@ def write_csv(path: Path, header: str, rows) -> None:
         else:
             lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _given(p: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments for the parameters that the config sets.
+
+    ``keys`` pass under their own names; ``renamed`` maps a library argument
+    to its config key. A key the config leaves out is not passed, so each
+    default lives in one place: the signature of the library function.
+    """
+    names = {**dict(zip(keys, keys)), **renamed}
+    return {arg: p[key] for arg, key in names.items() if key in p}
 
 
 def _collect_seeds(obj, out):
@@ -181,33 +174,26 @@ def _prior_dimension_summary(prior) -> int:
 
 def _run_collide(p: dict, out: Path):
     prior = build_prior(p["prior"])
-    N = prior_output_dim(prior)
+    if p.get("oracle_check") and prior.latent_dim > 2:
+        raise ConfigError(
+            "parameters.oracle_check: the grid oracle needs a prior of latent "
+            f"dimension <= 2, this one has {prior.latent_dim}"
+        )
+    N = prior.output_dim
     blocks = build_blocks(p, N)
     kind = p["mixing"]["kind"]
     mixing_seeds = p.get("mixing_seeds") or [p["mixing"].get("seed", 0)]
     M = _prior_dimension_summary(prior)
     regime = "non-generic" if kind == "identity" else regime_label(N, M, kind)
-    search_kwargs = {
-        k: p[k] for k in ("residual_tol", "separation_tol", "penalty") if k in p
-    }
+    search_kwargs = _given(p, "restarts", "seed", "residual_tol", "separation_tol", "penalty")
 
-    def one(mseed):
-        A = (
-            MixingMatrix.identity(N)
-            if kind == "identity"
-            else build_mixing({"kind": kind, "seed": mseed}, N)
-        )
-        rep = collision_search(
-            prior,
-            A,
-            blocks,
-            restarts=int(p.get("restarts", 200)),
-            seed=int(p.get("seed", 0)),
-            **search_kwargs,
-        )
-        return mseed, rep
+    def mixing(mseed):
+        return build_mixing({"kind": kind, "seed": mseed}, N)
 
-    reports = [one(mseed) for mseed in mixing_seeds]
+    reports = [
+        (mseed, collision_search(prior, mixing(mseed), blocks, **search_kwargs))
+        for mseed in mixing_seeds
+    ]
     rows = [
         {
             "N": N,
@@ -234,12 +220,7 @@ def _run_collide(p: dict, out: Path):
     }
     if p.get("oracle_check"):
         oracle = brute_force_collision_oracle(
-            prior,
-            MixingMatrix.identity(N)
-            if kind == "identity"
-            else build_mixing({"kind": kind, "seed": mixing_seeds[0]}, N),
-            blocks,
-            grid_points_per_axis=int(p.get("oracle_grid", 41)),
+            prior, mixing(mixing_seeds[0]), blocks, **_given(p, grid_points_per_axis="oracle_grid")
         )
         results["oracle_verdict"] = oracle.verdict
     return results, [path]
@@ -262,9 +243,7 @@ def _run_probe_dim(p: dict, out: Path):
     pairs = int(p.get("pairs", 20))
     base_seed = int(p["seed"])
 
-    probe_kwargs = {
-        k: p[k] for k in ("restarts", "residual_target", "rank_rtol") if k in p
-    }
+    probe_kwargs = _given(p, "restarts", "residual_target", "rank_rtol")
 
     def one(i):
         rng = np.random.default_rng(np.random.SeedSequence((base_seed, i)))
@@ -326,6 +305,16 @@ def _build_group(spec: dict) -> GroupAction:
     return GroupAction(spec["kind"], int(spec["N"]))
 
 
+def _build_group_prior(spec: dict, group: GroupAction):
+    prior = build_prior(spec)
+    if prior.output_dim != group.N:
+        raise ConfigError(
+            f"parameters.prior: its signals have length {prior.output_dim}, "
+            f"the group acts on length {group.N}"
+        )
+    return prior
+
+
 def _run_mra_sim(p: dict, out: Path):
     group = _build_group(p["group"])
     blocks = group.blocks
@@ -336,12 +325,8 @@ def _run_mra_sim(p: dict, out: Path):
 
     prior = A = None
     if "prior" in p:
-        prior = build_prior(p["prior"])
-        A = (
-            MixingMatrix.identity(N)
-            if p.get("mixing", {}).get("kind", "identity") == "identity"
-            else build_mixing(p["mixing"], N)
-        )
+        prior = _build_group_prior(p["prior"], group)
+        A = build_mixing(p.get("mixing", {"kind": "identity"}), N)
         _, _, x_star, _, _ = draw_ground_truth(
             prior, A.entries, p.get("true_seed", 0), p.get("signal_norm")
         )
@@ -400,7 +385,7 @@ def _run_mra_sim(p: dict, out: Path):
                 A,
                 blocks,
                 seed=np.random.SeedSequence((base_seed, rep, 0xC)),
-                restarts=int(p.get("recover_restarts", 20)),
+                **_given(p, restarts="recover_restarts"),
             )
             rmse = float(np.sqrt(np.mean((inv - true_inv) ** 2)))
             return {
@@ -444,55 +429,48 @@ def _run_mra_sim(p: dict, out: Path):
 SAMPLE_COMPLEXITY_CSV_HEADER = "sigma,n_star,median_error,seeds_used"
 
 
-def _relu_family(widths_spec):
+def _prior_family(spec: dict):
+    """A threshold sweep's ``prior_family(N, M, seed)``, one prior spec per cell."""
+
     def family(N, M, seed):
-        hidden = [int(w) for w in (widths_spec or [])] or [max(2 * M, 6)]
-        return random_relu_network(tuple([M] + hidden + [N]), seed=seed)
-
-    return family
-
-
-def _sparse_family(kind):
-    def family(N, M, seed):
-        from .config import build_prior as _bp
-
-        return _bp({"type": "sparse", "kind": kind, "N": N, "M": M, "seed": seed})
+        if spec["type"] == "sparse":
+            return build_prior({**spec, "N": N, "M": M, "seed": seed})
+        hidden = spec.get("hidden_widths") or [max(2 * M, 6)]
+        return build_prior({"type": "relu-network", "widths": [M, *hidden, N], "seed": seed})
 
     return family
 
 
 def _run_sweep(p: dict, out: Path):
     if p["sweep_kind"] == "threshold":
-        fam_spec = p.get("prior_family", {"type": "relu-network"})
-        if fam_spec["type"] == "relu-network":
-            family = _relu_family(fam_spec.get("hidden_widths"))
-        else:
-            family = _sparse_family(fam_spec.get("kind", "generic-orthonormal"))
         result = threshold_sweep(
-            family,
+            _prior_family(p.get("prior_family", {"type": "relu-network"})),
             [int(v) for v in p["N_range"]],
             [int(v) for v in p["M_range"]],
             p["mixing_kind"],
             [int(s) for s in p["seeds"]],
-            restarts=int(p.get("restarts", 50)),
+            **_given(p, "restarts"),
         )
         path = out / "sweep.csv"
         write_csv(path, SWEEP_CSV_HEADER, result.rows)
-        return {"cells": result.cells}, [path]
+        return {
+            "cells": result.cells,
+            "collisions_found": sum(r["verdict"] == "collision" for r in result.rows),
+            "searches": len(result.rows),
+        }, [path]
 
     # sample-complexity
     group = _build_group(p["group"])
-    prior = build_prior(p["prior"])
+    prior = _build_group_prior(p["prior"], group)
     A = build_mixing(p["mixing"], group.N)
     true_seed = p.get("true_seed", 0)
     if true_seed == "auto-conditioned":
-        true_seed = select_conditioned_instance(
-            prior,
-            A.entries,
-            group.blocks,
-            signal_norm=p.get("signal_norm"),
-            amp_threshold=float(p.get("amp_threshold", 6.0)),
-        )
+        try:
+            true_seed = select_conditioned_instance(
+                prior, A.entries, group.blocks, **_given(p, "signal_norm", "amp_threshold")
+            )
+        except RuntimeError as e:
+            raise ConfigError(f"parameters.amp_threshold: {e}") from None
     result = sample_complexity_sweep(
         prior,
         A,
@@ -501,11 +479,7 @@ def _run_sweep(p: dict, out: Path):
         float(p["target_error"]),
         [int(s) for s in p["seeds"]],
         true_seed=int(true_seed),
-        signal_norm=p.get("signal_norm"),
-        n_min=int(p.get("n_min", 8)),
-        n_cap=int(p.get("n_cap", 10_000_000)),
-        grid_ratio=float(p.get("grid_ratio", 2.0 ** 0.25)),
-        recover_restarts=int(p.get("recover_restarts", 10)),
+        **_given(p, "signal_norm", "n_min", "n_cap", "grid_ratio", "recover_restarts"),
     )
     path = out / "samplecomplexity.csv"
     write_csv(path, SAMPLE_COMPLEXITY_CSV_HEADER, result.rows)

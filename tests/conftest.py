@@ -11,3 +11,25 @@ hypothesis.settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def spy_solves(monkeypatch):
+    """Record every ``damped_gauss_newton`` result a module's multi-start loop gets.
+
+    ``spy_solves(module)`` patches the solver as ``module`` binds it and
+    returns the list the results are appended to, one per solve.
+    """
+
+    def install(module):
+        results = []
+        solve = module.damped_gauss_newton
+
+        def spy(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(module, "damped_gauss_newton", spy)
+        return results
+
+    return install

@@ -156,6 +156,47 @@ class TestCollideCommand:
         assert "no-collision-found" in body[1]
 
 
+THRESHOLD_CONFIG = {
+    "schema_version": 1,
+    "command": "sweep",
+    "parameters": {
+        "sweep_kind": "threshold",
+        "N_range": [4, 6],
+        "M_range": [1],
+        "mixing_kind": "general-linear",
+        "seeds": [0],
+        "restarts": 2,
+    },
+}
+
+
+class TestSweepCommand:
+    def test_threshold_sweep_prints_a_summary(self, tmp_path, capsys):
+        path = write_config(tmp_path, THRESHOLD_CONFIG)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["searches"] == 2
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert summary["collisions_found"] == sum(",collision," in row for row in rows)
+
+    @pytest.mark.parametrize(
+        "family, field",
+        [
+            (3, "parameters.prior_family.type"),
+            (
+                {"type": "relu-network", "hidden_widths": ["a"]},
+                "parameters.prior_family.hidden_widths",
+            ),
+        ],
+    )
+    def test_bad_prior_family_exits_2(self, tmp_path, capsys, family, field):
+        params = {**THRESHOLD_CONFIG["parameters"], "prior_family": family}
+        cfg = {**THRESHOLD_CONFIG, "parameters": params}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_byte_identical_csv_bodies(self, tmp_path):
         cfg = {
@@ -207,10 +248,37 @@ class TestOverrides:
             ("oracle_grid=500", "parameters.oracle_grid"),
             ("sigma_list=[2,1]", "parameters.sigma_list"),
             ("N_range=[]", "parameters.N_range"),
+            ('true_seed="x"', "parameters.true_seed"),
+            ('signal_norm="x"', "parameters.signal_norm"),
+            ("oracle_check=1", "parameters.oracle_check"),
+            ("signal=[]", "parameters.signal"),
+            ('prior={"type":"ambient","N":"x"}', "parameters.prior.N"),
+            ('prior={"type":"relu-network","widths":[2]}', "parameters.prior.widths"),
+            ('prior={"type":"relu-network","widths":[2,8,10],"seed":-1}', "parameters.prior.seed"),
+            ('prior={"type":"sparse","N":4,"M":5}', "parameters.prior.M"),
+            ('mixing={"kind":"general-linear","seed":"x"}', "parameters.mixing.seed"),
         ],
     )
     def test_bad_override_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
         argv = ["run", "--preset", "thm2-so", "--out", str(tmp_path), "--set", override]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "preset, override, field",
+        [
+            ("ctrl-torus", "oracle_check=true", "parameters.oracle_check"),
+            ("cor-sphere-so3", 'true_seed="x"', "parameters.true_seed"),
+            ("cor-sphere-so3", 'true_seed="auto-conditioned"', "parameters.true_seed"),
+            ("cor-sphere-so3", 'prior={"type":"ambient","N":4}', "parameters.prior"),
+            ("mra-cyclic-n4", 'group={"kind":"cyclic","N":"x"}', "parameters.group.N"),
+            ("mra-cyclic-n4", "amp_threshold=0.001", "parameters.amp_threshold"),
+        ],
+    )
+    def test_bad_override_of_a_preset_exits_2(self, tmp_path, capsys, preset, override, field):
+        argv = ["run", "--preset", preset, "--out", str(tmp_path), "--set", override]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err

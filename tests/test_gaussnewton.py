@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentlab.gaussnewton import damped_gauss_newton
+from momentlab.gaussnewton import damped_gauss_newton, multistart
 
 
 def test_solves_linear_least_squares(rng):
@@ -109,3 +109,24 @@ def test_svd_step_tends_to_minimal_norm_solution(shape):
     J = r.normal(size=shape)
     r0 = r.normal(size=shape[0])
     assert rel_err(first_trial_step(J, r0, 1e-14), -np.linalg.pinv(J) @ r0) < 1e-9
+
+
+class TestMultistart:
+    def test_stops_at_the_first_success(self):
+        draws = iter(range(10))
+        assert multistart(lambda: next(draws), 10, lambda r: r >= 3) == [0, 1, 2, 3]
+
+    def test_success_on_the_last_restart(self):
+        draws = iter(range(10))
+        assert multistart(lambda: next(draws), 4, lambda r: r == 3) == [0, 1, 2, 3]
+
+    def test_uses_every_restart_when_none_succeeds(self):
+        draws = iter(range(10))
+        assert multistart(lambda: next(draws), 5, lambda r: False) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_rejects_fewer_than_one_restart(self, restarts):
+        attempts = []
+        with pytest.raises(ValueError, match="restarts"):
+            multistart(lambda: attempts.append(1), restarts, lambda r: True)
+        assert attempts == []

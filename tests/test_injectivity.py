@@ -136,6 +136,22 @@ class TestCollisionSearch:
         with pytest.raises(ValueError, match="restarts"):
             collision_search(ambient_network(4), np.eye(4), blocks, restarts=0)
 
+    @pytest.mark.parametrize("K, seed, restarts, used", [(2, 3, 20, 6), (1, 0, 5, 5)])
+    def test_one_solve_per_restart_used(self, spy_solves, K, seed, restarts, used):
+        # N = 4 < 2M: the K=2 prior collides on its sixth restart, the K=1
+        # prior uses every restart without a collision
+        N = 4
+        solves = spy_solves(injectivity)
+        rep = collision_search(
+            random_relu_network((K, 8, N), seed=seed),
+            sample_mixing(N, "general-linear", seed=seed),
+            block_structure_for_power_spectrum(N),
+            restarts=restarts,
+            seed=seed,
+        )
+        assert rep.restarts_used == used == len(solves)
+        assert rep.verdict == ("collision" if used < restarts else "no-collision-found")
+
     def test_deterministic_given_seed(self):
         N = 8
         blocks = block_structure_for_power_spectrum(N)
@@ -255,6 +271,20 @@ class TestCodimensionProbe:
         x, y = rng.normal(size=5), rng.normal(size=5)
         with pytest.raises(ValueError, match="restarts"):
             codimension_probe(x, y, "general-linear", blocks, restarts=0)
+
+    @pytest.mark.parametrize("max_iter, used", [(3, 3), (2, 6)])
+    def test_one_solve_per_restart_used(self, spy_solves, rng, max_iter, used):
+        # three iterations reach the target from the third start; two never do
+        blocks = block_structure_for_power_spectrum(7)
+        x, y = rng.normal(size=7), rng.normal(size=7)
+        solves = spy_solves(injectivity)
+        est = codimension_probe(
+            x, y, "special-orthogonal", blocks, seed=0, restarts=6, max_iter=max_iter
+        )
+        assert est.restarts_used == used == len(solves)
+        assert est.converged == (used < 6)
+        if not est.converged:
+            assert est.residual == min(np.sqrt(s.f) for s in solves)
 
     @pytest.mark.parametrize("blocks", [
         block_structure_for_power_spectrum(7),

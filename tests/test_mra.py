@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from momentlab import mra
 from momentlab.measurements import (
     block_structure_for_power_spectrum,
     second_moment_blocks,
@@ -27,6 +28,7 @@ from momentlab.mra import (
 from momentlab.priors import (
     GeneratorNetwork,
     Layer,
+    generator_forward,
     random_relu_network,
     sample_mixing,
 )
@@ -317,6 +319,23 @@ class TestRecovery:
         prior = random_relu_network((2, 6, 4), seed=0)
         with pytest.raises(ValueError, match="restarts"):
             recover(np.ones(blocks.R), prior, np.eye(4), blocks, restarts=0)
+
+    @pytest.mark.parametrize("seed, used", [(1, 16), (5, 20)])
+    def test_one_solve_per_restart_used(self, spy_solves, rng, seed, used):
+        # seed 1 reaches the target on its 16th start, seed 5 on none of 20
+        N = 9
+        blocks = block_structure_for_power_spectrum(N)
+        prior = random_relu_network((2, 10, N), seed=4)
+        A = sample_mixing(N, "special-orthogonal", 6)
+        x_true = A.entries @ generator_forward(prior, rng.normal(size=2))
+        inv = second_moment_blocks(x_true, blocks)
+        solves = spy_solves(mra)
+        rec = recover(inv, prior, A, blocks, seed=seed, restarts=20)
+        assert rec.restarts_used == used == len(solves)
+        assert rec.converged == (used < 20)
+        best = min(solves, key=lambda s: s.f)      # the first of the best
+        assert rec.residual == np.sqrt(best.f)
+        np.testing.assert_array_equal(rec.prior_point, generator_forward(prior, best.x))
 
     def test_noiseless_round_trip(self, rng):
         N = 9
