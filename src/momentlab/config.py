@@ -22,6 +22,7 @@ from .priors import (
     generic_linear_sparse_prior,
     generic_orthonormal_sparse_prior,
     network_from_json,
+    parse_activation,
     perturb_final_layer,
     random_relu_network,
     sample_mixing,
@@ -136,10 +137,16 @@ def build_prior(spec: dict):
                 seed=int(spec.get("perturb_seed", 0)),
             )
         return net
-    if t == "network-file":
-        return network_from_json(Path(spec["path"]).read_text())
-    if t == "sparse-file":
-        return sparse_prior_from_json(Path(spec["path"]).read_text())
+    if t in ("network-file", "sparse-file"):
+        text = Path(spec["path"]).read_text()
+        load = network_from_json if t == "network-file" else sparse_prior_from_json
+        try:
+            return load(text)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(
+                f"parameters.prior.path: {spec['path']} is not a {t} prior "
+                f"({type(e).__name__}: {e})"
+            ) from None
     if t == "ambient":
         return ambient_network(int(spec["N"]))
     # sparse
@@ -187,6 +194,16 @@ def _is_natural(v) -> bool:
 
 def _is_positive(v) -> bool:
     return _is_number(v) and v > 0
+
+
+def _is_activation(v) -> bool:
+    if not isinstance(v, str):
+        return False
+    try:
+        parse_activation(v)
+    except ValueError:
+        return False
+    return True
 
 
 def _non_empty_list_of(item_ok):
@@ -254,6 +271,10 @@ _SPEC_RULES = {
     **dict.fromkeys(("seed", "perturb_seed", "L"), (_is_natural, "an integer >= 0")),
     "perturb_scale": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
     "perturb_final_layer": (lambda v: isinstance(v, bool), "true or false"),
+    "activation": (
+        _is_activation,
+        "an activation tag: relu, identity, leaky-relu(slope) or hardtanh(lo,hi)",
+    ),
     "path": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
 }
 

@@ -11,6 +11,13 @@ The debiased empirical second moment estimates the population moment,
 whose diagonal blocks are scalar matrices carrying exactly one invariant
 per block: the signal's block energy. Recovery searches a prior for a
 signal reproducing those invariants.
+
+Callers that need only the invariants (``sample_complexity_sweep`` and the
+runner's ``recover`` and bare-simulation paths) draw them from their exact
+law with ``simulate_invariants``, in O(R) whatever n is. The full simulator
+(``simulate_observations``, ``simulate_second_moment``) stays for whatever
+reads more of the moment than its block traces: the runner's block-scalar
+check, and as the reference the fast path is tested against.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .measurements import (
     DimensionError,
     block_structure_for_power_spectrum,
     measurement_jacobian,
+    second_moment_blocks,
     separable_measurement,
 )
 from .priors import as_rng, latent_parametrizations
@@ -50,6 +58,7 @@ __all__ = [
     "simulate_observations",
     "estimate_second_moment",
     "simulate_second_moment",
+    "simulate_invariants",
     "exact_population_moment",
     "extract_invariants",
     "recover",
@@ -216,16 +225,20 @@ def simulate_observations(
     return MRAObservationSet(obs, float(sigma), group, seed, true_signal=x.copy())
 
 
+def _check_draw(n: int, sigma: float):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+
+
 def _observation_chunks(x, group: GroupAction, n: int, sigma: float, rng):
     """Yield the n observations of ``simulate_observations``, _CHUNK_ROWS at a time.
 
     All n group elements are drawn before any noise, and numpy fills the noise
     in row order, so the rows are those of one-shot draws of the (n, N) array.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    _check_draw(n, sigma)
     finite = group.kind in ("cyclic", "dihedral")
     if finite:
         orbit = _orbit_matrices(group.kind, group.N) @ x
@@ -276,6 +289,35 @@ def simulate_second_moment(
         chunk = MRAObservationSet(rows, float(sigma), group)
         M = M + (chunk.n / n) * estimate_second_moment(chunk).matrix
     return SecondMomentEstimate(M, n, float(sigma))
+
+
+def simulate_invariants(
+    x: np.ndarray, group: GroupAction, n: int, sigma: float, seed=0
+) -> np.ndarray:
+    """Per-block invariants of n simulated observations, drawn in O(R).
+
+    A draw from the law of
+    ``extract_invariants(simulate_second_moment(x, group, n, sigma, seed), blocks)``
+    that forms no observation. Block k of y_i = g_i . x + eps_i is x_k moved
+    by an orthogonal map plus N(0, sigma^2 I) noise in d_k dimensions, so
+    ||y_ik||^2 / sigma^2 is noncentral chi-squared with d_k degrees of
+    freedom and noncentrality E_k / sigma^2 (E_k = ||x_k||^2) whatever g_i
+    is. Rows are independent, and the blocks of a row are independent given
+    g_i with a law free of g_i, so the invariant sigma^2 (Q_k / n - d_k),
+    Q_k = sum_i ||y_ik||^2 / sigma^2, has exactly independent
+    Q_k ~ chi2'(n d_k, n E_k / sigma^2), for the cyclic, dihedral and SO(3)
+    groups alike: mean E_k, variance (4 sigma^2 E_k + 2 sigma^4 d_k) / n.
+    With sigma = 0 the result is E. The random stream is not the
+    simulator's: the draws agree in law, not in bits.
+    """
+    blocks = group.blocks
+    E = second_moment_blocks(x, blocks)
+    _check_draw(n, sigma)
+    if sigma == 0:
+        return E
+    d = np.asarray(blocks.dims, dtype=float)
+    Q = as_rng(seed).noncentral_chisquare(n * d, n * E / sigma**2)
+    return sigma**2 * (Q / n - d)
 
 
 def exact_population_moment(x: np.ndarray, group: GroupAction) -> np.ndarray:
@@ -484,10 +526,9 @@ def sample_complexity_sweep(
 
     def cell_error(sigma_idx, n_idx, seed):
         ss = np.random.SeedSequence((int(true_seed), sigma_idx, n_idx, int(seed)))
-        moment = simulate_second_moment(
+        inv = simulate_invariants(
             x_star, group, int(grid[n_idx]), sigma_list[sigma_idx], np.random.default_rng(ss)
         )
-        inv = extract_invariants(moment, blocks)
         rec = recover(
             inv,
             prior,

@@ -30,6 +30,7 @@ __all__ = [
     "generator_jacobian",
     "estimate_image_dimension",
     "latent_parametrizations",
+    "parse_activation",
     "sample_sparse",
     "sample_mixing",
     "ambient_network",
@@ -57,7 +58,7 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _parse_activation(tag: str):
+def parse_activation(tag: str):
     """Split an activation tag like ``leaky-relu(0.01)`` into name + params."""
     m = _ACT_RE.match(tag.strip())
     if not m:
@@ -122,7 +123,7 @@ class Layer:
         if W.ndim != 2:
             raise DimensionError(f"layer weight must be 2-d, got shape {W.shape}")
         object.__setattr__(self, "weight", W)
-        object.__setattr__(self, "_act", _parse_activation(self.activation))
+        object.__setattr__(self, "_act", parse_activation(self.activation))
         if self.bias is not None:
             b = np.asarray(self.bias, dtype=float)
             if b.shape != (W.shape[0],):

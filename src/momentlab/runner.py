@@ -30,10 +30,10 @@ from .mra import (
     GroupAction,
     draw_ground_truth,
     exact_population_moment,
-    extract_invariants,
     recover,
     sample_complexity_sweep,
     select_conditioned_instance,
+    simulate_invariants,
     simulate_second_moment,
 )
 from .priors import SparsePrior, estimate_image_dimension
@@ -375,10 +375,9 @@ def _run_mra_sim(p: dict, out: Path):
         true_inv = second_moment_blocks(x_star, blocks)
 
         def one(rep):
-            moment = simulate_second_moment(
+            inv = simulate_invariants(
                 x_star, group, n, sigma, seed=np.random.SeedSequence((base_seed, rep))
             )
-            inv = extract_invariants(moment, blocks)
             rec = recover(
                 inv,
                 prior,
@@ -408,8 +407,7 @@ def _run_mra_sim(p: dict, out: Path):
 
     if not csv_files:
         # bare simulation: report invariant estimates only
-        moment = simulate_second_moment(x_star, group, n, sigma, seed=base_seed)
-        inv = extract_invariants(moment, blocks)
+        inv = simulate_invariants(x_star, group, n, sigma, seed=base_seed)
         rows = [
             {"repeat": 0, "sigma": sigma, "n": n, "invariant_rmse": float(
                 np.sqrt(np.mean((inv - second_moment_blocks(x_star, blocks)) ** 2))

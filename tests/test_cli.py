@@ -257,9 +257,19 @@ class TestOverrides:
             ('prior={"type":"relu-network","widths":[2,8,10],"seed":-1}', "parameters.prior.seed"),
             ('prior={"type":"sparse","N":4,"M":5}', "parameters.prior.M"),
             ('mixing={"kind":"general-linear","seed":"x"}', "parameters.mixing.seed"),
+            (
+                'prior={"type":"relu-network","widths":[2,8,10],"activation":"bogus"}',
+                "parameters.prior.activation",
+            ),
+            ('prior={"type":"network-file","path":"bad.json"}', "parameters.prior.path"),
+            ('prior={"type":"sparse-file","path":"bad.json"}', "parameters.prior.path"),
         ],
     )
-    def test_bad_override_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
+    def test_bad_override_exits_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, override, field
+    ):
+        (tmp_path / "bad.json").write_text("{}")      # a prior file of the wrong shape
+        monkeypatch.chdir(tmp_path)
         argv = ["run", "--preset", "thm2-so", "--out", str(tmp_path), "--set", override]
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from momentlab import mra
+from momentlab import mra, runner
+from momentlab.config import ExperimentConfig
 from momentlab.measurements import (
+    DimensionError,
     block_structure_for_power_spectrum,
     second_moment_blocks,
     to_real_fourier,
@@ -22,6 +25,7 @@ from momentlab.mra import (
     recover,
     sample_complexity_sweep,
     save_observations,
+    simulate_invariants,
     simulate_observations,
     simulate_second_moment,
 )
@@ -220,6 +224,133 @@ class TestSimulate:
         a = simulate_observations(x, group, 20, 0.1, seed=3).observations
         b = simulate_observations(x, group, 20, 0.1, seed=3).observations
         np.testing.assert_array_equal(a, b)
+
+
+#: The groups whose every block the invariant law is checked on (12 blocks).
+LAW_GROUPS = [GroupAction.cyclic(8), GroupAction.dihedral(7), GroupAction.sphere(2)]
+
+#: Fixed before running: a per-block two-sample KS test at this level over
+#: 12 blocks wrongly fails some block with probability about 1.2%.
+KS_ALPHA = 1e-3
+
+
+def law_signal(group):
+    return np.random.default_rng(group.N).normal(size=group.N)
+
+
+class TestSimulateInvariants:
+    @pytest.mark.parametrize("group", LAW_GROUPS, ids=lambda g: g.kind)
+    def test_noiseless_draw_is_the_block_energies(self, group):
+        x = law_signal(group)
+        np.testing.assert_array_equal(
+            simulate_invariants(x, group, 40, 0.0, seed=3), second_moment_blocks(x, group.blocks)
+        )
+
+    @pytest.mark.parametrize(
+        "length, n, sigma, error, match",
+        [
+            (8, 0, 0.3, ValueError, "n must be >= 1"),
+            (8, 10, -0.1, ValueError, "sigma must be >= 0"),
+            (7, 10, 0.3, DimensionError, "expected length 8"),
+        ],
+        ids=["n", "sigma", "length"],
+    )
+    def test_rejects_what_the_simulator_rejects(self, length, n, sigma, error, match):
+        group = GroupAction.cyclic(8)
+        x = np.ones(length)
+        with pytest.raises(error, match=match):
+            simulate_invariants(x, group, n, sigma, seed=0)
+        with pytest.raises(error, match=match):
+            simulate_second_moment(x, group, n, sigma, seed=0)
+
+    @pytest.mark.parametrize("group", LAW_GROUPS, ids=lambda g: g.kind)
+    def test_same_law_as_the_simulated_moment(self, group):
+        x, n, sigma, draws = law_signal(group), 50, 0.8, 600
+        # seeds apart from the reference's, so the two samples are independent
+        fast = np.array(
+            [simulate_invariants(x, group, n, sigma, seed=10_000 + s) for s in range(draws)]
+        )
+        slow = np.array(
+            [
+                extract_invariants(simulate_second_moment(x, group, n, sigma, seed=s), group.blocks)
+                for s in range(draws)
+            ]
+        )
+        pvalues = [ks_2samp(fast[:, k], slow[:, k]).pvalue for k in range(group.blocks.R)]
+        assert min(pvalues) > KS_ALPHA, pvalues
+
+    @pytest.mark.parametrize("group", LAW_GROUPS, ids=lambda g: g.kind)
+    def test_mean_and_variance(self, group):
+        # m draws: the sample mean within 5 standard errors of E_k, the sample
+        # variance within 5% of (4 sigma^2 E_k + 2 sigma^4 d_k) / n (5 standard
+        # errors of a variance estimate, which is about sqrt(2/m) relative).
+        x, n, sigma, m = law_signal(group), 30, 0.6, 20_000
+        E = second_moment_blocks(x, group.blocks)
+        d = np.asarray(group.blocks.dims, dtype=float)
+        var = (4 * sigma**2 * E + 2 * sigma**4 * d) / n
+        inv = np.array([simulate_invariants(x, group, n, sigma, seed=s) for s in range(m)])
+        assert np.all(np.abs(inv.mean(axis=0) - E) <= 5 * np.sqrt(var / m))
+        np.testing.assert_allclose(inv.var(axis=0, ddof=1), var, rtol=0.05)
+
+    def test_cost_does_not_grow_with_n(self, monkeypatch):
+        monkeypatch.setattr(mra, "_observation_chunks", None)
+        group = GroupAction.sphere(3)
+        inv = simulate_invariants(law_signal(group), group, 10**12, 0.5, seed=0)
+        assert inv.shape == (group.blocks.R,) and np.all(np.isfinite(inv))
+
+
+SPHERE_PRIOR = {"type": "relu-network", "widths": [2, 10, 16], "seed": 13}
+
+
+@pytest.mark.parametrize(
+    "parameters, full_simulator",
+    [
+        (
+            {
+                "group": {"kind": "so3-bandlimited", "L": 3},
+                "prior": SPHERE_PRIOR,
+                "mixing": {"kind": "special-orthogonal", "seed": 51},
+                "sigma": 0.3, "n": 4000, "seed": 0,
+                "recover": True, "repeats": 1, "recover_restarts": 2,
+            },
+            False,
+        ),
+        (
+            {"group": {"kind": "so3-bandlimited", "L": 2}, "sigma": 0.3, "n": 4000, "seed": 0},
+            False,
+        ),
+        (
+            {
+                "group": {"kind": "so3-bandlimited", "L": 2},
+                "sigma": 0.0, "n": 100, "seed": 0, "block_scalar_check": True,
+            },
+            True,
+        ),
+    ],
+    ids=["recover", "bare", "block-scalar"],
+)
+def test_only_the_block_scalar_check_simulates_observations(
+    monkeypatch, tmp_path, parameters, full_simulator
+):
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(runner, "simulate_second_moment")
+    spy(mra, "simulate_second_moment")
+    spy(mra, "rotate_bandlimited")
+    runner.run(ExperimentConfig("mra-sim", parameters), out_dir=tmp_path)
+    if full_simulator:
+        assert {"simulate_second_moment", "rotate_bandlimited"} <= set(calls)
+    else:
+        assert calls == []
 
 
 class TestSecondMomentEstimate:

@@ -71,9 +71,9 @@ class TestGeneratorForward:
     def test_activation_tags_parsed_once_per_layer(self, monkeypatch):
         net = random_relu_network((2, 6, 5), seed=0, activation="leaky-relu(0.1)")
         calls = []
-        parse = priors._parse_activation
+        parse = priors.parse_activation
         monkeypatch.setattr(
-            priors, "_parse_activation", lambda tag: calls.append(tag) or parse(tag)
+            priors, "parse_activation", lambda tag: calls.append(tag) or parse(tag)
         )
         z = np.array([0.3, -1.2])
         generator_forward(net, z)
