@@ -42,8 +42,7 @@ def _cmd_run(args) -> int:
     except ConfigError as e:       # checks that need the built experiment
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    summary = {k: v for k, v in report.results.items() if not isinstance(v, list)}
-    print(json.dumps(summary, sort_keys=True, default=str))
+    print(json.dumps(report.results, sort_keys=True, default=str))
     return 0
 
 

@@ -4,6 +4,10 @@ All randomness flows through explicit seeds in the config (never wall-clock),
 so re-running a config reproduces its results bit for bit. Prior and mixing
 specifications are small tagged dicts; priors may also be loaded from the
 JSON wire formats in :mod:`momentlab.priors`.
+
+Validation reads two tables: the fields each level of a config may carry,
+and the values each field takes. A key that the run would not read is
+rejected, so a config never describes an experiment other than the one run.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import jsonschema
 
 from .measurements import BlockStructure, MixingMatrix, block_structure_for_power_spectrum
 from .priors import (
@@ -34,20 +36,6 @@ __all__ = ["ExperimentConfig", "ConfigError", "load_config", "validate_config"]
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("measure", "collide", "probe-dim", "mra-sim", "sweep")
-
-ENVELOPE_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "command", "parameters"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "command": {"enum": list(COMMANDS)},
-        "parameters": {"type": "object"},
-        "output_dir": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries a field path."""
@@ -58,11 +46,10 @@ class ExperimentConfig:
     command: str
     parameters: dict
     output_dir: str | None = None
-    schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         d = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "parameters": self.parameters,
         }
@@ -73,53 +60,6 @@ class ExperimentConfig:
     def content_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _require(d: dict, keys, where: str, why: str = "required"):
-    for key in keys:
-        if key not in d:
-            raise ConfigError(f"{where}{key}: {why}")
-
-
-#: The fields each prior type requires.
-_PRIOR_FIELDS = {
-    "relu-network": ("widths",),
-    "network-file": ("path",),
-    "sparse": ("N", "M"),
-    "sparse-file": ("path",),
-    "ambient": ("N",),
-}
-_MIXING_KINDS = ("general-linear", "special-orthogonal", "identity")
-_GROUP_KINDS = ("cyclic", "dihedral", "so3-bandlimited")
-
-
-def _check_prior_spec(spec, where: str):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"{where}: prior spec must be an object with a 'type'")
-    t = spec["type"]
-    if t not in _PRIOR_FIELDS:
-        raise ConfigError(f"{where}.type: unknown prior type {t!r}")
-    _require(spec, _PRIOR_FIELDS[t], f"{where}.", f"required for {t}")
-    _check_fields(spec, _SPEC_RULES, f"{where}.")
-    if "path" in spec and not Path(spec["path"]).exists():
-        raise ConfigError(f"{where}.path: file not found: {spec['path']}")
-    if t == "sparse" and spec["M"] > spec["N"]:
-        raise ConfigError(f"{where}.M: must be <= N = {spec['N']}")
-
-
-def _check_mixing_spec(spec, where: str):
-    if not isinstance(spec, dict) or spec.get("kind") not in _MIXING_KINDS:
-        raise ConfigError(f"{where}.kind: must be one of {_MIXING_KINDS}")
-    if spec["kind"] != "identity":
-        _require(spec, ("seed",), f"{where}.", "explicit seed required")
-    _check_fields(spec, _SPEC_RULES, f"{where}.")
-
-
-def _check_group_spec(spec, where: str):
-    if not isinstance(spec, dict) or spec.get("kind") not in _GROUP_KINDS:
-        raise ConfigError(f"{where}.kind: must be one of {_GROUP_KINDS}")
-    _require(spec, ("L" if spec["kind"] == "so3-bandlimited" else "N",), f"{where}.")
-    _check_fields(spec, _SPEC_RULES, f"{where}.")
 
 
 def build_prior(spec: dict):
@@ -156,9 +96,7 @@ def build_prior(spec: dict):
         return standard_basis_sparse_prior(N, M)
     if kind == "generic-orthonormal":
         return generic_orthonormal_sparse_prior(N, M, seed=int(spec.get("seed", 0)))
-    if kind == "generic-linear":
-        return generic_linear_sparse_prior(N, M, seed=int(spec.get("seed", 0)))
-    raise ConfigError(f"unknown sparse prior kind {kind!r}")
+    return generic_linear_sparse_prior(N, M, seed=int(spec.get("seed", 0)))
 
 
 def build_mixing(spec: dict, N: int) -> MixingMatrix:
@@ -175,6 +113,101 @@ def build_blocks(params: dict, N: int) -> BlockStructure:
         raise ConfigError(f"parameters.blocks: dims sum to {blocks.N}, the signal has length {N}")
     return blocks
 
+
+# ---------------------------------------------------------------------------
+# The fields of each level
+# ---------------------------------------------------------------------------
+
+#: Each level of a config is ``(tag, variants)``: the field whose value picks
+#: the variant (None for a level without one) and, for each value of the tag,
+#: the fields that variant requires and the fields it may also carry. Every
+#: other key is rejected. ``tests/test_layout.py`` checks the parameters of
+#: each command against the keys its runner reads.
+_PARAMETERS = {
+    "measure": (None, {None: ((), ("signal", "signal_path", "domain", "blocks", "mixing"))}),
+    "collide": (None, {None: (
+        ("prior", "mixing", "seed"),
+        ("blocks", "mixing_seeds", "restarts", "residual_tol", "separation_tol", "penalty",
+         "oracle_check", "oracle_grid"),
+    )}),
+    "probe-dim": (None, {None: (
+        ("N", "manifold", "seed"),
+        ("blocks", "pairs", "restarts", "residual_target", "rank_rtol"),
+    )}),
+    "mra-sim": (None, {None: (
+        ("group", "sigma", "n", "seed"),
+        ("prior", "mixing", "true_seed", "signal_norm", "signal_seed", "block_scalar_check",
+         "recover", "repeats", "recover_restarts"),
+    )}),
+    "sweep": ("sweep_kind", {
+        "threshold": (("N_range", "M_range", "mixing_kind", "seeds"), ("prior_family", "restarts")),
+        "sample-complexity": (
+            ("group", "prior", "mixing", "sigma_list", "target_error", "seeds"),
+            ("true_seed", "signal_norm", "amp_threshold", "n_min", "n_cap", "grid_ratio",
+             "recover_restarts"),
+        ),
+    }),
+}
+
+_ENVELOPE = (
+    "command",
+    dict.fromkeys(_PARAMETERS, (("schema_version", "parameters"), ("output_dir",))),
+)
+
+#: The levels below the parameters, by the field that holds them.
+_SPECS = {
+    "prior": ("type", {
+        "relu-network": (
+            ("widths",),
+            ("seed", "activation", "perturb_final_layer", "perturb_scale", "perturb_seed"),
+        ),
+        "network-file": (("path",), ()),
+        "sparse": (("N", "M"), ("kind", "seed")),
+        "sparse-file": (("path",), ()),
+        "ambient": (("N",), ()),
+    }),
+    "mixing": ("kind", {
+        "general-linear": (("seed",), ()),
+        "special-orthogonal": (("seed",), ()),
+        "identity": ((), ("seed",)),
+    }),
+    "group": ("kind", {
+        "cyclic": (("N",), ()),
+        "dihedral": (("N",), ()),
+        "so3-bandlimited": (("L",), ()),
+    }),
+    "prior_family": ("type", {"relu-network": ((), ("hidden_widths",)), "sparse": ((), ("kind",))}),
+}
+
+#: Parameters that a run reads on one of its paths only, by command or
+#: ``sweep_kind``: (does the config take that path, what the key needs).
+_PREREQUISITES = {
+    "collide": {
+        "oracle_grid": (lambda p: p.get("oracle_check") is True, "needs oracle_check: true"),
+    },
+    "mra-sim": {
+        **dict.fromkeys(
+            ("recover", "mixing", "true_seed", "signal_norm"),
+            (lambda p: "prior" in p, "needs a prior"),
+        ),
+        **dict.fromkeys(
+            ("repeats", "recover_restarts"),
+            (lambda p: p.get("recover") is True, "needs recover: true"),
+        ),
+        "signal_seed": (lambda p: "prior" not in p, "unread when a prior draws the signal"),
+    },
+    "sample-complexity": {
+        "amp_threshold": (
+            lambda p: p.get("true_seed") == "auto-conditioned",
+            'needs true_seed: "auto-conditioned"',
+        ),
+    },
+}
+
+
+# ---------------------------------------------------------------------------
+# The values of each field
+# ---------------------------------------------------------------------------
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -210,14 +243,26 @@ def _non_empty_list_of(item_ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(item_ok(x) for x in v)
 
 
-#: (check, description) of each parameter the runner reads that has a type or
-#: range to respect, applied under whichever command carries the key.
-_PARAMETER_RULES = {
+def _one_of(*values):
+    return (lambda v: isinstance(v, str) and v in values), "one of " + ", ".join(values)
+
+
+_MANIFOLD = _one_of("general-linear", "special-orthogonal")
+
+#: (check, description) of each field, at whichever level it appears.
+_RULES = {
+    "schema_version": (lambda v: _is_int(v) and v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
     **dict.fromkeys(
-        ("restarts", "pairs", "repeats", "n", "recover_restarts", "n_min", "n_cap", "N"),
+        ("output_dir", "path", "signal_path"),
+        (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    ),
+    **dict.fromkeys(
+        ("restarts", "pairs", "repeats", "n", "recover_restarts", "n_min", "n_cap", "N", "M"),
         (_is_count, "an integer >= 1"),
     ),
-    **dict.fromkeys(("seed", "signal_seed"), (_is_natural, "an integer >= 0")),
+    **dict.fromkeys(
+        ("seed", "signal_seed", "perturb_seed", "L"), (_is_natural, "an integer >= 0")
+    ),
     "true_seed": (
         lambda v: _is_natural(v) or v == "auto-conditioned",
         'an integer >= 0 or "auto-conditioned"',
@@ -231,34 +276,26 @@ _PARAMETER_RULES = {
         (_non_empty_list_of(_is_count), "a non-empty list of integers >= 1"),
     ),
     **dict.fromkeys(
-        (
-            "residual_tol",
-            "separation_tol",
-            "residual_target",
-            "rank_rtol",
-            "amp_threshold",
-            "signal_norm",
-        ),
+        ("residual_tol", "separation_tol", "residual_target", "rank_rtol", "amp_threshold",
+         "signal_norm"),
         (_is_positive, "a number > 0"),
     ),
     **dict.fromkeys(
-        ("oracle_check", "block_scalar_check", "recover"),
+        ("oracle_check", "block_scalar_check", "recover", "perturb_final_layer"),
         (lambda v: isinstance(v, bool), "true or false"),
     ),
     "signal": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
-    "penalty": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    **dict.fromkeys(
+        ("penalty", "sigma", "perturb_scale"),
+        (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    ),
     "oracle_grid": (lambda v: _is_int(v) and 1 <= v <= 200, "an integer in [1, 200]"),
-    "sigma": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
     "grid_ratio": (lambda v: _is_number(v) and v > 1, "a number > 1"),
     "target_error": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
     "sigma_list": (
         lambda v: _non_empty_list_of(lambda x: _is_number(x) and x > 0)(v) and v == sorted(v),
         "a non-empty ascending list of numbers > 0",
     ),
-}
-
-#: The same for the fields of a prior, mixing or group spec.
-_SPEC_RULES = {
     "widths": (
         lambda v: _non_empty_list_of(_is_count)(v) and len(v) >= 2,
         "a list of at least two integers >= 1",
@@ -267,96 +304,64 @@ _SPEC_RULES = {
         lambda v: isinstance(v, list) and all(_is_count(w) for w in v),
         "a list of integers >= 1",
     ),
-    **dict.fromkeys(("N", "M"), (_is_count, "an integer >= 1")),
-    **dict.fromkeys(("seed", "perturb_seed", "L"), (_is_natural, "an integer >= 0")),
-    "perturb_scale": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    "perturb_final_layer": (lambda v: isinstance(v, bool), "true or false"),
     "activation": (
         _is_activation,
         "an activation tag: relu, identity, leaky-relu(slope) or hardtanh(lo,hi)",
     ),
-    "path": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "domain": _one_of("block", "time"),
+    "manifold": _MANIFOLD,
+    "mixing_kind": _MANIFOLD,
+    "kind": _one_of("standard-basis", "generic-orthonormal", "generic-linear"),
 }
 
 
-def _check_fields(d: dict, rules: dict, where: str):
+def _check(d, level, where: str):
+    """Check one level of a config and, recursively, the levels inside it."""
+    tag, variants = level
+    if not isinstance(d, dict):
+        with_tag = f" with a field {where}{tag}" if tag else ""
+        raise ConfigError(f"{where[:-1] or '(root)'}: must be an object{with_tag}")
+    if d.get(tag) not in tuple(variants):     # a tuple: the value may be unhashable
+        raise ConfigError(f"{where}{tag}: must be one of {', '.join(variants)}")
+    required, optional = variants[d.get(tag)]
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{where}{key}: required")
     for key, value in d.items():
-        rule = rules.get(key)
+        if key == tag:
+            continue
+        if key not in required and key not in optional:
+            known = ", ".join((*required, *optional))
+            raise ConfigError(f"{where}{key}: unknown field; this level takes {known}")
+        rule = _RULES.get(key)
         if rule is not None and not rule[0](value):
             raise ConfigError(f"{where}{key}: must be {rule[1]}, got {value!r}")
-
-
-def _check_command_parameters(command: str, p: dict):
-    if command == "measure":
-        if "signal" not in p and "signal_path" not in p:
-            raise ConfigError("parameters.signal: inline signal or signal_path required")
-        if "signal_path" in p and not Path(p["signal_path"]).exists():
-            raise ConfigError(
-                f"parameters.signal_path: file not found: {p['signal_path']}"
-            )
-    elif command == "collide":
-        _require(p, ("prior", "mixing", "seed"), "parameters.")
-        _check_prior_spec(p["prior"], "parameters.prior")
-        _check_mixing_spec(p["mixing"], "parameters.mixing")
-    elif command == "probe-dim":
-        _require(p, ("N", "seed"), "parameters.")
-        if p.get("manifold") not in ("general-linear", "special-orthogonal"):
-            raise ConfigError(
-                "parameters.manifold: must be general-linear or special-orthogonal"
-            )
-        if p["manifold"] == "special-orthogonal" and p["N"] < 2:
-            raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")
-    elif command == "mra-sim":
-        _require(p, ("group", "sigma", "n", "seed"), "parameters.")
-        _check_group_spec(p["group"], "parameters.group")
-        if "prior" in p:
-            _check_prior_spec(p["prior"], "parameters.prior")
-        if "mixing" in p:
-            _check_mixing_spec(p["mixing"], "parameters.mixing")
-        if p.get("true_seed") == "auto-conditioned":
-            raise ConfigError(
-                "parameters.true_seed: auto-conditioned applies to sample-complexity sweeps"
-            )
-    elif command == "sweep":
-        kind = p.get("sweep_kind")
-        if kind == "threshold":
-            _require(p, ("N_range", "M_range", "mixing_kind", "seeds"), "parameters.")
-            if p["mixing_kind"] not in ("general-linear", "special-orthogonal"):
-                raise ConfigError("parameters.mixing_kind: bad value")
-            fam = p.get("prior_family", {"type": "relu-network"})
-            if not isinstance(fam, dict) or fam.get("type") not in ("relu-network", "sparse"):
-                raise ConfigError("parameters.prior_family.type: must be relu-network or sparse")
-            _check_fields(fam, _SPEC_RULES, "parameters.prior_family.")
-        elif kind == "sample-complexity":
-            _require(
-                p,
-                ("sigma_list", "target_error", "seeds", "prior", "mixing", "group"),
-                "parameters.",
-            )
-            _check_prior_spec(p["prior"], "parameters.prior")
-            _check_mixing_spec(p["mixing"], "parameters.mixing")
-            _check_group_spec(p["group"], "parameters.group")
-        else:
-            raise ConfigError(
-                "parameters.sweep_kind: must be 'threshold' or 'sample-complexity'"
-            )
+        inner = _PARAMETERS[d[tag]] if key == "parameters" else _SPECS.get(key)
+        if inner is not None:
+            _check(value, inner, f"{where}{key}.")
+    for key in ("path", "signal_path"):
+        if key in d and not Path(d[key]).exists():
+            raise ConfigError(f"{where}{key}: file not found: {d[key]}")
+    if "M" in d and d["M"] > d["N"]:
+        raise ConfigError(f"{where}M: must be <= N = {d['N']}")
 
 
 def validate_config(data: dict) -> ExperimentConfig:
     """Validate a parsed JSON object; raises ConfigError with a field path."""
-    try:
-        jsonschema.validate(data, ENVELOPE_SCHEMA)
-    except jsonschema.ValidationError as e:
-        path = ".".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ConfigError(f"{path}: {e.message}") from None
-    _check_fields(data["parameters"], _PARAMETER_RULES, "parameters.")
-    _check_command_parameters(data["command"], data["parameters"])
-    return ExperimentConfig(
-        command=data["command"],
-        parameters=data["parameters"],
-        output_dir=data.get("output_dir"),
-        schema_version=data["schema_version"],
-    )
+    _check(data, _ENVELOPE, "")
+    command, p = data["command"], data["parameters"]
+    for key, (taken, needs) in _PREREQUISITES.get(p.get("sweep_kind", command), {}).items():
+        if key in p and not taken(p):
+            raise ConfigError(f"parameters.{key}: {needs}")
+    if command == "measure" and ("signal" in p) == ("signal_path" in p):
+        raise ConfigError("parameters.signal: give exactly one of signal and signal_path")
+    if command == "mra-sim" and p.get("true_seed") == "auto-conditioned":
+        raise ConfigError(
+            "parameters.true_seed: auto-conditioned applies to sample-complexity sweeps"
+        )
+    if p.get("manifold") == "special-orthogonal" and p["N"] < 2:
+        raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")
+    return ExperimentConfig(command, p, data.get("output_dir"))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -60,6 +60,9 @@ SEPARATION_TOL = 1e-3
 #: Weight of the separation penalty residual in the search objective.
 PENALTY_WEIGHT = 1e2
 
+#: The grid oracle compares this many grid points with all others at a time.
+_ORACLE_ROWS = 512
+
 SWEEP_CSV_HEADER = "N,M,regime,kind,seed,verdict,residual,separation"
 
 
@@ -145,7 +148,6 @@ def collision_search(
     residual_tol: float = RESIDUAL_TOL,
     separation_tol: float = SEPARATION_TOL,
     penalty: float = PENALTY_WEIGHT,
-    max_iter: int = 500,
 ) -> CollisionReport:
     """Multi-start search for two prior points with equal mixed measurements.
 
@@ -212,7 +214,7 @@ def collision_search(
             tracker.update(x, y, np.linalg.norm(rm))
 
         res = damped_gauss_newton(
-            residual, jacobian, u0, max_iter=max_iter, f_tol=1e-30, callback=on_iterate
+            residual, jacobian, u0, max_iter=500, f_tol=1e-30, callback=on_iterate
         )
         return res.converged
 
@@ -246,10 +248,8 @@ def brute_force_collision_oracle(
     grid_points_per_axis: int = 41,
     residual_tol: float = RESIDUAL_TOL,
     separation_tol: float = SEPARATION_TOL,
-    latent_range: float = 1.0,
-    chunk: int = 512,
 ) -> CollisionReport:
-    """All-pairs collision check on a uniform latent grid over [-a, a]^K.
+    """All-pairs collision check on a uniform latent grid over [-1, 1]^K.
 
     Independent of the optimizer: evaluates the prior on every grid point
     (for sparse priors, on every support) and scans all point pairs for the
@@ -262,7 +262,7 @@ def brute_force_collision_oracle(
     if grid_points_per_axis > 200:
         raise ValueError("grid_points_per_axis capped at 200")
 
-    axis = np.linspace(-latent_range, latent_range, grid_points_per_axis)
+    axis = np.linspace(-1.0, 1.0, grid_points_per_axis)
     if K == 1:
         lat = axis[:, None]
     else:
@@ -288,8 +288,8 @@ def brute_force_collision_oracle(
     P = X.shape[0]
 
     best = None       # (normalized residual, raw, sep, scale, i, j)
-    for i0 in range(0, P, chunk):
-        i1 = min(i0 + chunk, P)
+    for i0 in range(0, P, _ORACLE_ROWS):
+        i1 = min(i0 + _ORACLE_ROWS, P)
         G = X[i0:i1] @ X.T                      # inner products
         d_minus2 = norms2[i0:i1, None] + norms2[None, :] - 2 * G
         d_plus2 = norms2[i0:i1, None] + norms2[None, :] + 2 * G
@@ -508,9 +508,7 @@ def threshold_sweep(
     M_range,
     kind: str,
     seeds,
-    blocks_for=None,
     restarts: int = 50,
-    **search_kwargs,
 ) -> SweepResult:
     """Tabulate collision fractions across an (N, M) grid.
 
@@ -519,8 +517,6 @@ def threshold_sweep(
     Regimes are labeled from the mixing kind's thresholds; below-threshold
     cells are reported without any expectation attached.
     """
-    if blocks_for is None:
-        blocks_for = block_structure_for_power_spectrum
     seeds = list(seeds)
     rows = []
     cells = []
@@ -536,10 +532,9 @@ def threshold_sweep(
                 report = collision_search(
                     prior,
                     A,
-                    blocks_for(N),
+                    block_structure_for_power_spectrum(N),
                     restarts=restarts,
                     seed=seed,
-                    **search_kwargs,
                 )
                 hits += report.verdict == "collision"
                 rows.append(

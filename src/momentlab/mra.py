@@ -22,8 +22,7 @@ check, and as the reference the fast path is tested against.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,18 +65,15 @@ __all__ = [
     "draw_ground_truth",
     "instance_noise_amplification",
     "select_conditioned_instance",
-    "save_observations",
-    "load_observations",
 ]
 
-_GROUP_TAGS = {"cyclic": 0, "dihedral": 1, "so3-bandlimited": 2}
-_TAG_GROUPS = {v: k for k, v in _GROUP_TAGS.items()}
-_MAGIC = b"MRA1"
-_HEADER = struct.Struct("<4sIQdBQ")
-_NO_SEED = 0xFFFFFFFFFFFFFFFF
+_GROUP_KINDS = ("cyclic", "dihedral", "so3-bandlimited")
 
 #: Observations are drawn this many rows at a time (see ``_observation_chunks``).
 _CHUNK_ROWS = 1 << 14
+
+#: ``select_conditioned_instance`` scans ground-truth seeds 0 .. _MAX_SCAN - 1.
+_MAX_SCAN = 256
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class GroupAction:
     L: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _GROUP_TAGS:
+        if self.kind not in _GROUP_KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if self.kind == "so3-bandlimited":
             if self.L is None:
@@ -198,8 +194,6 @@ class MRAObservationSet:
     observations: np.ndarray        # (n, N)
     sigma: float
     group: GroupAction
-    seed: object = None
-    true_signal: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)
@@ -222,7 +216,7 @@ def simulate_observations(
     """Draw n observations g_i . x + eps_i with Haar g_i and N(0, sigma^2 I) noise."""
     x = group.blocks.check_signal(x)
     obs = np.concatenate(list(_observation_chunks(x, group, n, sigma, as_rng(seed))))
-    return MRAObservationSet(obs, float(sigma), group, seed, true_signal=x.copy())
+    return MRAObservationSet(obs, float(sigma), group)
 
 
 def _check_draw(n: int, sigma: float):
@@ -375,7 +369,6 @@ def recover(
     seed=0,
     restarts: int = 20,
     max_iter: int = 200,
-    f_rel_tol: float = 1e-10,
 ) -> RecoveryResult:
     """Search the prior for a signal whose mixed measurements match invariants.
 
@@ -390,7 +383,7 @@ def recover(
     rng = as_rng(seed)
     params = latent_parametrizations(prior, rng)
     Ae = A.entries if hasattr(A, "entries") else np.asarray(A, dtype=float)
-    f_target = (f_rel_tol * max(1.0, np.linalg.norm(invariants))) ** 2
+    f_target = (1e-10 * max(1.0, np.linalg.norm(invariants))) ** 2
 
     def attempt():
         z0, fwd, jac = next(params)
@@ -462,14 +455,14 @@ def instance_noise_amplification(prior, Ae, blocks, true_seed, signal_norm=None)
 
 
 def select_conditioned_instance(
-    prior, Ae, blocks, signal_norm=None, amp_threshold: float = 6.0, max_scan: int = 256
+    prior, Ae, blocks, signal_norm=None, amp_threshold: float = 6.0
 ) -> int:
     """First ground-truth seed whose noise amplification is below a threshold.
 
     Deterministic: scans seeds 0, 1, 2, ... and returns the first acceptable
     one, so configs recording only the policy stay reproducible.
     """
-    for seed in range(max_scan):
+    for seed in range(_MAX_SCAN):
         try:
             amp = instance_noise_amplification(prior, Ae, blocks, seed, signal_norm)
         except ValueError:
@@ -477,7 +470,7 @@ def select_conditioned_instance(
         if amp <= amp_threshold:
             return seed
     raise RuntimeError(
-        f"no instance with amplification <= {amp_threshold} in {max_scan} seeds"
+        f"no instance with amplification <= {amp_threshold} in {_MAX_SCAN} seeds"
     )
 
 
@@ -494,7 +487,6 @@ def sample_complexity_sweep(
     n_cap: int = 10_000_000,
     grid_ratio: float = 2.0 ** 0.25,
     recover_restarts: int = 10,
-    recover_max_iter: int = 150,
 ) -> SampleComplexityResult:
     """Smallest observation count reaching a target median recovery error.
 
@@ -536,7 +528,7 @@ def sample_complexity_sweep(
             blocks,
             seed=np.random.SeedSequence((int(true_seed), sigma_idx, n_idx, int(seed), 0xC)),
             restarts=recover_restarts,
-            max_iter=recover_max_iter,
+            max_iter=150,
         )
         return rec.error_fn(x_star)
 
@@ -566,41 +558,3 @@ def sample_complexity_sweep(
         ln = np.log([n for _, n in solved])
         slope = float(np.polyfit(ls, ln, 1)[0])
     return SampleComplexityResult(rows, slope, grid)
-
-
-# ---------------------------------------------------------------------------
-# Binary persistence
-# ---------------------------------------------------------------------------
-
-def save_observations(path, obs: MRAObservationSet) -> None:
-    """Write header {magic, N, n, sigma, group tag, seed} + float64 rows."""
-    seed = obs.seed if isinstance(obs.seed, int) and 0 <= obs.seed < _NO_SEED else _NO_SEED
-    header = _HEADER.pack(
-        _MAGIC, obs.group.N, obs.n, obs.sigma, _GROUP_TAGS[obs.group.kind], seed
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(obs.observations, dtype="<f8").tobytes())
-
-
-def load_observations(path) -> MRAObservationSet:
-    with open(path, "rb") as fh:
-        magic, N, n, sigma, tag, seed = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ValueError(f"not an observation file (magic {magic!r})")
-        payload = fh.read()
-    if len(payload) != 8 * n * N:
-        raise ValueError(
-            f"{path}: header declares n={n} rows of N={N} float64 values "
-            f"({8 * n * N} bytes) but the file holds {len(payload)} data bytes"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape(n, N)
-    kind = _TAG_GROUPS[tag]
-    if kind == "so3-bandlimited":
-        L = int(round(np.sqrt(N))) - 1
-        group = GroupAction(kind, N, L)
-    else:
-        group = GroupAction(kind, N)
-    return MRAObservationSet(
-        data.copy(), sigma, group, seed=None if seed == _NO_SEED else int(seed)
-    )

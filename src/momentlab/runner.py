@@ -146,7 +146,12 @@ def _run_measure(p: dict, out: Path):
     if "signal" in p:
         sig = np.asarray(p["signal"], dtype=float)
     else:
-        sig = np.loadtxt(p["signal_path"]).reshape(-1)
+        try:
+            sig = np.loadtxt(p["signal_path"]).reshape(-1)
+        except ValueError as e:
+            raise ConfigError(f"parameters.signal_path: not a list of numbers ({e})") from None
+        if sig.size == 0:
+            raise ConfigError("parameters.signal_path: the file holds no numbers")
     if p.get("domain", "block") == "time":
         sig = to_real_fourier(sig)
     N = sig.shape[0]
@@ -220,7 +225,10 @@ def _run_collide(p: dict, out: Path):
     }
     if p.get("oracle_check"):
         oracle = brute_force_collision_oracle(
-            prior, mixing(mixing_seeds[0]), blocks, **_given(p, grid_points_per_axis="oracle_grid")
+            prior,
+            mixing(mixing_seeds[0]),
+            blocks,
+            **_given(p, "residual_tol", "separation_tol", grid_points_per_axis="oracle_grid"),
         )
         results["oracle_verdict"] = oracle.verdict
     return results, [path]
@@ -370,7 +378,7 @@ def _run_mra_sim(p: dict, out: Path):
         results["exact_scalar_dev_max"] = max(r["exact_scalar_dev"] for r in rows)
         results["mc_rel_frobenius_max"] = max(r["mc_rel_frobenius"] for r in rows)
 
-    if p.get("recover") and prior is not None:
+    if p.get("recover"):
         repeats = int(p.get("repeats", 1))
         true_inv = second_moment_blocks(x_star, blocks)
 

@@ -1,12 +1,16 @@
 import json
 import math
+import re
 import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentlab import runner
 from momentlab.cli import main
 from momentlab.config import ConfigError, load_config, validate_config
 from momentlab.presets import PRESETS, get_preset, list_presets
@@ -63,14 +67,57 @@ class TestValidate:
         with pytest.raises(ConfigError, match="not found"):
             validate_config(payload)
 
+    def test_amp_threshold_needs_an_auto_conditioned_truth(self):
+        params = {**get_preset("mra-cyclic-n4").parameters(), "true_seed": 0, "amp_threshold": 3.0}
+        with pytest.raises(ConfigError, match="parameters.amp_threshold"):
+            validate_config({"schema_version": 1, "command": "sweep", "parameters": params})
+
+    def test_every_readme_config_validates(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            validate_config(json.loads(block))
+
 
 class TestMeasureCommand:
-    def test_example_row(self, tmp_path):
+    def test_example_row(self, tmp_path, capsys):
         path = write_config(tmp_path, MEASURE_CONFIG)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         body = (out / "measurement.csv").read_text().splitlines()
         assert body[1] == "1,5,13"
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == {"values": [1.0, 5.0, 13.0], "blocks": [1, 2, 2]}
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ('mixing={"kind":"general-linear"}', "parameters.mixing.seed"),
+            ('domain="bogus"', "parameters.domain"),
+            ('signal_path="ragged.txt"', "parameters.signal"),
+        ],
+    )
+    def test_bad_override_exits_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, override, field
+    ):
+        (tmp_path / "ragged.txt").write_text("1 2\n3\n")
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, MEASURE_CONFIG)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("text", ["1 2\n3\n", ""], ids=["ragged", "empty"])
+    def test_malformed_signal_file_exits_2(self, tmp_path, capsys, text):
+        signal = tmp_path / "signal.txt"
+        signal.write_text(text)
+        cfg = {**MEASURE_CONFIG, "parameters": {"signal_path": str(signal)}}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.signal_path" in err and "Traceback" not in err
 
     def test_time_domain_measure(self, tmp_path):
         cfg = {
@@ -155,6 +202,28 @@ class TestCollideCommand:
         assert body[0] == "N,M,regime,kind,seed,verdict,residual,separation"
         assert "no-collision-found" in body[1]
 
+    def test_oracle_uses_the_search_thresholds(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def oracle(*args, **kwargs):
+            seen.update(kwargs)
+            return SimpleNamespace(verdict="no-collision-found")
+
+        monkeypatch.setattr(runner, "brute_force_collision_oracle", oracle)
+        thresholds = {"residual_tol": 1e-6, "separation_tol": 1e-2}
+        params = {
+            **get_preset("thm1-gl").parameters(),
+            "restarts": 2,
+            "mixing_seeds": [11],
+            "oracle_check": True,
+            "oracle_grid": 5,
+            **thresholds,
+        }
+        cfg = validate_config({"schema_version": 1, "command": "collide", "parameters": params})
+        report = run(cfg, out_dir=tmp_path)
+        assert report.results["oracle_verdict"] == "no-collision-found"
+        assert seen == {"grid_points_per_axis": 5, **thresholds}
+
 
 THRESHOLD_CONFIG = {
     "schema_version": 1,
@@ -186,6 +255,10 @@ class TestSweepCommand:
             (
                 {"type": "relu-network", "hidden_widths": ["a"]},
                 "parameters.prior_family.hidden_widths",
+            ),
+            (
+                {"type": "relu-network", "activation": "identity"},
+                "parameters.prior_family.activation",
             ),
         ],
     )
@@ -263,6 +336,13 @@ class TestOverrides:
             ),
             ('prior={"type":"network-file","path":"bad.json"}', "parameters.prior.path"),
             ('prior={"type":"sparse-file","path":"bad.json"}', "parameters.prior.path"),
+            ("restartz=5", "parameters.restartz"),
+            ('prior={"type":["ambient"],"N":10}', "parameters.prior.type"),
+            ("sigma=0.3", "parameters.sigma"),
+            ('prior={"type":"relu-network","widths":[2,12,10],"sed":5}', "parameters.prior.sed"),
+            ('mixing={"kind":"special-orthogonal","seed":21,"sead":1}', "parameters.mixing.sead"),
+            ('prior={"type":"sparse","kind":"bogus","N":10,"M":2}', "parameters.prior.kind"),
+            ("oracle_grid=21", "parameters.oracle_grid"),
         ],
     )
     def test_bad_override_exits_2_naming_the_field(
@@ -285,6 +365,10 @@ class TestOverrides:
             ("cor-sphere-so3", 'prior={"type":"ambient","N":4}', "parameters.prior"),
             ("mra-cyclic-n4", 'group={"kind":"cyclic","N":"x"}', "parameters.group.N"),
             ("mra-cyclic-n4", "amp_threshold=0.001", "parameters.amp_threshold"),
+            ("appendixB-blockscalar", "recover=true", "parameters.recover"),
+            ("appendixB-blockscalar", "repeats=2", "parameters.repeats"),
+            ("cor-sphere-so3", "recover=false", "parameters.repeats"),
+            ("cor-sphere-so3", "signal_seed=1", "parameters.signal_seed"),
         ],
     )
     def test_bad_override_of_a_preset_exits_2(self, tmp_path, capsys, preset, override, field):
@@ -305,9 +389,11 @@ class TestOverrides:
         assert exc.value.code == 2
 
 
+# "restartz" is no key at all and "sigma" a key of another command: both exit 2.
+_UNREAD_KEYS = {"restartz", "sigma"}
 _FUZZ_KEYS = {
-    "ctrl-torus": ["prior", "mixing", "restarts", "seed", "mixing_seeds"],
-    "lemma-codim-gl": ["N", "manifold", "pairs", "seed", "restarts"],
+    "ctrl-torus": ["prior", "mixing", "restarts", "seed", "mixing_seeds", "restartz"],
+    "lemma-codim-gl": ["N", "manifold", "pairs", "seed", "restarts", "sigma"],
 }
 
 # Values valid for some key are drawn as often as invalid ones, so that
@@ -335,4 +421,5 @@ def test_fuzzed_overrides_run_or_exit_2(preset, data):
     for key, value in overrides.items():
         argv += ["--set", f"{key}={json.dumps(value)}"]
     with tempfile.TemporaryDirectory() as out:
-        assert main([*argv, "--out", out]) in (0, 2)
+        code = main([*argv, "--out", out])
+    assert code == 2 if _UNREAD_KEYS & set(overrides) else code in (0, 2)

@@ -20,11 +20,9 @@ from momentlab.mra import (
     exact_population_moment,
     extract_invariants,
     instance_noise_amplification,
-    load_observations,
     random_group_element,
     recover,
     sample_complexity_sweep,
-    save_observations,
     simulate_invariants,
     simulate_observations,
     simulate_second_moment,
@@ -548,32 +546,3 @@ class TestSampleComplexity:
         A = sample_mixing(N, "special-orthogonal", 11)
         amp = instance_noise_amplification(prior, A.entries, group.blocks, 0, 0.4)
         assert np.isfinite(amp) and amp > 0
-
-
-class TestPersistence:
-    def test_roundtrip(self, rng, tmp_path):
-        group = GroupAction.sphere(2)
-        x = rng.normal(size=9)
-        obs = simulate_observations(x, group, 17, 0.25, seed=12)
-        path = tmp_path / "obs.mra"
-        save_observations(path, obs)
-        loaded = load_observations(path)
-        assert loaded.group.kind == "so3-bandlimited"
-        assert loaded.group.L == 2
-        assert loaded.sigma == 0.25
-        assert loaded.seed == 12
-        np.testing.assert_array_equal(loaded.observations, obs.observations)
-
-    def test_truncated_file_names_both_lengths(self, rng, tmp_path):
-        obs = simulate_observations(rng.normal(size=6), GroupAction.cyclic(6), 5, 0.1)
-        path = tmp_path / "obs.mra"
-        save_observations(path, obs)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ValueError, match=r"\(240 bytes\).*237 data bytes"):
-            load_observations(path)
-
-    def test_magic_check(self, tmp_path):
-        path = tmp_path / "bad.mra"
-        path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ValueError):
-            load_observations(path)
