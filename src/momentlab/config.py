@@ -31,6 +31,7 @@ from .priors import (
     sparse_prior_from_json,
     standard_basis_sparse_prior,
 )
+from .so3 import MAX_BAND_LIMIT
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "validate_config"]
 
@@ -179,27 +180,45 @@ _SPECS = {
     "prior_family": ("type", {"relu-network": ((), ("hidden_widths",)), "sparse": ((), ("kind",))}),
 }
 
-#: Parameters that a run reads on one of its paths only, by command or
-#: ``sweep_kind``: (does the config take that path, what the key needs).
+#: Fields that a run reads on one of its paths only, by level: the parameters
+#: of a command or ``sweep_kind``, or a spec as (its field, its tag value).
+#: Each field maps to (does the run read it, given the level's dict and the
+#: command; what it needs).
 _PREREQUISITES = {
     "collide": {
-        "oracle_grid": (lambda p: p.get("oracle_check") is True, "needs oracle_check: true"),
+        "oracle_grid": (lambda p, _: p.get("oracle_check") is True, "needs oracle_check: true"),
     },
     "mra-sim": {
         **dict.fromkeys(
             ("recover", "mixing", "true_seed", "signal_norm"),
-            (lambda p: "prior" in p, "needs a prior"),
+            (lambda p, _: "prior" in p, "needs a prior"),
         ),
         **dict.fromkeys(
             ("repeats", "recover_restarts"),
-            (lambda p: p.get("recover") is True, "needs recover: true"),
+            (lambda p, _: p.get("recover") is True, "needs recover: true"),
         ),
-        "signal_seed": (lambda p: "prior" not in p, "unread when a prior draws the signal"),
+        "signal_seed": (lambda p, _: "prior" not in p, "unread when a prior draws the signal"),
     },
     "sample-complexity": {
         "amp_threshold": (
-            lambda p: p.get("true_seed") == "auto-conditioned",
+            lambda p, _: p.get("true_seed") == "auto-conditioned",
             'needs true_seed: "auto-conditioned"',
+        ),
+    },
+    ("prior", "relu-network"): dict.fromkeys(
+        ("perturb_scale", "perturb_seed"),
+        (lambda spec, _: spec.get("perturb_final_layer") is True, "needs perturb_final_layer: true"),
+    ),
+    ("prior", "sparse"): {
+        "seed": (
+            lambda spec, _: spec.get("kind") != "standard-basis",
+            "unread by a standard-basis prior",
+        ),
+    },
+    ("mixing", "identity"): {
+        "seed": (
+            lambda spec, command: command == "collide",
+            "unread outside collide, where it labels the row",
         ),
     },
 }
@@ -260,8 +279,10 @@ _RULES = {
         ("restarts", "pairs", "repeats", "n", "recover_restarts", "n_min", "n_cap", "N", "M"),
         (_is_count, "an integer >= 1"),
     ),
-    **dict.fromkeys(
-        ("seed", "signal_seed", "perturb_seed", "L"), (_is_natural, "an integer >= 0")
+    **dict.fromkeys(("seed", "signal_seed", "perturb_seed"), (_is_natural, "an integer >= 0")),
+    "L": (
+        lambda v: _is_int(v) and 0 <= v <= MAX_BAND_LIMIT,
+        f"an integer in [0, {MAX_BAND_LIMIT}]",
     ),
     "true_seed": (
         lambda v: _is_natural(v) or v == "auto-conditioned",
@@ -350,9 +371,16 @@ def validate_config(data: dict) -> ExperimentConfig:
     """Validate a parsed JSON object; raises ConfigError with a field path."""
     _check(data, _ENVELOPE, "")
     command, p = data["command"], data["parameters"]
-    for key, (taken, needs) in _PREREQUISITES.get(p.get("sweep_kind", command), {}).items():
-        if key in p and not taken(p):
-            raise ConfigError(f"parameters.{key}: {needs}")
+    levels = [("parameters.", p, p.get("sweep_kind", command))]
+    levels += [
+        (f"parameters.{field}.", p[field], (field, p[field][tag]))
+        for field, (tag, _) in _SPECS.items()
+        if field in p
+    ]
+    for where, d, level in levels:
+        for key, (taken, needs) in _PREREQUISITES.get(level, {}).items():
+            if key in d and not taken(d, command):
+                raise ConfigError(f"{where}{key}: {needs}")
     if command == "measure" and ("signal" in p) == ("signal_path" in p):
         raise ConfigError("parameters.signal: give exactly one of signal and signal_path")
     if command == "mra-sim" and p.get("true_seed") == "auto-conditioned":

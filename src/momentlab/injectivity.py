@@ -28,9 +28,9 @@ from scipy.linalg import expm
 from .gaussnewton import damped_gauss_newton, multistart
 from .measurements import (
     BlockStructure,
-    MixingMatrix,
     block_structure_for_power_spectrum,
     measurement_jacobian,
+    mixing_array,
     separable_measurement,
 )
 from .priors import (
@@ -38,6 +38,7 @@ from .priors import (
     as_rng,
     generator_forward,
     latent_parametrizations,
+    numerical_rank,
     sample_mixing,
 )
 
@@ -278,7 +279,7 @@ def brute_force_collision_oracle(
             cols.append(lat @ B.T)
         X = np.concatenate(cols, axis=0)
 
-    Ae = A.entries if isinstance(A, MixingMatrix) else np.asarray(A, dtype=float)
+    Ae = mixing_array(A)
     S = X @ Ae.T
     starts = blocks.starts
     Meas = np.add.reduceat(S * S, starts, axis=1)
@@ -460,7 +461,7 @@ def codimension_probe(
             restarts_used=len(tries),
         )
     sv = np.linalg.svd(jac(A), compute_uv=False)
-    rank = int(np.sum(sv > rank_rtol * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = numerical_rank(sv, rank_rtol)
     return CodimensionEstimate(
         ambient_dim=tangent_dim,
         estimated_solution_dim=tangent_dim - rank,

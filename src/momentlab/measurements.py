@@ -26,6 +26,7 @@ __all__ = [
     "real_fourier_matrix",
     "to_real_fourier",
     "from_real_fourier",
+    "mixing_array",
     "second_moment_blocks",
     "separable_measurement",
     "measurement_jacobian",
@@ -186,7 +187,8 @@ class MixingMatrix:
         return cls(np.eye(int(N)), kind)
 
 
-def _mixing_array(A) -> np.ndarray:
+def mixing_array(A) -> np.ndarray:
+    """The entries of a MixingMatrix, or any array-like as a float array."""
     if isinstance(A, MixingMatrix):
         return A.entries
     return np.asarray(A, dtype=float)
@@ -209,7 +211,7 @@ def separable_measurement(x, A, blocks: BlockStructure) -> np.ndarray:
     block k, which equals ``second_moment_blocks(A @ x, blocks)``.
     """
     x = blocks.check_signal(x)
-    A = _mixing_array(A)
+    A = mixing_array(A)
     if A.shape != (blocks.N, blocks.N):
         raise DimensionError(
             f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
@@ -224,7 +226,7 @@ def measurement_jacobian(x, A, blocks: BlockStructure) -> np.ndarray:
     Row k is 2 * sum_j <x, w_j> w_j over the rows of block k.
     """
     x = blocks.check_signal(x)
-    A = _mixing_array(A)
+    A = mixing_array(A)
     if A.shape != (blocks.N, blocks.N):
         raise DimensionError(
             f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"

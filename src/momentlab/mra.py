@@ -14,10 +14,10 @@ signal reproducing those invariants.
 
 Callers that need only the invariants (``sample_complexity_sweep`` and the
 runner's ``recover`` and bare-simulation paths) draw them from their exact
-law with ``simulate_invariants``, in O(R) whatever n is. The full simulator
-(``simulate_observations``, ``simulate_second_moment``) stays for whatever
-reads more of the moment than its block traces: the runner's block-scalar
-check, and as the reference the fast path is tested against.
+law with ``simulate_invariants``, in O(R) whatever n is. The streamed
+simulator ``simulate_second_moment`` is the one path that draws
+observations: the runner's block-scalar check reads the whole moment, and
+the fast path is tested against it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .measurements import (
     DimensionError,
     block_structure_for_power_spectrum,
     measurement_jacobian,
+    mixing_array,
+    real_fourier_matrix,
     second_moment_blocks,
     separable_measurement,
 )
@@ -47,15 +49,11 @@ from .so3 import (
 
 __all__ = [
     "GroupAction",
-    "MRAObservationSet",
-    "SecondMomentEstimate",
     "RecoveryResult",
     "SampleComplexityResult",
     "act",
     "action_matrix",
     "random_group_element",
-    "simulate_observations",
-    "estimate_second_moment",
     "simulate_second_moment",
     "simulate_invariants",
     "exact_population_moment",
@@ -116,45 +114,22 @@ class GroupAction:
         return cls("so3-bandlimited", (int(L) + 1) ** 2, int(L))
 
 
-def _shift_matrix(N: int, s: int) -> np.ndarray:
-    """Cyclic shift by s in block coordinates: rotation by 2*pi*k*s/N per pair."""
-    M = np.zeros((N, N))
-    M[0, 0] = 1.0
-    col = 1
-    if N % 2 == 0 and N >= 2:
-        M[1, 1] = (-1.0) ** s
-        col = 2
-    n_pairs = (N - 1) // 2 if N % 2 == 1 else (N - 2) // 2
-    for k in range(1, n_pairs + 1):
-        th = 2.0 * np.pi * k * s / N
-        c, si = np.cos(th), np.sin(th)
-        M[col, col] = c
-        M[col, col + 1] = -si
-        M[col + 1, col] = si
-        M[col + 1, col + 1] = c
-        col += 2
-    return M
-
-
-def _reflection_matrix(N: int) -> np.ndarray:
-    """Time reversal in block coordinates: sine coordinates flip sign."""
-    d = np.ones(N)
-    col = 2 if N % 2 == 0 and N >= 2 else 1
-    n_pairs = (N - 1) // 2 if N % 2 == 1 else (N - 2) // 2
-    for _ in range(n_pairs):
-        d[col + 1] = -1.0
-        col += 2
-    return np.diag(d)
-
-
 @lru_cache(maxsize=None)
 def _orbit_matrices(kind: str, N: int) -> np.ndarray:
-    """All group-element matrices for the finite groups, stacked."""
-    shifts = np.stack([_shift_matrix(N, s) for s in range(N)])
+    """All group-element matrices for the finite groups, stacked.
+
+    Element s is the time-domain shift v[t] -> v[t - s], and element N + s
+    (dihedral only) that shift after the reversal v[t] -> v[-t], each moved
+    to block coordinates by ``real_fourier_matrix``: F P F^T = F (F^T)[perm].
+    """
+    F = real_fourier_matrix(N)
+    t = np.arange(N)
+    perms = [(t - s) % N for s in range(N)]
     if kind == "dihedral":
-        shifts = np.concatenate([shifts, shifts @ _reflection_matrix(N)], axis=0)
-    shifts.flags.writeable = False      # shared by every caller
-    return shifts
+        perms += [(s - t) % N for s in range(N)]
+    orbit = F @ F.T[np.stack(perms)]
+    orbit.flags.writeable = False       # shared by every caller
+    return orbit
 
 
 def action_matrix(g, group: GroupAction) -> np.ndarray:
@@ -189,36 +164,6 @@ def random_group_element(group: GroupAction, rng):
     return tuple(haar_euler_angles(rng))
 
 
-@dataclass
-class MRAObservationSet:
-    observations: np.ndarray        # (n, N)
-    sigma: float
-    group: GroupAction
-
-    def __post_init__(self):
-        obs = np.asarray(self.observations, dtype=float)
-        if obs.ndim != 2 or obs.shape[0] < 1 or obs.shape[1] != self.group.N:
-            raise DimensionError(
-                f"observations shape {obs.shape} incompatible with N={self.group.N}"
-            )
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        self.observations = obs
-
-    @property
-    def n(self) -> int:
-        return self.observations.shape[0]
-
-
-def simulate_observations(
-    x: np.ndarray, group: GroupAction, n: int, sigma: float, seed=0
-) -> MRAObservationSet:
-    """Draw n observations g_i . x + eps_i with Haar g_i and N(0, sigma^2 I) noise."""
-    x = group.blocks.check_signal(x)
-    obs = np.concatenate(list(_observation_chunks(x, group, n, sigma, as_rng(seed))))
-    return MRAObservationSet(obs, float(sigma), group)
-
-
 def _check_draw(n: int, sigma: float):
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -227,7 +172,7 @@ def _check_draw(n: int, sigma: float):
 
 
 def _observation_chunks(x, group: GroupAction, n: int, sigma: float, rng):
-    """Yield the n observations of ``simulate_observations``, _CHUNK_ROWS at a time.
+    """Yield n observations g_i . x + eps_i, _CHUNK_ROWS rows at a time.
 
     All n group elements are drawn before any noise, and numpy fills the noise
     in row order, so the rows are those of one-shot draws of the (n, N) array.
@@ -247,42 +192,24 @@ def _observation_chunks(x, group: GroupAction, n: int, sigma: float, rng):
         yield rows
 
 
-@dataclass
-class SecondMomentEstimate:
-    matrix: np.ndarray              # (N, N) symmetric
-    n_used: int
-    sigma_assumed: float
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionError(f"moment must be square, got shape {M.shape}")
-        self.matrix = M
-
-
-def estimate_second_moment(obs: MRAObservationSet) -> SecondMomentEstimate:
-    """Debiased empirical second moment (1/n) sum y y^T - sigma^2 I, symmetrized."""
-    Y = obs.observations
-    M = (Y.T @ Y) / obs.n - obs.sigma**2 * np.eye(Y.shape[1])
-    M = 0.5 * (M + M.T)
-    return SecondMomentEstimate(M, obs.n, obs.sigma)
-
-
 def simulate_second_moment(
     x: np.ndarray, group: GroupAction, n: int, sigma: float, seed=0
-) -> SecondMomentEstimate:
-    """``estimate_second_moment(simulate_observations(...))`` in bounded memory.
+) -> np.ndarray:
+    """Debiased empirical second moment of n simulated observations, (N, N).
 
-    Same draws, _CHUNK_ROWS rows at a time; the chunk moments are averaged
-    with weights rows/n, so the n x N observations are never held at once.
-    Up to _CHUNK_ROWS rows the result is the same to the bit.
+    Draws y_i = g_i . x + eps_i with Haar g_i and N(0, sigma^2 I) noise,
+    _CHUNK_ROWS rows at a time, so the n x N observations are never held at
+    once. Each chunk's (1/m) sum y y^T - sigma^2 I, symmetrized, is averaged
+    with weight m/n; up to _CHUNK_ROWS rows that is the one-shot estimate to
+    the bit.
     """
     x = group.blocks.check_signal(x)
     M = 0.0
     for rows in _observation_chunks(x, group, n, sigma, as_rng(seed)):
-        chunk = MRAObservationSet(rows, float(sigma), group)
-        M = M + (chunk.n / n) * estimate_second_moment(chunk).matrix
-    return SecondMomentEstimate(M, n, float(sigma))
+        m = rows.shape[0]
+        chunk = (rows.T @ rows) / m - sigma**2 * np.eye(group.N)
+        M = M + (m / n) * (0.5 * (chunk + chunk.T))
+    return M
 
 
 def simulate_invariants(
@@ -336,7 +263,7 @@ def extract_invariants(est, blocks: BlockStructure) -> np.ndarray:
     (energy / block size) times the identity, so its trace recovers the
     block energy exactly.
     """
-    M = est.matrix if isinstance(est, SecondMomentEstimate) else np.asarray(est, dtype=float)
+    M = np.asarray(est, dtype=float)
     if M.shape != (blocks.N, blocks.N):
         raise DimensionError(f"moment shape {M.shape}, expected {(blocks.N, blocks.N)}")
     d = np.diag(M)
@@ -382,7 +309,7 @@ def recover(
         raise DimensionError(f"invariants shape {invariants.shape}, expected ({blocks.R},)")
     rng = as_rng(seed)
     params = latent_parametrizations(prior, rng)
-    Ae = A.entries if hasattr(A, "entries") else np.asarray(A, dtype=float)
+    Ae = mixing_array(A)
     f_target = (1e-10 * max(1.0, np.linalg.norm(invariants))) ** 2
 
     def attempt():
@@ -508,7 +435,7 @@ def sample_complexity_sweep(
         raise ValueError(f"need n_min >= 1 and grid_ratio > 1, got {n_min} and {grid_ratio}")
     seeds = list(seeds)
     blocks = group.blocks
-    Ae = A.entries if hasattr(A, "entries") else np.asarray(A, dtype=float)
+    Ae = mixing_array(A)
     _, _, x_star, _, _ = draw_ground_truth(prior, Ae, true_seed, signal_norm)
 
     grid = [int(n_min)]

@@ -29,6 +29,7 @@ __all__ = [
     "generator_forward",
     "generator_jacobian",
     "estimate_image_dimension",
+    "numerical_rank",
     "latent_parametrizations",
     "parse_activation",
     "sample_sparse",
@@ -210,6 +211,11 @@ class DimensionEstimate:
     trials: int
 
 
+def numerical_rank(sv: np.ndarray, rtol: float) -> int:
+    """Number of singular values (descending) above rtol times the largest."""
+    return int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
 def estimate_image_dimension(
     net: GeneratorNetwork,
     trials: int = 50,
@@ -231,7 +237,7 @@ def estimate_image_dimension(
     for _ in range(trials):
         z = rng.normal(size=net.latent_dim)
         sv = np.linalg.svd(generator_jacobian(net, z), compute_uv=False)
-        rank = int(np.sum(sv > rank_rtol * sv[0])) if sv.size and sv[0] > 0 else 0
+        rank = numerical_rank(sv, rank_rtol)
         if rank > best_rank:
             best_rank, best_sv = rank, sv
     return DimensionEstimate(best_rank, best_sv, trials)

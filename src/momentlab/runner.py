@@ -349,7 +349,7 @@ def _run_mra_sim(p: dict, out: Path):
     if p.get("block_scalar_check"):
         M_exact = exact_population_moment(x_star, group)
         energies = second_moment_blocks(x_star, blocks)
-        M_mc = simulate_second_moment(x_star, group, n, sigma, seed=base_seed).matrix
+        M_mc = simulate_second_moment(x_star, group, n, sigma, seed=base_seed)
         rows = []
         off_mask = np.ones((N, N), dtype=bool)
         for sl in blocks.slices():

@@ -23,9 +23,8 @@ from momentlab.measurements import (
 )
 from momentlab.mra import (
     GroupAction,
-    estimate_second_moment,
     exact_population_moment,
-    simulate_observations,
+    simulate_second_moment,
 )
 from momentlab.presets import PRESETS, get_preset
 from momentlab.priors import (
@@ -209,8 +208,7 @@ def test_criterion_7_block_scalar_law():
         expected[sl, sl] = (E[k] / blocks.dims[k]) * np.eye(blocks.dims[k])
     exact_dev = float(np.max(np.abs(M - expected)))
 
-    obs = simulate_observations(x, group, 100_000, 0.0, seed=0)
-    M_mc = estimate_second_moment(obs).matrix
+    M_mc = simulate_second_moment(x, group, 100_000, 0.0, seed=0)
     mc_rel = max(
         float(
             np.linalg.norm(M_mc[sl, sl] - expected[sl, sl])
@@ -272,8 +270,7 @@ def test_criterion_9_estimator_consistency():
     for n in ns:
         trial_errors = []
         for rep in range(4):
-            obs = simulate_observations(x, group, n, sigma, seed=(n, rep))
-            M = estimate_second_moment(obs).matrix
+            M = simulate_second_moment(x, group, n, sigma, seed=(n, rep))
             trial_errors.append(np.linalg.norm(M - M_pop))
         errs.append(np.mean(trial_errors))
     slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])

@@ -96,6 +96,7 @@ class TestMeasureCommand:
             ('mixing={"kind":"general-linear"}', "parameters.mixing.seed"),
             ('domain="bogus"', "parameters.domain"),
             ('signal_path="ragged.txt"', "parameters.signal"),
+            ('mixing={"kind":"identity","seed":1}', "parameters.mixing.seed"),
         ],
     )
     def test_bad_override_exits_2_naming_the_field(
@@ -343,6 +344,18 @@ class TestOverrides:
             ('mixing={"kind":"special-orthogonal","seed":21,"sead":1}', "parameters.mixing.sead"),
             ('prior={"type":"sparse","kind":"bogus","N":10,"M":2}', "parameters.prior.kind"),
             ("oracle_grid=21", "parameters.oracle_grid"),
+            (
+                'prior={"type":"relu-network","widths":[2,12,10],"perturb_scale":0.5}',
+                "parameters.prior.perturb_scale",
+            ),
+            (
+                'prior={"type":"relu-network","widths":[2,12,10],"perturb_seed":3}',
+                "parameters.prior.perturb_seed",
+            ),
+            (
+                'prior={"type":"sparse","kind":"standard-basis","N":10,"M":2,"seed":4}',
+                "parameters.prior.seed",
+            ),
         ],
     )
     def test_bad_override_exits_2_naming_the_field(
@@ -369,6 +382,13 @@ class TestOverrides:
             ("appendixB-blockscalar", "repeats=2", "parameters.repeats"),
             ("cor-sphere-so3", "recover=false", "parameters.repeats"),
             ("cor-sphere-so3", "signal_seed=1", "parameters.signal_seed"),
+            ("cor-sphere-so3", 'mixing={"kind":"identity","seed":3}', "parameters.mixing.seed"),
+            ("mra-cyclic-n4", 'mixing={"kind":"identity","seed":3}', "parameters.mixing.seed"),
+            (
+                "appendixB-blockscalar",
+                'group={"kind":"so3-bandlimited","L":1000000}',
+                "parameters.group.L",
+            ),
         ],
     )
     def test_bad_override_of_a_preset_exits_2(self, tmp_path, capsys, preset, override, field):
@@ -377,6 +397,12 @@ class TestOverrides:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_identity_mixing_seed_labels_the_collide_row(self, tmp_path, capsys):
+        argv = ["run", "--preset", "ctrl-torus", "--out", str(tmp_path), "--set", "restarts=1"]
+        assert main([*argv, "--set", 'mixing={"kind":"identity","seed":3}']) == 0
+        header, row = (tmp_path / "collisions.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["seed"] == "3"
 
     def test_blocks_not_matching_the_signal_exit_2(self, tmp_path, capsys):
         argv = ["run", "--preset", "lemma-codim-gl-blocks", "--out", str(tmp_path)]

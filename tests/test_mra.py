@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -16,7 +18,6 @@ from momentlab.mra import (
     _orbit_matrices,
     act,
     action_matrix,
-    estimate_second_moment,
     exact_population_moment,
     extract_invariants,
     instance_noise_amplification,
@@ -24,7 +25,6 @@ from momentlab.mra import (
     recover,
     sample_complexity_sweep,
     simulate_invariants,
-    simulate_observations,
     simulate_second_moment,
 )
 from momentlab.priors import (
@@ -156,6 +156,19 @@ def one_shot_observations(x, group, n, sigma, seed):
     return clean if sigma == 0 else clean + rng.normal(0.0, sigma, size=(n, group.N))
 
 
+def one_shot_moment(Y, sigma):
+    """Reference form: the debiased moment (1/n) sum y y^T - sigma^2 I, symmetrized."""
+    M = (Y.T @ Y) / Y.shape[0] - sigma**2 * np.eye(Y.shape[1])
+    return 0.5 * (M + M.T)
+
+
+def streamed_observations(x, group, n, sigma, seed):
+    """The observations ``simulate_second_moment`` draws, joined."""
+    return np.concatenate(
+        list(mra._observation_chunks(x, group, n, sigma, np.random.default_rng(seed)))
+    )
+
+
 STREAMED_CASES = [
     (GroupAction.cyclic(8), 2 * _CHUNK_ROWS + 5, 0.7),
     (GroupAction.dihedral(5), _CHUNK_ROWS + 1, 0.0),
@@ -167,61 +180,60 @@ class TestSimulate:
     @pytest.mark.parametrize("group, n, sigma", STREAMED_CASES, ids=["cyclic", "dihedral", "so3"])
     def test_chunked_draws_equal_one_shot_draws(self, group, n, sigma):
         x = np.random.default_rng(group.N).normal(size=group.N)
-        obs = simulate_observations(x, group, n, sigma, seed=7)
         np.testing.assert_array_equal(
-            obs.observations, one_shot_observations(x, group, n, sigma, 7)
+            streamed_observations(x, group, n, sigma, 7),
+            one_shot_observations(x, group, n, sigma, 7),
         )
 
     @pytest.mark.parametrize("group, n, sigma", STREAMED_CASES, ids=["cyclic", "dihedral", "so3"])
     def test_streamed_moment_matches_full_estimate(self, group, n, sigma):
         x = np.random.default_rng(group.N).normal(size=group.N)
-        full = estimate_second_moment(simulate_observations(x, group, n, sigma, seed=7))
+        full = one_shot_moment(one_shot_observations(x, group, n, sigma, 7), sigma)
         streamed = simulate_second_moment(x, group, n, sigma, seed=7)
-        assert (streamed.n_used, streamed.sigma_assumed) == (n, sigma)
-        np.testing.assert_allclose(streamed.matrix, full.matrix, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(streamed, full, rtol=1e-12, atol=1e-15)
 
     def test_one_chunk_is_the_plain_estimate(self, rng):
         group = GroupAction.cyclic(6)
         x = rng.normal(size=6)
-        obs = simulate_observations(x, group, _CHUNK_ROWS, 0.3, seed=4)
         np.testing.assert_array_equal(
-            simulate_second_moment(x, group, _CHUNK_ROWS, 0.3, seed=4).matrix,
-            estimate_second_moment(obs).matrix,
+            simulate_second_moment(x, group, _CHUNK_ROWS, 0.3, seed=4),
+            one_shot_moment(one_shot_observations(x, group, _CHUNK_ROWS, 0.3, 4), 0.3),
         )
 
     def test_noiseless_orbit_preserves_energies(self, rng):
         group = GroupAction.cyclic(8)
         x = rng.normal(size=8)
-        obs = simulate_observations(x, group, 50, 0.0, seed=1)
         base = second_moment_blocks(x, group.blocks)
-        for row in obs.observations:
+        for row in streamed_observations(x, group, 50, 0.0, 1):
             np.testing.assert_allclose(
                 second_moment_blocks(row, group.blocks), base, atol=1e-10
             )
 
     def test_single_observation_shape(self, rng):
         for group in (GroupAction.cyclic(5), GroupAction.sphere(2)):
-            obs = simulate_observations(rng.normal(size=group.N), group, 1, 0.3, seed=0)
-            assert obs.observations.shape == (1, group.N)
+            x = rng.normal(size=group.N)
+            assert streamed_observations(x, group, 1, 0.3, 0).shape == (1, group.N)
+            assert simulate_second_moment(x, group, 1, 0.3, seed=0).shape == (group.N, group.N)
 
     def test_first_moment_matches_orbit_mean(self, rng):
         # column mean approximates the orbit average (DC component only)
         N, n, sigma = 8, 100_000, 1.0
         group = GroupAction.cyclic(N)
         x = rng.normal(size=N)
-        obs = simulate_observations(x, group, n, sigma, seed=5)
-        col_mean = obs.observations.mean(axis=0)
+        Y = streamed_observations(x, group, n, sigma, 5)
+        col_mean = Y.mean(axis=0)
         expected = np.zeros(N)
         expected[0] = x[0]          # rotation blocks average to zero
-        col_std = obs.observations.std(axis=0)
+        col_std = Y.std(axis=0)
         assert np.all(np.abs(col_mean - expected) < 3.0 * col_std / np.sqrt(n) + 1e-12)
 
     def test_deterministic(self, rng):
         group = GroupAction.sphere(2)
         x = rng.normal(size=9)
-        a = simulate_observations(x, group, 20, 0.1, seed=3).observations
-        b = simulate_observations(x, group, 20, 0.1, seed=3).observations
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            simulate_second_moment(x, group, 20, 0.1, seed=3),
+            simulate_second_moment(x, group, 20, 0.1, seed=3),
+        )
 
 
 #: The groups whose every block the invariant law is checked on (12 blocks).
@@ -351,12 +363,31 @@ def test_only_the_block_scalar_check_simulates_observations(
         assert calls == []
 
 
-class TestSecondMomentEstimate:
+@pytest.mark.parametrize(
+    "group", [{"kind": "cyclic", "N": 8}, {"kind": "dihedral", "N": 7}], ids=lambda g: g["kind"]
+)
+def test_block_scalar_check_on_the_finite_groups(tmp_path, group):
+    # No preset or benchmark workload reaches the finite-group orbits. Bounds
+    # fixed before running: the exact moment is block scalar to 1e-12, and
+    # each Monte-Carlo block is within criterion 7's relative 0.02.
+    parameters = {
+        "group": group, "sigma": 0.0, "n": 100_000, "seed": 0, "block_scalar_check": True,
+    }
+    runner.run(ExperimentConfig("mra-sim", parameters), out_dir=tmp_path)
+    with open(tmp_path / "blockscalar.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == GroupAction(group["kind"], group["N"]).blocks.R
+    for row in rows:
+        assert float(row["exact_offblock_max"]) <= 1e-12
+        assert float(row["exact_scalar_dev"]) <= 1e-12
+        assert float(row["mc_rel_frobenius"]) < 0.02
+
+
+class TestSimulatedMoment:
     def test_zero_signal_zero_noise(self):
         group = GroupAction.cyclic(4)
-        obs = simulate_observations(np.zeros(4), group, 10, 0.0, seed=0)
-        est = estimate_second_moment(obs)
-        np.testing.assert_array_equal(est.matrix, np.zeros((4, 4)))
+        M = simulate_second_moment(np.zeros(4), group, 10, 0.0, seed=0)
+        np.testing.assert_array_equal(M, np.zeros((4, 4)))
 
     def test_exact_orbit_average_of_delta(self):
         # cyclic N=4, x = delta in time domain: orbit average is I/4 in any
@@ -369,20 +400,18 @@ class TestSecondMomentEstimate:
 
     def test_symmetric(self, rng):
         group = GroupAction.cyclic(6)
-        obs = simulate_observations(rng.normal(size=6), group, 500, 0.7, seed=2)
-        M = estimate_second_moment(obs).matrix
+        M = simulate_second_moment(rng.normal(size=6), group, 500, 0.7, seed=2)
         assert np.max(np.abs(M - M.T)) < 1e-12
 
     def test_monte_carlo_error_within_three_expected(self, rng):
         N, n, sigma = 8, 200_000, 0.5
         group = GroupAction.cyclic(N)
         x = rng.normal(size=N)
-        obs = simulate_observations(x, group, n, sigma, seed=9)
-        M = estimate_second_moment(obs).matrix
+        M = simulate_second_moment(x, group, n, sigma, seed=9)
         M_pop = exact_population_moment(x, group) + 0.0
         err = np.linalg.norm(M - M_pop)
         # independent plug-in estimate of the expected Monte Carlo error
-        Y = obs.observations
+        Y = streamed_observations(x, group, n, sigma, 9)
         sq = np.einsum("ni,nj->nij", Y, Y)
         ent_var = sq.var(axis=0) / n
         expected = np.sqrt(ent_var.sum())
@@ -402,8 +431,8 @@ class TestExtractInvariants:
 
     def test_zero_signal_with_noise_correction(self, rng):
         group = GroupAction.cyclic(6)
-        obs = simulate_observations(np.zeros(6), group, 50_000, 0.4, seed=1)
-        inv = extract_invariants(estimate_second_moment(obs), group.blocks)
+        M = simulate_second_moment(np.zeros(6), group, 50_000, 0.4, seed=1)
+        inv = extract_invariants(M, group.blocks)
         assert np.max(np.abs(inv)) < 0.05
 
     def test_single_degree_content(self, rng):
@@ -432,8 +461,7 @@ class TestBlockScalarLaw:
         group = GroupAction.sphere(4)
         x = rng.normal(size=25)
         x /= np.linalg.norm(x)
-        obs = simulate_observations(x, group, 100_000, 0.0, seed=3)
-        M_mc = estimate_second_moment(obs).matrix
+        M_mc = simulate_second_moment(x, group, 100_000, 0.0, seed=3)
         E = second_moment_blocks(x, group.blocks)
         for k, sl in enumerate(group.blocks.slices()):
             d = group.blocks.dims[k]
@@ -532,8 +560,8 @@ class TestSampleComplexity:
         for n in (100, 2000, 40000):
             errs = []
             for seed in range(10):
-                obs = simulate_observations(x_star, group, n, 0.5, seed=(n, seed))
-                inv = ext(estimate_second_moment(obs), group.blocks)
+                M = simulate_second_moment(x_star, group, n, 0.5, seed=(n, seed))
+                inv = ext(M, group.blocks)
                 rec = recover(inv, prior, A, group.blocks, seed=(n, seed, 1), restarts=8)
                 errs.append(rec.error_fn(x_star))
             meds.append(np.median(errs))
