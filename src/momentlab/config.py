@@ -13,12 +13,14 @@ rejected, so a config never describes an experiment other than the one run.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .measurements import BlockStructure, MixingMatrix, block_structure_for_power_spectrum
+from .mra import sample_complexity_sweep
 from .priors import (
     ambient_network,
     generic_linear_sparse_prior,
@@ -33,7 +35,7 @@ from .priors import (
 )
 from .so3 import MAX_BAND_LIMIT
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config", "validate_config"]
+__all__ = ["ExperimentConfig", "ConfigError", "load_config", "validate_config", "given"]
 
 SCHEMA_VERSION = 1
 
@@ -63,19 +65,26 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def given(d: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments for the fields that a config dict sets.
+
+    ``keys`` pass under their own names; ``renamed`` maps a library argument
+    to its field. A field left out is not passed, so each default lives in
+    one place: the signature of the library function.
+    """
+    names = {**dict(zip(keys, keys)), **renamed}
+    return {arg: d[key] for arg, key in names.items() if key in d}
+
+
 def build_prior(spec: dict):
     t = spec["type"]
     if t == "relu-network":
         net = random_relu_network(
-            tuple(int(w) for w in spec["widths"]),
-            seed=int(spec.get("seed", 0)),
-            activation=spec.get("activation", "relu"),
+            tuple(int(w) for w in spec["widths"]), **given(spec, "seed", "activation")
         )
         if spec.get("perturb_final_layer"):
             net = perturb_final_layer(
-                net,
-                rel_scale=float(spec.get("perturb_scale", 1e-2)),
-                seed=int(spec.get("perturb_seed", 0)),
+                net, **given(spec, rel_scale="perturb_scale", seed="perturb_seed")
             )
         return net
     if t in ("network-file", "sparse-file"):
@@ -96,8 +105,8 @@ def build_prior(spec: dict):
     if kind == "standard-basis":
         return standard_basis_sparse_prior(N, M)
     if kind == "generic-orthonormal":
-        return generic_orthonormal_sparse_prior(N, M, seed=int(spec.get("seed", 0)))
-    return generic_linear_sparse_prior(N, M, seed=int(spec.get("seed", 0)))
+        return generic_orthonormal_sparse_prior(N, M, **given(spec, "seed"))
+    return generic_linear_sparse_prior(N, M, **given(spec, "seed"))
 
 
 def build_mixing(spec: dict, N: int) -> MixingMatrix:
@@ -128,12 +137,12 @@ _PARAMETERS = {
     "measure": (None, {None: ((), ("signal", "signal_path", "domain", "blocks", "mixing"))}),
     "collide": (None, {None: (
         ("prior", "mixing", "seed"),
-        ("blocks", "mixing_seeds", "restarts", "residual_tol", "separation_tol", "penalty",
-         "oracle_check", "oracle_grid"),
+        ("blocks", "mixing_seeds", "restarts", "residual_tol", "separation_tol", "oracle_check",
+         "oracle_grid"),
     )}),
     "probe-dim": (None, {None: (
         ("N", "manifold", "seed"),
-        ("blocks", "pairs", "restarts", "residual_target", "rank_rtol"),
+        ("blocks", "pairs", "restarts"),
     )}),
     "mra-sim": (None, {None: (
         ("group", "sigma", "n", "seed"),
@@ -297,8 +306,7 @@ _RULES = {
         (_non_empty_list_of(_is_count), "a non-empty list of integers >= 1"),
     ),
     **dict.fromkeys(
-        ("residual_tol", "separation_tol", "residual_target", "rank_rtol", "amp_threshold",
-         "signal_norm"),
+        ("residual_tol", "separation_tol", "amp_threshold", "signal_norm"),
         (_is_positive, "a number > 0"),
     ),
     **dict.fromkeys(
@@ -307,7 +315,7 @@ _RULES = {
     ),
     "signal": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
     **dict.fromkeys(
-        ("penalty", "sigma", "perturb_scale"),
+        ("sigma", "perturb_scale"),
         (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
     ),
     "oracle_grid": (lambda v: _is_int(v) and 1 <= v <= 200, "an integer in [1, 200]"),
@@ -389,6 +397,12 @@ def validate_config(data: dict) -> ExperimentConfig:
         )
     if p.get("manifold") == "special-orthogonal" and p["N"] < 2:
         raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")
+    if p.get("sweep_kind") == "sample-complexity":
+        defaults = inspect.signature(sample_complexity_sweep).parameters
+        n_min, n_cap = (p.get(k, defaults[k].default) for k in ("n_min", "n_cap"))
+        if n_min > n_cap:
+            field = "n_min" if "n_min" in p else "n_cap"
+            raise ConfigError(f"parameters.{field}: n_min = {n_min} exceeds n_cap = {n_cap}")
     return ExperimentConfig(command, p, data.get("output_dir"))
 
 

@@ -31,6 +31,11 @@ import numpy as np
 
 __all__ = ["GaussNewtonResult", "damped_gauss_newton", "multistart"]
 
+#: A solve ends once a step is shorter than STEP_TOL, or once the damping,
+#: grown tenfold per rejected step, exceeds LAM_MAX.
+STEP_TOL = 1e-14
+LAM_MAX = 1e12
+
 
 @dataclass
 class GaussNewtonResult:
@@ -47,9 +52,7 @@ def damped_gauss_newton(
     retract: Callable | None = None,
     max_iter: int = 500,
     f_tol: float = 1e-28,
-    step_tol: float = 1e-14,
     lam0: float = 1e-8,
-    lam_max: float = 1e12,
     callback: Callable | None = None,
 ) -> GaussNewtonResult:
     """Minimize ||residual(x)||^2 from x0.
@@ -82,9 +85,9 @@ def damped_gauss_newton(
         c = U.T @ r
         sv2 = sv * sv
         accepted = False
-        while lam <= lam_max:
+        while lam <= LAM_MAX:
             step = -((sv / (sv2 + lam) * c) @ Vt)
-            if np.linalg.norm(step) <= step_tol:
+            if np.linalg.norm(step) <= STEP_TOL:
                 break
             x_new = retract(x, step)
             r_new = np.asarray(residual(x_new), dtype=float)

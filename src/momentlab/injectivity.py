@@ -20,7 +20,6 @@ verdicts invariant under rescaling a candidate pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm
@@ -30,15 +29,15 @@ from .measurements import (
     BlockStructure,
     block_structure_for_power_spectrum,
     measurement_jacobian,
-    mixing_array,
     separable_measurement,
 )
 from .priors import (
-    GeneratorNetwork,
     as_rng,
     generator_forward,
+    generator_jacobian,
     latent_parametrizations,
     numerical_rank,
+    prior_charts,
     sample_mixing,
 )
 
@@ -61,8 +60,13 @@ SEPARATION_TOL = 1e-3
 #: Weight of the separation penalty residual in the search objective.
 PENALTY_WEIGHT = 1e2
 
-#: The grid oracle compares this many grid points with all others at a time.
-_ORACLE_ROWS = 512
+#: A codimension probe's solve succeeds once its residual norm is below this.
+PROBE_RESIDUAL_TARGET = 1e-11
+
+#: The grid oracle compares its grid points with the points after them in
+#: chunks of rows, each of at most this many point pairs (512 rows of a
+#: 41 x 41 grid) unless one row alone holds more.
+_ORACLE_CELLS = 512 * 41**2
 
 SWEEP_CSV_HEADER = "N,M,regime,kind,seed,verdict,residual,separation"
 
@@ -148,7 +152,6 @@ def collision_search(
     seed=0,
     residual_tol: float = RESIDUAL_TOL,
     separation_tol: float = SEPARATION_TOL,
-    penalty: float = PENALTY_WEIGHT,
 ) -> CollisionReport:
     """Multi-start search for two prior points with equal mixed measurements.
 
@@ -159,17 +162,14 @@ def collision_search(
     """
     rng = as_rng(seed)
     tracker = _PairTracker(separation_tol)
-    spen = np.sqrt(penalty)
+    spen = np.sqrt(PENALTY_WEIGHT)
     params = latent_parametrizations(prior, rng)
 
     def attempt():
-        z1, fwd1, jac1 = next(params)
-        z2, fwd2, jac2 = next(params)
+        z1, net1 = next(params)
+        z2, net2 = next(params)
         K = z1.shape[0]
         u0 = np.concatenate([z1, z2])
-
-        def split(u):
-            return fwd1(u[:K]), fwd2(u[K:])
 
         # damped_gauss_newton calls on_iterate with the very array whose
         # residual it has just evaluated, so on_iterate reuses that
@@ -178,7 +178,7 @@ def collision_search(
 
         def residual(u):
             nonlocal last
-            x, y = split(u)
+            x, y = generator_forward(net1, u[:K]), generator_forward(net2, u[K:])
             s = max(np.linalg.norm(x), np.linalg.norm(y))
             rm = separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
             last = (u, x, y, rm)
@@ -188,11 +188,11 @@ def collision_search(
             return np.concatenate([rm / s**2, [spen * max(0.0, separation_tol - sep / s)]])
 
         def jacobian(u):
-            x, y = split(u)
+            x, G1 = generator_jacobian(net1, u[:K])
+            y, G2 = generator_jacobian(net2, u[K:])
             s = max(np.linalg.norm(x), np.linalg.norm(y))
             if s <= 0.0:
                 return np.zeros((blocks.R + 1, 2 * K))
-            G1, G2 = jac1(u[:K]), jac2(u[K:])
             Jx = measurement_jacobian(x, A, blocks) @ G1 / s**2
             Jy = measurement_jacobian(y, A, blocks) @ G2 / s**2
             Jm = np.hstack([Jx, -Jy])
@@ -252,10 +252,12 @@ def brute_force_collision_oracle(
 ) -> CollisionReport:
     """All-pairs collision check on a uniform latent grid over [-1, 1]^K.
 
-    Independent of the optimizer: evaluates the prior on every grid point
-    (for sparse priors, on every support) and scans all point pairs for the
-    minimal measurement gap among sufficiently separated pairs. Only latent
-    dimension K <= 2 is supported.
+    Independent of the optimizer: evaluates every chart of the prior (for
+    sparse priors, every support) on the grid and scans all point pairs for
+    the minimal measurement gap among sufficiently separated pairs. Only
+    latent dimension K <= 2 is supported. The pairs are scanned in chunks of
+    at most ``_ORACLE_CELLS``, so memory stays bounded however many charts
+    the prior has.
     """
     K = prior.latent_dim
     if K > 2:
@@ -269,76 +271,42 @@ def brute_force_collision_oracle(
     else:
         g1, g2 = np.meshgrid(axis, axis, indexing="ij")
         lat = np.column_stack([g1.ravel(), g2.ravel()])
-
-    if isinstance(prior, GeneratorNetwork):
-        X = np.stack([generator_forward(prior, z) for z in lat])
-    else:
-        cols = []
-        for support in combinations(range(prior.N), prior.sparsity):
-            B = prior.basis[:, list(support)]
-            cols.append(lat @ B.T)
-        X = np.concatenate(cols, axis=0)
-
-    Ae = mixing_array(A)
-    S = X @ Ae.T
-    starts = blocks.starts
-    Meas = np.add.reduceat(S * S, starts, axis=1)
+    X = np.concatenate([generator_forward(net, lat) for net in prior_charts(prior)])
+    Meas = separable_measurement(X, A, blocks)
 
     norms2 = np.einsum("ij,ij->i", X, X)
     mnorm2 = np.einsum("ij,ij->i", Meas, Meas)
     P = X.shape[0]
+    rows = max(1, _ORACLE_CELLS // P)
 
-    best = None       # (normalized residual, raw, sep, scale, i, j)
-    for i0 in range(0, P, _ORACLE_ROWS):
-        i1 = min(i0 + _ORACLE_ROWS, P)
-        G = X[i0:i1] @ X.T                      # inner products
-        d_minus2 = norms2[i0:i1, None] + norms2[None, :] - 2 * G
-        d_plus2 = norms2[i0:i1, None] + norms2[None, :] + 2 * G
-        sep = np.sqrt(np.maximum(np.minimum(d_minus2, d_plus2), 0.0))
-        scale = np.sqrt(np.maximum(norms2[i0:i1, None], norms2[None, :]))
-        MG = Meas[i0:i1] @ Meas.T
-        res2 = np.maximum(mnorm2[i0:i1, None] + mnorm2[None, :] - 2 * MG, 0.0)
+    # (normalized residual, raw, sep, scale, i, j); with no separated pair on
+    # the grid (e.g. a constant-zero prior) the first two points are reported
+    best = (np.inf, 0.0, 0.0, np.sqrt(norms2.max()), 0, min(1, P - 1))
+    for i0 in range(0, P - 1, rows):
+        # pair rows i0 .. i1-1 with the points j > i0 only: j <= i repeats a pair
+        I, J = slice(i0, min(i0 + rows, P)), slice(i0 + 1, P)
+        # min(||x - y||, ||x + y||)^2 = ||x||^2 + ||y||^2 - 2 |<x, y>|
+        sep2 = norms2[I, None] + norms2[None, J] - 2 * np.abs(X[I] @ X[J].T)
+        sep = np.sqrt(np.maximum(sep2, 0.0))
+        scale = np.sqrt(np.maximum(norms2[I, None], norms2[None, J]))
+        res2 = np.maximum(mnorm2[I, None] + mnorm2[None, J] - 2 * (Meas[I] @ Meas[J].T), 0.0)
         ok = (sep >= separation_tol * scale) & (scale > 0)
-        # only consider j > i to skip self/duplicate pairs
-        jj = np.arange(P)[None, :]
-        ok &= jj > np.arange(i0, i1)[:, None]
-        if not ok.any():
-            continue
+        ok &= np.arange(i0 + 1, P)[None, :] > np.arange(I.start, I.stop)[:, None]
         nres = np.full_like(res2, np.inf)
         nres[ok] = np.sqrt(res2[ok]) / scale[ok] ** 2
-        flat = np.argmin(nres)
-        ii, j = np.unravel_index(flat, nres.shape)
-        if best is None or nres[ii, j] < best[0]:
-            best = (
-                float(nres[ii, j]),
-                float(np.sqrt(res2[ii, j])),
-                float(sep[ii, j]),
-                float(scale[ii, j]),
-                i0 + ii,
-                j,
-            )
-
-    if best is None:
-        # no separated pair exists on the grid (e.g. constant-zero prior)
-        return CollisionReport(
-            x=X[0],
-            y=X[min(1, P - 1)],
-            residual=0.0,
-            separation=0.0,
-            scale=float(np.sqrt(norms2.max())),
-            verdict="no-collision-found",
-            restarts_used=0,
-            seed=None,
-        )
+        ii, jj = np.unravel_index(np.argmin(nres), nres.shape)
+        if nres[ii, jj] < best[0]:
+            pair = (ii, jj)
+            best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + 1 + jj)
 
     _, raw, sep, s, i, j = best
     hit = _is_collision(raw, sep, s, residual_tol, separation_tol)
     return CollisionReport(
         x=X[i],
         y=X[j],
-        residual=raw,
-        separation=sep,
-        scale=s,
+        residual=float(raw),
+        separation=float(sep),
+        scale=float(s),
         verdict="collision" if hit else "no-collision-found",
         restarts_used=0,
         seed=None,
@@ -370,8 +338,6 @@ def codimension_probe(
     blocks: BlockStructure,
     seed=0,
     restarts: int = 50,
-    residual_target: float = 1e-11,
-    rank_rtol: float = 1e-6,
     max_iter: int = 200,
 ) -> CodimensionEstimate:
     """Estimate dim{A on manifold : P(x;A) = P(y;A)} at a found solution.
@@ -444,13 +410,14 @@ def codimension_probe(
 
     def attempt():
         gn = damped_gauss_newton(
-            resid, jac, draw(), retract=retract, max_iter=max_iter, f_tol=residual_target**2
+            resid, jac, draw(), retract=retract, max_iter=max_iter,
+            f_tol=PROBE_RESIDUAL_TARGET**2,
         )
         return float(np.sqrt(gn.f)), gn.x
 
-    tries = multistart(attempt, restarts, lambda t: t[0] <= residual_target)
+    tries = multistart(attempt, restarts, lambda t: t[0] <= PROBE_RESIDUAL_TARGET)
     res_norm, A = tries[-1]
-    if res_norm > residual_target:
+    if res_norm > PROBE_RESIDUAL_TARGET:
         return CodimensionEstimate(
             ambient_dim=tangent_dim,
             estimated_solution_dim=None,
@@ -461,7 +428,7 @@ def codimension_probe(
             restarts_used=len(tries),
         )
     sv = np.linalg.svd(jac(A), compute_uv=False)
-    rank = numerical_rank(sv, rank_rtol)
+    rank = numerical_rank(sv)
     return CodimensionEstimate(
         ambient_dim=tangent_dim,
         estimated_solution_dim=tangent_dim - rank,

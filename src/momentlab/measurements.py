@@ -205,19 +205,22 @@ def second_moment_blocks(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
 
 
 def separable_measurement(x, A, blocks: BlockStructure) -> np.ndarray:
-    """Block energies of the mixed signal, written over the rows of A.
+    """Block energies of the mixed signal (N,), or of each row of a stack (B, N).
 
     Entry k is the sum of <x, w_j>^2 over the rows w_j of A belonging to
-    block k, which equals ``second_moment_blocks(A @ x, blocks)``.
+    block k, which equals ``second_moment_blocks(A @ x, blocks)``. A stack
+    is mixed as ``(A @ X.T).T``.
     """
-    x = blocks.check_signal(x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != blocks.N:
+        raise DimensionError(f"signal has shape {x.shape}, expected (..., {blocks.N})")
     A = mixing_array(A)
     if A.shape != (blocks.N, blocks.N):
         raise DimensionError(
             f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
         )
-    s = A @ x
-    return np.add.reduceat(s * s, blocks.starts)
+    s = A @ x if x.ndim == 1 else (A @ x.T).T
+    return np.add.reduceat(s * s, blocks.starts, axis=-1)
 
 
 def measurement_jacobian(x, A, blocks: BlockStructure) -> np.ndarray:

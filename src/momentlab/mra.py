@@ -38,7 +38,7 @@ from .measurements import (
     second_moment_blocks,
     separable_measurement,
 )
-from .priors import as_rng, latent_parametrizations
+from .priors import as_rng, generator_forward, generator_jacobian, latent_parametrizations
 from .so3 import (
     band_limit_blocks,
     haar_euler_angles,
@@ -313,18 +313,19 @@ def recover(
     f_target = (1e-10 * max(1.0, np.linalg.norm(invariants))) ** 2
 
     def attempt():
-        z0, fwd, jac = next(params)
+        z0, net = next(params)
 
         def residual(z):
-            return separable_measurement(fwd(z), Ae, blocks) - invariants
+            return separable_measurement(generator_forward(net, z), Ae, blocks) - invariants
 
         def jacobian(z):
-            return measurement_jacobian(fwd(z), Ae, blocks) @ jac(z)
+            x, G = generator_jacobian(net, z)
+            return measurement_jacobian(x, Ae, blocks) @ G
 
         res = damped_gauss_newton(
             residual, jacobian, z0, max_iter=max_iter, f_tol=f_target
         )
-        return res.f, fwd(res.x)
+        return res.f, generator_forward(net, res.x)
 
     tries = multistart(attempt, restarts, lambda t: t[0] <= f_target)
     f, p = min(tries, key=lambda t: t[0])      # the first of the best
@@ -345,22 +346,20 @@ class SampleComplexityResult:
 
 
 def draw_ground_truth(prior, Ae, true_seed, signal_norm: float | None):
-    """One fixed draw x* = A p(z*) from the mixed prior, optionally rescaled."""
+    """One fixed draw x* = A p(z*) from the mixed prior, optionally rescaled: (chart, z*, x*)."""
     rng = as_rng(true_seed)
-    z0, fwd, jac = next(latent_parametrizations(prior, rng))
-    p = fwd(z0)
-    x_star = Ae @ p
+    z0, net = next(latent_parametrizations(prior, rng))
+    x_star = Ae @ generator_forward(net, z0)
     if signal_norm is not None:
         nrm = np.linalg.norm(x_star)
         if nrm == 0:
             raise ValueError("drew a zero ground-truth signal; pick another true_seed")
         z0 = z0 * (signal_norm / nrm)   # valid rescaling for positively homogeneous priors
-        p = fwd(z0)
-        x_star = Ae @ p
+        x_star = Ae @ generator_forward(net, z0)
         if not np.isclose(np.linalg.norm(x_star), signal_norm, rtol=1e-8):
             # prior not homogeneous; fall back to rescaling the signal itself
             x_star = x_star * (signal_norm / np.linalg.norm(x_star))
-    return z0, p, x_star, fwd, jac
+    return net, z0, x_star
 
 
 def instance_noise_amplification(prior, Ae, blocks, true_seed, signal_norm=None) -> float:
@@ -371,8 +370,8 @@ def instance_noise_amplification(prior, Ae, blocks, true_seed, signal_norm=None)
     screen experiment instances: a large value means recovery needs far more
     observations for the same target error, without changing the scaling law.
     """
-    z0, p, x_star, fwd, jac = draw_ground_truth(prior, Ae, true_seed, signal_norm)
-    J_prior = jac(z0)
+    net, z0, _ = draw_ground_truth(prior, Ae, true_seed, signal_norm)
+    p, J_prior = generator_jacobian(net, z0)
     J_inv = measurement_jacobian(p, Ae, blocks) @ J_prior
     sv_inv = np.linalg.svd(J_inv, compute_uv=False)
     sv_x = np.linalg.svd(Ae @ J_prior, compute_uv=False)
@@ -431,12 +430,14 @@ def sample_complexity_sweep(
         raise ValueError("sigma_list must be sorted ascending")
     if not 0.0 < target_error < 1.0:
         raise ValueError("target_error must lie in (0, 1)")
-    if n_min < 1 or grid_ratio <= 1.0:
-        raise ValueError(f"need n_min >= 1 and grid_ratio > 1, got {n_min} and {grid_ratio}")
+    if not 1 <= n_min <= n_cap or grid_ratio <= 1.0:
+        raise ValueError(
+            f"need 1 <= n_min <= n_cap and grid_ratio > 1, got {n_min}, {n_cap}, {grid_ratio}"
+        )
     seeds = list(seeds)
     blocks = group.blocks
     Ae = mixing_array(A)
-    _, _, x_star, _, _ = draw_ground_truth(prior, Ae, true_seed, signal_norm)
+    _, _, x_star = draw_ground_truth(prior, Ae, true_seed, signal_norm)
 
     grid = [int(n_min)]
     while grid[-1] < n_cap:

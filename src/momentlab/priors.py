@@ -6,6 +6,11 @@ hardtanh, identity), and sparse models with respect to a chosen basis.
 Both produce signals in block coordinates, so their outputs feed directly
 into :mod:`momentlab.measurements`.
 
+Every prior is a finite union of generator networks, its charts: a network
+is its own chart, and a sparse prior is evaluated as one linear network per
+support, whose layer holds that support's basis columns. So
+:func:`generator_forward` and :func:`generator_jacobian` evaluate every prior.
+
 "Generic" matrices are realized as random draws from continuous
 distributions; every sampler threads an explicit seed so experiments can
 record it.
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -30,6 +36,7 @@ __all__ = [
     "generator_jacobian",
     "estimate_image_dimension",
     "numerical_rank",
+    "prior_charts",
     "latent_parametrizations",
     "parse_activation",
     "sample_sparse",
@@ -165,41 +172,43 @@ class GeneratorNetwork:
 
 
 def generator_forward(net: GeneratorNetwork, z: np.ndarray) -> np.ndarray:
-    """Evaluate the network at a latent point."""
+    """Evaluate the network at a latent point (K,) or a stack of them (B, K).
+
+    Each layer maps a point as ``W @ z`` and a stack as ``(W @ Z.T).T``.
+    """
     a = np.asarray(z, dtype=float)
-    if a.shape != (net.latent_dim,):
-        raise DimensionError(
-            f"latent has shape {a.shape}, expected ({net.latent_dim},)"
-        )
+    if a.ndim not in (1, 2) or a.shape[-1] != net.latent_dim:
+        raise DimensionError(f"latent has shape {a.shape}, expected (..., {net.latent_dim})")
     for layer in net.layers:
-        a = layer.weight @ a
+        a = layer.weight @ a if a.ndim == 1 else (layer.weight @ a.T).T
         if layer.bias is not None:
             a = a + layer.bias
         a = _apply_activation(layer._act, a)
     return a
 
 
-def generator_jacobian(net: GeneratorNetwork, z: np.ndarray) -> np.ndarray:
-    """Jacobian dx/dz via the activation-pattern chain rule.
+def generator_jacobian(net: GeneratorNetwork, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value x (the bits of ``generator_forward``) and Jacobian dx/dz, in one layer walk.
 
-    Piecewise-linear activations have derivative 0 at their kinks, so the
-    Jacobian is the one of the active linear piece.
+    The Jacobian follows the activation-pattern chain rule. Piecewise-linear
+    activations have derivative 0 at their kinks, so the Jacobian is the one
+    of the active linear piece.
     """
     a = np.asarray(z, dtype=float)
     if a.shape != (net.latent_dim,):
         raise DimensionError(
             f"latent has shape {a.shape}, expected ({net.latent_dim},)"
         )
-    J = np.eye(net.latent_dim)
+    J = None
     for layer in net.layers:
         a = layer.weight @ a
         if layer.bias is not None:
             a = a + layer.bias
-        J = layer.weight @ J
+        J = layer.weight if J is None else layer.weight @ J
         d = _activation_derivative(layer._act, a)
         a = _apply_activation(layer._act, a)
         J = d[:, None] * J
-    return J
+    return a, J
 
 
 @dataclass(frozen=True)
@@ -211,17 +220,16 @@ class DimensionEstimate:
     trials: int
 
 
-def numerical_rank(sv: np.ndarray, rtol: float) -> int:
-    """Number of singular values (descending) above rtol times the largest."""
-    return int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
+#: Singular values above this multiple of the largest count towards a rank.
+RANK_RTOL = 1e-6
 
 
-def estimate_image_dimension(
-    net: GeneratorNetwork,
-    trials: int = 50,
-    seed=0,
-    rank_rtol: float = 1e-6,
-) -> DimensionEstimate:
+def numerical_rank(sv: np.ndarray) -> int:
+    """Number of singular values (descending) above RANK_RTOL times the largest."""
+    return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
+def estimate_image_dimension(net: GeneratorNetwork, trials: int = 50, seed=0) -> DimensionEstimate:
     """Estimate dim(image) as the max Jacobian rank over sampled latents.
 
     The image of a piecewise-linear map is a union of strata whose
@@ -236,8 +244,8 @@ def estimate_image_dimension(
     best_sv = np.zeros(min(net.latent_dim, net.output_dim))
     for _ in range(trials):
         z = rng.normal(size=net.latent_dim)
-        sv = np.linalg.svd(generator_jacobian(net, z), compute_uv=False)
-        rank = numerical_rank(sv, rank_rtol)
+        sv = np.linalg.svd(generator_jacobian(net, z)[1], compute_uv=False)
+        rank = numerical_rank(sv)
         if rank > best_rank:
             best_rank, best_sv = rank, sv
     return DimensionEstimate(best_rank, best_sv, trials)
@@ -279,25 +287,38 @@ class SparsePrior:
         return self.N
 
 
-def latent_parametrizations(prior, rng):
-    """Yield (z0, forward, jacobian) triples, one per restart branch.
+def _support_chart(prior: SparsePrior, support) -> GeneratorNetwork:
+    """The linear network z -> basis[:, support] @ z of one support."""
+    return GeneratorNetwork((Layer(prior.basis[:, support]),))
 
-    Generator networks use Gaussian latent starts; sparse priors draw a
-    fresh random support per restart and optimize its coefficients (the
-    map is then linear in the latent).
+
+def prior_charts(prior) -> list[GeneratorNetwork]:
+    """The generator networks whose images make up the prior.
+
+    A network is its own chart; a sparse prior has one linear chart per
+    support, in ``itertools.combinations`` order.
+    """
+    if isinstance(prior, SparsePrior):
+        supports = combinations(range(prior.N), prior.sparsity)
+        return [_support_chart(prior, list(support)) for support in supports]
+    return [prior]
+
+
+def latent_parametrizations(prior, rng):
+    """Yield (z0, net) pairs, one per restart branch: a start and its chart.
+
+    Generator networks use Gaussian latent starts in the network itself;
+    sparse priors draw a fresh random support per restart and optimize its
+    coefficients in that support's linear chart.
     """
     if isinstance(prior, GeneratorNetwork):
-        K = prior.latent_dim
-        fwd = lambda z: generator_forward(prior, z)
-        jac = lambda z: generator_jacobian(prior, z)
         while True:
-            yield rng.normal(size=K), fwd, jac
+            yield rng.normal(size=prior.latent_dim), prior
     elif isinstance(prior, SparsePrior):
         M = prior.sparsity
         while True:
             support = np.sort(rng.choice(prior.N, size=M, replace=False))
-            B = prior.basis[:, support]
-            yield rng.normal(size=M), (lambda z, B=B: B @ z), (lambda z, B=B: B)
+            yield rng.normal(size=M), _support_chart(prior, support)
     else:
         raise TypeError(f"unsupported prior type {type(prior).__name__}")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_blocks, build_mixing, build_prior
+from .config import ConfigError, ExperimentConfig, build_blocks, build_mixing, build_prior, given
 from .injectivity import (
     SWEEP_CSV_HEADER,
     brute_force_collision_oracle,
@@ -62,17 +62,6 @@ def write_csv(path: Path, header: str, rows) -> None:
         else:
             lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _given(p: dict, *keys: str, **renamed: str) -> dict:
-    """Keyword arguments for the parameters that the config sets.
-
-    ``keys`` pass under their own names; ``renamed`` maps a library argument
-    to its config key. A key the config leaves out is not passed, so each
-    default lives in one place: the signature of the library function.
-    """
-    names = {**dict(zip(keys, keys)), **renamed}
-    return {arg: p[key] for arg, key in names.items() if key in p}
 
 
 def _collect_seeds(obj, out):
@@ -190,7 +179,7 @@ def _run_collide(p: dict, out: Path):
     mixing_seeds = p.get("mixing_seeds") or [p["mixing"].get("seed", 0)]
     M = _prior_dimension_summary(prior)
     regime = "non-generic" if kind == "identity" else regime_label(N, M, kind)
-    search_kwargs = _given(p, "restarts", "seed", "residual_tol", "separation_tol", "penalty")
+    search_kwargs = given(p, "restarts", "seed", "residual_tol", "separation_tol")
 
     def mixing(mseed):
         return build_mixing({"kind": kind, "seed": mseed}, N)
@@ -228,7 +217,7 @@ def _run_collide(p: dict, out: Path):
             prior,
             mixing(mixing_seeds[0]),
             blocks,
-            **_given(p, "residual_tol", "separation_tol", grid_points_per_axis="oracle_grid"),
+            **given(p, "residual_tol", "separation_tol", grid_points_per_axis="oracle_grid"),
         )
         results["oracle_verdict"] = oracle.verdict
     return results, [path]
@@ -251,8 +240,6 @@ def _run_probe_dim(p: dict, out: Path):
     pairs = int(p.get("pairs", 20))
     base_seed = int(p["seed"])
 
-    probe_kwargs = _given(p, "restarts", "residual_target", "rank_rtol")
-
     def one(i):
         rng = np.random.default_rng(np.random.SeedSequence((base_seed, i)))
         x = rng.normal(size=N)
@@ -263,7 +250,7 @@ def _run_probe_dim(p: dict, out: Path):
             manifold,
             blocks,
             seed=np.random.SeedSequence((base_seed, i, 0xB)),
-            **probe_kwargs,
+            **given(p, "restarts"),
         )
         return i, est
 
@@ -335,7 +322,7 @@ def _run_mra_sim(p: dict, out: Path):
     if "prior" in p:
         prior = _build_group_prior(p["prior"], group)
         A = build_mixing(p.get("mixing", {"kind": "identity"}), N)
-        _, _, x_star, _, _ = draw_ground_truth(
+        _, _, x_star = draw_ground_truth(
             prior, A.entries, p.get("true_seed", 0), p.get("signal_norm")
         )
     else:
@@ -392,7 +379,7 @@ def _run_mra_sim(p: dict, out: Path):
                 A,
                 blocks,
                 seed=np.random.SeedSequence((base_seed, rep, 0xC)),
-                **_given(p, restarts="recover_restarts"),
+                **given(p, restarts="recover_restarts"),
             )
             rmse = float(np.sqrt(np.mean((inv - true_inv) ** 2)))
             return {
@@ -455,7 +442,7 @@ def _run_sweep(p: dict, out: Path):
             [int(v) for v in p["M_range"]],
             p["mixing_kind"],
             [int(s) for s in p["seeds"]],
-            **_given(p, "restarts"),
+            **given(p, "restarts"),
         )
         path = out / "sweep.csv"
         write_csv(path, SWEEP_CSV_HEADER, result.rows)
@@ -473,7 +460,7 @@ def _run_sweep(p: dict, out: Path):
     if true_seed == "auto-conditioned":
         try:
             true_seed = select_conditioned_instance(
-                prior, A.entries, group.blocks, **_given(p, "signal_norm", "amp_threshold")
+                prior, A.entries, group.blocks, **given(p, "signal_norm", "amp_threshold")
             )
         except RuntimeError as e:
             raise ConfigError(f"parameters.amp_threshold: {e}") from None
@@ -485,7 +472,7 @@ def _run_sweep(p: dict, out: Path):
         float(p["target_error"]),
         [int(s) for s in p["seeds"]],
         true_seed=int(true_seed),
-        **_given(p, "signal_norm", "n_min", "n_cap", "grid_ratio", "recover_restarts"),
+        **given(p, "signal_norm", "n_min", "n_cap", "grid_ratio", "recover_restarts"),
     )
     path = out / "samplecomplexity.csv"
     write_csv(path, SAMPLE_COMPLEXITY_CSV_HEADER, result.rows)

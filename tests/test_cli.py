@@ -250,6 +250,24 @@ class TestSweepCommand:
         assert summary["collisions_found"] == sum(",collision," in row for row in rows)
 
     @pytest.mark.parametrize(
+        "bounds, field",
+        [
+            ({"n_min": 5000, "n_cap": 100}, "parameters.n_min"),
+            ({"n_min": 20_000_000}, "parameters.n_min"),    # n_cap at its library default
+            ({"n_cap": 4}, "parameters.n_cap"),             # n_min at its library default
+        ],
+    )
+    def test_n_min_above_n_cap_exits_2(self, tmp_path, capsys, bounds, field):
+        params = dict(get_preset("mra-cyclic-n4").parameters())
+        del params["n_cap"]
+        cfg = {"schema_version": 1, "command": "sweep", "parameters": {**params, **bounds}}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "family, field",
         [
             (3, "parameters.prior_family.type"),
@@ -319,6 +337,7 @@ class TestOverrides:
             ("grid_ratio=1", "parameters.grid_ratio"),
             ("seed=-1", "parameters.seed"),
             ("residual_tol=0", "parameters.residual_tol"),
+            ("penalty=100", "parameters.penalty"),
             ("oracle_grid=500", "parameters.oracle_grid"),
             ("sigma_list=[2,1]", "parameters.sigma_list"),
             ("N_range=[]", "parameters.N_range"),
@@ -378,6 +397,9 @@ class TestOverrides:
             ("cor-sphere-so3", 'prior={"type":"ambient","N":4}', "parameters.prior"),
             ("mra-cyclic-n4", 'group={"kind":"cyclic","N":"x"}', "parameters.group.N"),
             ("mra-cyclic-n4", "amp_threshold=0.001", "parameters.amp_threshold"),
+            ("mra-cyclic-n4", "n_min=20000000", "parameters.n_min"),
+            ("lemma-codim-gl", "residual_target=1e-11", "parameters.residual_target"),
+            ("lemma-codim-gl", "rank_rtol=1e-6", "parameters.rank_rtol"),
             ("appendixB-blockscalar", "recover=true", "parameters.recover"),
             ("appendixB-blockscalar", "repeats=2", "parameters.repeats"),
             ("cor-sphere-so3", "recover=false", "parameters.repeats"),

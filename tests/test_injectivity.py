@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from momentlab.priors import (
     GeneratorNetwork,
     Layer,
     ambient_network,
+    generic_orthonormal_sparse_prior,
     random_relu_network,
     sample_mixing,
     standard_basis_sparse_prior,
@@ -197,6 +200,47 @@ class TestBruteForceOracle:
             brute_force_collision_oracle(
                 net, np.eye(6), block_structure_for_power_spectrum(6), 11
             )
+
+    def test_memory_is_bounded_by_the_chunk_size(self):
+        # 28 supports x 15^2 grid points: P = 6300 points, 3.7 times a 41^2 grid.
+        # 512-row chunks would hold 512 x 6300 pairs per array (about 250 MB
+        # over the arrays of one chunk); chunks of at most _ORACLE_CELLS pairs
+        # keep the peak under 16 float arrays of that size.
+        N = 8
+        prior = generic_orthonormal_sparse_prior(N, 2, seed=1)
+        A = sample_mixing(N, "special-orthogonal", 2)
+        bound = 16 * injectivity._ORACLE_CELLS * 8
+        tracemalloc.start()
+        try:
+            rep = brute_force_collision_oracle(prior, A, block_structure_for_power_spectrum(N), 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert rep.verdict == "no-collision-found"
+
+    @pytest.mark.parametrize("kind", ["standard-basis", "generic-orthonormal"])
+    def test_verdict_does_not_depend_on_the_chunks(self, monkeypatch, kind):
+        # P = 15 supports x 9^2 grid points = 1215, small enough for one chunk
+        N = 6
+        if kind == "standard-basis":
+            prior, A = standard_basis_sparse_prior(N, 2), MixingMatrix.identity(N)
+            expected = "collision"
+        else:
+            prior = generic_orthonormal_sparse_prior(N, 2, seed=3)
+            A = sample_mixing(N, "special-orthogonal", 4)
+            expected = "no-collision-found"
+        blocks = block_structure_for_power_spectrum(N)
+        P = 15 * 9**2
+        reports = []
+        for cells in (P * P, 5 * P, injectivity._ORACLE_CELLS):
+            monkeypatch.setattr(injectivity, "_ORACLE_CELLS", cells)
+            reports.append(brute_force_collision_oracle(prior, A, blocks, 9))
+        one_chunk = reports[0]
+        assert one_chunk.verdict == expected
+        for rep in reports[1:]:
+            assert rep.verdict == one_chunk.verdict
+            np.testing.assert_allclose(rep.residual, one_chunk.residual, rtol=1e-9, atol=1e-15)
 
     def test_agrees_with_search_on_seeded_instances(self):
         # mixed positive/negative instances, K <= 2 throughout

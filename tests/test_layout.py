@@ -100,7 +100,7 @@ def keys_read(func, functions: dict) -> set:
     """The keys that ``func`` reads from the dict that is its first argument.
 
     A key counts when read as ``p["k"]``, ``p.get("k")``, ``"k" in p`` or
-    through ``_given(p, ...)``; a call ``f(p, ...)`` of another function in
+    through ``given(p, ...)``; a call ``f(p, ...)`` of another function in
     ``functions`` adds the keys ``f`` reads. A key that is no string literal,
     or a read through another method of the dict, shows up as ``None``, and
     a call of any other function with the dict raises ``KeyError``, so
@@ -127,7 +127,7 @@ def keys_read(func, functions: dict) -> set:
             keys.add(literal(node.args[0]) if node.func.attr == "get" else None)
         elif node.args and is_dict(node.args[0]):
             callee = getattr(node.func, "id", None)
-            if callee == "_given":
+            if callee == "given":
                 keys |= {literal(arg) for arg in node.args[1:]}
                 keys |= {literal(kw.value) for kw in node.keywords}
             else:
@@ -150,7 +150,7 @@ def test_the_key_reader_sees_every_form():
         "def _run_x(p, out):\n"
         "    a = p['a'] + p.get('b', 0)\n"
         "    if 'c' in p and 'z' not in p:\n"
-        "        _given(p, 'd', renamed='f')\n"
+        "        given(p, 'd', renamed='f')\n"
         "    return helper(p), p['g']['not-a-key']\n"
     )
     functions = {node.name: node for node in ast.parse(source).body}

@@ -286,6 +286,25 @@ class TestKernelOracles:
             )
 
     @pytest.mark.parametrize("blocks", KERNEL_LAYOUTS, ids=lambda b: str(b.dims))
+    def test_measurement_of_a_stack_is_its_rows(self, blocks):
+        r = np.random.default_rng(blocks.N)
+        X = r.normal(size=(7, blocks.N))
+        A = r.normal(size=(blocks.N, blocks.N))
+        stacked = separable_measurement(X, A, blocks)
+        assert stacked.shape == (7, blocks.R)
+        for x, row in zip(X, stacked):
+            single = separable_measurement(x, A, blocks)
+            np.testing.assert_allclose(row, single, rtol=1e-12, atol=1e-12)
+            s = A @ x           # one signal keeps the bits of A @ x
+            np.testing.assert_array_equal(single, np.add.reduceat(s * s, blocks.starts))
+
+    def test_measurement_checks_the_signal_shape(self):
+        blocks = block_structure_for_power_spectrum(4)
+        for bad in (np.ones(5), np.ones((3, 5)), np.ones((2, 2, 4))):
+            with pytest.raises(DimensionError):
+                separable_measurement(bad, np.eye(4), blocks)
+
+    @pytest.mark.parametrize("blocks", KERNEL_LAYOUTS, ids=lambda b: str(b.dims))
     def test_jacobian_matches_loop_form(self, blocks):
         r = np.random.default_rng(blocks.N)
         for _ in range(5):

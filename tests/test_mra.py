@@ -547,6 +547,15 @@ class TestSampleComplexity:
         )
         assert result.rows[0]["n_star"] == 4
 
+    def test_rejects_n_min_above_n_cap(self):
+        N = 8
+        prior = random_relu_network((2, 10, N), seed=11)
+        A = sample_mixing(N, "special-orthogonal", 11)
+        with pytest.raises(ValueError, match="n_min <= n_cap"):
+            sample_complexity_sweep(
+                prior, A, GroupAction.cyclic(N), [0.5], 0.1, seeds=[0], n_min=5000, n_cap=100
+            )
+
     def test_median_error_decreases_along_grid(self):
         # fixed sigma: growing n must (weakly) improve the median error
         N = 8
@@ -555,7 +564,7 @@ class TestSampleComplexity:
         A = sample_mixing(N, "special-orthogonal", 11)
         from momentlab.mra import draw_ground_truth, extract_invariants as ext
 
-        _, _, x_star, _, _ = draw_ground_truth(prior, A.entries, 0, 0.4)
+        _, _, x_star = draw_ground_truth(prior, A.entries, 0, 0.4)
         meds = []
         for n in (100, 2000, 40000):
             errs = []

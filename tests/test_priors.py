@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,10 +20,13 @@ from momentlab.priors import (
     estimate_image_dimension,
     generator_forward,
     generator_jacobian,
+    generic_linear_sparse_prior,
     generic_orthonormal_sparse_prior,
+    latent_parametrizations,
     network_from_json,
     network_to_json,
     perturb_final_layer,
+    prior_charts,
     random_relu_network,
     sample_mixing,
     sample_sparse,
@@ -100,7 +105,7 @@ class TestGeneratorJacobian:
         h = 1e-6
         for _ in range(10):
             z = rng.normal(size=3)
-            J = generator_jacobian(net, z)
+            _, J = generator_jacobian(net, z)
             J_fd = np.empty_like(J)
             for j in range(3):
                 e = np.zeros(3)
@@ -109,6 +114,119 @@ class TestGeneratorJacobian:
                     generator_forward(net, z + e) - generator_forward(net, z - e)
                 ) / (2 * h)
             np.testing.assert_allclose(J, J_fd, atol=1e-5)
+
+
+ACTIVATIONS = ["identity", "relu", "leaky-relu(0.1)", "hardtanh(-0.5,0.7)"]
+
+
+def reference_activation(tag, a):
+    if tag == "relu":
+        return np.maximum(a, 0.0)
+    if tag == "leaky-relu(0.1)":
+        return np.where(a > 0, a, 0.1 * a)
+    if tag == "hardtanh(-0.5,0.7)":
+        return np.clip(a, -0.5, 0.7)
+    return a
+
+
+def reference_forward(net, z, tag):
+    """Reference form: one point through one layer at a time, as W @ a."""
+    a = z
+    for layer in net.layers:
+        a = layer.weight @ a
+        if layer.bias is not None:
+            a = a + layer.bias
+        a = reference_activation(tag, a)
+    return a
+
+
+def network(tag, bias, seed=0):
+    """Layers (2 -> 7 -> 6 -> 5), each with activation ``tag``."""
+    r = np.random.default_rng(seed)
+    widths = (2, 7, 6, 5)
+    return GeneratorNetwork(tuple(
+        Layer(r.normal(size=(n_out, n_in)), tag, r.normal(size=n_out) if bias else None)
+        for n_in, n_out in zip(widths, widths[1:])
+    ))
+
+
+class TestLayerWalk:
+    """generator_forward and generator_jacobian on points, stacks and charts."""
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("tag", ACTIVATIONS)
+    def test_point_keeps_the_layer_by_layer_bits(self, rng, tag, bias):
+        net = network(tag, bias)
+        for _ in range(10):
+            z = rng.normal(size=2)
+            np.testing.assert_array_equal(generator_forward(net, z), reference_forward(net, z, tag))
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("tag", ACTIVATIONS)
+    def test_stack_is_its_rows(self, rng, tag, bias):
+        net = network(tag, bias)
+        Z = rng.normal(size=(9, 2))
+        X = generator_forward(net, Z)
+        assert X.shape == (9, 5)
+        for z, x in zip(Z, X):
+            np.testing.assert_allclose(x, generator_forward(net, z), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("tag", ACTIVATIONS)
+    def test_jacobian_walk_returns_the_forward_value(self, rng, tag, bias):
+        net = network(tag, bias)
+        for _ in range(10):
+            z = rng.normal(size=2)
+            x, J = generator_jacobian(net, z)
+            np.testing.assert_array_equal(x, generator_forward(net, z))
+            assert J.shape == (5, 2)
+
+    def test_shapes_are_checked(self):
+        net = network("relu", False)
+        for bad in (np.ones(3), np.ones((4, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(DimensionError):
+                generator_forward(net, bad)
+        with pytest.raises(DimensionError):
+            generator_jacobian(net, np.ones((4, 2)))
+
+    def test_sparse_chart_is_its_basis_columns(self):
+        prior = generic_linear_sparse_prior(7, 3, seed=2)
+        params = latent_parametrizations(prior, np.random.default_rng(5))
+        ref = np.random.default_rng(5)
+        for _ in range(6):
+            # the draws of one restart: a sorted support, then its start
+            support = np.sort(ref.choice(7, size=3, replace=False))
+            z_ref = ref.normal(size=3)
+            z0, net = next(params)
+            np.testing.assert_array_equal(z0, z_ref)
+            B = prior.basis[:, support]
+            np.testing.assert_array_equal(generator_forward(net, z0), B @ z0)
+            x, J = generator_jacobian(net, z0)
+            np.testing.assert_array_equal(x, B @ z0)
+            np.testing.assert_array_equal(J, B)
+
+    def test_network_is_its_own_chart(self):
+        net = random_relu_network((2, 6, 5), seed=3)
+        params = latent_parametrizations(net, np.random.default_rng(8))
+        ref = np.random.default_rng(8)
+        for _ in range(4):
+            z0, chart = next(params)
+            assert chart is net
+            np.testing.assert_array_equal(z0, ref.normal(size=2))
+        assert prior_charts(net) == [net]
+
+    def test_sparse_prior_has_one_chart_per_support(self):
+        prior = generic_orthonormal_sparse_prior(5, 2, seed=1)
+        charts = prior_charts(prior)
+        supports = list(combinations(range(5), 2))
+        assert len(charts) == len(supports) == 10
+        for chart, support in zip(charts, supports):
+            (layer,) = chart.layers
+            np.testing.assert_array_equal(layer.weight, prior.basis[:, list(support)])
+
+    def test_unknown_prior_type(self):
+        with pytest.raises(TypeError):
+            next(latent_parametrizations(np.eye(3), np.random.default_rng(0)))
 
 
 class TestImageDimension:
