@@ -18,7 +18,6 @@ this is the classical power spectrum in a real Fourier basis). On top of it sit
 
 from .measurements import (
     BlockStructure,
-    MixingMatrix,
     block_structure_for_power_spectrum,
     from_real_fourier,
     measurement_jacobian,
@@ -40,7 +39,6 @@ from .priors import (
 
 __all__ = [
     "BlockStructure",
-    "MixingMatrix",
     "block_structure_for_power_spectrum",
     "from_real_fourier",
     "measurement_jacobian",

@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .measurements import BlockStructure, MixingMatrix, block_structure_for_power_spectrum
+import numpy as np
+
+from .measurements import BlockStructure, block_structure_for_power_spectrum
 from .mra import sample_complexity_sweep
 from .priors import (
     ambient_network,
@@ -109,9 +111,10 @@ def build_prior(spec: dict):
     return generic_linear_sparse_prior(N, M, **given(spec, "seed"))
 
 
-def build_mixing(spec: dict, N: int) -> MixingMatrix:
+def build_mixing(spec: dict, N: int) -> np.ndarray:
+    """The (N, N) mixing a spec names: ``np.eye(N)`` or a seeded draw."""
     if spec["kind"] == "identity":
-        return MixingMatrix.identity(N)
+        return np.eye(N)
     return sample_mixing(N, spec["kind"], seed=int(spec["seed"]))
 
 

@@ -87,7 +87,6 @@ class CollisionReport:
     scale: float
     verdict: str                    # "collision" | "no-collision-found"
     restarts_used: int
-    seed: object
     converged: bool = True
 
     def __post_init__(self):
@@ -100,14 +99,12 @@ class CodimensionEstimate:
     """Rank-based dimension estimate of the mixings confusing a fixed pair.
 
     ``solution`` is the mixing found on the manifold (None if no restart
-    converged); the singular values of the constraint Jacobian there are
-    kept so borderline ranks can be audited.
+    converged).
     """
 
     ambient_dim: int
     estimated_solution_dim: int | None
     theoretical_bound: int
-    singular_values: np.ndarray
     converged: bool
     residual: float
     restarts_used: int
@@ -237,7 +234,6 @@ def collision_search(
         scale=float(s),
         verdict="collision" if hit else "no-collision-found",
         restarts_used=len(converged),
-        seed=seed,
         converged=bool(any(converged) or hit),
     )
 
@@ -309,7 +305,6 @@ def brute_force_collision_oracle(
         scale=float(s),
         verdict="collision" if hit else "no-collision-found",
         restarts_used=0,
-        seed=None,
     )
 
 
@@ -404,7 +399,7 @@ def codimension_probe(
             S[iu] = step
             return expm(S - S.T) @ A
 
-        draw = lambda: sample_mixing(N, "special-orthogonal", rng).entries
+        draw = lambda: sample_mixing(N, "special-orthogonal", rng)
     else:
         raise ValueError(f"unknown manifold {manifold!r}")
 
@@ -422,18 +417,15 @@ def codimension_probe(
             ambient_dim=tangent_dim,
             estimated_solution_dim=None,
             theoretical_bound=bound,
-            singular_values=np.array([]),
             converged=False,
             residual=min(r for r, _ in tries),
             restarts_used=len(tries),
         )
-    sv = np.linalg.svd(jac(A), compute_uv=False)
-    rank = numerical_rank(sv)
+    rank = numerical_rank(np.linalg.svd(jac(A), compute_uv=False))
     return CodimensionEstimate(
         ambient_dim=tangent_dim,
         estimated_solution_dim=tangent_dim - rank,
         theoretical_bound=bound,
-        singular_values=sv,
         converged=True,
         residual=res_norm,
         restarts_used=len(tries),

@@ -14,31 +14,21 @@ unitary, so block energies sum to the squared 2-norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "BlockStructure",
-    "MixingMatrix",
     "block_structure_for_power_spectrum",
     "real_fourier_matrix",
     "to_real_fourier",
     "from_real_fourier",
-    "mixing_array",
     "second_moment_blocks",
     "separable_measurement",
     "measurement_jacobian",
 ]
-
-#: Relative tolerance for orthogonality / determinant checks on mixings.
-ORTHO_TOL = 1e-10
-
-#: A general-linear mixing must have smallest singular value above this
-#: multiple of the largest (numerical invertibility).
-CONDITION_FLOOR = 1e-12
-
 
 class DimensionError(ValueError):
     """Raised when vector/matrix/block dimensions do not agree."""
@@ -144,56 +134,6 @@ def from_real_fourier(x: np.ndarray) -> np.ndarray:
     return real_fourier_matrix(x.shape[0]).T @ x
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """An N x N real mixing with a kind tag, rows grouped per block.
-
-    kind="special-orthogonal" requires A^T A = I and det A = +1 (within
-    ORTHO_TOL); kind="general-linear" requires numerical invertibility.
-    """
-
-    entries: np.ndarray
-    kind: str = "general-linear"
-    seed: int | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        A = np.asarray(self.entries, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionError(f"mixing must be square, got shape {A.shape}")
-        object.__setattr__(self, "entries", A)
-        if self.kind == "special-orthogonal":
-            gram_err = np.max(np.abs(A.T @ A - np.eye(A.shape[0])))
-            det = np.linalg.det(A)
-            if gram_err > ORTHO_TOL or abs(det - 1.0) > ORTHO_TOL:
-                raise ValueError(
-                    "not special-orthogonal: |A^T A - I|_max = "
-                    f"{gram_err:.3e}, det = {det:.12f}"
-                )
-        elif self.kind == "general-linear":
-            sv = np.linalg.svd(A, compute_uv=False)
-            if sv[-1] <= CONDITION_FLOOR * sv[0]:
-                raise ValueError(
-                    f"numerically singular mixing: sv ratio {sv[-1] / sv[0]:.3e}"
-                )
-        else:
-            raise ValueError(f"unknown mixing kind {self.kind!r}")
-
-    @property
-    def N(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, N: int, kind: str = "special-orthogonal") -> "MixingMatrix":
-        return cls(np.eye(int(N)), kind)
-
-
-def mixing_array(A) -> np.ndarray:
-    """The entries of a MixingMatrix, or any array-like as a float array."""
-    if isinstance(A, MixingMatrix):
-        return A.entries
-    return np.asarray(A, dtype=float)
-
-
 def second_moment_blocks(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
     """Per-block sums of squared coordinates (length-R, nonnegative).
 
@@ -214,7 +154,7 @@ def separable_measurement(x, A, blocks: BlockStructure) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != blocks.N:
         raise DimensionError(f"signal has shape {x.shape}, expected (..., {blocks.N})")
-    A = mixing_array(A)
+    A = np.asarray(A, dtype=float)
     if A.shape != (blocks.N, blocks.N):
         raise DimensionError(
             f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
@@ -229,7 +169,7 @@ def measurement_jacobian(x, A, blocks: BlockStructure) -> np.ndarray:
     Row k is 2 * sum_j <x, w_j> w_j over the rows of block k.
     """
     x = blocks.check_signal(x)
-    A = mixing_array(A)
+    A = np.asarray(A, dtype=float)
     if A.shape != (blocks.N, blocks.N):
         raise DimensionError(
             f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"

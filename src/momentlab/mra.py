@@ -33,7 +33,6 @@ from .measurements import (
     DimensionError,
     block_structure_for_power_spectrum,
     measurement_jacobian,
-    mixing_array,
     real_fourier_matrix,
     second_moment_blocks,
     separable_measurement,
@@ -309,18 +308,17 @@ def recover(
         raise DimensionError(f"invariants shape {invariants.shape}, expected ({blocks.R},)")
     rng = as_rng(seed)
     params = latent_parametrizations(prior, rng)
-    Ae = mixing_array(A)
     f_target = (1e-10 * max(1.0, np.linalg.norm(invariants))) ** 2
 
     def attempt():
         z0, net = next(params)
 
         def residual(z):
-            return separable_measurement(generator_forward(net, z), Ae, blocks) - invariants
+            return separable_measurement(generator_forward(net, z), A, blocks) - invariants
 
         def jacobian(z):
             x, G = generator_jacobian(net, z)
-            return measurement_jacobian(x, Ae, blocks) @ G
+            return measurement_jacobian(x, A, blocks) @ G
 
         res = damped_gauss_newton(
             residual, jacobian, z0, max_iter=max_iter, f_tol=f_target
@@ -330,7 +328,7 @@ def recover(
     tries = multistart(attempt, restarts, lambda t: t[0] <= f_target)
     f, p = min(tries, key=lambda t: t[0])      # the first of the best
     return RecoveryResult(
-        x_hat=Ae @ p,
+        x_hat=A @ p,
         prior_point=p,
         residual=float(np.sqrt(f)),
         converged=bool(f <= f_target),
@@ -342,27 +340,26 @@ def recover(
 class SampleComplexityResult:
     rows: list[dict]                # sigma, n_star, median_error, seeds_used
     fitted_slope: float | None
-    n_grid: np.ndarray
 
 
-def draw_ground_truth(prior, Ae, true_seed, signal_norm: float | None):
+def draw_ground_truth(prior, A, true_seed, signal_norm: float | None):
     """One fixed draw x* = A p(z*) from the mixed prior, optionally rescaled: (chart, z*, x*)."""
     rng = as_rng(true_seed)
     z0, net = next(latent_parametrizations(prior, rng))
-    x_star = Ae @ generator_forward(net, z0)
+    x_star = A @ generator_forward(net, z0)
     if signal_norm is not None:
         nrm = np.linalg.norm(x_star)
         if nrm == 0:
             raise ValueError("drew a zero ground-truth signal; pick another true_seed")
         z0 = z0 * (signal_norm / nrm)   # valid rescaling for positively homogeneous priors
-        x_star = Ae @ generator_forward(net, z0)
+        x_star = A @ generator_forward(net, z0)
         if not np.isclose(np.linalg.norm(x_star), signal_norm, rtol=1e-8):
             # prior not homogeneous; fall back to rescaling the signal itself
             x_star = x_star * (signal_norm / np.linalg.norm(x_star))
     return net, z0, x_star
 
 
-def instance_noise_amplification(prior, Ae, blocks, true_seed, signal_norm=None) -> float:
+def instance_noise_amplification(prior, A, blocks, true_seed, signal_norm=None) -> float:
     """Worst-case gain from invariant errors to signal errors at one instance.
 
     The ratio of the largest singular value of d(signal)/d(latent) to the
@@ -370,18 +367,18 @@ def instance_noise_amplification(prior, Ae, blocks, true_seed, signal_norm=None)
     screen experiment instances: a large value means recovery needs far more
     observations for the same target error, without changing the scaling law.
     """
-    net, z0, _ = draw_ground_truth(prior, Ae, true_seed, signal_norm)
+    net, z0, _ = draw_ground_truth(prior, A, true_seed, signal_norm)
     p, J_prior = generator_jacobian(net, z0)
-    J_inv = measurement_jacobian(p, Ae, blocks) @ J_prior
+    J_inv = measurement_jacobian(p, A, blocks) @ J_prior
     sv_inv = np.linalg.svd(J_inv, compute_uv=False)
-    sv_x = np.linalg.svd(Ae @ J_prior, compute_uv=False)
+    sv_x = np.linalg.svd(A @ J_prior, compute_uv=False)
     if sv_inv[-1] == 0:
         return np.inf
     return float(sv_x[0] / sv_inv[-1])
 
 
 def select_conditioned_instance(
-    prior, Ae, blocks, signal_norm=None, amp_threshold: float = 6.0
+    prior, A, blocks, signal_norm=None, amp_threshold: float = 6.0
 ) -> int:
     """First ground-truth seed whose noise amplification is below a threshold.
 
@@ -390,7 +387,7 @@ def select_conditioned_instance(
     """
     for seed in range(_MAX_SCAN):
         try:
-            amp = instance_noise_amplification(prior, Ae, blocks, seed, signal_norm)
+            amp = instance_noise_amplification(prior, A, blocks, seed, signal_norm)
         except ValueError:
             continue
         if amp <= amp_threshold:
@@ -436,8 +433,7 @@ def sample_complexity_sweep(
         )
     seeds = list(seeds)
     blocks = group.blocks
-    Ae = mixing_array(A)
-    _, _, x_star = draw_ground_truth(prior, Ae, true_seed, signal_norm)
+    _, _, x_star = draw_ground_truth(prior, A, true_seed, signal_norm)
 
     grid = [int(n_min)]
     while grid[-1] < n_cap:
@@ -452,7 +448,7 @@ def sample_complexity_sweep(
         rec = recover(
             inv,
             prior,
-            Ae,
+            A,
             blocks,
             seed=np.random.SeedSequence((int(true_seed), sigma_idx, n_idx, int(seed), 0xC)),
             restarts=recover_restarts,
@@ -485,4 +481,4 @@ def sample_complexity_sweep(
         ls = np.log([s for s, _ in solved])
         ln = np.log([n for _, n in solved])
         slope = float(np.polyfit(ls, ln, 1)[0])
-    return SampleComplexityResult(rows, slope, grid)
+    return SampleComplexityResult(rows, slope)

@@ -25,13 +25,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .measurements import DimensionError, MixingMatrix, real_fourier_matrix
+from .measurements import DimensionError, real_fourier_matrix
 
 __all__ = [
     "Layer",
     "GeneratorNetwork",
     "SparsePrior",
-    "DimensionEstimate",
     "generator_forward",
     "generator_jacobian",
     "estimate_image_dimension",
@@ -211,15 +210,6 @@ def generator_jacobian(net: GeneratorNetwork, z: np.ndarray) -> tuple[np.ndarray
     return a, J
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
-    """Numerical estimate of the dimension of a network's image."""
-
-    value: int
-    singular_values: np.ndarray
-    trials: int
-
-
 #: Singular values above this multiple of the largest count towards a rank.
 RANK_RTOL = 1e-6
 
@@ -229,26 +219,22 @@ def numerical_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
-def estimate_image_dimension(net: GeneratorNetwork, trials: int = 50, seed=0) -> DimensionEstimate:
+def estimate_image_dimension(net: GeneratorNetwork, trials: int = 50, seed=0) -> int:
     """Estimate dim(image) as the max Jacobian rank over sampled latents.
 
     The image of a piecewise-linear map is a union of strata whose
     dimension is attained on the stratum of maximal Jacobian rank, hence
-    the max over standard-Gaussian latent samples. Singular values of a
-    maximizing sample are kept so borderline ranks can be audited.
+    the max over standard-Gaussian latent samples.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
     best_rank = 0
-    best_sv = np.zeros(min(net.latent_dim, net.output_dim))
     for _ in range(trials):
         z = rng.normal(size=net.latent_dim)
         sv = np.linalg.svd(generator_jacobian(net, z)[1], compute_uv=False)
-        rank = numerical_rank(sv)
-        if rank > best_rank:
-            best_rank, best_sv = rank, sv
-    return DimensionEstimate(best_rank, best_sv, trials)
+        best_rank = max(best_rank, numerical_rank(sv))
+    return best_rank
 
 
 @dataclass(frozen=True)
@@ -343,22 +329,24 @@ def standard_basis_sparse_prior(N: int, M: int) -> SparsePrior:
 
 def generic_orthonormal_sparse_prior(N: int, M: int, seed=0) -> SparsePrior:
     """Sparsity with respect to a Haar-random orthonormal basis."""
-    B = sample_mixing(N, "special-orthogonal", seed).entries
+    B = sample_mixing(N, "special-orthogonal", seed)
     return SparsePrior(B, int(M), "generic-orthonormal")
 
 
 def generic_linear_sparse_prior(N: int, M: int, seed=0) -> SparsePrior:
     """Sparsity with respect to a random invertible (non-orthogonal) basis."""
-    B = sample_mixing(N, "general-linear", seed).entries
+    B = sample_mixing(N, "general-linear", seed)
     return SparsePrior(B, int(M), "generic-linear")
 
 
-def sample_mixing(N: int, kind: str, seed=0) -> MixingMatrix:
-    """Draw a generic mixing: Gaussian for GL(N), Haar for SO(N).
+def sample_mixing(N: int, kind: str, seed=0) -> np.ndarray:
+    """Draw a generic (N, N) mixing: Gaussian for GL(N), Haar for SO(N).
 
-    The Haar draw orthonormalizes a Gaussian matrix by QR, fixes the sign
-    ambiguity of the factorization via the diagonal of R, and flips one
-    row when needed so the determinant is +1.
+    A Gaussian draw whose smallest singular value is not above 1e-12 times
+    its largest is drawn again, up to _MIXING_RETRIES times. The Haar draw
+    orthonormalizes a Gaussian matrix by QR, fixes the sign ambiguity of
+    the factorization via the diagonal of R, and flips one row when needed
+    so the determinant is +1.
     """
     N = int(N)
     if N < 1:
@@ -369,7 +357,7 @@ def sample_mixing(N: int, kind: str, seed=0) -> MixingMatrix:
             A = rng.normal(size=(N, N))
             sv = np.linalg.svd(A, compute_uv=False)
             if sv[-1] > 1e-12 * sv[0]:
-                return MixingMatrix(A, kind, seed=seed if isinstance(seed, int) else None)
+                return A
         raise RuntimeError(
             f"failed to draw a well-conditioned Gaussian matrix in {_MIXING_RETRIES} tries"
         )
@@ -381,7 +369,7 @@ def sample_mixing(N: int, kind: str, seed=0) -> MixingMatrix:
         Q = Q * signs
         if np.linalg.det(Q) < 0:
             Q[0] *= -1.0
-        return MixingMatrix(Q, kind, seed=seed if isinstance(seed, int) else None)
+        return Q
     raise ValueError(f"unknown mixing kind {kind!r}")
 
 

@@ -136,11 +136,16 @@ def _run_measure(p: dict, out: Path):
         sig = np.asarray(p["signal"], dtype=float)
     else:
         try:
-            sig = np.loadtxt(p["signal_path"]).reshape(-1)
+            text = Path(p["signal_path"]).read_text("utf-8")
+            # loadtxt's own comment rule; it warns instead of raising on no data
+            lines = [line.split("#")[0] for line in text.splitlines()]
+            sig = np.loadtxt(lines).reshape(-1) if any(map(str.strip, lines)) else None
         except ValueError as e:
             raise ConfigError(f"parameters.signal_path: not a list of numbers ({e})") from None
-        if sig.size == 0:
+        if sig is None:
             raise ConfigError("parameters.signal_path: the file holds no numbers")
+        if not np.isfinite(sig).all():
+            raise ConfigError("parameters.signal_path: the file holds a value that is not finite")
     if p.get("domain", "block") == "time":
         sig = to_real_fourier(sig)
     N = sig.shape[0]
@@ -163,7 +168,7 @@ def _run_measure(p: dict, out: Path):
 def _prior_dimension_summary(prior) -> int:
     if isinstance(prior, SparsePrior):
         return prior.sparsity
-    return estimate_image_dimension(prior, trials=32, seed=0).value
+    return estimate_image_dimension(prior, trials=32, seed=0)
 
 
 def _run_collide(p: dict, out: Path):
@@ -323,7 +328,7 @@ def _run_mra_sim(p: dict, out: Path):
         prior = _build_group_prior(p["prior"], group)
         A = build_mixing(p.get("mixing", {"kind": "identity"}), N)
         _, _, x_star = draw_ground_truth(
-            prior, A.entries, p.get("true_seed", 0), p.get("signal_norm")
+            prior, A, p.get("true_seed", 0), p.get("signal_norm")
         )
     else:
         rng = np.random.default_rng(int(p.get("signal_seed", 0)))
@@ -460,7 +465,7 @@ def _run_sweep(p: dict, out: Path):
     if true_seed == "auto-conditioned":
         try:
             true_seed = select_conditioned_instance(
-                prior, A.entries, group.blocks, **given(p, "signal_norm", "amp_threshold")
+                prior, A, group.blocks, **given(p, "signal_norm", "amp_threshold")
             )
         except RuntimeError as e:
             raise ConfigError(f"parameters.amp_threshold: {e}") from None

@@ -110,7 +110,11 @@ class TestMeasureCommand:
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("text", ["1 2\n3\n", ""], ids=["ragged", "empty"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1 2\n3\n", "", "# no data\n\n", "1 nan 2 3\n", "inf 1\n"],
+        ids=["ragged", "empty", "comments-only", "nan", "inf"],
+    )
     def test_malformed_signal_file_exits_2(self, tmp_path, capsys, text):
         signal = tmp_path / "signal.txt"
         signal.write_text(text)

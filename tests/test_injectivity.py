@@ -14,7 +14,6 @@ from momentlab.injectivity import (
 )
 from momentlab.measurements import (
     BlockStructure,
-    MixingMatrix,
     block_structure_for_power_spectrum,
     separable_measurement,
     to_real_fourier,
@@ -90,7 +89,7 @@ class TestCollisionSearch:
         N = 8
         blocks = block_structure_for_power_spectrum(N)
         rep = collision_search(
-            ambient_network(N), MixingMatrix.identity(N), blocks, restarts=50, seed=42
+            ambient_network(N), np.eye(N), blocks, restarts=50, seed=42
         )
         assert rep.verdict == "collision"
         assert rep.residual < 1e-12
@@ -106,7 +105,7 @@ class TestCollisionSearch:
         blocks = block_structure_for_power_spectrum(N)
         prior = standard_basis_sparse_prior(N, 2)
         rep = collision_search(
-            prior, MixingMatrix.identity(N), blocks, restarts=100, seed=7
+            prior, np.eye(N), blocks, restarts=100, seed=7
         )
         assert rep.verdict == "collision"
         assert rep.residual < 1e-12
@@ -171,7 +170,7 @@ class TestBruteForceOracle:
         N = 5
         net = GeneratorNetwork((Layer(np.zeros((N, 2)), "identity"),))
         rep = brute_force_collision_oracle(
-            net, MixingMatrix.identity(N), block_structure_for_power_spectrum(N), 21
+            net, np.eye(N), block_structure_for_power_spectrum(N), 21
         )
         assert rep.verdict == "no-collision-found"
 
@@ -181,7 +180,7 @@ class TestBruteForceOracle:
         W[0, 0] = 1.0
         net = GeneratorNetwork((Layer(W, "identity"),))
         rep = brute_force_collision_oracle(
-            net, MixingMatrix.identity(N), block_structure_for_power_spectrum(N), 101
+            net, np.eye(N), block_structure_for_power_spectrum(N), 101
         )
         assert rep.verdict == "no-collision-found"
 
@@ -189,7 +188,7 @@ class TestBruteForceOracle:
         N = 7
         net = pair_block_embedding_network(N, 1)
         rep = brute_force_collision_oracle(
-            net, MixingMatrix.identity(N), block_structure_for_power_spectrum(N), 41
+            net, np.eye(N), block_structure_for_power_spectrum(N), 41
         )
         assert rep.verdict == "collision"
         assert rep.residual < 1e-12
@@ -224,7 +223,7 @@ class TestBruteForceOracle:
         # P = 15 supports x 9^2 grid points = 1215, small enough for one chunk
         N = 6
         if kind == "standard-basis":
-            prior, A = standard_basis_sparse_prior(N, 2), MixingMatrix.identity(N)
+            prior, A = standard_basis_sparse_prior(N, 2), np.eye(N)
             expected = "collision"
         else:
             prior = generic_orthonormal_sparse_prior(N, 2, seed=3)
@@ -255,10 +254,10 @@ class TestBruteForceOracle:
         for seed in range(3):
             net = pair_block_embedding_network(N, 1 + 2 * seed)
             search = collision_search(
-                net, MixingMatrix.identity(N), blocks, restarts=40, seed=seed
+                net, np.eye(N), blocks, restarts=40, seed=seed
             )
             oracle = brute_force_collision_oracle(
-                net, MixingMatrix.identity(N), blocks, 41
+                net, np.eye(N), blocks, 41
             )
             assert search.verdict == oracle.verdict == "collision"
 
@@ -342,7 +341,7 @@ class TestCodimensionProbe:
         xn, yn = probe_normalized(x, y, manifold)
         loop = loop_gl_probe_jacobian if manifold == "general-linear" else loop_so_probe_jacobian
         for i in range(3):
-            A = sample_mixing(blocks.N, manifold, i).entries
+            A = sample_mixing(blocks.N, manifold, i)
             np.testing.assert_array_equal(jac(A), loop(A, xn, yn, blocks))
 
     def test_singleton_block_factorization_at_solution(self, rng):

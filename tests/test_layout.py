@@ -3,14 +3,17 @@
 A module imports no ``_``-prefixed name from another module: what two
 modules share is public in the one that owns it. A module imports no name
 it never uses; a name listed in ``__all__`` counts as used (re-exports).
+Every name a module lists in ``__all__`` is defined in it.
 The third-party modules the package imports are its declared dependencies.
 Each command's runner reads exactly the parameters that the config table
 lets that command's configs carry.
 """
 
 import ast
+import importlib
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,23 @@ def test_no_private_names_imported(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def missing_exports(module) -> list[str]:
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_the_export_check_flags_a_stale_name():
+    module = types.ModuleType("stale")
+    module.__all__ = ["present", "gone"]
+    module.present = None
+    assert missing_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    name = "momentlab" if path.stem == "__init__" else f"momentlab.{path.stem}"
+    assert missing_exports(importlib.import_module(name)) == []
 
 
 def third_party_imports(sources) -> set[str]:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from momentlab.measurements import (
     BlockStructure,
     DimensionError,
-    MixingMatrix,
     block_structure_for_power_spectrum,
     from_real_fourier,
     measurement_jacobian,
@@ -315,19 +314,3 @@ class TestKernelOracles:
                 loop_measurement_jacobian(x, A, blocks),
                 rtol=1e-12,
             )
-
-
-class TestMixingMatrix:
-    def test_special_orthogonal_validation(self):
-        MixingMatrix(np.eye(4), "special-orthogonal")
-        with pytest.raises(ValueError):
-            MixingMatrix(2 * np.eye(4), "special-orthogonal")
-        refl = np.diag([-1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            MixingMatrix(refl, "special-orthogonal")  # det = -1
-
-    def test_general_linear_rejects_singular(self):
-        A = np.eye(4)
-        A[3, 3] = 0.0
-        with pytest.raises(ValueError):
-            MixingMatrix(A, "general-linear")

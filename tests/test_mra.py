@@ -484,7 +484,7 @@ class TestRecovery:
         blocks = block_structure_for_power_spectrum(N)
         prior = random_relu_network((2, 10, N), seed=4)
         A = sample_mixing(N, "special-orthogonal", 6)
-        x_true = A.entries @ generator_forward(prior, rng.normal(size=2))
+        x_true = A @ generator_forward(prior, rng.normal(size=2))
         inv = second_moment_blocks(x_true, blocks)
         solves = spy_solves(mra)
         rec = recover(inv, prior, A, blocks, seed=seed, restarts=20)
@@ -502,7 +502,7 @@ class TestRecovery:
         from momentlab.priors import generator_forward
 
         z_true = rng.normal(size=2)
-        x_true = A.entries @ generator_forward(prior, z_true)
+        x_true = A @ generator_forward(prior, z_true)
         inv = second_moment_blocks(x_true, blocks)
         rec = recover(inv, prior, A, blocks, seed=0, restarts=20)
         assert rec.error_fn(x_true) < 1e-6
@@ -527,7 +527,7 @@ class TestRecovery:
         errs = []
         for seed in range(20):
             z_true = np.random.default_rng(seed).normal(size=2)
-            x_true = A.entries @ generator_forward(prior, z_true)
+            x_true = A @ generator_forward(prior, z_true)
             inv = second_moment_blocks(x_true, blocks)
             noise = np.random.default_rng(1000 + seed).normal(size=blocks.R)
             inv_noisy = inv * (1.0 + delta * noise)
@@ -564,7 +564,7 @@ class TestSampleComplexity:
         A = sample_mixing(N, "special-orthogonal", 11)
         from momentlab.mra import draw_ground_truth, extract_invariants as ext
 
-        _, _, x_star = draw_ground_truth(prior, A.entries, 0, 0.4)
+        _, _, x_star = draw_ground_truth(prior, A, 0, 0.4)
         meds = []
         for n in (100, 2000, 40000):
             errs = []
@@ -581,5 +581,5 @@ class TestSampleComplexity:
         group = GroupAction.cyclic(N)
         prior = random_relu_network((2, 10, N), seed=11)
         A = sample_mixing(N, "special-orthogonal", 11)
-        amp = instance_noise_amplification(prior, A.entries, group.blocks, 0, 0.4)
+        amp = instance_noise_amplification(prior, A, group.blocks, 0, 0.4)
         assert np.isfinite(amp) and amp > 0

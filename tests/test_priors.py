@@ -235,23 +235,21 @@ class TestImageDimension:
         U = rng.normal(size=(7, 2))
         V = rng.normal(size=(2, 5))
         net = GeneratorNetwork((Layer(V, "identity"), Layer(U, "identity")))
-        assert estimate_image_dimension(net, trials=5, seed=0).value == 2
+        assert estimate_image_dimension(net, trials=5, seed=0) == 2
 
     def test_generic_relu_net_with_latent_two(self):
         net = random_relu_network((2, 7, 9), seed=1)
-        est = estimate_image_dimension(net, trials=50, seed=0)
-        assert est.value == 2
+        assert estimate_image_dimension(net, trials=50, seed=0) == 2
 
     def test_constant_zero_net(self):
         net = GeneratorNetwork((Layer(np.zeros((4, 3)), "relu"),))
-        assert estimate_image_dimension(net, trials=5, seed=0).value == 0
+        assert estimate_image_dimension(net, trials=5, seed=0) == 0
 
     def test_never_exceeds_min_layer_width(self):
         for seed in range(10):
             widths = (3, 2, 6, 5)  # bottleneck width 2
             net = random_relu_network(widths, seed=seed)
-            est = estimate_image_dimension(net, trials=20, seed=seed)
-            assert est.value <= min(widths)
+            assert estimate_image_dimension(net, trials=20, seed=seed) <= min(widths)
 
 
 class TestSparsePrior:
@@ -309,23 +307,49 @@ class TestSampleMixing:
     def test_special_orthogonal_contract(self):
         for seed in range(1000):
             A = sample_mixing(6, "special-orthogonal", seed)
-            err = np.max(np.abs(A.entries.T @ A.entries - np.eye(6)))
+            err = np.max(np.abs(A.T @ A - np.eye(6)))
             assert err < 1e-10
-            assert abs(np.linalg.det(A.entries) - 1.0) < 1e-10
+            assert abs(np.linalg.det(A) - 1.0) < 1e-10
 
     def test_reproducible(self):
         A1 = sample_mixing(5, "general-linear", 123)
         A2 = sample_mixing(5, "general-linear", 123)
-        np.testing.assert_array_equal(A1.entries, A2.entries)
+        np.testing.assert_array_equal(A1, A2)
 
     def test_so2_angle_uniform(self):
         rng = np.random.default_rng(0)
         angles = np.empty(100_000)
         for i in range(angles.size):
-            A = sample_mixing(2, "special-orthogonal", rng).entries
+            A = sample_mixing(2, "special-orthogonal", rng)
             angles[i] = np.arctan2(A[1, 0], A[0, 0])
         stat = kstest(angles, "uniform", args=(-np.pi, 2 * np.pi)).statistic
         assert stat < 0.01
+
+    class _Draws:
+        """A stand-in generator whose normal() returns the given matrices in turn."""
+
+        def __init__(self, matrices):
+            self.matrices = iter(matrices)
+            self.calls = 0
+
+        def normal(self, size):
+            self.calls += 1
+            return next(self.matrices)
+
+    def test_general_linear_redraws_a_singular_draw(self, monkeypatch):
+        singular = np.diag([1.0, 1.0, 0.0])
+        good = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]])
+        draws = self._Draws([singular, good])
+        monkeypatch.setattr(priors, "as_rng", lambda seed: draws)
+        np.testing.assert_array_equal(sample_mixing(3, "general-linear", 0), good)
+        assert draws.calls == 2
+
+    def test_general_linear_gives_up_after_the_retries(self, monkeypatch):
+        draws = self._Draws([np.zeros((3, 3))] * priors._MIXING_RETRIES)
+        monkeypatch.setattr(priors, "as_rng", lambda seed: draws)
+        with pytest.raises(RuntimeError, match="tries"):
+            sample_mixing(3, "general-linear", 0)
+        assert draws.calls == priors._MIXING_RETRIES
 
 
 class TestSerialization:
