@@ -372,7 +372,7 @@ def _check(d, level, where: str):
         if inner is not None:
             _check(value, inner, f"{where}{key}.")
     for key in ("path", "signal_path"):
-        if key in d and not Path(d[key]).exists():
+        if key in d and not Path(d[key]).is_file():
             raise ConfigError(f"{where}{key}: file not found: {d[key]}")
     if "M" in d and d["M"] > d["N"]:
         raise ConfigError(f"{where}M: must be <= N = {d['N']}")

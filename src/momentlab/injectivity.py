@@ -9,7 +9,10 @@ Three instruments:
   grid, independent of the optimizer, for latent dimension <= 2.
 * :func:`codimension_probe` finds a mixing that confuses a fixed pair
   (x, y) and estimates the local dimension of the set of such mixings from
-  the rank of the constraint Jacobian on the manifold tangent space.
+  the rank of the constraint Jacobian on the manifold tangent space. On
+  SO(N) each Gauss-Newton step moves along the exponential of a skew
+  generator K, computed exactly in numpy from the symmetric
+  eigendecomposition of K @ K.
 
 Verdict thresholds are scale-aware: measurements are quadratic, so a
 residual is compared against ``residual_tol * s**2`` and a separation
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .gaussnewton import damped_gauss_newton, multistart
 from .measurements import (
@@ -397,7 +399,7 @@ def codimension_probe(
         def retract(A, step):
             S = np.zeros((N, N))
             S[iu] = step
-            return expm(S - S.T) @ A
+            return _expm_skew(S - S.T) @ A
 
         draw = lambda: sample_mixing(N, "special-orthogonal", rng)
     else:
@@ -431,6 +433,20 @@ def codimension_probe(
         restarts_used=len(tries),
         solution=np.asarray(A),
     )
+
+
+def _expm_skew(K: np.ndarray) -> np.ndarray:
+    """exp(K) for a real skew-symmetric K, from one symmetric eigendecomposition.
+
+    K @ K = Q diag(-theta^2) Q^T is real symmetric, and splitting the series
+    of exp(K) into even and odd powers gives exactly
+    exp(K) = Q diag(cos theta) Q^T + K Q diag(sin(theta) / theta) Q^T.
+    The real eigh of K @ K takes less than half the time of the complex eigh
+    of iK, which gives the same map.
+    """
+    t, Q = np.linalg.eigh(K @ K)
+    theta = np.sqrt(np.maximum(-t, 0.0))    # rounding can leave t slightly above 0
+    return (Q * np.cos(theta) + (K @ Q) * np.sinc(theta / np.pi)) @ Q.T
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,12 @@ class SampleComplexityResult:
 
 
 def draw_ground_truth(prior, A, true_seed, signal_norm: float | None):
-    """One fixed draw x* = A p(z*) from the mixed prior, optionally rescaled: (chart, z*, x*)."""
+    """One fixed draw x* = A p(z*) from the mixed prior, optionally rescaled: (chart, z*, x*).
+
+    The rescaling scales z*, so x* stays in the prior. It reaches
+    ``signal_norm`` only for a positively homogeneous chart; otherwise, or
+    for a zero draw, it raises ``ValueError``.
+    """
     rng = as_rng(true_seed)
     z0, net = next(latent_parametrizations(prior, rng))
     x_star = A @ generator_forward(net, z0)
@@ -351,11 +356,14 @@ def draw_ground_truth(prior, A, true_seed, signal_norm: float | None):
         nrm = np.linalg.norm(x_star)
         if nrm == 0:
             raise ValueError("drew a zero ground-truth signal; pick another true_seed")
-        z0 = z0 * (signal_norm / nrm)   # valid rescaling for positively homogeneous priors
+        z0 = z0 * (signal_norm / nrm)
         x_star = A @ generator_forward(net, z0)
-        if not np.isclose(np.linalg.norm(x_star), signal_norm, rtol=1e-8):
-            # prior not homogeneous; fall back to rescaling the signal itself
-            x_star = x_star * (signal_norm / np.linalg.norm(x_star))
+        reached = np.linalg.norm(x_star)
+        if not np.isclose(reached, signal_norm, rtol=1e-8):
+            raise ValueError(
+                f"rescaling the latent draw gives a signal of norm {reached:.6g}, not "
+                f"{signal_norm:g}: the prior is not positively homogeneous there"
+            )
     return net, z0, x_star
 
 

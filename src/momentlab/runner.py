@@ -315,6 +315,14 @@ def _build_group_prior(spec: dict, group: GroupAction):
     return prior
 
 
+def _ground_truth(prior, A, true_seed, signal_norm) -> np.ndarray:
+    """The ground-truth signal x*; a draw ``signal_norm`` cannot rescale is a config error."""
+    try:
+        return draw_ground_truth(prior, A, true_seed, signal_norm)[2]
+    except ValueError as e:
+        raise ConfigError(f"parameters.signal_norm: {e}") from None
+
+
 def _run_mra_sim(p: dict, out: Path):
     group = _build_group(p["group"])
     blocks = group.blocks
@@ -327,9 +335,7 @@ def _run_mra_sim(p: dict, out: Path):
     if "prior" in p:
         prior = _build_group_prior(p["prior"], group)
         A = build_mixing(p.get("mixing", {"kind": "identity"}), N)
-        _, _, x_star = draw_ground_truth(
-            prior, A, p.get("true_seed", 0), p.get("signal_norm")
-        )
+        x_star = _ground_truth(prior, A, p.get("true_seed", 0), p.get("signal_norm"))
     else:
         rng = np.random.default_rng(int(p.get("signal_seed", 0)))
         x_star = rng.normal(size=N)
@@ -469,6 +475,7 @@ def _run_sweep(p: dict, out: Path):
             )
         except RuntimeError as e:
             raise ConfigError(f"parameters.amp_threshold: {e}") from None
+    _ground_truth(prior, A, true_seed, p.get("signal_norm"))
     result = sample_complexity_sweep(
         prior,
         A,

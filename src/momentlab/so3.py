@@ -9,7 +9,9 @@ Rotations use ZYZ Euler angles (alpha, beta, gamma): the point rotation is
 Rz(alpha) Ry(beta) Rz(gamma) and functions transform by composition with its
 inverse. The per-degree matrix is the complex Wigner matrix -- built as the
 exponential of the y-generator, diagonalized once per degree -- conjugated
-into the real-harmonic basis, which makes it real orthogonal.
+into the real-harmonic basis, which makes it real orthogonal. Everything here
+is plain numpy: the full matrix places the per-degree blocks on the diagonal
+of a zeros array.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .measurements import BlockStructure, DimensionError
 
@@ -129,7 +130,11 @@ def wigner_block(L: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
     L = int(L)
     if L < 0 or L > MAX_BAND_LIMIT:
         raise ValueError(f"band limit must lie in [0, {MAX_BAND_LIMIT}], got {L}")
-    return block_diag(*[wigner_degree_block(l, alpha, beta, gamma) for l in range(L + 1)])
+    blocks = band_limit_blocks(L)
+    D = np.zeros((blocks.N, blocks.N))
+    for l, s in enumerate(blocks.slices()):
+        D[s, s] = wigner_degree_block(l, alpha, beta, gamma)
+    return D
 
 
 def rotate_bandlimited(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -97,12 +97,14 @@ class TestMeasureCommand:
             ('domain="bogus"', "parameters.domain"),
             ('signal_path="ragged.txt"', "parameters.signal"),
             ('mixing={"kind":"identity","seed":1}', "parameters.mixing.seed"),
+            ('signal_path="adir"', "parameters.signal_path"),
         ],
     )
     def test_bad_override_exits_2_naming_the_field(
         self, tmp_path, capsys, monkeypatch, override, field
     ):
         (tmp_path / "ragged.txt").write_text("1 2\n3\n")
+        (tmp_path / "adir").mkdir()
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, MEASURE_CONFIG)
         assert main(["run", "--config", str(path), "--out", str(tmp_path), "--set", override]) == 2
@@ -293,6 +295,49 @@ class TestSweepCommand:
         assert field in capsys.readouterr().err
 
 
+# Its image has norm <= 5.4, so no rescaling of a latent draw reaches norm 50.
+HARDTANH_PRIOR = {
+    "type": "relu-network",
+    "widths": [2, 10, 8],
+    "seed": 11,
+    "activation": "hardtanh(-0.5,0.5)",
+}
+
+
+@pytest.mark.parametrize(
+    "command, params",
+    [
+        (
+            "mra-sim",
+            {
+                "group": {"kind": "cyclic", "N": 8},
+                "prior": HARDTANH_PRIOR,
+                "sigma": 0.0,
+                "n": 1000,
+                "seed": 0,
+                "recover": True,
+                "signal_norm": 50,
+            },
+        ),
+        (
+            "sweep",
+            {
+                **get_preset("mra-cyclic-n4").parameters(),
+                "prior": HARDTANH_PRIOR,
+                "true_seed": 0,
+                "signal_norm": 50,
+            },
+        ),
+    ],
+)
+def test_unreachable_signal_norm_exits_2(tmp_path, capsys, command, params):
+    path = write_config(tmp_path, {"schema_version": 1, "command": command, "parameters": params})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "parameters.signal_norm" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestDeterminism:
     def test_byte_identical_csv_bodies(self, tmp_path):
         cfg = {
@@ -360,6 +405,7 @@ class TestOverrides:
             ),
             ('prior={"type":"network-file","path":"bad.json"}', "parameters.prior.path"),
             ('prior={"type":"sparse-file","path":"bad.json"}', "parameters.prior.path"),
+            ('prior={"type":"network-file","path":"adir"}', "parameters.prior.path"),
             ("restartz=5", "parameters.restartz"),
             ('prior={"type":["ambient"],"N":10}', "parameters.prior.type"),
             ("sigma=0.3", "parameters.sigma"),
@@ -385,6 +431,7 @@ class TestOverrides:
         self, tmp_path, capsys, monkeypatch, override, field
     ):
         (tmp_path / "bad.json").write_text("{}")      # a prior file of the wrong shape
+        (tmp_path / "adir").mkdir()
         monkeypatch.chdir(tmp_path)
         argv = ["run", "--preset", "thm2-so", "--out", str(tmp_path), "--set", override]
         assert main(argv) == 2

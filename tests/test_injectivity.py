@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from momentlab import injectivity
 from momentlab.injectivity import (
@@ -359,6 +360,21 @@ class TestCodimensionProbe:
                     continue
                 w = est.solution[sl.start]
                 assert min(abs((x + y) @ w), abs((x - y) @ w)) < 1e-8
+
+
+class TestSkewExponential:
+    """The SO(N) probe's retraction map against scipy's general expm."""
+
+    @pytest.mark.parametrize("N", range(2, 21))
+    def test_matches_expm(self, N):
+        rng = np.random.default_rng(N)
+        for scale in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 10.0):   # spectral norm of K
+            G = rng.normal(size=(N, N))
+            K = scale * (G - G.T) / np.linalg.norm(G - G.T, 2)
+            Q = injectivity._expm_skew(K)
+            assert np.max(np.abs(Q - expm(K))) <= 1e-13
+            assert np.max(np.abs(Q.T @ Q - np.eye(N))) <= 1e-13
+            assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestThresholdSweep:

@@ -18,12 +18,14 @@ from momentlab.mra import (
     _orbit_matrices,
     act,
     action_matrix,
+    draw_ground_truth,
     exact_population_moment,
     extract_invariants,
     instance_noise_amplification,
     random_group_element,
     recover,
     sample_complexity_sweep,
+    select_conditioned_instance,
     simulate_invariants,
     simulate_second_moment,
 )
@@ -562,15 +564,13 @@ class TestSampleComplexity:
         group = GroupAction.cyclic(N)
         prior = random_relu_network((2, 10, N), seed=11)
         A = sample_mixing(N, "special-orthogonal", 11)
-        from momentlab.mra import draw_ground_truth, extract_invariants as ext
-
         _, _, x_star = draw_ground_truth(prior, A, 0, 0.4)
         meds = []
         for n in (100, 2000, 40000):
             errs = []
             for seed in range(10):
                 M = simulate_second_moment(x_star, group, n, 0.5, seed=(n, seed))
-                inv = ext(M, group.blocks)
+                inv = extract_invariants(M, group.blocks)
                 rec = recover(inv, prior, A, group.blocks, seed=(n, seed, 1), restarts=8)
                 errs.append(rec.error_fn(x_star))
             meds.append(np.median(errs))
@@ -583,3 +583,30 @@ class TestSampleComplexity:
         A = sample_mixing(N, "special-orthogonal", 11)
         amp = instance_noise_amplification(prior, A, group.blocks, 0, 0.4)
         assert np.isfinite(amp) and amp > 0
+
+
+def hardtanh_prior(seed):
+    return random_relu_network((2, 10, 8), seed=seed, activation="hardtanh(-0.5,0.5)")
+
+
+class TestGroundTruth:
+    def test_rescaling_stays_in_the_prior(self):
+        prior = random_relu_network((2, 10, 8), seed=11)
+        A = sample_mixing(8, "special-orthogonal", 11)
+        net, z, x_star = draw_ground_truth(prior, A, 0, 0.4)
+        np.testing.assert_array_equal(x_star, A @ generator_forward(net, z))
+        assert np.linalg.norm(x_star) == pytest.approx(0.4, rel=1e-12)
+
+    def test_unreachable_norm_raises(self):
+        # the hardtanh prior's image has norm <= 5.4: no latent rescaling reaches 50
+        with pytest.raises(ValueError, match="not positively homogeneous"):
+            draw_ground_truth(hardtanh_prior(11), np.eye(8), 0, 50.0)
+
+    def test_auto_conditioned_skips_unreachable_seeds(self):
+        prior = hardtanh_prior(3)
+        with pytest.raises(ValueError):
+            draw_ground_truth(prior, np.eye(8), 0, 1.0)
+        seed = select_conditioned_instance(prior, np.eye(8), GroupAction.cyclic(8).blocks, 1.0)
+        assert seed > 0
+        _, _, x_star = draw_ground_truth(prior, np.eye(8), seed, 1.0)
+        assert np.linalg.norm(x_star) == pytest.approx(1.0, rel=1e-8)

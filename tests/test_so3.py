@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from momentlab.measurements import second_moment_blocks
 from momentlab.so3 import (
+    MAX_BAND_LIMIT,
     band_limit_blocks,
     euler_from_rotation_3d,
     haar_euler_angles,
@@ -96,6 +98,12 @@ class TestWigner:
             np.testing.assert_allclose(
                 second_moment_blocks(y, blocks), base, atol=1e-8
             )
+
+    @pytest.mark.parametrize("L", [0, 1, 3, 8, MAX_BAND_LIMIT])
+    def test_assembly_equals_block_diag(self, rng, L):
+        angles = haar_euler_angles(rng)
+        degrees = [wigner_degree_block(l, *angles) for l in range(L + 1)]
+        np.testing.assert_array_equal(wigner_block(L, *angles), block_diag(*degrees))
 
     def test_band_limit_cap(self):
         with pytest.raises(ValueError):
