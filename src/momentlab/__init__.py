@@ -19,7 +19,6 @@ this is the classical power spectrum in a real Fourier basis). On top of it sit
 from .measurements import (
     BlockStructure,
     block_structure_for_power_spectrum,
-    from_real_fourier,
     measurement_jacobian,
     real_fourier_matrix,
     second_moment_blocks,
@@ -34,13 +33,11 @@ from .priors import (
     generator_forward,
     generator_jacobian,
     sample_mixing,
-    sample_sparse,
 )
 
 __all__ = [
     "BlockStructure",
     "block_structure_for_power_spectrum",
-    "from_real_fourier",
     "measurement_jacobian",
     "real_fourier_matrix",
     "second_moment_blocks",
@@ -53,7 +50,6 @@ __all__ = [
     "generator_forward",
     "generator_jacobian",
     "sample_mixing",
-    "sample_sparse",
 ]
 
 __version__ = "0.1.0"

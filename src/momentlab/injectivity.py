@@ -70,6 +70,10 @@ PROBE_RESIDUAL_TARGET = 1e-11
 #: 41 x 41 grid) unless one row alone holds more.
 _ORACLE_CELLS = 512 * 41**2
 
+#: The grid oracle evaluates at most this many points P = charts x grid^K
+#: (a 200 x 200 grid of one chart), so its ~P^2/2 pairs stay bounded.
+_ORACLE_POINTS = 200**2
+
 SWEEP_CSV_HEADER = "N,M,regime,kind,seed,verdict,residual,separation"
 
 
@@ -253,15 +257,20 @@ def brute_force_collision_oracle(
     Independent of the optimizer: evaluates every chart of the prior (for
     sparse priors, every support) on the grid and scans all point pairs for
     the minimal measurement gap among sufficiently separated pairs. Only
-    latent dimension K <= 2 is supported. The pairs are scanned in chunks of
-    at most ``_ORACLE_CELLS``, so memory stays bounded however many charts
-    the prior has.
+    latent dimension K <= 2 is supported, and at most ``_ORACLE_POINTS``
+    grid points over all charts, which bounds the time. The pairs are
+    scanned in chunks of at most ``_ORACLE_CELLS``, which bounds the memory.
     """
     K = prior.latent_dim
     if K > 2:
         raise ValueError(f"oracle supports latent dimension <= 2, got {K}")
-    if grid_points_per_axis > 200:
-        raise ValueError("grid_points_per_axis capped at 200")
+    charts = prior_charts(prior)
+    P = len(charts) * grid_points_per_axis**K
+    if P > _ORACLE_POINTS:
+        raise ValueError(
+            f"{len(charts)} charts x {grid_points_per_axis}^{K} grid = {P} points, "
+            f"above the cap of {_ORACLE_POINTS}"
+        )
 
     axis = np.linspace(-1.0, 1.0, grid_points_per_axis)
     if K == 1:
@@ -269,12 +278,11 @@ def brute_force_collision_oracle(
     else:
         g1, g2 = np.meshgrid(axis, axis, indexing="ij")
         lat = np.column_stack([g1.ravel(), g2.ravel()])
-    X = np.concatenate([generator_forward(net, lat) for net in prior_charts(prior)])
+    X = np.concatenate([generator_forward(net, lat) for net in charts])
     Meas = separable_measurement(X, A, blocks)
 
     norms2 = np.einsum("ij,ij->i", X, X)
     mnorm2 = np.einsum("ij,ij->i", Meas, Meas)
-    P = X.shape[0]
     rows = max(1, _ORACLE_CELLS // P)
 
     # (normalized residual, raw, sep, scale, i, j); with no separated pair on

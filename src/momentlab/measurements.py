@@ -24,7 +24,6 @@ __all__ = [
     "block_structure_for_power_spectrum",
     "real_fourier_matrix",
     "to_real_fourier",
-    "from_real_fourier",
     "second_moment_blocks",
     "separable_measurement",
     "measurement_jacobian",
@@ -124,14 +123,6 @@ def to_real_fourier(v: np.ndarray) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-d vector, got shape {v.shape}")
     return real_fourier_matrix(v.shape[0]) @ v
-
-
-def from_real_fourier(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_real_fourier` (transpose of the unitary matrix)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"expected a 1-d vector, got shape {x.shape}")
-    return real_fourier_matrix(x.shape[0]).T @ x
 
 
 def second_moment_blocks(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:

@@ -5,7 +5,10 @@ Observations are noisy, randomly transformed copies of one signal:
 distribution and Gaussian noise of known level sigma. Everything lives in
 block coordinates, where all three supported actions (cyclic shifts,
 dihedral shifts-plus-reflection, 3-D rotations of band-limited spherical
-functions) are block-diagonal orthogonal matrices.
+functions) are block-diagonal orthogonal matrices. A finite group acts
+through the stack of all its element matrices (``_orbit_matrices``), and
+rotations through ``so3.rotate_bandlimited``, which forms no matrix; draws
+take the group elements in bulk, never one at a time.
 
 The debiased empirical second moment estimates the population moment,
 whose diagonal blocks are scalar matrices carrying exactly one invariant
@@ -38,25 +41,15 @@ from .measurements import (
     separable_measurement,
 )
 from .priors import as_rng, generator_forward, generator_jacobian, latent_parametrizations
-from .so3 import (
-    band_limit_blocks,
-    haar_euler_angles,
-    rotate_bandlimited,
-    so3_quadrature,
-    wigner_block,
-)
+from .so3 import band_limit_blocks, haar_euler_angles, rotate_bandlimited, so3_quadrature
 
 __all__ = [
     "GroupAction",
     "RecoveryResult",
     "SampleComplexityResult",
-    "act",
-    "action_matrix",
-    "random_group_element",
     "simulate_second_moment",
     "simulate_invariants",
     "exact_population_moment",
-    "extract_invariants",
     "recover",
     "sample_complexity_sweep",
     "draw_ground_truth",
@@ -131,38 +124,6 @@ def _orbit_matrices(kind: str, N: int) -> np.ndarray:
     return orbit
 
 
-def action_matrix(g, group: GroupAction) -> np.ndarray:
-    """Matrix of one group element in block coordinates."""
-    if group.kind == "cyclic":
-        s = int(g)
-        if not 0 <= s < group.N:
-            raise ValueError(f"shift must lie in [0, {group.N}), got {g}")
-        return _orbit_matrices("cyclic", group.N)[s]
-    if group.kind == "dihedral":
-        s, refl = int(g[0]), int(g[1])
-        if not 0 <= s < group.N or refl not in (0, 1):
-            raise ValueError(f"bad dihedral element {g!r}")
-        return _orbit_matrices("dihedral", group.N)[refl * group.N + s]
-    alpha, beta, gamma = (float(v) for v in g)
-    return wigner_block(group.L, alpha, beta, gamma)
-
-
-def act(g, x: np.ndarray, group: GroupAction) -> np.ndarray:
-    """Apply one group element to a signal in block coordinates."""
-    x = group.blocks.check_signal(x)
-    return action_matrix(g, group) @ x
-
-
-def random_group_element(group: GroupAction, rng):
-    """Draw one element from the uniform (Haar) distribution."""
-    rng = as_rng(rng)
-    if group.kind == "cyclic":
-        return int(rng.integers(0, group.N))
-    if group.kind == "dihedral":
-        return (int(rng.integers(0, group.N)), int(rng.integers(0, 2)))
-    return tuple(haar_euler_angles(rng))
-
-
 def _check_draw(n: int, sigma: float):
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -216,9 +177,9 @@ def simulate_invariants(
 ) -> np.ndarray:
     """Per-block invariants of n simulated observations, drawn in O(R).
 
-    A draw from the law of
-    ``extract_invariants(simulate_second_moment(x, group, n, sigma, seed), blocks)``
-    that forms no observation. Block k of y_i = g_i . x + eps_i is x_k moved
+    A draw from the law of the per-block traces of
+    ``simulate_second_moment(x, group, n, sigma, seed)`` that forms no
+    observation. Block k of y_i = g_i . x + eps_i is x_k moved
     by an orthogonal map plus N(0, sigma^2 I) noise in d_k dimensions, so
     ||y_ik||^2 / sigma^2 is noncentral chi-squared with d_k degrees of
     freedom and noncentrality E_k / sigma^2 (E_k = ||x_k||^2) whatever g_i
@@ -253,20 +214,6 @@ def exact_population_moment(x: np.ndarray, group: GroupAction) -> np.ndarray:
     nodes, weights = so3_quadrature(group.L)
     Y = rotate_bandlimited(group.L, nodes, x)
     return (Y * weights[:, None]).T @ Y
-
-
-def extract_invariants(est, blocks: BlockStructure) -> np.ndarray:
-    """Per-block traces of a second-moment matrix: block-energy estimates.
-
-    For the exact population moment each diagonal block is a scalar matrix
-    (energy / block size) times the identity, so its trace recovers the
-    block energy exactly.
-    """
-    M = np.asarray(est, dtype=float)
-    if M.shape != (blocks.N, blocks.N):
-        raise DimensionError(f"moment shape {M.shape}, expected {(blocks.N, blocks.N)}")
-    d = np.diag(M)
-    return np.add.reduceat(d, blocks.starts)
 
 
 @dataclass
@@ -391,15 +338,22 @@ def select_conditioned_instance(
     """First ground-truth seed whose noise amplification is below a threshold.
 
     Deterministic: scans seeds 0, 1, 2, ... and returns the first acceptable
-    one, so configs recording only the policy stay reproducible.
+    one, so configs recording only the policy stay reproducible. A seed whose
+    ground truth cannot be drawn (see ``draw_ground_truth``) is skipped. If
+    every seed is skipped, a ``ValueError`` gives the last seed's reason; if
+    some were screened and none passed, a ``RuntimeError`` is raised.
     """
+    skipped = 0
     for seed in range(_MAX_SCAN):
         try:
             amp = instance_noise_amplification(prior, A, blocks, seed, signal_norm)
-        except ValueError:
+        except ValueError as e:
+            skipped, last = skipped + 1, e
             continue
         if amp <= amp_threshold:
             return seed
+    if skipped == _MAX_SCAN:
+        raise ValueError(f"no ground truth could be drawn in {_MAX_SCAN} seeds ({last})")
     raise RuntimeError(
         f"no instance with amplification <= {amp_threshold} in {_MAX_SCAN} seeds"
     )
@@ -429,6 +383,12 @@ def sample_complexity_sweep(
 
     The ground-truth signal is one fixed draw from the mixed prior
     (optionally rescaled to ``signal_norm``), shared by every cell.
+
+    Seeding is keyed by position: the invariants and the recovery starts of
+    one seed in one cell come from ``SeedSequence``s keyed by
+    ``(true_seed, i, j, seed)``, with i the index of sigma in ``sigma_list``
+    and j the index of n in the grid. The same sigma at another index of
+    another list therefore gets other draws, and so may get another n_star.
     """
     sigma_list = [float(s) for s in sigma_list]
     if sorted(sigma_list) != sigma_list:

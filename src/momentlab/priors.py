@@ -38,7 +38,6 @@ __all__ = [
     "prior_charts",
     "latent_parametrizations",
     "parse_activation",
-    "sample_sparse",
     "sample_mixing",
     "ambient_network",
     "random_relu_network",
@@ -46,9 +45,7 @@ __all__ = [
     "standard_basis_sparse_prior",
     "generic_orthonormal_sparse_prior",
     "generic_linear_sparse_prior",
-    "network_to_json",
     "network_from_json",
-    "sparse_prior_to_json",
     "sparse_prior_from_json",
 ]
 
@@ -309,14 +306,6 @@ def latent_parametrizations(prior, rng):
         raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 
-def sample_sparse(prior: SparsePrior, seed=0) -> np.ndarray:
-    """Draw a signal with a uniform random support and Gaussian coefficients."""
-    rng = as_rng(seed)
-    support = rng.choice(prior.N, size=prior.sparsity, replace=False)
-    coeffs = rng.normal(size=prior.sparsity)
-    return prior.basis[:, np.sort(support)] @ coeffs
-
-
 def standard_basis_sparse_prior(N: int, M: int) -> SparsePrior:
     """Sparsity in the standard basis of the time domain.
 
@@ -420,30 +409,9 @@ def perturb_final_layer(
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
-def network_to_json(net: GeneratorNetwork) -> str:
-    """Serialize: {layers: [{rows, cols, data(row-major), activation}], latent_dim}."""
-    payload = {
-        "layers": [
-            {
-                "rows": layer.weight.shape[0],
-                "cols": layer.weight.shape[1],
-                "data": [float(v) for v in layer.weight.ravel()],
-                "activation": layer.activation,
-                **(
-                    {"bias": [float(v) for v in layer.bias]}
-                    if layer.bias is not None
-                    else {}
-                ),
-            }
-            for layer in net.layers
-        ],
-        "latent_dim": net.latent_dim,
-    }
-    return json.dumps(payload)
-
-
-def network_from_json(text: str | dict) -> GeneratorNetwork:
-    payload = json.loads(text) if isinstance(text, str) else text
+def network_from_json(text: str) -> GeneratorNetwork:
+    """Parse {layers: [{rows, cols, data(row-major), activation, bias?}], latent_dim?}."""
+    payload = json.loads(text)
     layers = []
     for spec in payload["layers"]:
         W = np.asarray(spec["data"], dtype=float).reshape(spec["rows"], spec["cols"])
@@ -458,20 +426,9 @@ def network_from_json(text: str | dict) -> GeneratorNetwork:
     return net
 
 
-def sparse_prior_to_json(prior: SparsePrior) -> str:
-    """Serialize: {basis(row-major), sparsity, kind}."""
-    return json.dumps(
-        {
-            "n": prior.N,
-            "basis": [float(v) for v in prior.basis.ravel()],
-            "sparsity": prior.sparsity,
-            "kind": prior.kind,
-        }
-    )
-
-
-def sparse_prior_from_json(text: str | dict) -> SparsePrior:
-    payload = json.loads(text) if isinstance(text, str) else text
+def sparse_prior_from_json(text: str) -> SparsePrior:
+    """Parse {n?, basis(row-major), sparsity, kind?}."""
+    payload = json.loads(text)
     n = int(payload["n"]) if "n" in payload else int(round(len(payload["basis"]) ** 0.5))
     B = np.asarray(payload["basis"], dtype=float).reshape(n, n)
     return SparsePrior(B, int(payload["sparsity"]), payload.get("kind", "generic-orthonormal"))

@@ -189,6 +189,19 @@ def _run_collide(p: dict, out: Path):
     def mixing(mseed):
         return build_mixing({"kind": kind, "seed": mseed}, N)
 
+    # The oracle draws no randomness, so running it first changes no result
+    # and rejects an oversized grid before the searches spend their time.
+    oracle = None
+    if p.get("oracle_check"):
+        try:
+            oracle = brute_force_collision_oracle(
+                prior,
+                mixing(mixing_seeds[0]),
+                blocks,
+                **given(p, "residual_tol", "separation_tol", grid_points_per_axis="oracle_grid"),
+            )
+        except ValueError as e:
+            raise ConfigError(f"parameters.oracle_grid: {e}") from None
     reports = [
         (mseed, collision_search(prior, mixing(mseed), blocks, **search_kwargs))
         for mseed in mixing_seeds
@@ -217,13 +230,7 @@ def _run_collide(p: dict, out: Path):
         "searches": len(rows),
         "all_converged": all(rep.converged for _, rep in reports),
     }
-    if p.get("oracle_check"):
-        oracle = brute_force_collision_oracle(
-            prior,
-            mixing(mixing_seeds[0]),
-            blocks,
-            **given(p, "residual_tol", "separation_tol", grid_points_per_axis="oracle_grid"),
-        )
+    if oracle is not None:
         results["oracle_verdict"] = oracle.verdict
     return results, [path]
 
@@ -473,6 +480,8 @@ def _run_sweep(p: dict, out: Path):
             true_seed = select_conditioned_instance(
                 prior, A, group.blocks, **given(p, "signal_norm", "amp_threshold")
             )
+        except ValueError as e:
+            raise ConfigError(f"parameters.signal_norm: {e}") from None
         except RuntimeError as e:
             raise ConfigError(f"parameters.amp_threshold: {e}") from None
     _ground_truth(prior, A, true_seed, p.get("signal_norm"))

@@ -7,11 +7,11 @@ harmonic at m = 0, and cosine-type for m > 0.
 
 Rotations use ZYZ Euler angles (alpha, beta, gamma): the point rotation is
 Rz(alpha) Ry(beta) Rz(gamma) and functions transform by composition with its
-inverse. The per-degree matrix is the complex Wigner matrix -- built as the
+inverse. Per degree the action is the complex Wigner matrix -- the
 exponential of the y-generator, diagonalized once per degree -- conjugated
-into the real-harmonic basis, which makes it real orthogonal. Everything here
-is plain numpy: the full matrix places the per-degree blocks on the diagonal
-of a zeros array.
+into the real-harmonic basis, which makes it real orthogonal.
+``rotate_bandlimited`` applies it to many rotations at once, factor by factor,
+and never forms a matrix. Everything here is plain numpy.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from .measurements import BlockStructure, DimensionError
 __all__ = [
     "MAX_BAND_LIMIT",
     "band_limit_blocks",
-    "rotation_matrix_3d",
-    "euler_from_rotation_3d",
-    "wigner_block",
-    "wigner_degree_block",
     "rotate_bandlimited",
     "haar_euler_angles",
     "so3_quadrature",
@@ -43,33 +39,6 @@ def band_limit_blocks(L: int) -> BlockStructure:
     if L < 0:
         raise DimensionError(f"band limit must be >= 0, got {L}")
     return BlockStructure(tuple(2 * l + 1 for l in range(L + 1)))
-
-
-def rotation_matrix_3d(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """ZYZ rotation Rz(alpha) @ Ry(beta) @ Rz(gamma)."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    Rz_a = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1.0]])
-    Ry_b = np.array([[cb, 0, sb], [0, 1.0, 0], [-sb, 0, cb]])
-    Rz_g = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1.0]])
-    return Rz_a @ Ry_b @ Rz_g
-
-
-def euler_from_rotation_3d(R: np.ndarray) -> tuple[float, float, float]:
-    """Extract ZYZ angles with beta in [0, pi]; gimbal cases set gamma = 0."""
-    R = np.asarray(R, dtype=float)
-    beta = float(np.arccos(np.clip(R[2, 2], -1.0, 1.0)))
-    if np.sin(beta) > 1e-12:
-        alpha = float(np.arctan2(R[1, 2], R[0, 2]))
-        gamma = float(np.arctan2(R[2, 1], -R[2, 0]))
-    else:
-        # beta = 0: R = Rz(alpha+gamma); beta = pi: R = Rz(alpha-gamma) Ry(pi)
-        alpha = float(
-            np.arctan2(R[1, 0], R[0, 0]) if R[2, 2] > 0 else np.arctan2(-R[1, 0], -R[0, 0])
-        )
-        gamma = 0.0
-    return alpha % (2 * np.pi), beta, gamma % (2 * np.pi)
 
 
 @lru_cache(maxsize=None)
@@ -111,37 +80,12 @@ def _real_basis_transform(l: int) -> np.ndarray:
     return U
 
 
-def wigner_degree_block(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Real orthogonal (2l+1) x (2l+1) rotation block for one degree."""
-    w, V = _y_generator_eig(l)
-    d_beta = V @ (np.exp(-1j * beta * w)[:, None] * V.conj().T)
-    m = np.arange(-l, l + 1)
-    Dc = np.exp(-1j * m * alpha)[:, None] * d_beta * np.exp(-1j * m * gamma)[None, :]
-    U = _real_basis_transform(l)
-    D = U @ Dc @ U.conj().T
-    imag_max = float(np.max(np.abs(D.imag)))
-    if imag_max > 1e-10:
-        raise RuntimeError(f"real Wigner block has imaginary residue {imag_max:.3e}")
-    return D.real
-
-
-def wigner_block(L: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Block-diagonal orthogonal matrix acting on an L-band-limited expansion."""
-    L = int(L)
-    if L < 0 or L > MAX_BAND_LIMIT:
-        raise ValueError(f"band limit must lie in [0, {MAX_BAND_LIMIT}], got {L}")
-    blocks = band_limit_blocks(L)
-    D = np.zeros((blocks.N, blocks.N))
-    for l, s in enumerate(blocks.slices()):
-        D[s, s] = wigner_degree_block(l, alpha, beta, gamma)
-    return D
-
-
 def rotate_bandlimited(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply many rotations to one coefficient vector; returns (n, (L+1)^2).
 
-    Equivalent to stacking ``wigner_block(L, *g) @ x`` over the rows of
-    ``angles`` but batched per degree, never materializing the matrices.
+    Row i is the real Wigner matrix of ``angles[i]`` applied to x: per degree,
+    U diag(e^{-i m alpha}) V diag(e^{-i beta w}) V^H diag(e^{-i m gamma}) U^H,
+    each factor applied to every row at once, never materializing a matrix.
     """
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -167,14 +111,12 @@ def rotate_bandlimited(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_euler_angles(rng, size: int | None = None) -> np.ndarray:
-    """Haar-uniform rotations: alpha, gamma uniform, cos(beta) uniform."""
-    n = 1 if size is None else int(size)
-    al = rng.uniform(0.0, 2 * np.pi, size=n)
-    ga = rng.uniform(0.0, 2 * np.pi, size=n)
-    be = np.arccos(rng.uniform(-1.0, 1.0, size=n))
-    angles = np.column_stack([al, be, ga])
-    return angles[0] if size is None else angles
+def haar_euler_angles(rng, size: int) -> np.ndarray:
+    """Haar-uniform rotations, (size, 3): alpha, gamma uniform, cos(beta) uniform."""
+    al = rng.uniform(0.0, 2 * np.pi, size=size)
+    ga = rng.uniform(0.0, 2 * np.pi, size=size)
+    be = np.arccos(rng.uniform(-1.0, 1.0, size=size))
+    return np.column_stack([al, be, ga])
 
 
 def so3_quadrature(L: int) -> tuple[np.ndarray, np.ndarray]:

@@ -34,15 +34,15 @@ from momentlab.priors import (
     sample_mixing,
 )
 from momentlab.runner import run
-from momentlab.so3 import (
-    band_limit_blocks,
+from momentlab.so3 import band_limit_blocks, haar_euler_angles
+
+from reference import (
+    dft_block_energy_oracle,
     euler_from_rotation_3d,
-    haar_euler_angles,
     rotation_matrix_3d,
     wigner_block,
     wigner_degree_block,
 )
-from tests.test_measurements import dft_block_energy_oracle
 
 
 def report(num, ok, detail):
@@ -234,7 +234,7 @@ def test_criterion_8_wigner_correctness():
         x = rng.normal(size=N)
         base = second_moment_blocks(x, blocks)
         for _ in range(5):
-            g1, g2 = haar_euler_angles(rng), haar_euler_angles(rng)
+            g1, g2 = haar_euler_angles(rng, 1)[0], haar_euler_angles(rng, 1)[0]
             D1, D2 = wigner_block(L, *g1), wigner_block(L, *g2)
             ortho = max(ortho, np.max(np.abs(D1 @ D1.T - np.eye(N))))
             g12 = euler_from_rotation_3d(rotation_matrix_3d(*g1) @ rotation_matrix_3d(*g2))
@@ -244,7 +244,7 @@ def test_criterion_8_wigner_correctness():
             )
     perm = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])
     for _ in range(20):
-        g = haar_euler_angles(rng)
+        g = haar_euler_angles(rng, 1)[0]
         R = rotation_matrix_3d(*g)
         deg1 = max(
             deg1, np.max(np.abs(wigner_degree_block(1, *g) - perm @ R @ perm.T))

@@ -448,6 +448,12 @@ class TestOverrides:
             ("cor-sphere-so3", 'prior={"type":"ambient","N":4}', "parameters.prior"),
             ("mra-cyclic-n4", 'group={"kind":"cyclic","N":"x"}', "parameters.group.N"),
             ("mra-cyclic-n4", "amp_threshold=0.001", "parameters.amp_threshold"),
+            (
+                "mra-cyclic-n4",
+                (f"prior={json.dumps(HARDTANH_PRIOR)}", "signal_norm=50"),
+                "parameters.signal_norm",
+            ),
+            ("cor-sparse", "oracle_check=true", "parameters.oracle_grid"),
             ("mra-cyclic-n4", "n_min=20000000", "parameters.n_min"),
             ("lemma-codim-gl", "residual_target=1e-11", "parameters.residual_target"),
             ("lemma-codim-gl", "rank_rtol=1e-6", "parameters.rank_rtol"),
@@ -465,7 +471,9 @@ class TestOverrides:
         ],
     )
     def test_bad_override_of_a_preset_exits_2(self, tmp_path, capsys, preset, override, field):
-        argv = ["run", "--preset", preset, "--out", str(tmp_path), "--set", override]
+        argv = ["run", "--preset", preset, "--out", str(tmp_path)]
+        for item in (override,) if isinstance(override, str) else override:
+            argv += ["--set", item]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err

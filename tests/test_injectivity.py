@@ -201,6 +201,19 @@ class TestBruteForceOracle:
                 net, np.eye(6), block_structure_for_power_spectrum(6), 11
             )
 
+    def test_point_cap_is_checked_before_any_forward_pass(self, monkeypatch):
+        # 3 supports x 116^2 grid points = 40 368, just over the cap of 200^2;
+        # 115^2 would give 39 675, just under it.
+        prior = generic_orthonormal_sparse_prior(3, 2, seed=0)
+        assert injectivity._ORACLE_POINTS == 200**2 < 3 * 116**2
+
+        def forward(*args):
+            raise AssertionError("the oracle evaluated the prior")
+
+        monkeypatch.setattr(injectivity, "generator_forward", forward)
+        with pytest.raises(ValueError, match="40368 points, above the cap of 40000"):
+            brute_force_collision_oracle(prior, np.eye(3), block_structure_for_power_spectrum(3), 116)
+
     def test_memory_is_bounded_by_the_chunk_size(self):
         # 28 supports x 15^2 grid points: P = 6300 points, 3.7 times a 41^2 grid.
         # 512-row chunks would hold 512 x 6300 pairs per array (about 250 MB

@@ -6,7 +6,9 @@ it never uses; a name listed in ``__all__`` counts as used (re-exports).
 Every name a module lists in ``__all__`` is defined in it.
 The third-party modules the package imports are its declared dependencies.
 Each command's runner reads exactly the parameters that the config table
-lets that command's configs carry.
+lets that command's configs carry. Every public top-level function is used
+by another function or module of the package, so the library holds no code
+that only the tests call; the console script is the one entry point.
 """
 
 import ast
@@ -182,3 +184,76 @@ def test_each_command_reads_exactly_its_table(command):
     functions = _functions(PACKAGE / "runner.py", PACKAGE / "config.py")
     run = functions["_run_" + command.replace("-", "_")]
     assert keys_read(run, functions) == table_keys(command)
+
+
+#: Public functions called from outside the package only: the console script.
+ENTRY_POINTS = {"cli.main"}
+
+
+def _local_names(func) -> set:
+    """Names a function or lambda binds itself: its arguments and assignments."""
+    args = func.args
+    params = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    names = {a.arg for a in params if a}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not func:
+            names.add(node.name)
+    return names
+
+
+def orphans(sources: dict) -> list[str]:
+    """``module.name`` of each public top-level function no other code uses.
+
+    ``sources`` maps module names to their source. A name is resolved through
+    the module that binds it: its own top-level definitions, and
+    ``from .x import y as z`` (z is x.y). A use inside the function it names,
+    or one that a local name of an enclosing function shadows, does not
+    count; nor do ``__all__`` strings or the imports of ``__init__``.
+    """
+    trees = {m: ast.parse(source) for m, source in sources.items() if m != "__init__"}
+    public, used = [], set()
+    for m, tree in trees.items():
+        binding = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                binding[node.name] = (m, node.name)
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    public.append((m, node.name))
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                binding |= {a.asname or a.name: (node.module, a.name) for a in node.names}
+
+        def visit(node, owner, shadowed):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                shadowed = shadowed | _local_names(node)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                target = binding.get(node.id)
+                if target and node.id not in shadowed and target != (m, owner):
+                    used.add(target)
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner, shadowed)
+
+        for node in tree.body:
+            visit(node, getattr(node, "name", None), frozenset())
+    return [f"{m}.{name}" for m, name in public if (m, name) not in used]
+
+
+def test_the_orphan_check_flags_an_unused_function():
+    sources = {
+        "a": (
+            "def used():\n    return 1\n"
+            "def orphan(n):\n    return orphan(n - 1) if n else used()\n"
+            "def shadowed():\n    return 2\n"
+            "def _call(shadowed):\n    return shadowed()\n"
+            "def aliased():\n    return 3\n"
+        ),
+        "b": "from .a import aliased as run\n__all__ = ['orphan']\ndef _go():\n    return run()\n",
+        "__init__": "from .a import orphan, shadowed\n__all__ = ['orphan', 'shadowed']\n",
+    }
+    assert orphans(sources) == ["a.orphan", "a.shadowed"]
+
+
+def test_every_public_function_is_used_in_the_package():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert [name for name in orphans(sources) if name not in ENTRY_POINTS] == []

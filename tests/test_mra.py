@@ -16,13 +16,9 @@ from momentlab.mra import (
     _CHUNK_ROWS,
     GroupAction,
     _orbit_matrices,
-    act,
-    action_matrix,
     draw_ground_truth,
     exact_population_moment,
-    extract_invariants,
     instance_noise_amplification,
-    random_group_element,
     recover,
     sample_complexity_sweep,
     select_conditioned_instance,
@@ -41,8 +37,18 @@ from momentlab.so3 import (
     _y_generator_eig,
     haar_euler_angles,
     rotate_bandlimited,
-    wigner_block,
 )
+
+from reference import action_matrix, extract_invariants
+
+
+def group_elements(group, rng, n):
+    """Every element of a finite group; n Haar-random rotations for SO(3)."""
+    if group.kind == "cyclic":
+        return list(range(group.N))
+    if group.kind == "dihedral":
+        return [(s, r) for r in (0, 1) for s in range(group.N)]
+    return haar_euler_angles(rng, n)
 
 
 class TestGroupAction:
@@ -50,15 +56,15 @@ class TestGroupAction:
         for group in (GroupAction.cyclic(7), GroupAction.dihedral(6), GroupAction.sphere(3)):
             x = rng.normal(size=group.N)
             e = 0 if group.kind == "cyclic" else (0, 0) if group.kind == "dihedral" else (0, 0, 0)
-            np.testing.assert_allclose(act(e, x, group), x, atol=1e-12)
+            np.testing.assert_allclose(action_matrix(e, group) @ x, x, atol=1e-12)
 
     def test_cached_matrices_are_read_only(self):
-        before = action_matrix(0, GroupAction.cyclic(4)).copy()
+        before = _orbit_matrices("cyclic", 4).copy()
         with pytest.raises(ValueError):
-            action_matrix(0, GroupAction.cyclic(4))[0, 0] = 2.0
-        np.testing.assert_array_equal(action_matrix(0, GroupAction.cyclic(4)), before)
+            _orbit_matrices("cyclic", 4)[0, 0, 0] = 2.0
+        np.testing.assert_array_equal(_orbit_matrices("cyclic", 4), before)
         with pytest.raises(ValueError):
-            action_matrix((1, 1), GroupAction.dihedral(4))[0, 0] = 2.0
+            _orbit_matrices("dihedral", 4)[5, 0, 0] = 2.0
         for cached in (*_y_generator_eig(2), _real_basis_transform(2)):
             with pytest.raises(ValueError):
                 cached[0, ...] = 0.0
@@ -67,8 +73,8 @@ class TestGroupAction:
         group = GroupAction.cyclic(9)
         x = rng.normal(size=9)
         for s in (1, 4, 8):
-            y = act(s, x, group)
-            np.testing.assert_allclose(act(9 - s, y, group), x, atol=1e-12)
+            y = action_matrix(s, group) @ x
+            np.testing.assert_allclose(action_matrix(9 - s, group) @ y, x, atol=1e-12)
 
     def test_action_matches_time_domain_shift(self, rng):
         # block-coordinate action = transform of the plain circular shift
@@ -76,7 +82,7 @@ class TestGroupAction:
         group = GroupAction.cyclic(N)
         v = rng.normal(size=N)
         for s in range(N):
-            lhs = act(s, to_real_fourier(v), group)
+            lhs = action_matrix(s, group) @ to_real_fourier(v)
             rhs = to_real_fourier(np.roll(v, s))
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -84,17 +90,16 @@ class TestGroupAction:
         N = 7
         group = GroupAction.dihedral(N)
         v = rng.normal(size=N)
-        lhs = act((0, 1), to_real_fourier(v), group)
+        lhs = action_matrix((0, 1), group) @ to_real_fourier(v)
         # time reversal t -> -t fixes index 0; numpy reversal is the reversal
         # composed with a shift by N-1, so undo that with one more shift
-        rhs = act(1, to_real_fourier(v[::-1].copy()), GroupAction.cyclic(N))
+        rhs = action_matrix(1, GroupAction.cyclic(N)) @ to_real_fourier(v[::-1].copy())
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_matrices_orthogonal_and_block_diagonal(self, rng):
         for group in (GroupAction.cyclic(8), GroupAction.dihedral(5), GroupAction.sphere(2)):
             blocks = group.blocks
-            for _ in range(20):
-                g = random_group_element(group, rng)
+            for g in group_elements(group, rng, 20):
                 M = action_matrix(g, group)
                 np.testing.assert_allclose(M @ M.T, np.eye(group.N), atol=1e-10)
                 off = M.copy()
@@ -107,9 +112,8 @@ class TestGroupAction:
             blocks = group.blocks
             x = rng.normal(size=group.N)
             base = second_moment_blocks(x, blocks)
-            for _ in range(100):
-                g = random_group_element(group, rng)
-                y = act(g, x, group)
+            for g in group_elements(group, rng, 100):
+                y = action_matrix(g, group) @ x
                 assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-10
                 np.testing.assert_allclose(
                     second_moment_blocks(y, blocks), base, atol=1e-10 * max(1, base.max())
@@ -135,16 +139,10 @@ class TestGroupAction:
         x = rng.normal(size=25)
         base = second_moment_blocks(x, group.blocks)
         for _ in range(10):
-            y = act(tuple(haar_euler_angles(rng)), x, group)
+            y = action_matrix(haar_euler_angles(rng, 1)[0], group) @ x
             np.testing.assert_allclose(
                 second_moment_blocks(y, group.blocks), base, atol=1e-8
             )
-
-    def test_invalid_parameters(self, rng):
-        with pytest.raises(ValueError):
-            act(9, rng.normal(size=8), GroupAction.cyclic(8))
-        with pytest.raises(ValueError):
-            act((1, 2), rng.normal(size=8), GroupAction.dihedral(8))
 
 
 def one_shot_observations(x, group, n, sigma, seed):
@@ -601,6 +599,10 @@ class TestGroundTruth:
         # the hardtanh prior's image has norm <= 5.4: no latent rescaling reaches 50
         with pytest.raises(ValueError, match="not positively homogeneous"):
             draw_ground_truth(hardtanh_prior(11), np.eye(8), 0, 50.0)
+        # with every seed skipped, the scan blames the norm, not the threshold
+        blocks = GroupAction.cyclic(8).blocks
+        with pytest.raises(ValueError, match="no ground truth could be drawn in 256 seeds"):
+            select_conditioned_instance(hardtanh_prior(11), np.eye(8), blocks, 50.0)
 
     def test_auto_conditioned_skips_unreachable_seeds(self):
         prior = hardtanh_prior(3)

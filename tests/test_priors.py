@@ -24,16 +24,15 @@ from momentlab.priors import (
     generic_orthonormal_sparse_prior,
     latent_parametrizations,
     network_from_json,
-    network_to_json,
     perturb_final_layer,
     prior_charts,
     random_relu_network,
     sample_mixing,
-    sample_sparse,
     sparse_prior_from_json,
-    sparse_prior_to_json,
     standard_basis_sparse_prior,
 )
+
+from reference import network_to_json, sparse_prior_to_json
 
 
 class TestGeneratorForward:
@@ -252,21 +251,16 @@ class TestImageDimension:
             assert estimate_image_dimension(net, trials=20, seed=seed) <= min(widths)
 
 
+def sparse_draws(prior, n, seed):
+    """n signals drawn as a run draws its starts: a random support's chart at a Gaussian point."""
+    params = latent_parametrizations(prior, np.random.default_rng(seed))
+    return [generator_forward(net, z) for _, (z, net) in zip(range(n), params)]
+
+
 class TestSparsePrior:
-    def test_full_support_dense(self):
-        prior = SparsePrior(np.eye(6), 6, "generic-orthonormal")
-        x = sample_sparse(prior, seed=0)
-        assert np.count_nonzero(x) == 6
-
-    def test_single_support_is_basis_vector(self):
-        prior = SparsePrior(np.eye(6), 1, "generic-orthonormal")
-        x = sample_sparse(prior, seed=3)
-        assert np.count_nonzero(x) == 1
-
     def test_two_sparse_in_generic_basis(self):
         prior = generic_orthonormal_sparse_prior(10, 2, seed=5)
-        for seed in range(10):
-            x = sample_sparse(prior, seed=seed)
+        for x in sparse_draws(prior, 10, seed=0):
             coeffs = prior.basis.T @ x
             assert np.sum(np.abs(coeffs) > 1e-12) == 2
 
@@ -274,8 +268,7 @@ class TestSparsePrior:
         # distinguishes generic bases from standard-basis sparsity
         blocks = block_structure_for_power_spectrum(10)
         prior = generic_orthonormal_sparse_prior(10, 2, seed=7)
-        for seed in range(100):
-            x = sample_sparse(prior, seed=seed)
+        for x in sparse_draws(prior, 100, seed=0):
             assert np.all(second_moment_blocks(x, blocks) > 0)
 
     def test_standard_basis_prior_blockifies_time_deltas(self):
