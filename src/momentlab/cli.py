@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, load_config, validate_config
+from .config import ConfigError, check_output_dir, load_config, validate_config
 from .presets import PRESETS, get_preset, list_presets
 from .runner import run as run_experiment
 
@@ -34,6 +34,8 @@ def _cmd_run(args) -> int:
             except json.JSONDecodeError:
                 params[key] = raw
         config = validate_config({**config.to_dict(), "parameters": params})
+        if args.out is not None:
+            check_output_dir(args.out, "--out")
     except (ConfigError, KeyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

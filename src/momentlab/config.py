@@ -37,7 +37,9 @@ from .priors import (
 )
 from .so3 import MAX_BAND_LIMIT
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config", "validate_config", "given"]
+__all__ = [
+    "ExperimentConfig", "ConfigError", "load_config", "validate_config", "given", "check_output_dir"
+]
 
 SCHEMA_VERSION = 1
 
@@ -76,6 +78,15 @@ def given(d: dict, *keys: str, **renamed: str) -> dict:
     """
     names = {**dict(zip(keys, keys)), **renamed}
     return {arg: d[key] for arg, key in names.items() if key in d}
+
+
+def check_output_dir(path, field: str) -> None:
+    """Raise a ConfigError naming ``field`` unless ``path`` is or can become a directory."""
+    for part in (Path(path), *Path(path).parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"{field}: not a directory: {part}")
+            return
 
 
 def build_prior(spec: dict):
@@ -374,6 +385,8 @@ def _check(d, level, where: str):
     for key in ("path", "signal_path"):
         if key in d and not Path(d[key]).is_file():
             raise ConfigError(f"{where}{key}: file not found: {d[key]}")
+    if "output_dir" in d:
+        check_output_dir(d["output_dir"], f"{where}output_dir")
     if "M" in d and d["M"] > d["N"]:
         raise ConfigError(f"{where}M: must be <= N = {d['N']}")
 
@@ -400,6 +413,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         )
     if p.get("manifold") == "special-orthogonal" and p["N"] < 2:
         raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")
+    if p.get("sweep_kind") == "threshold" and min(p["M_range"]) > max(p["N_range"]):
+        raise ConfigError(
+            f"parameters.M_range: every M exceeds every N (at most {max(p['N_range'])}), "
+            "so the sweep has no cell"
+        )
     if p.get("sweep_kind") == "sample-complexity":
         defaults = inspect.signature(sample_complexity_sweep).parameters
         n_min, n_cap = (p.get(k, defaults[k].default) for k in ("n_min", "n_cap"))

@@ -16,6 +16,11 @@ so a rejected step costs a vector rescale and one matrix-vector product
 rather than a new factorization. The formula holds for tall, square and
 wide J alike; for wide J the undamped limit is the minimal-norm step.
 
+The damping starts each solve at LAM0. A trial is accepted exactly when
+its objective is below the current one, so the accepted iterates are the
+start plus the strict running minima of the residual evaluations, and a
+caller can follow them from its own residual.
+
 The normal matrix J^T J is neither formed nor factored: its condition
 number is the square of J's, and for the wide codimension-probe systems
 (d up to a few hundred columns, a handful of rows) a d x d factorization
@@ -31,8 +36,10 @@ import numpy as np
 
 __all__ = ["GaussNewtonResult", "damped_gauss_newton", "multistart"]
 
-#: A solve ends once a step is shorter than STEP_TOL, or once the damping,
-#: grown tenfold per rejected step, exceeds LAM_MAX.
+#: A solve starts at damping LAM0. It ends once a step is shorter than
+#: STEP_TOL, or once the damping, grown tenfold per rejected step, exceeds
+#: LAM_MAX.
+LAM0 = 1e-8
 STEP_TOL = 1e-14
 LAM_MAX = 1e12
 
@@ -52,17 +59,16 @@ def damped_gauss_newton(
     retract: Callable | None = None,
     max_iter: int = 500,
     f_tol: float = 1e-28,
-    lam0: float = 1e-8,
-    callback: Callable | None = None,
 ) -> GaussNewtonResult:
     """Minimize ||residual(x)||^2 from x0.
 
     residual(x) -> (m,) array; jacobian(x) -> (m, d) array in the step
     coordinates; retract(x, delta) -> new point (default: x + delta).
-    ``callback(x, r)`` is invoked once per accepted iterate (including the
-    start), right after ``residual`` was evaluated at that same ``x`` object;
-    collision search relies on this to track candidate pairs without
-    re-evaluating them.
+    ``residual`` is called at x0 and then once per trial point. A trial is
+    accepted exactly when its objective is strictly below the current one,
+    which starts as x0's: the accepted points are where the strict running
+    minimum of the evaluations fell, and the returned ``x`` is the last of
+    them, or x0. The damping starts at ``LAM0``.
 
     Convergence means the final objective dropped below ``f_tol``; a result
     with ``converged=False`` still carries the best iterate found.
@@ -71,11 +77,9 @@ def damped_gauss_newton(
         retract = lambda x, delta: x + delta
 
     x = x0
-    lam = lam0
+    lam = LAM0
     r = np.asarray(residual(x), dtype=float)
     f = float(r @ r)
-    if callback is not None:
-        callback(x, r)
     it = 0
     for it in range(1, max_iter + 1):
         if f <= f_tol:
@@ -96,8 +100,6 @@ def damped_gauss_newton(
                 x, r, f = x_new, r_new, f_new
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
-                if callback is not None:
-                    callback(x, r)
                 break
             lam *= 10.0
         if not accepted:

@@ -52,6 +52,7 @@ __all__ = [
     "threshold_sweep",
     "solution_dim_bound",
     "regime_label",
+    "collision_row",
     "SWEEP_CSV_HEADER",
 ]
 
@@ -62,8 +63,10 @@ SEPARATION_TOL = 1e-3
 #: Weight of the separation penalty residual in the search objective.
 PENALTY_WEIGHT = 1e2
 
-#: A codimension probe's solve succeeds once its residual norm is below this.
+#: A codimension probe's solve succeeds once its residual norm is below this,
+#: and stops after PROBE_MAX_ITER iterations.
 PROBE_RESIDUAL_TARGET = 1e-11
+PROBE_MAX_ITER = 200
 
 #: The grid oracle compares its grid points with the points after them in
 #: chunks of rows, each of at most this many point pairs (512 rows of a
@@ -75,6 +78,20 @@ _ORACLE_CELLS = 512 * 41**2
 _ORACLE_POINTS = 200**2
 
 SWEEP_CSV_HEADER = "N,M,regime,kind,seed,verdict,residual,separation"
+
+
+def collision_row(N, M, regime, kind, seed, report) -> dict:
+    """One row of SWEEP_CSV_HEADER for a collision search's report."""
+    return {
+        "N": N,
+        "M": M,
+        "regime": regime,
+        "kind": kind,
+        "seed": seed,
+        "verdict": report.verdict,
+        "residual": report.residual,
+        "separation": report.separation,
+    }
 
 
 @dataclass
@@ -133,9 +150,7 @@ class _PairTracker:
         self.best = None        # (normalized residual, raw, sep, scale, x, y)
         self.fallback = None
 
-    def update(self, x, y, raw_residual):
-        s = max(np.linalg.norm(x), np.linalg.norm(y))
-        sep = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
+    def update(self, x, y, raw_residual, sep, s):
         if s > 0 and sep >= self.separation_tol * s:
             nres = raw_residual / s**2
             if self.best is None or nres < self.best[0]:
@@ -162,6 +177,10 @@ def collision_search(
     squared signal scale, plus a hinge penalty that pushes candidates away
     from the trivial x = +-y pairs. Deterministic given the seed. If a
     qualifying collision appears, remaining restarts are skipped.
+
+    The reported pair is the best separated one (least raw / s**2) over the
+    accepted iterates of every solve, or, if none is separated, the one with
+    the least raw gap.
     """
     rng = as_rng(seed)
     tracker = _PairTracker(separation_tol)
@@ -173,22 +192,25 @@ def collision_search(
         z2, net2 = next(params)
         K = z1.shape[0]
         u0 = np.concatenate([z1, z2])
-
-        # damped_gauss_newton calls on_iterate with the very array whose
-        # residual it has just evaluated, so on_iterate reuses that
-        # evaluation's signals and measurement gap instead of recomputing them.
-        last = None
+        f_min = None
 
         def residual(u):
-            nonlocal last
+            # The solver accepts exactly the points where the strict running
+            # minimum of its objective falls, so those are the ones tracked.
+            nonlocal f_min
             x, y = generator_forward(net1, u[:K]), generator_forward(net2, u[K:])
             s = max(np.linalg.norm(x), np.linalg.norm(y))
-            rm = separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
-            last = (u, x, y, rm)
-            if s <= 0.0:
-                return np.concatenate([rm, [spen * separation_tol]])
             sep = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
-            return np.concatenate([rm / s**2, [spen * max(0.0, separation_tol - sep / s)]])
+            rm = separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
+            if s <= 0.0:
+                r = np.concatenate([rm, [spen * separation_tol]])
+            else:
+                r = np.concatenate([rm / s**2, [spen * max(0.0, separation_tol - sep / s)]])
+            f = float(r @ r)
+            if f_min is None or f < f_min:
+                f_min = f
+                tracker.update(x, y, np.linalg.norm(rm), sep, s)
+            return r
 
         def jacobian(u):
             x, G1 = generator_jacobian(net1, u[:K])
@@ -212,14 +234,7 @@ def collision_search(
                 )
             return np.vstack([Jm, row[None, :]])
 
-        def on_iterate(u, r):
-            evaluated_u, x, y, rm = last
-            assert evaluated_u is u
-            tracker.update(x, y, np.linalg.norm(rm))
-
-        res = damped_gauss_newton(
-            residual, jacobian, u0, max_iter=500, f_tol=1e-30, callback=on_iterate
-        )
+        res = damped_gauss_newton(residual, jacobian, u0, max_iter=500, f_tol=1e-30)
         return res.converged
 
     def found(_):
@@ -343,7 +358,6 @@ def codimension_probe(
     blocks: BlockStructure,
     seed=0,
     restarts: int = 50,
-    max_iter: int = 200,
 ) -> CodimensionEstimate:
     """Estimate dim{A on manifold : P(x;A) = P(y;A)} at a found solution.
 
@@ -415,7 +429,7 @@ def codimension_probe(
 
     def attempt():
         gn = damped_gauss_newton(
-            resid, jac, draw(), retract=retract, max_iter=max_iter,
+            resid, jac, draw(), retract=retract, max_iter=PROBE_MAX_ITER,
             f_tol=PROBE_RESIDUAL_TARGET**2,
         )
         return float(np.sqrt(gn.f)), gn.x
@@ -521,18 +535,7 @@ def threshold_sweep(
                     seed=seed,
                 )
                 hits += report.verdict == "collision"
-                rows.append(
-                    {
-                        "N": N,
-                        "M": M,
-                        "regime": regime,
-                        "kind": kind,
-                        "seed": seed,
-                        "verdict": report.verdict,
-                        "residual": report.residual,
-                        "separation": report.separation,
-                    }
-                )
+                rows.append(collision_row(N, M, regime, kind, seed, report))
             cells.append(
                 {
                     "N": N,

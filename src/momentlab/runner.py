@@ -21,6 +21,7 @@ from .injectivity import (
     SWEEP_CSV_HEADER,
     brute_force_collision_oracle,
     codimension_probe,
+    collision_row,
     collision_search,
     regime_label,
     threshold_sweep,
@@ -206,19 +207,7 @@ def _run_collide(p: dict, out: Path):
         (mseed, collision_search(prior, mixing(mseed), blocks, **search_kwargs))
         for mseed in mixing_seeds
     ]
-    rows = [
-        {
-            "N": N,
-            "M": M,
-            "regime": regime,
-            "kind": kind,
-            "seed": mseed,
-            "verdict": rep.verdict,
-            "residual": rep.residual,
-            "separation": rep.separation,
-        }
-        for mseed, rep in reports
-    ]
+    rows = [collision_row(N, M, regime, kind, mseed, rep) for mseed, rep in reports]
     path = out / "collisions.csv"
     write_csv(path, SWEEP_CSV_HEADER, rows)
     collisions = sum(r["verdict"] == "collision" for r in rows)

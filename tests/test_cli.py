@@ -294,6 +294,15 @@ class TestSweepCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
 
+    def test_a_sweep_with_no_cell_exits_2(self, tmp_path, capsys):
+        # every M exceeds every N, so no (N, M) cell would be searched
+        params = {**THRESHOLD_CONFIG["parameters"], "N_range": [2], "M_range": [3]}
+        path = write_config(tmp_path, {**THRESHOLD_CONFIG, "parameters": params})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.M_range" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 # Its image has norm <= 5.4, so no rescaling of a latent draw reaches norm 50.
 HARDTANH_PRIOR = {
@@ -478,6 +487,27 @@ class TestOverrides:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["run", "--preset", "ctrl-torus", "--out", "F"], "--out"),
+            (["run", "--preset", "ctrl-torus", "--out", "F/sub"], "--out"),
+            (["run", "--config", "in_F.json"], "output_dir"),
+            (["validate", "--config", "in_F.json"], "output_dir"),
+        ],
+    )
+    def test_an_output_path_through_a_file_exits_2(
+        self, tmp_path, capsys, monkeypatch, argv, field
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("F").write_text("")
+        config = {**get_preset("ctrl-torus").config.to_dict(), "output_dir": "F"}
+        write_config(tmp_path, config, name="in_F.json")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "not a directory" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "in_F.json"]
 
     def test_identity_mixing_seed_labels_the_collide_row(self, tmp_path, capsys):
         argv = ["run", "--preset", "ctrl-torus", "--out", str(tmp_path), "--set", "restarts=1"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from momentlab import gaussnewton
 from momentlab.gaussnewton import damped_gauss_newton, multistart
 
 
@@ -47,21 +48,29 @@ def test_retraction_hook_stays_on_manifold():
     np.testing.assert_allclose(res.x, target, atol=1e-10)
 
 
-def test_callback_sees_every_accepted_iterate(rng):
-    A = rng.normal(size=(4, 4))
-    b = rng.normal(size=4)
-    seen = []
-    damped_gauss_newton(
-        lambda x: A @ x - b,
-        lambda x: A,
-        np.zeros(4),
-        callback=lambda x, r: seen.append(float(r @ r)),
+def test_accepted_iterates_are_the_strict_running_minima():
+    # Rosenbrock residuals: the undamped first step overshoots, so the
+    # solver rejects trials and not every evaluation is an accepted iterate
+    evaluations = []
+
+    def residual(x):
+        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        evaluations.append((x, float(r @ r)))
+        return r
+
+    res = damped_gauss_newton(
+        residual, lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]), np.array([-1.2, 1.0])
     )
-    assert len(seen) >= 2
-    assert seen == sorted(seen, reverse=True)
+    minima = [evaluations[0]]
+    for x, f in evaluations[1:]:
+        if f < minima[-1][1]:
+            minima.append((x, f))
+    assert len(minima) < len(evaluations)
+    assert res.x is minima[-1][0]
+    assert res.f == minima[-1][1]
 
 
-def first_trial_step(J, r0, lam):
+def first_trial_step(monkeypatch, J, r0, lam):
     """The solver's first damped step at ``lam`` for the linear residual J x + r0."""
     steps = []
 
@@ -69,9 +78,9 @@ def first_trial_step(J, r0, lam):
         steps.append(delta)
         return x + delta
 
+    monkeypatch.setattr(gaussnewton, "LAM0", lam)
     damped_gauss_newton(
-        lambda x: J @ x + r0, lambda x: J, np.zeros(J.shape[1]),
-        retract=retract, max_iter=1, lam0=lam,
+        lambda x: J @ x + r0, lambda x: J, np.zeros(J.shape[1]), retract=retract, max_iter=1
     )
     return steps[0]
 
@@ -94,21 +103,22 @@ STEP_SHAPES = [(7, 4), (5, 2), (8, 8), (9, 256), (11, 190)]
 
 @pytest.mark.parametrize("shape", STEP_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("lam", [1e-8, 1e-2, 1e4])
-def test_svd_step_matches_augmented_lstsq(shape, lam):
+def test_svd_step_matches_augmented_lstsq(monkeypatch, shape, lam):
     r = np.random.default_rng(shape[0] * 1000 + shape[1])
     J = r.normal(size=shape)
     r0 = r.normal(size=shape[0])
-    assert rel_err(first_trial_step(J, r0, lam), augmented_lstsq_step(J, r0, lam)) < 1e-9
+    step = first_trial_step(monkeypatch, J, r0, lam)
+    assert rel_err(step, augmented_lstsq_step(J, r0, lam)) < 1e-9
 
 
 @pytest.mark.parametrize("shape", STEP_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_svd_step_tends_to_minimal_norm_solution(shape):
+def test_svd_step_tends_to_minimal_norm_solution(monkeypatch, shape):
     # at the smallest damping the step is the pseudo-inverse (least-squares,
     # minimal-norm) solution; the augmented system is too ill-conditioned here
     r = np.random.default_rng(shape[0] * 1000 + shape[1])
     J = r.normal(size=shape)
     r0 = r.normal(size=shape[0])
-    assert rel_err(first_trial_step(J, r0, 1e-14), -np.linalg.pinv(J) @ r0) < 1e-9
+    assert rel_err(first_trial_step(monkeypatch, J, r0, 1e-14), -np.linalg.pinv(J) @ r0) < 1e-9
 
 
 class TestMultistart:

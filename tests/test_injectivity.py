@@ -73,7 +73,8 @@ def probe_jacobian(monkeypatch, x, y, manifold, blocks):
         return solve(residual, jacobian, x0, **kwargs)
 
     monkeypatch.setattr(injectivity, "damped_gauss_newton", spy)
-    codimension_probe(x, y, manifold, blocks, seed=0, restarts=1, max_iter=1)
+    monkeypatch.setattr(injectivity, "PROBE_MAX_ITER", 1)
+    codimension_probe(x, y, manifold, blocks, seed=0, restarts=1)
     return seen[0]
 
 
@@ -154,6 +155,60 @@ class TestCollisionSearch:
         )
         assert rep.restarts_used == used == len(solves)
         assert rep.verdict == ("collision" if used < restarts else "no-collision-found")
+
+    @pytest.mark.parametrize(
+        "N, kind, restarts, seed",
+        [(1, "identity", 3, 4), (2, "general-linear", 1, 0), (4, "identity", 2, 5)],
+    )
+    def test_reported_pair_replays_the_accepted_iterates(
+        self, monkeypatch, N, kind, restarts, seed
+    ):
+        # The ambient prior's latent point is u = [x; y]. The report must be
+        # the documented pick over the accepted iterates of every solve, in
+        # order: the least raw / s**2 among separated pairs, or else the least
+        # raw gap. A solve accepts exactly its strict running minima.
+        solves = []
+        solve = injectivity.damped_gauss_newton
+
+        def spy(residual, jacobian, x0, **kwargs):
+            evaluated = []
+            solves.append(evaluated)
+
+            def recorded(u):
+                r = residual(u)
+                evaluated.append((u.copy(), float(r @ r)))
+                return r
+
+            return solve(recorded, jacobian, x0, **kwargs)
+
+        monkeypatch.setattr(injectivity, "damped_gauss_newton", spy)
+        A = np.eye(N) if kind == "identity" else sample_mixing(N, kind, seed)
+        blocks = block_structure_for_power_spectrum(N)
+        rep = collision_search(ambient_network(N), A, blocks, restarts=restarts, seed=seed)
+
+        best = fallback = None
+        for evaluated in solves:
+            f_min = None
+            for u, f in evaluated:
+                if f_min is not None and not f < f_min:
+                    continue
+                f_min = f
+                x, y = u[:N], u[N:]
+                raw = np.linalg.norm(
+                    separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
+                )
+                s = max(np.linalg.norm(x), np.linalg.norm(y))
+                sep = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
+                if s > 0 and sep >= injectivity.SEPARATION_TOL * s:
+                    if best is None or raw / s**2 < best[0]:
+                        best = (raw / s**2, x, y, raw, sep)
+                if fallback is None or raw < fallback[3]:
+                    fallback = (np.inf, x, y, raw, sep)
+        _, x, y, raw, sep = best if best is not None else fallback
+        assert len(solves) == rep.restarts_used
+        np.testing.assert_array_equal(rep.x, x)
+        np.testing.assert_array_equal(rep.y, y)
+        assert rep.residual == raw and rep.separation == sep
 
     def test_deterministic_given_seed(self):
         N = 8
@@ -330,14 +385,13 @@ class TestCodimensionProbe:
             codimension_probe(x, y, "general-linear", blocks, restarts=0)
 
     @pytest.mark.parametrize("max_iter, used", [(3, 3), (2, 6)])
-    def test_one_solve_per_restart_used(self, spy_solves, rng, max_iter, used):
+    def test_one_solve_per_restart_used(self, monkeypatch, spy_solves, rng, max_iter, used):
         # three iterations reach the target from the third start; two never do
         blocks = block_structure_for_power_spectrum(7)
         x, y = rng.normal(size=7), rng.normal(size=7)
         solves = spy_solves(injectivity)
-        est = codimension_probe(
-            x, y, "special-orthogonal", blocks, seed=0, restarts=6, max_iter=max_iter
-        )
+        monkeypatch.setattr(injectivity, "PROBE_MAX_ITER", max_iter)
+        est = codimension_probe(x, y, "special-orthogonal", blocks, seed=0, restarts=6)
         assert est.restarts_used == used == len(solves)
         assert est.converged == (used < 6)
         if not est.converged:
