@@ -85,7 +85,10 @@ def damped_gauss_newton(
         if f <= f_tol:
             return GaussNewtonResult(x, f, it - 1, True)
         J = np.asarray(jacobian(x), dtype=float)
-        U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+        try:
+            U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+        except np.linalg.LinAlgError:   # a Jacobian that is not finite
+            return GaussNewtonResult(x, f, it, False)
         c = U.T @ r
         sv2 = sv * sv
         accepted = False

@@ -29,7 +29,6 @@ import numpy as np
 from .gaussnewton import damped_gauss_newton, multistart
 from .measurements import (
     BlockStructure,
-    block_structure_for_power_spectrum,
     measurement_jacobian,
     separable_measurement,
 )
@@ -49,11 +48,8 @@ __all__ = [
     "collision_search",
     "brute_force_collision_oracle",
     "codimension_probe",
-    "threshold_sweep",
     "solution_dim_bound",
     "regime_label",
-    "collision_row",
-    "SWEEP_CSV_HEADER",
 ]
 
 #: Collision verdict thresholds (see module docstring for scaling).
@@ -76,22 +72,6 @@ _ORACLE_CELLS = 512 * 41**2
 #: The grid oracle evaluates at most this many points P = charts x grid^K
 #: (a 200 x 200 grid of one chart), so its ~P^2/2 pairs stay bounded.
 _ORACLE_POINTS = 200**2
-
-SWEEP_CSV_HEADER = "N,M,regime,kind,seed,verdict,residual,separation"
-
-
-def collision_row(N, M, regime, kind, seed, report) -> dict:
-    """One row of SWEEP_CSV_HEADER for a collision search's report."""
-    return {
-        "N": N,
-        "M": M,
-        "regime": regime,
-        "kind": kind,
-        "seed": seed,
-        "verdict": report.verdict,
-        "residual": report.residual,
-        "separation": report.separation,
-    }
 
 
 @dataclass
@@ -472,7 +452,7 @@ def _expm_skew(K: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Threshold sweep
+# Injectivity regimes
 # ---------------------------------------------------------------------------
 
 def regime_label(N: int, M: int, kind: str) -> str:
@@ -492,61 +472,3 @@ def regime_label(N: int, M: int, kind: str) -> str:
     if N >= gen_thr:
         return "generic-signals"
     return "below-threshold"
-
-
-@dataclass
-class SweepResult:
-    rows: list[dict]            # per-seed detail, CSV-ready
-    cells: list[dict]           # N, M, regime, collisions_found_fraction
-
-
-def threshold_sweep(
-    prior_family,
-    N_range,
-    M_range,
-    kind: str,
-    seeds,
-    restarts: int = 50,
-) -> SweepResult:
-    """Tabulate collision fractions across an (N, M) grid.
-
-    ``prior_family(N, M, seed)`` builds the prior for a cell;
-    per (N, M, seed) a fresh mixing is drawn and a collision search run.
-    Regimes are labeled from the mixing kind's thresholds; below-threshold
-    cells are reported without any expectation attached.
-    """
-    seeds = list(seeds)
-    rows = []
-    cells = []
-    for N in N_range:
-        for M in M_range:
-            if M > N:
-                continue
-            regime = regime_label(N, M, kind)
-            hits = 0
-            for seed in seeds:
-                prior = prior_family(N, M, seed)
-                A = _cell_mixing(N, kind, seed)
-                report = collision_search(
-                    prior,
-                    A,
-                    block_structure_for_power_spectrum(N),
-                    restarts=restarts,
-                    seed=seed,
-                )
-                hits += report.verdict == "collision"
-                rows.append(collision_row(N, M, regime, kind, seed, report))
-            cells.append(
-                {
-                    "N": N,
-                    "M": M,
-                    "regime": regime,
-                    "collisions_found_fraction": hits / max(len(seeds), 1),
-                }
-            )
-    return SweepResult(rows, cells)
-
-
-def _cell_mixing(N, kind, seed):
-    # derive an independent stream so the mixing is decoupled from the search
-    return sample_mixing(N, kind, np.random.SeedSequence((int(seed), 0xA)))

@@ -18,15 +18,17 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, build_blocks, build_mixing, build_prior, given
 from .injectivity import (
-    SWEEP_CSV_HEADER,
     brute_force_collision_oracle,
     codimension_probe,
-    collision_row,
     collision_search,
     regime_label,
-    threshold_sweep,
 )
-from .measurements import second_moment_blocks, separable_measurement, to_real_fourier
+from .measurements import (
+    block_structure_for_power_spectrum,
+    second_moment_blocks,
+    separable_measurement,
+    to_real_fourier,
+)
 from .mra import (
     GroupAction,
     draw_ground_truth,
@@ -37,7 +39,7 @@ from .mra import (
     simulate_invariants,
     simulate_second_moment,
 )
-from .priors import SparsePrior, estimate_image_dimension
+from .priors import SparsePrior, estimate_image_dimension, sample_mixing
 
 __all__ = ["RunReport", "run"]
 
@@ -58,10 +60,7 @@ def write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     cols = header.split(",")
     for row in rows:
-        if isinstance(row, dict):
-            lines.append(",".join(_fmt(row.get(c)) for c in cols))
-        else:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(row.get(c)) for c in cols))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -157,14 +156,31 @@ def _run_measure(p: dict, out: Path):
     else:
         values = second_moment_blocks(sig, blocks)
     path = out / "measurement.csv"
-    header = ",".join(f"b{k + 1}" for k in range(blocks.R))
-    write_csv(path, header, [list(values)])
+    row = {f"b{k + 1}": v for k, v in enumerate(values)}
+    write_csv(path, ",".join(row), [row])
     return {"values": [float(v) for v in values], "blocks": list(blocks.dims)}, [path]
 
 
 # ---------------------------------------------------------------------------
 # collide
 # ---------------------------------------------------------------------------
+
+SWEEP_CSV_HEADER = "N,M,regime,kind,seed,verdict,residual,separation"
+
+
+def _collision_row(N, M, regime, kind, seed, report) -> dict:
+    """One row of SWEEP_CSV_HEADER for a collision search's report."""
+    return {
+        "N": N,
+        "M": M,
+        "regime": regime,
+        "kind": kind,
+        "seed": seed,
+        "verdict": report.verdict,
+        "residual": report.residual,
+        "separation": report.separation,
+    }
+
 
 def _prior_dimension_summary(prior) -> int:
     if isinstance(prior, SparsePrior):
@@ -207,7 +223,7 @@ def _run_collide(p: dict, out: Path):
         (mseed, collision_search(prior, mixing(mseed), blocks, **search_kwargs))
         for mseed in mixing_seeds
     ]
-    rows = [collision_row(N, M, regime, kind, mseed, rep) for mseed, rep in reports]
+    rows = [_collision_row(N, M, regime, kind, mseed, rep) for mseed, rep in reports]
     path = out / "collisions.csv"
     write_csv(path, SWEEP_CSV_HEADER, rows)
     collisions = sum(r["verdict"] == "collision" for r in rows)
@@ -279,8 +295,8 @@ def _run_probe_dim(p: dict, out: Path):
         "converged": len(converged),
         "within_bound": len(within),
         "equal_to_bound": len(equal),
-        "theoretical_bound": rows[0]["theoretical_bound"] if rows else None,
-        "ambient_dim": rows[0]["ambient_dim"] if rows else None,
+        "theoretical_bound": rows[0]["theoretical_bound"],
+        "ambient_dim": rows[0]["ambient_dim"],
     }
     return results, [path]
 
@@ -429,35 +445,55 @@ def _run_mra_sim(p: dict, out: Path):
 SAMPLE_COMPLEXITY_CSV_HEADER = "sigma,n_star,median_error,seeds_used"
 
 
-def _prior_family(spec: dict):
-    """A threshold sweep's ``prior_family(N, M, seed)``, one prior spec per cell."""
+def _cell_prior(spec: dict, N: int, M: int, seed: int):
+    """The prior of threshold-sweep cell (N, M) for ``seed``, from its ``prior_family`` spec."""
+    if spec["type"] == "sparse":
+        return build_prior({**spec, "N": N, "M": M, "seed": seed})
+    hidden = spec.get("hidden_widths", [max(2 * M, 6)])
+    return build_prior({"type": "relu-network", "widths": [M, *hidden, N], "seed": seed})
 
-    def family(N, M, seed):
-        if spec["type"] == "sparse":
-            return build_prior({**spec, "N": N, "M": M, "seed": seed})
-        hidden = spec.get("hidden_widths") or [max(2 * M, 6)]
-        return build_prior({"type": "relu-network", "widths": [M, *hidden, N], "seed": seed})
 
-    return family
+def _run_threshold(p: dict, out: Path):
+    """Collision fractions over the (N, M) grid: one search per cell (M <= N) and seed.
+
+    Each search draws its mixing from the stream (seed, 0xA), apart from its
+    own starts, which come from ``seed``. Regimes are labeled from the mixing
+    kind's thresholds; below-threshold cells are reported without any
+    expectation attached.
+    """
+    kind = p["mixing_kind"]
+    family = p.get("prior_family", {"type": "relu-network"})
+    restarts = p.get("restarts", 50)
+    rows, cells = [], []
+    for N in p["N_range"]:
+        blocks = block_structure_for_power_spectrum(N)
+        for M in p["M_range"]:
+            if M > N:
+                continue
+            regime = regime_label(N, M, kind)
+            cell = []
+            for seed in p["seeds"]:
+                prior = _cell_prior(family, N, M, seed)
+                A = sample_mixing(N, kind, np.random.SeedSequence((seed, 0xA)))
+                report = collision_search(prior, A, blocks, restarts=restarts, seed=seed)
+                cell.append(_collision_row(N, M, regime, kind, seed, report))
+            hits = sum(r["verdict"] == "collision" for r in cell)
+            cells.append(
+                {"N": N, "M": M, "regime": regime, "collisions_found_fraction": hits / len(cell)}
+            )
+            rows += cell
+    path = out / "sweep.csv"
+    write_csv(path, SWEEP_CSV_HEADER, rows)
+    return {
+        "cells": cells,
+        "collisions_found": sum(r["verdict"] == "collision" for r in rows),
+        "searches": len(rows),
+    }, [path]
 
 
 def _run_sweep(p: dict, out: Path):
     if p["sweep_kind"] == "threshold":
-        result = threshold_sweep(
-            _prior_family(p.get("prior_family", {"type": "relu-network"})),
-            [int(v) for v in p["N_range"]],
-            [int(v) for v in p["M_range"]],
-            p["mixing_kind"],
-            [int(s) for s in p["seeds"]],
-            **given(p, "restarts"),
-        )
-        path = out / "sweep.csv"
-        write_csv(path, SWEEP_CSV_HEADER, result.rows)
-        return {
-            "cells": result.cells,
-            "collisions_found": sum(r["verdict"] == "collision" for r in result.rows),
-            "searches": len(result.rows),
-        }, [path]
+        return _run_threshold(p, out)
 
     # sample-complexity
     group = _build_group(p["group"])

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 from momentlab import runner
 from momentlab.cli import main
 from momentlab.config import ConfigError, load_config, validate_config
+from momentlab.injectivity import collision_search, regime_label
+from momentlab.measurements import block_structure_for_power_spectrum
 from momentlab.presets import PRESETS, get_preset, list_presets
+from momentlab.priors import random_relu_network, sample_mixing
 from momentlab.runner import run
 
 
@@ -246,7 +249,96 @@ THRESHOLD_CONFIG = {
 }
 
 
+def run_threshold(tmp_path, params):
+    """Run a threshold sweep with these parameters: its results and its CSV rows as dicts."""
+    cfg = validate_config({**THRESHOLD_CONFIG, "parameters": params})
+    report = run(cfg, out_dir=tmp_path)
+    header, *lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    return report.results, [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def spy_searches(monkeypatch) -> list:
+    """Replace the runner's collision search; the list fills with (prior, kwargs) per call."""
+    seen = []
+
+    def search(prior, A, blocks, **kwargs):
+        seen.append((prior, kwargs))
+        return SimpleNamespace(verdict="no-collision-found", residual=1.0, separation=1.0)
+
+    monkeypatch.setattr(runner, "collision_search", search)
+    return seen
+
+
 class TestSweepCommand:
+    def test_small_sweep_no_collisions_above_threshold(self, tmp_path):
+        params = {
+            **THRESHOLD_CONFIG["parameters"],
+            "N_range": [10],
+            "M_range": [2],
+            "mixing_kind": "special-orthogonal",
+            "seeds": [0, 1, 2, 3, 4],
+            "restarts": 25,
+            "prior_family": {"type": "relu-network", "hidden_widths": [8]},
+        }
+        results, rows = run_threshold(tmp_path, params)
+        (cell,) = results["cells"]
+        assert cell["regime"] == "all-signals"
+        assert cell["collisions_found_fraction"] == 0.0
+        assert len(rows) == 5
+        assert all(r["verdict"] == "no-collision-found" for r in rows)
+
+    def test_below_threshold_reported_not_asserted(self, tmp_path):
+        params = {
+            **THRESHOLD_CONFIG["parameters"],
+            "N_range": [3],
+            "M_range": [2],
+            "mixing_kind": "special-orthogonal",
+            "seeds": [0, 1],
+            "restarts": 10,
+        }
+        results, _ = run_threshold(tmp_path, params)
+        (cell,) = results["cells"]
+        assert cell["regime"] == "below-threshold"
+        assert 0.0 <= cell["collisions_found_fraction"] <= 1.0
+
+    def test_each_search_draws_its_prior_mixing_and_starts_from_its_seed(self, tmp_path):
+        N, M, kind, restarts = 6, 1, "general-linear", 3
+        params = {
+            **THRESHOLD_CONFIG["parameters"],
+            "N_range": [N],
+            "M_range": [M],
+            "seeds": [2, 5],
+            "restarts": restarts,
+        }
+        _, rows = run_threshold(tmp_path, params)
+        assert [row["seed"] for row in rows] == ["2", "5"]
+        for row in rows:
+            seed = int(row["seed"])
+            report = collision_search(
+                random_relu_network((M, 6, N), seed=seed),
+                sample_mixing(N, kind, np.random.SeedSequence((seed, 0xA))),
+                block_structure_for_power_spectrum(N),
+                restarts=restarts,
+                seed=seed,
+            )
+            assert row["regime"] == regime_label(N, M, kind)
+            assert row["verdict"] == report.verdict
+            assert float(row["residual"]) == report.residual
+            assert float(row["separation"]) == report.separation
+
+    def test_restarts_default_to_50(self, tmp_path, monkeypatch):
+        seen = spy_searches(monkeypatch)
+        params = {k: v for k, v in THRESHOLD_CONFIG["parameters"].items() if k != "restarts"}
+        run_threshold(tmp_path, params)
+        assert [kwargs["restarts"] for _, kwargs in seen] == [50, 50]
+
+    def test_no_hidden_widths_give_a_linear_prior(self, tmp_path, monkeypatch):
+        seen = spy_searches(monkeypatch)
+        family = {"type": "relu-network", "hidden_widths": []}
+        run_threshold(tmp_path, {**THRESHOLD_CONFIG["parameters"], "prior_family": family})
+        assert [p.layers[0].weight.shape for p, _ in seen] == [(4, 1), (6, 1)]
+        assert [len(p.layers) for p, _ in seen] == [1, 1]
+
     def test_threshold_sweep_prints_a_summary(self, tmp_path, capsys):
         path = write_config(tmp_path, THRESHOLD_CONFIG)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -48,19 +48,25 @@ def test_retraction_hook_stays_on_manifold():
     np.testing.assert_allclose(res.x, target, atol=1e-10)
 
 
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
 def test_accepted_iterates_are_the_strict_running_minima():
     # Rosenbrock residuals: the undamped first step overshoots, so the
     # solver rejects trials and not every evaluation is an accepted iterate
     evaluations = []
 
     def residual(x):
-        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        r = rosenbrock(x)
         evaluations.append((x, float(r @ r)))
         return r
 
-    res = damped_gauss_newton(
-        residual, lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]), np.array([-1.2, 1.0])
-    )
+    res = damped_gauss_newton(residual, rosenbrock_jacobian, np.array([-1.2, 1.0]))
     minima = [evaluations[0]]
     for x, f in evaluations[1:]:
         if f < minima[-1][1]:
@@ -68,6 +74,16 @@ def test_accepted_iterates_are_the_strict_running_minima():
     assert len(minima) < len(evaluations)
     assert res.x is minima[-1][0]
     assert res.f == minima[-1][1]
+
+
+def test_a_start_with_no_finite_jacobian_ends_unconverged():
+    # the SVD of a NaN Jacobian does not converge; the solve returns its start
+    x0 = np.array([np.nan, 0.0])
+    res = damped_gauss_newton(rosenbrock, rosenbrock_jacobian, x0)
+    assert res.x is x0
+    assert np.isnan(res.f)
+    assert res.iterations == 1
+    assert not res.converged
 
 
 def first_trial_step(monkeypatch, J, r0, lam):

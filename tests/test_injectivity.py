@@ -11,7 +11,6 @@ from momentlab.injectivity import (
     collision_search,
     regime_label,
     solution_dim_bound,
-    threshold_sweep,
 )
 from momentlab.measurements import (
     BlockStructure,
@@ -452,32 +451,3 @@ class TestThresholdSweep:
         assert regime_label(8, 2, "general-linear") == "all-signals"
         assert regime_label(4, 2, "general-linear") == "generic-signals"
         assert regime_label(3, 2, "general-linear") == "below-threshold"
-
-    def test_small_sweep_no_collisions_above_threshold(self):
-        family = lambda N, M, seed: random_relu_network((M, M + 6, N), seed=seed)
-        result = threshold_sweep(
-            family, [10], [2], "special-orthogonal", seeds=range(5), restarts=25
-        )
-        (cell,) = result.cells
-        assert cell["regime"] == "all-signals"
-        assert cell["collisions_found_fraction"] == 0.0
-        assert len(result.rows) == 5
-        assert all(r["verdict"] == "no-collision-found" for r in result.rows)
-
-    def test_below_threshold_reported_not_asserted(self):
-        family = lambda N, M, seed: random_relu_network((M, M + 4, N), seed=seed)
-        result = threshold_sweep(
-            family, [3], [2], "special-orthogonal", seeds=range(2), restarts=10
-        )
-        (cell,) = result.cells
-        assert cell["regime"] == "below-threshold"
-        assert 0.0 <= cell["collisions_found_fraction"] <= 1.0
-
-    def test_seeds_from_a_generator_reach_every_cell(self):
-        family = lambda N, M, seed: random_relu_network((M, M + 4, N), seed=seed)
-        args = (family, [4, 6], [1], "special-orthogonal")
-        from_list = threshold_sweep(*args, seeds=[0, 1], restarts=3)
-        from_generator = threshold_sweep(*args, seeds=(s for s in [0, 1]), restarts=3)
-        assert len(from_generator.rows) == 4
-        assert from_generator.rows == from_list.rows
-        assert from_generator.cells == from_list.cells
