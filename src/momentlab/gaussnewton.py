@@ -94,7 +94,7 @@ def damped_gauss_newton(
         accepted = False
         while lam <= LAM_MAX:
             step = -((sv / (sv2 + lam) * c) @ Vt)
-            if np.linalg.norm(step) <= STEP_TOL:
+            if np.sqrt(step @ step) <= STEP_TOL:
                 break
             x_new = retract(x, step)
             r_new = np.asarray(residual(x_new), dtype=float)

@@ -44,11 +44,11 @@ class BlockStructure:
             raise DimensionError(f"block dims must be positive, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
-    @property
+    @cached_property
     def N(self) -> int:
         return int(sum(self.dims))
 
-    @property
+    @cached_property
     def R(self) -> int:
         return len(self.dims)
 

@@ -287,6 +287,7 @@ def recover(
 class SampleComplexityResult:
     rows: list[dict]                # sigma, n_star, median_error, seeds_used
     fitted_slope: float | None
+    recoveries: int                 # recover() calls the scan made
 
 
 def draw_ground_truth(prior, A, true_seed, signal_norm: float | None):
@@ -381,6 +382,15 @@ def sample_complexity_sweep(
     saturated (n_star = None). The fitted slope is the least-squares slope
     of log n_star against log sigma over non-saturated cells.
 
+    A cell stops early: once more than ``len(seeds) // 2`` of its errors
+    exceed the target, its median cannot meet it, so the remaining seeds
+    are skipped and the scan moves to the next n. That changes no result.
+    Each seed draws from its own streams (below), so a skipped seed alters
+    no other seed's draws; a cell that meets the target evaluates every
+    seed, so its ``median_error`` is exact; and ``seeds_used`` is always
+    ``len(seeds)``, the sample the median is taken over. ``recoveries``
+    counts the ``recover`` calls actually made.
+
     The ground-truth signal is one fixed draw from the mixed prior
     (optionally rescaled to ``signal_norm``), shared by every cell.
 
@@ -400,6 +410,8 @@ def sample_complexity_sweep(
             f"need 1 <= n_min <= n_cap and grid_ratio > 1, got {n_min}, {n_cap}, {grid_ratio}"
         )
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
     blocks = group.blocks
     _, _, x_star = draw_ground_truth(prior, A, true_seed, signal_norm)
 
@@ -425,11 +437,20 @@ def sample_complexity_sweep(
         return rec.error_fn(x_star)
 
     rows = []
+    recoveries = 0
     for si, sigma in enumerate(sigma_list):
         n_star = None
         median_err = None
         for ni in range(len(grid)):
-            errs = [cell_error(si, ni, s) for s in seeds]
+            errs, misses = [], 0
+            for s in seeds:
+                errs.append(cell_error(si, ni, s))
+                misses += errs[-1] > target_error
+                if misses > len(seeds) // 2:    # the median misses too
+                    break
+            recoveries += len(errs)
+            if len(errs) < len(seeds):
+                continue
             med = float(np.median(errs))
             if med <= target_error:
                 n_star, median_err = int(grid[ni]), med
@@ -449,4 +470,4 @@ def sample_complexity_sweep(
         ls = np.log([s for s, _ in solved])
         ln = np.log([n for _, n in solved])
         slope = float(np.polyfit(ls, ln, 1)[0])
-    return SampleComplexityResult(rows, slope)
+    return SampleComplexityResult(rows, slope, recoveries)

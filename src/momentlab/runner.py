@@ -527,5 +527,6 @@ def _run_sweep(p: dict, out: Path):
         "fitted_slope": result.fitted_slope,
         "resolved_true_seed": int(true_seed),
         "saturated_sigmas": saturated,
+        "recoveries": result.recoveries,
         "rows": result.rows,
     }, [path]

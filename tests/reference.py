@@ -14,7 +14,9 @@ files the library reads:
   that ``mra.simulate_invariants`` draws from;
 * ``network_to_json`` / ``sparse_prior_to_json`` -- fixture writers for the
   formats that ``priors.network_from_json`` and ``sparse_prior_from_json``
-  read.
+  read;
+* ``full_sample_complexity_scan`` -- the sample-complexity scan that
+  recovers every seed of every cell it visits, with no early stop.
 """
 
 import json
@@ -22,7 +24,13 @@ import json
 import numpy as np
 
 from momentlab.measurements import BlockStructure, DimensionError
-from momentlab.mra import GroupAction, _orbit_matrices
+from momentlab.mra import (
+    GroupAction,
+    _orbit_matrices,
+    draw_ground_truth,
+    recover,
+    simulate_invariants,
+)
 from momentlab.priors import GeneratorNetwork, SparsePrior
 from momentlab.so3 import MAX_BAND_LIMIT, _real_basis_transform, _y_generator_eig, band_limit_blocks
 
@@ -161,3 +169,61 @@ def sparse_prior_to_json(prior: SparsePrior) -> str:
             "kind": prior.kind,
         }
     )
+
+
+def full_sample_complexity_scan(
+    prior,
+    A,
+    group,
+    sigma_list,
+    target_error,
+    seeds,
+    true_seed=0,
+    signal_norm=None,
+    n_min=8,
+    n_cap=10_000_000,
+    grid_ratio=2.0 ** 0.25,
+    recover_restarts=10,
+):
+    """``mra.sample_complexity_sweep`` with no early stop: (rows, fitted slope, recoveries).
+
+    Every seed of every cell it visits is recovered, from the same
+    ``SeedSequence`` keys as the library's scan, and each cell's median is
+    taken over all of them.
+    """
+    sigma_list = [float(s) for s in sigma_list]
+    _, _, x_star = draw_ground_truth(prior, A, true_seed, signal_norm)
+    grid = [int(n_min)]
+    while grid[-1] < n_cap:
+        grid.append(min(int(np.ceil(grid[-1] * grid_ratio)), int(n_cap)))
+    grid = np.unique(np.asarray(grid))
+
+    rows, recoveries = [], 0
+    for si, sigma in enumerate(sigma_list):
+        n_star = median_err = None
+        for ni, n in enumerate(grid):
+            errs = []
+            for s in seeds:
+                key = (int(true_seed), si, ni, int(s))
+                inv = simulate_invariants(
+                    x_star, group, int(n), sigma, np.random.default_rng(np.random.SeedSequence(key))
+                )
+                rec = recover(
+                    inv, prior, A, group.blocks, seed=np.random.SeedSequence(key + (0xC,)),
+                    restarts=recover_restarts, max_iter=150,
+                )
+                errs.append(rec.error_fn(x_star))
+            recoveries += len(errs)
+            if np.median(errs) <= target_error:
+                n_star, median_err = int(n), float(np.median(errs))
+                break
+        rows.append(
+            {"sigma": sigma, "n_star": n_star, "median_error": median_err, "seeds_used": len(seeds)}
+        )
+
+    solved = [(r["sigma"], r["n_star"]) for r in rows if r["n_star"] is not None]
+    slope = None
+    if len(solved) >= 2:
+        sig, ns = zip(*solved)
+        slope = float(np.polyfit(np.log(sig), np.log(ns), 1)[0])
+    return rows, slope, recoveries

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentlab import runner
+from momentlab import mra, runner
 from momentlab.cli import main
 from momentlab.config import ConfigError, load_config, validate_config
 from momentlab.injectivity import collision_search, regime_label
@@ -385,6 +385,26 @@ class TestSweepCommand:
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+
+    def test_report_counts_the_recoveries_and_the_csv_does_not(self, tmp_path, monkeypatch):
+        params = {
+            **get_preset("mra-cyclic-n4").parameters(),
+            "sigma_list": [0.25],
+            "seeds": [0, 1, 2],
+            "true_seed": 0,
+            "n_min": 64,
+            "grid_ratio": 2.0,
+            "recover_restarts": 4,
+        }
+        calls = []
+        recover = mra.recover
+        monkeypatch.setattr(mra, "recover", lambda *a, **k: calls.append(1) or recover(*a, **k))
+        run(validate_config({"schema_version": 1, "command": "sweep", "parameters": params}),
+            out_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["results"]["recoveries"] == len(calls) > 0
+        header = (tmp_path / "samplecomplexity.csv").read_text().splitlines()[0]
+        assert header == "sigma,n_star,median_error,seeds_used"
 
     def test_a_sweep_with_no_cell_exits_2(self, tmp_path, capsys):
         # every M exceeds every N, so no (N, M) cell would be searched

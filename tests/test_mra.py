@@ -39,7 +39,7 @@ from momentlab.so3 import (
     rotate_bandlimited,
 )
 
-from reference import action_matrix, extract_invariants
+from reference import action_matrix, extract_invariants, full_sample_complexity_scan
 
 
 def group_elements(group, rng, n):
@@ -573,6 +573,72 @@ class TestSampleComplexity:
                 errs.append(rec.error_fn(x_star))
             meds.append(np.median(errs))
         assert sorted(meds, reverse=True) == meds
+
+    @pytest.mark.parametrize("seeds", [[0, 1, 2], [0, 1, 2, 3]])
+    def test_early_stop_matches_the_full_scan(self, seeds, monkeypatch):
+        N = 8
+        group = GroupAction.cyclic(N)
+        prior = random_relu_network((2, 10, N), seed=11)
+        A = sample_mixing(N, "special-orthogonal", 11)
+        args = (prior, A, group, [0.25, 0.5], 0.1, seeds)
+        kw = dict(
+            true_seed=0, signal_norm=0.4, n_min=64, grid_ratio=2.0, n_cap=10**6,
+            recover_restarts=4,
+        )
+        rows, slope, full = full_sample_complexity_scan(*args, **kw)
+        calls = []
+        recover = mra.recover
+        monkeypatch.setattr(mra, "recover", lambda *a, **k: calls.append(1) or recover(*a, **k))
+        result = sample_complexity_sweep(*args, **kw)
+        assert result.rows == rows
+        assert result.fitted_slope == slope
+        assert result.recoveries == len(calls) < full
+
+    # Scripted errors, one per recover call, for a grid of n = 100, 200, 400:
+    # the first cell that meets the target of 0.1 gives n_star.
+    @pytest.mark.parametrize(
+        "n_seeds, errors, calls, n_star",
+        [
+            # 3 of 4 miss: the median cannot meet the target, the 4th seed is skipped
+            (4, [0.5, 0.5, 0.5] + [0.01] * 4, 7, 200),
+            # exactly 2 of 4 miss: evaluated in full, and the median 0.255 fails
+            (4, [0.5, 0.01, 0.5, 0.01] + [0.01] * 4, 8, 200),
+            # exactly 2 of 4 miss, and the median 0.08 meets the target
+            (4, [0.15, 0.01, 0.15, 0.01], 4, 100),
+            # 2 of 3 miss: the cell stops after its second miss, wherever it falls
+            (3, [0.01, 0.5, 0.5] + [0.5, 0.5] + [0.01] * 3, 8, 400),
+        ],
+    )
+    def test_a_cell_stops_once_more_than_half_its_seeds_miss(
+        self, n_seeds, errors, calls, n_star, monkeypatch
+    ):
+        N = 8
+        prior = random_relu_network((2, 10, N), seed=11)
+        A = sample_mixing(N, "special-orthogonal", 11)
+        _, _, x_star = draw_ground_truth(prior, A, 0, 0.4)
+        script = iter(errors)
+
+        def scripted_recover(*args, **kwargs):
+            x_hat = (1.0 + next(script)) * x_star     # error_fn reads the scripted error
+            return mra.RecoveryResult(x_hat, x_hat, 0.0, False, 1)
+
+        monkeypatch.setattr(mra, "recover", scripted_recover)
+        seeds = range(n_seeds)
+        result = sample_complexity_sweep(
+            prior, A, GroupAction.cyclic(N), [0.5], 0.1, seeds,
+            signal_norm=0.4, n_min=100, n_cap=400, grid_ratio=2.0,
+        )
+        assert result.recoveries == calls
+        assert next(script, None) is None
+        assert result.rows[0]["n_star"] == n_star
+        assert result.rows[0]["seeds_used"] == len(seeds)
+
+    def test_no_seeds_raise(self):
+        N = 8
+        prior = random_relu_network((2, 10, N), seed=11)
+        A = sample_mixing(N, "special-orthogonal", 11)
+        with pytest.raises(ValueError, match="seeds"):
+            sample_complexity_sweep(prior, A, GroupAction.cyclic(N), [0.5], 0.1, seeds=[])
 
     def test_amplification_screen(self):
         N = 8
