@@ -70,6 +70,11 @@ def damped_gauss_newton(
     minimum of the evaluations fell, and the returned ``x`` is the last of
     them, or x0. The damping starts at ``LAM0``.
 
+    ``jacobian(x)`` is only ever called with the very object last passed to
+    ``residual``: x0 before any trial, and then an accepted trial right
+    after its evaluation. So ``jacobian`` may reuse what ``residual``
+    computed at that point instead of evaluating it again.
+
     Convergence means the final objective dropped below ``f_tol``; a result
     with ``converged=False`` still carries the best iterate found.
     """

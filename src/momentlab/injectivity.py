@@ -30,16 +30,20 @@ from .gaussnewton import damped_gauss_newton, multistart
 from .measurements import (
     BlockStructure,
     measurement_jacobian,
+    mixed_signal,
+    second_moment_blocks,
     separable_measurement,
 )
 from .priors import (
     as_rng,
+    chart_stack,
+    chart_walk,
     generator_forward,
-    generator_jacobian,
     latent_parametrizations,
     numerical_rank,
     prior_charts,
     sample_mixing,
+    walk_jacobian,
 )
 
 __all__ = [
@@ -114,6 +118,11 @@ class CodimensionEstimate:
     solution: np.ndarray | None = None
 
 
+def _norm(v):
+    """The 2-norm of a 1-d vector, with the bits of ``np.linalg.norm(v)``."""
+    return np.sqrt(v @ v)
+
+
 def _is_collision(residual, separation, scale, residual_tol, separation_tol):
     return (
         scale > 0
@@ -161,6 +170,11 @@ def collision_search(
     The reported pair is the best separated one (least raw / s**2) over the
     accepted iterates of every solve, or, if none is separated, the one with
     the least raw gap.
+
+    A solve's latent point u = [z1; z2] is walked as one two-lane stack
+    through the stack of its two charts, and its Jacobian reuses what the
+    residual computed at the same u: the walk, the mixed signals, the norms
+    and the separation.
     """
     rng = as_rng(seed)
     tracker = _PairTracker(separation_tol)
@@ -171,48 +185,53 @@ def collision_search(
         z1, net1 = next(params)
         z2, net2 = next(params)
         K = z1.shape[0]
+        pair = chart_stack((net1, net2))
         u0 = np.concatenate([z1, z2])
         f_min = None
+        at = None       # what residual(u) computed, for jacobian(u)
 
         def residual(u):
             # The solver accepts exactly the points where the strict running
             # minimum of its objective falls, so those are the ones tracked.
-            nonlocal f_min
-            x, y = generator_forward(net1, u[:K]), generator_forward(net2, u[K:])
-            s = max(np.linalg.norm(x), np.linalg.norm(y))
-            sep = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
-            rm = separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
+            nonlocal f_min, at
+            walk = chart_walk(pair, u.reshape(2, K))
+            S = mixed_signal(walk.x, A, blocks)
+            P = second_moment_blocks(S, blocks)
+            x, y = walk.x
+            rm = P[0] - P[1]
+            s = max(_norm(x), _norm(y))
+            d_minus, d_plus = _norm(x - y), _norm(x + y)
+            sep = min(d_minus, d_plus)
             if s <= 0.0:
                 r = np.concatenate([rm, [spen * separation_tol]])
             else:
                 r = np.concatenate([rm / s**2, [spen * max(0.0, separation_tol - sep / s)]])
+            at = (u, walk, S, s, d_minus, d_plus, sep)
             f = float(r @ r)
             if f_min is None or f < f_min:
                 f_min = f
-                tracker.update(x, y, np.linalg.norm(rm), sep, s)
+                tracker.update(x, y, _norm(rm), sep, s)
             return r
 
         def jacobian(u):
-            x, G1 = generator_jacobian(net1, u[:K])
-            y, G2 = generator_jacobian(net2, u[K:])
-            s = max(np.linalg.norm(x), np.linalg.norm(y))
+            u_at, walk, S, s, d_minus, d_plus, sep = at
+            if u is not u_at:
+                raise ValueError("jacobian(u) is only defined at the point of the last residual(u)")
+            J = np.zeros((blocks.R + 1, 2 * K))
             if s <= 0.0:
-                return np.zeros((blocks.R + 1, 2 * K))
-            Jx = measurement_jacobian(x, A, blocks) @ G1 / s**2
-            Jy = measurement_jacobian(y, A, blocks) @ G2 / s**2
-            Jm = np.hstack([Jx, -Jy])
-            d_minus = np.linalg.norm(x - y)
-            d_plus = np.linalg.norm(x + y)
-            sep = min(d_minus, d_plus)
-            row = np.zeros(2 * K)
+                return J
+            G = walk_jacobian(walk)
+            JG = measurement_jacobian(S, A, blocks) @ G / s**2
+            J[:-1, :K] = JG[0]
+            J[:-1, K:] = -JG[1]
             if sep > 1e-14 and separation_tol - sep / s > 0:
+                x, y = walk.x
                 sign = 1.0 if d_minus <= d_plus else -1.0
                 diff = (x - sign * y) / sep
                 # scale s frozen within one linearization
-                row = (-spen / s) * np.concatenate(
-                    [diff @ G1, -sign * (diff @ G2)]
-                )
-            return np.vstack([Jm, row[None, :]])
+                J[-1, :K] = (-spen / s) * (diff @ G[0])
+                J[-1, K:] = (-spen / s) * (-sign * (diff @ G[1]))
+            return J
 
         res = damped_gauss_newton(residual, jacobian, u0, max_iter=500, f_tol=1e-30)
         return res.converged
@@ -367,8 +386,11 @@ def codimension_probe(
     D = np.outer(x, x) - np.outer(y, y)
     rng = as_rng(seed)
 
+    pair = np.stack([x, y])
+
     def resid(A):
-        return separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
+        P = separable_measurement(pair, A, blocks)
+        return P[0] - P[1]
 
     if manifold == "general-linear":
         tangent_dim = N * N

@@ -25,6 +25,7 @@ __all__ = [
     "real_fourier_matrix",
     "to_real_fourier",
     "second_moment_blocks",
+    "mixed_signal",
     "separable_measurement",
     "measurement_jacobian",
 ]
@@ -70,6 +71,15 @@ class BlockStructure:
         if x.ndim != 1 or x.shape[0] != self.N:
             raise DimensionError(
                 f"signal has shape {x.shape}, expected length {self.N}"
+            )
+        return x
+
+    def check_signals(self, x: np.ndarray) -> np.ndarray:
+        """A signal (N,) or a stack of signals (B, N), as a float array."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.N:
+            raise DimensionError(
+                f"signal has shape {x.shape}, expected length {self.N} or a stack (B, {self.N})"
             )
         return x
 
@@ -126,43 +136,49 @@ def to_real_fourier(v: np.ndarray) -> np.ndarray:
 
 
 def second_moment_blocks(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    """Per-block sums of squared coordinates (length-R, nonnegative).
+    """Per-block sums of squared coordinates (R,) of a signal (N,), or (B, R) of a stack (B, N).
 
     With ``blocks = block_structure_for_power_spectrum(N)`` this is the
     power spectrum of the signal in block coordinates.
     """
-    x = blocks.check_signal(x)
-    return np.add.reduceat(x * x, blocks.starts)
+    x = blocks.check_signals(x)
+    return np.add.reduceat(x * x, blocks.starts, axis=-1)
+
+
+def _check_mixing(A, blocks: BlockStructure) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
+    if A.shape != (blocks.N, blocks.N):
+        raise DimensionError(
+            f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
+        )
+    return A
+
+
+def mixed_signal(x, A, blocks: BlockStructure) -> np.ndarray:
+    """The mixed signal S = A x of a signal (N,), or of each row of a stack (B, N).
+
+    A stack is mixed as ``(A @ X[..., None])[..., 0]``, which gives each row
+    the bits of the point form ``A @ x``.
+    """
+    x = blocks.check_signals(x)
+    return (_check_mixing(A, blocks) @ x[..., None])[..., 0]
 
 
 def separable_measurement(x, A, blocks: BlockStructure) -> np.ndarray:
     """Block energies of the mixed signal (N,), or of each row of a stack (B, N).
 
     Entry k is the sum of <x, w_j>^2 over the rows w_j of A belonging to
-    block k, which equals ``second_moment_blocks(A @ x, blocks)``. A stack
-    is mixed as ``(A @ X.T).T``.
+    block k, which equals ``second_moment_blocks(A @ x, blocks)``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != blocks.N:
-        raise DimensionError(f"signal has shape {x.shape}, expected (..., {blocks.N})")
-    A = np.asarray(A, dtype=float)
-    if A.shape != (blocks.N, blocks.N):
-        raise DimensionError(
-            f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
-        )
-    s = A @ x if x.ndim == 1 else (A @ x.T).T
-    return np.add.reduceat(s * s, blocks.starts, axis=-1)
+    return second_moment_blocks(mixed_signal(x, A, blocks), blocks)
 
 
-def measurement_jacobian(x, A, blocks: BlockStructure) -> np.ndarray:
-    """Jacobian (R x N) of :func:`separable_measurement` with respect to x.
+def measurement_jacobian(S, A, blocks: BlockStructure) -> np.ndarray:
+    """Jacobian (R x N) of :func:`separable_measurement` at x, from its mixed signal S = A x.
 
-    Row k is 2 * sum_j <x, w_j> w_j over the rows of block k.
+    Row k is 2 * sum_j <x, w_j> w_j over the rows w_j of block k, and
+    <x, w_j> is entry j of S, so A @ x is not formed again. A stack of mixed
+    signals (B, N) gives one Jacobian per row, (B, R, N).
     """
-    x = blocks.check_signal(x)
-    A = np.asarray(A, dtype=float)
-    if A.shape != (blocks.N, blocks.N):
-        raise DimensionError(
-            f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
-        )
-    return 2.0 * np.add.reduceat((A @ x)[:, None] * A, blocks.starts, axis=0)
+    S = blocks.check_signals(S)
+    return 2.0 * np.add.reduceat(S[..., None] * _check_mixing(A, blocks), blocks.starts, axis=-2)

@@ -36,11 +36,18 @@ from .measurements import (
     DimensionError,
     block_structure_for_power_spectrum,
     measurement_jacobian,
+    mixed_signal,
     real_fourier_matrix,
     second_moment_blocks,
-    separable_measurement,
 )
-from .priors import as_rng, generator_forward, generator_jacobian, latent_parametrizations
+from .priors import (
+    as_rng,
+    chart_walk,
+    generator_forward,
+    generator_jacobian,
+    latent_parametrizations,
+    walk_jacobian,
+)
 from .so3 import band_limit_blocks, haar_euler_angles, rotate_bandlimited, so3_quadrature
 
 __all__ = [
@@ -249,6 +256,8 @@ def recover(
     the returned estimate is the mixed signal A @ p(z*). With noisy
     invariants the optimum sits at the noise floor, so ``converged`` only
     reflects whether some start reached the (relative) target residual.
+    Each Jacobian reuses the chart walk and the mixed signal that the
+    residual computed at the same point.
     """
     invariants = np.asarray(invariants, dtype=float)
     if invariants.shape != (blocks.R,):
@@ -259,13 +268,20 @@ def recover(
 
     def attempt():
         z0, net = next(params)
+        at = None       # what residual(z) computed, for jacobian(z)
 
         def residual(z):
-            return separable_measurement(generator_forward(net, z), A, blocks) - invariants
+            nonlocal at
+            walk = chart_walk(net, z)
+            S = mixed_signal(walk.x, A, blocks)
+            at = (z, walk, S)
+            return second_moment_blocks(S, blocks) - invariants
 
         def jacobian(z):
-            x, G = generator_jacobian(net, z)
-            return measurement_jacobian(x, A, blocks) @ G
+            z_at, walk, S = at
+            if z is not z_at:
+                raise ValueError("jacobian(z) is only defined at the point of the last residual(z)")
+            return measurement_jacobian(S, A, blocks) @ walk_jacobian(walk)
 
         res = damped_gauss_newton(
             residual, jacobian, z0, max_iter=max_iter, f_tol=f_target
@@ -325,7 +341,7 @@ def instance_noise_amplification(prior, A, blocks, true_seed, signal_norm=None) 
     """
     net, z0, _ = draw_ground_truth(prior, A, true_seed, signal_norm)
     p, J_prior = generator_jacobian(net, z0)
-    J_inv = measurement_jacobian(p, A, blocks) @ J_prior
+    J_inv = measurement_jacobian(mixed_signal(p, A, blocks), A, blocks) @ J_prior
     sv_inv = np.linalg.svd(J_inv, compute_uv=False)
     sv_x = np.linalg.svd(A @ J_prior, compute_uv=False)
     if sv_inv[-1] == 0:

@@ -9,7 +9,11 @@ into :mod:`momentlab.measurements`.
 Every prior is a finite union of generator networks, its charts: a network
 is its own chart, and a sparse prior is evaluated as one linear network per
 support, whose layer holds that support's basis columns. So
-:func:`generator_forward` and :func:`generator_jacobian` evaluate every prior.
+:func:`chart_walk` evaluates every prior: it walks a network's layers once
+at a latent point or a stack of them and keeps each layer's pre-activation,
+from which :func:`walk_jacobian` takes the Jacobian without a second pass.
+Charts walked together, one per row of a stack, are stacked on a lane axis
+by :func:`chart_stack`.
 
 "Generic" matrices are realized as random draws from continuous
 distributions; every sampler threads an explicit seed so experiments can
@@ -22,6 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,10 @@ __all__ = [
     "Layer",
     "GeneratorNetwork",
     "SparsePrior",
+    "ChartWalk",
+    "chart_stack",
+    "chart_walk",
+    "walk_jacobian",
     "generator_forward",
     "generator_jacobian",
     "estimate_image_dimension",
@@ -114,7 +123,11 @@ def _activation_derivative(act, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Layer:
-    """One affine layer followed by an elementwise activation."""
+    """One affine layer followed by an elementwise activation.
+
+    A layer of a chart stack carries a leading lane axis: weight (B, out, in)
+    and bias (B, out), whose lane b is the layer of chart b.
+    """
 
     weight: np.ndarray
     activation: str = "identity"
@@ -124,15 +137,17 @@ class Layer:
 
     def __post_init__(self):
         W = np.asarray(self.weight, dtype=float)
-        if W.ndim != 2:
-            raise DimensionError(f"layer weight must be 2-d, got shape {W.shape}")
+        if W.ndim not in (2, 3):
+            raise DimensionError(
+                f"layer weight must be 2-d, or 3-d with a lane axis, got shape {W.shape}"
+            )
         object.__setattr__(self, "weight", W)
         object.__setattr__(self, "_act", parse_activation(self.activation))
         if self.bias is not None:
             b = np.asarray(self.bias, dtype=float)
-            if b.shape != (W.shape[0],):
+            if b.shape != W.shape[:-1]:
                 raise DimensionError(
-                    f"bias shape {b.shape} does not match output dim {W.shape[0]}"
+                    f"bias shape {b.shape} does not match the weight's {W.shape[:-1]}"
                 )
             object.__setattr__(self, "bias", b)
 
@@ -142,69 +157,121 @@ class GeneratorNetwork:
     """Composition of layers: x = act_L(W_L ... act_1(W_1 z)).
 
     Networks carry no bias by default; the final layer is typically linear
-    (activation "identity"). Consecutive layer dimensions must chain.
+    (activation "identity"). Consecutive layer dimensions must chain, and
+    the layers with a lane axis must agree on its length, ``lanes``.
     """
 
     layers: tuple[Layer, ...]
+    #: Lane count of a chart stack (see :func:`chart_stack`); None for one chart.
+    lanes: int | None = field(init=False, compare=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
         if not layers:
             raise DimensionError("network needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
-            if nxt.weight.shape[1] != prev.weight.shape[0]:
+            if nxt.weight.shape[-1] != prev.weight.shape[-2]:
                 raise DimensionError(
                     f"layer dims do not chain: {prev.weight.shape} -> {nxt.weight.shape}"
                 )
+        lanes = {layer.weight.shape[0] for layer in layers if layer.weight.ndim == 3}
+        if len(lanes) > 1:
+            raise DimensionError(f"layers disagree on the lane count: {sorted(lanes)}")
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "lanes", lanes.pop() if lanes else None)
 
     @property
     def latent_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[-2]
+
+
+def chart_stack(nets) -> GeneratorNetwork:
+    """One network whose lane b is chart ``nets[b]``, to walk a (B, K) stack at once.
+
+    Charts that are all one network (a network prior's) are that network,
+    which walks a stack of any length. Other charts must match layer for
+    layer in shape, activation and bias; their weights and biases are then
+    stacked on a lane axis.
+    """
+    first = nets[0]
+    if all(net is first for net in nets):
+        return first
+    if any(len(net.layers) != len(first.layers) for net in nets):
+        raise DimensionError("charts to stack differ in their number of layers")
+    layers = []
+    for lane_layers in zip(*(net.layers for net in nets)):
+        head = lane_layers[0]
+        if any(
+            layer.weight.shape != head.weight.shape
+            or layer._act != head._act
+            or (layer.bias is None) != (head.bias is None)
+            for layer in lane_layers
+        ):
+            raise DimensionError("charts to stack differ in a layer's shape, activation or bias")
+        bias = None if head.bias is None else np.stack([layer.bias for layer in lane_layers])
+        layers.append(Layer(np.stack([layer.weight for layer in lane_layers]), head.activation, bias))
+    return GeneratorNetwork(tuple(layers))
+
+
+class ChartWalk(NamedTuple):
+    """A network walked at a latent point or stack: its value and each layer's pre-activation."""
+
+    net: GeneratorNetwork
+    x: np.ndarray
+    pre_activations: tuple
+
+
+def chart_walk(net: GeneratorNetwork, z: np.ndarray) -> ChartWalk:
+    """Walk the layers once at a latent point (K,) or stack (B, K).
+
+    Each layer maps a point or a stack as ``(W @ a[..., None])[..., 0]``,
+    which gives every row of a stack the bits of the point form ``W @ z``.
+    A chart stack walks a (lanes, K) stack, lane b through chart b.
+    """
+    a = np.asarray(z, dtype=float)
+    K = net.latent_dim
+    if net.lanes is None:
+        if a.ndim not in (1, 2) or a.shape[-1] != K:
+            raise DimensionError(f"latent has shape {a.shape}, expected (..., {K})")
+    elif a.shape != (net.lanes, K):
+        raise DimensionError(f"latent has shape {a.shape}, expected ({net.lanes}, {K})")
+    pre = []
+    for layer in net.layers:
+        a = (layer.weight @ a[..., None])[..., 0]
+        if layer.bias is not None:
+            a = a + layer.bias
+        pre.append(a)
+        a = _apply_activation(layer._act, a)
+    return ChartWalk(net, a, tuple(pre))
+
+
+def walk_jacobian(walk: ChartWalk) -> np.ndarray:
+    """Jacobian dx/dz (N, K) at a walk's point, or (B, N, K) at each row of its stack.
+
+    The chain rule runs over the walk's pre-activations, so there is no
+    second forward pass. Piecewise-linear activations have derivative 0 at
+    their kinks, so the Jacobian is the one of the active linear piece.
+    """
+    J = None
+    for layer, a in zip(walk.net.layers, walk.pre_activations):
+        J = layer.weight if J is None else layer.weight @ J
+        J = _activation_derivative(layer._act, a)[..., None] * J
+    return J
 
 
 def generator_forward(net: GeneratorNetwork, z: np.ndarray) -> np.ndarray:
-    """Evaluate the network at a latent point (K,) or a stack of them (B, K).
-
-    Each layer maps a point as ``W @ z`` and a stack as ``(W @ Z.T).T``.
-    """
-    a = np.asarray(z, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] != net.latent_dim:
-        raise DimensionError(f"latent has shape {a.shape}, expected (..., {net.latent_dim})")
-    for layer in net.layers:
-        a = layer.weight @ a if a.ndim == 1 else (layer.weight @ a.T).T
-        if layer.bias is not None:
-            a = a + layer.bias
-        a = _apply_activation(layer._act, a)
-    return a
+    """The network's value at a latent point (K,) or stack (B, K); see :func:`chart_walk`."""
+    return chart_walk(net, z).x
 
 
 def generator_jacobian(net: GeneratorNetwork, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value x (the bits of ``generator_forward``) and Jacobian dx/dz, in one layer walk.
-
-    The Jacobian follows the activation-pattern chain rule. Piecewise-linear
-    activations have derivative 0 at their kinks, so the Jacobian is the one
-    of the active linear piece.
-    """
-    a = np.asarray(z, dtype=float)
-    if a.shape != (net.latent_dim,):
-        raise DimensionError(
-            f"latent has shape {a.shape}, expected ({net.latent_dim},)"
-        )
-    J = None
-    for layer in net.layers:
-        a = layer.weight @ a
-        if layer.bias is not None:
-            a = a + layer.bias
-        J = layer.weight if J is None else layer.weight @ J
-        d = _activation_derivative(layer._act, a)
-        a = _apply_activation(layer._act, a)
-        J = d[:, None] * J
-    return a, J
+    """Value x (the bits of ``generator_forward``) and Jacobian dx/dz, in one layer walk."""
+    walk = chart_walk(net, z)
+    return walk.x, walk_jacobian(walk)
 
 
 #: Singular values above this multiple of the largest count towards a rank.
@@ -221,17 +288,14 @@ def estimate_image_dimension(net: GeneratorNetwork, trials: int = 50, seed=0) ->
 
     The image of a piecewise-linear map is a union of strata whose
     dimension is attained on the stratum of maximal Jacobian rank, hence
-    the max over standard-Gaussian latent samples.
+    the max over standard-Gaussian latent samples. The samples are walked
+    as one stack and their Jacobians decomposed by one batched SVD.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = as_rng(seed)
-    best_rank = 0
-    for _ in range(trials):
-        z = rng.normal(size=net.latent_dim)
-        sv = np.linalg.svd(generator_jacobian(net, z)[1], compute_uv=False)
-        best_rank = max(best_rank, numerical_rank(sv))
-    return best_rank
+    Z = as_rng(seed).normal(size=(trials, net.latent_dim))
+    sv = np.linalg.svd(generator_jacobian(net, Z)[1], compute_uv=False)
+    return max(numerical_rank(row) for row in sv)
 
 
 @dataclass(frozen=True)

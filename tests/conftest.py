@@ -33,3 +33,25 @@ def spy_solves(monkeypatch):
         return results
 
     return install
+
+
+@pytest.fixture
+def spy_objectives(monkeypatch):
+    """Record the (residual, jacobian, x0) of every solve a module's multi-start loop runs.
+
+    ``spy_objectives(module)`` patches the solver as ``module`` binds it and
+    returns the list the triples are appended to; each solve then runs as usual.
+    """
+
+    def install(module):
+        seen = []
+        solve = module.damped_gauss_newton
+
+        def spy(residual, jacobian, x0, **kwargs):
+            seen.append((residual, jacobian, x0))
+            return solve(residual, jacobian, x0, **kwargs)
+
+        monkeypatch.setattr(module, "damped_gauss_newton", spy)
+        return seen
+
+    return install

@@ -16,14 +16,23 @@ files the library reads:
   formats that ``priors.network_from_json`` and ``sparse_prior_from_json``
   read;
 * ``full_sample_complexity_scan`` -- the sample-complexity scan that
-  recovers every seed of every cell it visits, with no early stop.
+  recovers every seed of every cell it visits, with no early stop;
+* ``pair_collision_objective`` / ``recover_objective`` -- the objectives of
+  ``collision_search`` and ``recover`` with each signal walked and measured
+  on its own, and each Jacobian from a fresh walk.
 """
 
 import json
 
 import numpy as np
 
-from momentlab.measurements import BlockStructure, DimensionError
+from momentlab.injectivity import PENALTY_WEIGHT
+from momentlab.measurements import (
+    BlockStructure,
+    DimensionError,
+    measurement_jacobian,
+    separable_measurement,
+)
 from momentlab.mra import (
     GroupAction,
     _orbit_matrices,
@@ -31,7 +40,7 @@ from momentlab.mra import (
     recover,
     simulate_invariants,
 )
-from momentlab.priors import GeneratorNetwork, SparsePrior
+from momentlab.priors import GeneratorNetwork, SparsePrior, generator_forward, generator_jacobian
 from momentlab.so3 import MAX_BAND_LIMIT, _real_basis_transform, _y_generator_eig, band_limit_blocks
 
 
@@ -227,3 +236,56 @@ def full_sample_complexity_scan(
         sig, ns = zip(*solved)
         slope = float(np.polyfit(np.log(sig), np.log(ns), 1)[0])
     return rows, slope, recoveries
+
+
+def pair_collision_objective(net1, net2, A, blocks, separation_tol):
+    """``collision_search``'s (residual, jacobian) at u = [z1; z2], one signal at a time."""
+    spen = np.sqrt(PENALTY_WEIGHT)
+
+    def split(u):
+        K = u.shape[0] // 2
+        return u[:K], u[K:]
+
+    def residual(u):
+        z1, z2 = split(u)
+        x, y = generator_forward(net1, z1), generator_forward(net2, z2)
+        s = max(np.linalg.norm(x), np.linalg.norm(y))
+        sep = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
+        rm = separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
+        if s <= 0.0:
+            return np.concatenate([rm, [spen * separation_tol]])
+        return np.concatenate([rm / s**2, [spen * max(0.0, separation_tol - sep / s)]])
+
+    def jacobian(u):
+        z1, z2 = split(u)
+        x, G1 = generator_jacobian(net1, z1)
+        y, G2 = generator_jacobian(net2, z2)
+        s = max(np.linalg.norm(x), np.linalg.norm(y))
+        if s <= 0.0:
+            return np.zeros((blocks.R + 1, u.shape[0]))
+        Jx = measurement_jacobian(A @ x, A, blocks) @ G1 / s**2
+        Jy = measurement_jacobian(A @ y, A, blocks) @ G2 / s**2
+        d_minus = np.linalg.norm(x - y)
+        d_plus = np.linalg.norm(x + y)
+        sep = min(d_minus, d_plus)
+        row = np.zeros(u.shape[0])
+        if sep > 1e-14 and separation_tol - sep / s > 0:
+            sign = 1.0 if d_minus <= d_plus else -1.0
+            diff = (x - sign * y) / sep
+            row = (-spen / s) * np.concatenate([diff @ G1, -sign * (diff @ G2)])
+        return np.vstack([np.hstack([Jx, -Jy]), row[None, :]])
+
+    return residual, jacobian
+
+
+def recover_objective(net, A, blocks, invariants):
+    """``recover``'s (residual, jacobian) at a latent point z of one chart."""
+
+    def residual(z):
+        return separable_measurement(generator_forward(net, z), A, blocks) - invariants
+
+    def jacobian(z):
+        x, G = generator_jacobian(net, z)
+        return measurement_jacobian(A @ x, A, blocks) @ G
+
+    return residual, jacobian

@@ -76,6 +76,25 @@ def test_accepted_iterates_are_the_strict_running_minima():
     assert res.f == minima[-1][1]
 
 
+def test_jacobian_is_asked_at_the_last_residual_point():
+    # the contract that lets a Jacobian reuse its residual's work: on a solve
+    # that rejects trials, jacobian(x) gets the very object residual last got
+    evaluated, asked = [], []
+
+    def residual(x):
+        evaluated.append(x)
+        return rosenbrock(x)
+
+    def jacobian(x):
+        asked.append(x is evaluated[-1])
+        return rosenbrock_jacobian(x)
+
+    res = damped_gauss_newton(residual, jacobian, np.array([-1.2, 1.0]))
+    assert res.converged
+    assert len(asked) == res.iterations and all(asked)
+    assert len(evaluated) > len(asked) + 1      # some trials were rejected
+
+
 def test_a_start_with_no_finite_jacobian_ends_unconverged():
     # the SVD of a NaN Jacobian does not converge; the solve returns its start
     x0 = np.array([np.nan, 0.0])

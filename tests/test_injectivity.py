@@ -22,11 +22,15 @@ from momentlab.priors import (
     GeneratorNetwork,
     Layer,
     ambient_network,
+    generic_linear_sparse_prior,
     generic_orthonormal_sparse_prior,
+    latent_parametrizations,
     random_relu_network,
     sample_mixing,
     standard_basis_sparse_prior,
 )
+
+from reference import pair_collision_objective
 
 
 def loop_gl_probe_jacobian(A, x, y, blocks):
@@ -218,6 +222,83 @@ class TestCollisionSearch:
         r2 = collision_search(prior, A, blocks, restarts=10, seed=9)
         assert r1.residual == r2.residual
         np.testing.assert_array_equal(r1.x, r2.x)
+
+
+def biased_network(tag, seed):
+    """Layers (2 -> 7 -> 6 -> 5) with biases, each with activation ``tag``."""
+    r = np.random.default_rng(seed)
+    widths = (2, 7, 6, 5)
+    return GeneratorNetwork(tuple(
+        Layer(r.normal(size=(n_out, n_in)), tag, r.normal(size=n_out))
+        for n_in, n_out in zip(widths, widths[1:])
+    ))
+
+
+def support_of(chart, prior):
+    """The basis columns that a sparse prior's chart holds."""
+    W = chart.layers[0].weight
+    return [int(np.flatnonzero((prior.basis == col[:, None]).all(axis=0))[0]) for col in W.T]
+
+
+class TestCollisionObjective:
+    """The two-lane objective has the bits of the pair walked one signal at a time."""
+
+    def check(self, spy_objectives, prior, seed, extra_points):
+        N = prior.output_dim
+        blocks = block_structure_for_power_spectrum(N)
+        A = sample_mixing(N, "general-linear", seed=3)
+        seen = spy_objectives(injectivity)
+        collision_search(prior, A, blocks, restarts=1, seed=seed)
+        residual, jacobian, u0 = seen[0]
+        params = latent_parametrizations(prior, np.random.default_rng(seed))
+        (z1, net1), (z2, net2) = next(params), next(params)
+        np.testing.assert_array_equal(u0, np.concatenate([z1, z2]))
+        ref_residual, ref_jacobian = pair_collision_objective(
+            net1, net2, A, blocks, injectivity.SEPARATION_TOL
+        )
+        r = np.random.default_rng(seed)
+        points = [r.normal(size=u0.shape) for _ in range(10)] + extra_points(net1, net2, r)
+        rows = []
+        for u in points:
+            res = residual(u)
+            np.testing.assert_array_equal(res, ref_residual(u))
+            J = jacobian(u)
+            np.testing.assert_array_equal(J, ref_jacobian(u))
+            rows.append((res[-1], J[-1]))
+            with pytest.raises(ValueError, match="last residual"):
+                jacobian(u.copy())
+        return net1, net2, rows
+
+    @pytest.mark.parametrize("tag", ["relu", "leaky-relu(0.1)", "hardtanh(-0.5,0.7)"])
+    def test_network_with_bias(self, spy_objectives, tag):
+        def near_pair(net1, net2, r):
+            z = r.normal(size=2)
+            return [np.concatenate([z, z + 1e-7 * r.normal(size=2)]), np.concatenate([z, z])]
+
+        _, _, rows = self.check(spy_objectives, biased_network(tag, 5), 2, near_pair)
+        near, equal = rows[-2:]
+        assert near[0] > 0 and np.any(near[1] != 0)     # the penalty is active
+        assert not np.any(equal[1])                     # x = y: separation 0, no penalty row
+
+    def test_two_sparse_supports(self, spy_objectives):
+        prior = generic_linear_sparse_prior(5, 3, seed=2)
+
+        def special_points(net1, net2, r):
+            # zero, then x ~ y and x ~ -y in the span of the shared basis columns
+            shared = sorted(set(support_of(net1, prior)) & set(support_of(net2, prior)))
+            x = prior.basis[:, shared] @ r.normal(size=len(shared))
+            B1, B2 = net1.layers[0].weight, net2.layers[0].weight
+            z1 = np.linalg.lstsq(B1, x, rcond=None)[0]
+            z2 = np.linalg.lstsq(B2, x, rcond=None)[0] + 1e-7 * r.normal(size=3)
+            return [np.zeros(6), np.concatenate([z1, z2]), np.concatenate([z1, -z2])]
+
+        net1, net2, rows = self.check(spy_objectives, prior, 0, special_points)
+        assert support_of(net1, prior) != support_of(net2, prior)
+        zero, plus, minus = rows[-3:]
+        assert zero[0] == np.sqrt(injectivity.PENALTY_WEIGHT) * injectivity.SEPARATION_TOL
+        assert not np.any(zero[1])
+        for penalty, row in (plus, minus):
+            assert penalty > 0 and np.any(row != 0)
 
 
 class TestBruteForceOracle:

@@ -8,6 +8,7 @@ from momentlab.measurements import (
     DimensionError,
     block_structure_for_power_spectrum,
     measurement_jacobian,
+    mixed_signal,
     real_fourier_matrix,
     second_moment_blocks,
     separable_measurement,
@@ -233,7 +234,7 @@ class TestMeasurementJacobian:
         for _ in range(100):
             x = rng.normal(size=8)
             A = rng.normal(size=(8, 8))
-            J = measurement_jacobian(x, A, blocks)
+            J = measurement_jacobian(A @ x, A, blocks)
             J_fd = np.empty_like(J)
             for j in range(8):
                 e = np.zeros(8)
@@ -271,7 +272,7 @@ class TestKernelOracles:
         assert stacked.shape == (7, blocks.R)
         for x, row in zip(X, stacked):
             single = separable_measurement(x, A, blocks)
-            np.testing.assert_allclose(row, single, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(row, single)
             s = A @ x           # one signal keeps the bits of A @ x
             np.testing.assert_array_equal(single, np.add.reduceat(s * s, blocks.starts))
 
@@ -288,7 +289,31 @@ class TestKernelOracles:
             x = r.normal(size=blocks.N)
             A = r.normal(size=(blocks.N, blocks.N))
             np.testing.assert_allclose(
-                measurement_jacobian(x, A, blocks),
+                measurement_jacobian(A @ x, A, blocks),
                 loop_measurement_jacobian(x, A, blocks),
                 rtol=1e-12,
             )
+
+    @pytest.mark.parametrize("blocks", KERNEL_LAYOUTS, ids=lambda b: str(b.dims))
+    def test_jacobian_of_a_stack_is_its_rows(self, blocks):
+        r = np.random.default_rng(blocks.N)
+        X = r.normal(size=(7, blocks.N))
+        A = r.normal(size=(blocks.N, blocks.N))
+        S = mixed_signal(X, A, blocks)
+        stacked = measurement_jacobian(S, A, blocks)
+        assert stacked.shape == (7, blocks.R, blocks.N)
+        for x, s, J in zip(X, S, stacked):
+            np.testing.assert_array_equal(s, A @ x)
+            np.testing.assert_array_equal(J, measurement_jacobian(s, A, blocks))
+            # the bits of the form that mixes x itself
+            np.testing.assert_array_equal(
+                J, 2.0 * np.add.reduceat((A @ x)[:, None] * A, blocks.starts, axis=0)
+            )
+
+    def test_jacobian_checks_the_mixed_signal_shape(self):
+        blocks = block_structure_for_power_spectrum(4)
+        for bad in (np.ones(5), np.ones((3, 5)), np.ones((2, 2, 4))):
+            with pytest.raises(DimensionError):
+                measurement_jacobian(bad, np.eye(4), blocks)
+        with pytest.raises(DimensionError):
+            measurement_jacobian(np.ones(4), np.eye(5), blocks)

@@ -29,6 +29,8 @@ from momentlab.priors import (
     GeneratorNetwork,
     Layer,
     generator_forward,
+    generic_linear_sparse_prior,
+    latent_parametrizations,
     random_relu_network,
     sample_mixing,
 )
@@ -39,7 +41,12 @@ from momentlab.so3 import (
     rotate_bandlimited,
 )
 
-from reference import action_matrix, extract_invariants, full_sample_complexity_scan
+from reference import (
+    action_matrix,
+    extract_invariants,
+    full_sample_complexity_scan,
+    recover_objective,
+)
 
 
 def group_elements(group, rng, n):
@@ -493,6 +500,37 @@ class TestRecovery:
         best = min(solves, key=lambda s: s.f)      # the first of the best
         assert rec.residual == np.sqrt(best.f)
         np.testing.assert_array_equal(rec.prior_point, generator_forward(prior, best.x))
+
+    @pytest.mark.parametrize(
+        "kind", ["relu", "leaky-relu(0.1)", "hardtanh(-0.5,0.7)", "sparse"]
+    )
+    def test_objective_is_the_one_walk_per_call_form(self, spy_objectives, kind):
+        # the residual and the Jacobian that reuses its walk have the bits of
+        # a fresh walk per call
+        N = 5
+        blocks = block_structure_for_power_spectrum(N)
+        if kind == "sparse":
+            prior = generic_linear_sparse_prior(N, 2, seed=1)
+        else:
+            r = np.random.default_rng(5)
+            prior = GeneratorNetwork(tuple(
+                Layer(r.normal(size=(n_out, n_in)), kind, r.normal(size=n_out))
+                for n_in, n_out in [(2, 7), (7, 6), (6, N)]
+            ))
+        A = sample_mixing(N, "general-linear", 3)
+        inv = np.abs(np.random.default_rng(4).normal(size=blocks.R))
+        seen = spy_objectives(mra)
+        recover(inv, prior, A, blocks, seed=6, restarts=1, max_iter=3)
+        residual, jacobian, z0 = seen[0]
+        z_ref, net = next(latent_parametrizations(prior, np.random.default_rng(6)))
+        np.testing.assert_array_equal(z0, z_ref)
+        ref_residual, ref_jacobian = recover_objective(net, A, blocks, inv)
+        r = np.random.default_rng(7)
+        for z in [r.normal(size=2) for _ in range(10)] + [np.zeros(2)]:
+            np.testing.assert_array_equal(residual(z), ref_residual(z))
+            np.testing.assert_array_equal(jacobian(z), ref_jacobian(z))
+            with pytest.raises(ValueError, match="last residual"):
+                jacobian(z.copy())
 
     def test_noiseless_round_trip(self, rng):
         N = 9

@@ -17,6 +17,7 @@ from momentlab.priors import (
     Layer,
     SparsePrior,
     ambient_network,
+    chart_stack,
     estimate_image_dimension,
     generator_forward,
     generator_jacobian,
@@ -168,7 +169,60 @@ class TestLayerWalk:
         X = generator_forward(net, Z)
         assert X.shape == (9, 5)
         for z, x in zip(Z, X):
-            np.testing.assert_allclose(x, generator_forward(net, z), rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(x, generator_forward(net, z))
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("tag", ACTIVATIONS)
+    def test_stack_jacobian_is_its_rows(self, rng, tag, bias):
+        net = network(tag, bias)
+        Z = rng.normal(size=(9, 2))
+        X, J = generator_jacobian(net, Z)
+        assert J.shape == (9, 5, 2)
+        for z, x, j in zip(Z, X, J):
+            x1, j1 = generator_jacobian(net, z)
+            np.testing.assert_array_equal(x, x1)
+            np.testing.assert_array_equal(j, j1)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("tag", ACTIVATIONS)
+    def test_chart_stack_lane_is_its_chart(self, rng, tag, bias):
+        charts = [network(tag, bias, seed) for seed in (0, 1, 2)]
+        stack = chart_stack(charts)
+        assert stack.lanes == 3
+        assert (stack.latent_dim, stack.output_dim) == (2, 5)
+        Z = rng.normal(size=(3, 2))
+        X, J = generator_jacobian(stack, Z)
+        for chart, z, x, j in zip(charts, Z, X, J):
+            np.testing.assert_array_equal(x, reference_forward(chart, z, tag))
+            x1, j1 = generator_jacobian(chart, z)
+            np.testing.assert_array_equal(x, x1)
+            np.testing.assert_array_equal(j, j1)
+
+    def test_chart_stack_of_sparse_supports(self, rng):
+        prior = generic_linear_sparse_prior(7, 3, seed=2)
+        params = latent_parametrizations(prior, np.random.default_rng(1))
+        (z1, c1), (z2, c2) = next(params), next(params)
+        stack = chart_stack((c1, c2))
+        (layer,) = stack.layers
+        np.testing.assert_array_equal(layer.weight, [c1.layers[0].weight, c2.layers[0].weight])
+        X, J = generator_jacobian(stack, np.stack([z1, z2]))
+        for chart, z, x, j in zip((c1, c2), (z1, z2), X, J):
+            np.testing.assert_array_equal(x, chart.layers[0].weight @ z)
+            np.testing.assert_array_equal(j, chart.layers[0].weight)
+
+    def test_one_chart_is_its_own_stack(self):
+        net = network("relu", True)
+        assert chart_stack((net, net)) is net
+        assert net.lanes is None
+
+    def test_charts_that_differ_in_layout_do_not_stack(self):
+        relu, hardtanh = network("relu", True), network("hardtanh(-0.5,0.7)", True)
+        for other in (hardtanh, network("relu", False), random_relu_network((2, 7, 5), seed=0)):
+            with pytest.raises(DimensionError):
+                chart_stack((relu, other))
+        wide = GeneratorNetwork((Layer(np.ones((5, 3))),))
+        with pytest.raises(DimensionError):
+            chart_stack((GeneratorNetwork((Layer(np.ones((5, 2))),)), wide))
 
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("tag", ACTIVATIONS)
@@ -186,7 +240,16 @@ class TestLayerWalk:
             with pytest.raises(DimensionError):
                 generator_forward(net, bad)
         with pytest.raises(DimensionError):
-            generator_jacobian(net, np.ones((4, 2)))
+            generator_jacobian(net, np.ones((4, 3)))
+        # a chart stack walks exactly one row per lane
+        stack = chart_stack((net, network("relu", False, seed=1)))
+        for bad in (np.ones(2), np.ones((3, 2)), np.ones((2, 3))):
+            with pytest.raises(DimensionError):
+                generator_forward(stack, bad)
+        with pytest.raises(DimensionError):
+            GeneratorNetwork((Layer(np.ones((2, 5, 2))), Layer(np.ones((3, 4, 5)))))
+        with pytest.raises(DimensionError):
+            Layer(np.ones((2, 5, 2)), bias=np.ones(5))
 
     def test_sparse_chart_is_its_basis_columns(self):
         prior = generic_linear_sparse_prior(7, 3, seed=2)
@@ -243,6 +306,17 @@ class TestImageDimension:
     def test_constant_zero_net(self):
         net = GeneratorNetwork((Layer(np.zeros((4, 3)), "relu"),))
         assert estimate_image_dimension(net, trials=5, seed=0) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_stack_equals_one_walk_per_trial(self, seed):
+        # the per-trial form: one draw of size K, one Jacobian and one SVD each
+        net = random_relu_network((3, 4, 6), seed=seed, activation="hardtanh(-0.3,0.3)")
+        rng = np.random.default_rng(seed)
+        expected = 0
+        for _ in range(32):
+            sv = np.linalg.svd(generator_jacobian(net, rng.normal(size=3))[1], compute_uv=False)
+            expected = max(expected, priors.numerical_rank(sv))
+        assert estimate_image_dimension(net, trials=32, seed=seed) == expected
 
     def test_never_exceeds_min_layer_width(self):
         for seed in range(10):
