@@ -7,8 +7,10 @@ block coordinates, where all three supported actions (cyclic shifts,
 dihedral shifts-plus-reflection, 3-D rotations of band-limited spherical
 functions) are block-diagonal orthogonal matrices. A finite group acts
 through the stack of all its element matrices (``_orbit_matrices``), and
-rotations through ``so3.rotate_bandlimited``, which forms no matrix; draws
-take the group elements in bulk, never one at a time.
+rotations through ``so3.rotate_bandlimited``, which applies the real
+factorization Z(alpha) J Z(beta) J^T Z(gamma) to many rotations at once and
+forms no rotation matrix; draws take the group elements in bulk, never one
+at a time.
 
 The debiased empirical second moment estimates the population moment,
 whose diagonal blocks are scalar matrices carrying exactly one invariant

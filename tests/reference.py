@@ -7,6 +7,8 @@ files the library reads:
 * ``dft_block_energy_oracle`` -- block energies from direct DFT sums;
 * ``wigner_block`` / ``wigner_degree_block`` -- the rotation matrices whose
   action ``so3.rotate_bandlimited`` applies without forming them;
+* ``rotate_bandlimited_reference`` -- the same action in complex arithmetic,
+  degree by degree, with three phase tables per degree;
 * ``rotation_matrix_3d`` / ``euler_from_rotation_3d`` -- the 3-D rotations
   behind the homomorphism check of the Wigner blocks;
 * ``action_matrix`` -- the matrix of one group element in block coordinates;
@@ -114,6 +116,37 @@ def wigner_block(L: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
     for l, s in enumerate(blocks.slices()):
         D[s, s] = wigner_degree_block(l, alpha, beta, gamma)
     return D
+
+
+def rotate_bandlimited_reference(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply many rotations to one coefficient vector; returns (n, (L+1)^2).
+
+    Row i is the real Wigner matrix of ``angles[i]`` applied to x: per degree,
+    U diag(e^{-i m alpha}) V diag(e^{-i beta w}) V^H diag(e^{-i m gamma}) U^H,
+    each factor applied to every row at once, never materializing a matrix.
+    """
+    angles = np.atleast_2d(np.asarray(angles, dtype=float))
+    x = np.asarray(x, dtype=float)
+    N = (L + 1) ** 2
+    if x.shape != (N,):
+        raise DimensionError(f"coefficients have shape {x.shape}, expected ({N},)")
+    al, be, ga = angles[:, 0], angles[:, 1], angles[:, 2]
+    out = np.empty((angles.shape[0], N))
+    start = 0
+    for l in range(L + 1):
+        d = 2 * l + 1
+        w, V = _y_generator_eig(l)
+        U = _real_basis_transform(l)
+        m = np.arange(-l, l + 1)
+        c = U.conj().T @ x[start:start + d]           # complex coefficients
+        c = np.exp(-1j * ga[:, None] * m) * c[None, :]
+        c = c @ V.conj()                               # apply V^H to each row
+        c = np.exp(-1j * be[:, None] * w) * c
+        c = c @ V.T
+        c = np.exp(-1j * al[:, None] * m) * c
+        out[:, start:start + d] = (c @ U.T).real
+        start += d
+    return out
 
 
 def action_matrix(g, group: GroupAction) -> np.ndarray:

@@ -36,6 +36,7 @@ from momentlab.priors import (
 )
 from momentlab.so3 import (
     _real_basis_transform,
+    _rotation_factors,
     _y_generator_eig,
     haar_euler_angles,
     rotate_bandlimited,
@@ -72,7 +73,7 @@ class TestGroupAction:
         np.testing.assert_array_equal(_orbit_matrices("cyclic", 4), before)
         with pytest.raises(ValueError):
             _orbit_matrices("dihedral", 4)[5, 0, 0] = 2.0
-        for cached in (*_y_generator_eig(2), _real_basis_transform(2)):
+        for cached in (*_y_generator_eig(2), _real_basis_transform(2), *_rotation_factors(2)):
             with pytest.raises(ValueError):
                 cached[0, ...] = 0.0
 

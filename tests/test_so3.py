@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from momentlab.measurements import second_moment_blocks
+from momentlab.measurements import DimensionError, second_moment_blocks
+from momentlab.mra import _CHUNK_ROWS
 from momentlab.so3 import (
     MAX_BAND_LIMIT,
     band_limit_blocks,
@@ -13,9 +14,22 @@ from momentlab.so3 import (
 
 from reference import (
     euler_from_rotation_3d,
+    rotate_bandlimited_reference,
     rotation_matrix_3d,
     wigner_block,
     wigner_degree_block,
+)
+
+# gimbal and wrap-around angles: beta at 0 and pi, alpha and gamma at 0 and 2 pi
+EDGE_ANGLES = np.array(
+    [
+        [0.0, 0.0, 0.0],
+        [2 * np.pi, 0.0, 2 * np.pi],
+        [0.0, np.pi, 2 * np.pi],
+        [2 * np.pi, np.pi, 0.0],
+        [0.7, 0.0, 1.3],
+        [0.7, np.pi, 1.3],
+    ]
 )
 
 # real degree-1 harmonics are proportional to (y, z, x) in our m = -1, 0, 1 order
@@ -114,15 +128,55 @@ class TestWigner:
 
 
 class TestBatchedRotation:
-    def test_matches_matrix_application(self, rng):
-        L = 3
+    @pytest.mark.parametrize("L", [0, 1, 2, 4, 8, MAX_BAND_LIMIT])
+    def test_matches_reference_and_matrices(self, rng, L):
         x = rng.normal(size=(L + 1) ** 2)
-        angles = haar_euler_angles(rng, size=7)
+        angles = np.vstack([EDGE_ANGLES, haar_euler_angles(rng, size=7)])
         batched = rotate_bandlimited(L, angles, x)
-        for i in range(7):
+        np.testing.assert_allclose(
+            batched, rotate_bandlimited_reference(L, angles, x), rtol=0, atol=1e-12
+        )
+        for g, row in zip(angles, batched):
+            np.testing.assert_allclose(row, wigner_block(L, *g) @ x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, _CHUNK_ROWS + 1])
+    def test_row_counts(self, rng, n):
+        L = 4
+        x = rng.normal(size=(L + 1) ** 2)
+        angles = haar_euler_angles(rng, size=n)
+        batched = rotate_bandlimited(L, angles, x)
+        assert batched.shape == (n, (L + 1) ** 2)
+        np.testing.assert_allclose(
+            batched, rotate_bandlimited_reference(L, angles, x), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("L", [2, 4, 8])
+    def test_composition(self, rng, L):
+        # rotating by g2 and then by g1 is rotating by g1 g2
+        x = rng.normal(size=(L + 1) ** 2)
+        for _ in range(10):
+            g1, g2 = haar_euler_angles(rng, 2)
+            g12 = euler_from_rotation_3d(rotation_matrix_3d(*g1) @ rotation_matrix_3d(*g2))
+            twice = rotate_bandlimited(L, g1, rotate_bandlimited(L, g2, x)[0])
             np.testing.assert_allclose(
-                batched[i], wigner_block(L, *angles[i]) @ x, atol=1e-12
+                twice, rotate_bandlimited(L, g12, x), rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "L, angles_shape, x_size",
+        [
+            (MAX_BAND_LIMIT + 1, (2, 3), (MAX_BAND_LIMIT + 2) ** 2),
+            (-1, (2, 3), 0),
+            (2, (2, 4), 9),
+            (2, (2, 2), 9),
+            (2, (2, 1, 3), 9),
+            (2, (2, 3), 8),
+        ],
+        ids=["above-max", "negative", "four-angles", "two-angles", "3-d-angles", "short-x"],
+    )
+    def test_rejects_bad_inputs(self, L, angles_shape, x_size):
+        with pytest.raises(DimensionError):
+            rotate_bandlimited(L, np.zeros(angles_shape), np.zeros(x_size))
 
 
 class TestQuadrature:
