@@ -29,10 +29,10 @@ from .priors import (
     GeneratorNetwork,
     Layer,
     SparsePrior,
+    chart_walk,
     estimate_image_dimension,
-    generator_forward,
-    generator_jacobian,
     sample_mixing,
+    walk_jacobian,
 )
 
 __all__ = [
@@ -46,10 +46,10 @@ __all__ = [
     "GeneratorNetwork",
     "Layer",
     "SparsePrior",
+    "chart_walk",
     "estimate_image_dimension",
-    "generator_forward",
-    "generator_jacobian",
     "sample_mixing",
+    "walk_jacobian",
 ]
 
 __version__ = "0.1.0"

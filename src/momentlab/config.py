@@ -25,15 +25,13 @@ from .measurements import BlockStructure, block_structure_for_power_spectrum
 from .mra import sample_complexity_sweep
 from .priors import (
     ambient_network,
-    generic_linear_sparse_prior,
-    generic_orthonormal_sparse_prior,
     network_from_json,
     parse_activation,
     perturb_final_layer,
     random_relu_network,
     sample_mixing,
+    sparse_prior,
     sparse_prior_from_json,
-    standard_basis_sparse_prior,
 )
 from .so3 import MAX_BAND_LIMIT
 
@@ -112,14 +110,7 @@ def build_prior(spec: dict):
             ) from None
     if t == "ambient":
         return ambient_network(int(spec["N"]))
-    # sparse
-    kind = spec.get("kind", "generic-orthonormal")
-    N, M = int(spec["N"]), int(spec["M"])
-    if kind == "standard-basis":
-        return standard_basis_sparse_prior(N, M)
-    if kind == "generic-orthonormal":
-        return generic_orthonormal_sparse_prior(N, M, **given(spec, "seed"))
-    return generic_linear_sparse_prior(N, M, **given(spec, "seed"))
+    return sparse_prior(int(spec["N"]), int(spec["M"]), **given(spec, "kind", "seed"))
 
 
 def build_mixing(spec: dict, N: int) -> np.ndarray:

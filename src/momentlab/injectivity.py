@@ -38,7 +38,6 @@ from .priors import (
     as_rng,
     chart_stack,
     chart_walk,
-    generator_forward,
     latent_parametrizations,
     numerical_rank,
     prior_charts,
@@ -292,7 +291,7 @@ def brute_force_collision_oracle(
     else:
         g1, g2 = np.meshgrid(axis, axis, indexing="ij")
         lat = np.column_stack([g1.ravel(), g2.ravel()])
-    X = np.concatenate([generator_forward(net, lat) for net in charts])
+    X = np.concatenate([chart_walk(net, lat).x for net in charts])
     Meas = separable_measurement(X, A, blocks)
 
     norms2 = np.einsum("ij,ij->i", X, X)

@@ -45,8 +45,6 @@ from .measurements import (
 from .priors import (
     as_rng,
     chart_walk,
-    generator_forward,
-    generator_jacobian,
     latent_parametrizations,
     walk_jacobian,
 )
@@ -288,7 +286,7 @@ def recover(
         res = damped_gauss_newton(
             residual, jacobian, z0, max_iter=max_iter, f_tol=f_target
         )
-        return res.f, generator_forward(net, res.x)
+        return res.f, chart_walk(net, res.x).x
 
     tries = multistart(attempt, restarts, lambda t: t[0] <= f_target)
     f, p = min(tries, key=lambda t: t[0])      # the first of the best
@@ -317,13 +315,13 @@ def draw_ground_truth(prior, A, true_seed, signal_norm: float | None):
     """
     rng = as_rng(true_seed)
     z0, net = next(latent_parametrizations(prior, rng))
-    x_star = A @ generator_forward(net, z0)
+    x_star = A @ chart_walk(net, z0).x
     if signal_norm is not None:
         nrm = np.linalg.norm(x_star)
         if nrm == 0:
             raise ValueError("drew a zero ground-truth signal; pick another true_seed")
         z0 = z0 * (signal_norm / nrm)
-        x_star = A @ generator_forward(net, z0)
+        x_star = A @ chart_walk(net, z0).x
         reached = np.linalg.norm(x_star)
         if not np.isclose(reached, signal_norm, rtol=1e-8):
             raise ValueError(
@@ -342,8 +340,9 @@ def instance_noise_amplification(prior, A, blocks, true_seed, signal_norm=None) 
     observations for the same target error, without changing the scaling law.
     """
     net, z0, _ = draw_ground_truth(prior, A, true_seed, signal_norm)
-    p, J_prior = generator_jacobian(net, z0)
-    J_inv = measurement_jacobian(mixed_signal(p, A, blocks), A, blocks) @ J_prior
+    walk = chart_walk(net, z0)
+    J_prior = walk_jacobian(walk)
+    J_inv = measurement_jacobian(mixed_signal(walk.x, A, blocks), A, blocks) @ J_prior
     sv_inv = np.linalg.svd(J_inv, compute_uv=False)
     sv_x = np.linalg.svd(A @ J_prior, compute_uv=False)
     if sv_inv[-1] == 0:

@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "chart_stack",
     "chart_walk",
     "walk_jacobian",
-    "generator_forward",
-    "generator_jacobian",
     "estimate_image_dimension",
     "numerical_rank",
     "prior_charts",
@@ -51,9 +49,7 @@ __all__ = [
     "ambient_network",
     "random_relu_network",
     "perturb_final_layer",
-    "standard_basis_sparse_prior",
-    "generic_orthonormal_sparse_prior",
-    "generic_linear_sparse_prior",
+    "sparse_prior",
     "network_from_json",
     "sparse_prior_from_json",
 ]
@@ -71,54 +67,40 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+class _Activation(NamedTuple):
+    n_params: int
+    value: Callable         # (a, params) -> act(a), elementwise
+    derivative: Callable    # (a, params) -> act'(a), elementwise and 0 at the kinks
+
+
+#: Every activation a layer may carry, by name.
+_ACTIVATIONS = {
+    "identity": _Activation(0, lambda a, p: a, lambda a, p: np.ones_like(a)),
+    "relu": _Activation(0, lambda a, p: np.maximum(a, 0.0), lambda a, p: (a > 0).astype(float)),
+    "leaky-relu": _Activation(
+        1, lambda a, p: np.where(a > 0, a, p[0] * a), lambda a, p: np.where(a > 0, 1.0, p[0])
+    ),
+    "hardtanh": _Activation(
+        2, lambda a, p: np.clip(a, *p), lambda a, p: ((a > p[0]) & (a < p[1])).astype(float)
+    ),
+}
+
+
 def parse_activation(tag: str):
-    """Split an activation tag like ``leaky-relu(0.01)`` into name + params."""
+    """Split an activation tag like ``leaky-relu(0.01)`` into name + finite params."""
     m = _ACT_RE.match(tag.strip())
     if not m:
         raise ValueError(f"unparseable activation tag {tag!r}")
     name, args = m.group(1), m.group(2)
-    params = tuple(float(a) for a in args.split(",")) if args else ()
-    if name == "relu" or name == "identity":
-        if params:
-            raise ValueError(f"{name} takes no parameters, got {tag!r}")
-    elif name == "leaky-relu":
-        if len(params) != 1:
-            raise ValueError(f"leaky-relu needs one slope parameter, got {tag!r}")
-    elif name == "hardtanh":
-        if len(params) != 2 or params[0] >= params[1]:
-            raise ValueError(f"hardtanh needs (lo, hi) with lo < hi, got {tag!r}")
-    else:
+    if name not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {name!r}")
+    params = tuple(float(a) for a in args.split(",")) if args else ()
+    n_params = _ACTIVATIONS[name].n_params
+    if len(params) != n_params or not np.isfinite(params).all():
+        raise ValueError(f"{name} takes {n_params} finite parameter(s), got {tag!r}")
+    if name == "hardtanh" and params[0] >= params[1]:
+        raise ValueError(f"hardtanh needs (lo, hi) with lo < hi, got {tag!r}")
     return name, params
-
-
-def _apply_activation(act, a: np.ndarray) -> np.ndarray:
-    """Apply a parsed activation ``(name, params)`` elementwise."""
-    name, params = act
-    if name == "identity":
-        return a
-    if name == "relu":
-        return np.maximum(a, 0.0)
-    if name == "leaky-relu":
-        slope = params[0]
-        return np.where(a > 0, a, slope * a)
-    # hardtanh
-    lo, hi = params
-    return np.clip(a, lo, hi)
-
-
-def _activation_derivative(act, a: np.ndarray) -> np.ndarray:
-    """Elementwise derivative at pre-activation values a (0 at kinks)."""
-    name, params = act
-    if name == "identity":
-        return np.ones_like(a)
-    if name == "relu":
-        return (a > 0).astype(float)
-    if name == "leaky-relu":
-        slope = params[0]
-        return np.where(a > 0, 1.0, slope)
-    lo, hi = params
-    return ((a > lo) & (a < hi)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -245,7 +227,8 @@ def chart_walk(net: GeneratorNetwork, z: np.ndarray) -> ChartWalk:
         if layer.bias is not None:
             a = a + layer.bias
         pre.append(a)
-        a = _apply_activation(layer._act, a)
+        name, params = layer._act
+        a = _ACTIVATIONS[name].value(a, params)
     return ChartWalk(net, a, tuple(pre))
 
 
@@ -258,20 +241,10 @@ def walk_jacobian(walk: ChartWalk) -> np.ndarray:
     """
     J = None
     for layer, a in zip(walk.net.layers, walk.pre_activations):
+        name, params = layer._act
         J = layer.weight if J is None else layer.weight @ J
-        J = _activation_derivative(layer._act, a)[..., None] * J
+        J = _ACTIVATIONS[name].derivative(a, params)[..., None] * J
     return J
-
-
-def generator_forward(net: GeneratorNetwork, z: np.ndarray) -> np.ndarray:
-    """The network's value at a latent point (K,) or stack (B, K); see :func:`chart_walk`."""
-    return chart_walk(net, z).x
-
-
-def generator_jacobian(net: GeneratorNetwork, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value x (the bits of ``generator_forward``) and Jacobian dx/dz, in one layer walk."""
-    walk = chart_walk(net, z)
-    return walk.x, walk_jacobian(walk)
 
 
 #: Singular values above this multiple of the largest count towards a rank.
@@ -283,19 +256,29 @@ def numerical_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
-def estimate_image_dimension(net: GeneratorNetwork, trials: int = 50, seed=0) -> int:
+#: Standard-Gaussian latent draws, from seed 0, behind :func:`estimate_image_dimension`.
+IMAGE_DIMENSION_TRIALS = 32
+
+
+def estimate_image_dimension(net: GeneratorNetwork) -> int:
     """Estimate dim(image) as the max Jacobian rank over sampled latents.
 
     The image of a piecewise-linear map is a union of strata whose
     dimension is attained on the stratum of maximal Jacobian rank, hence
-    the max over standard-Gaussian latent samples. The samples are walked
-    as one stack and their Jacobians decomposed by one batched SVD.
+    the max over ``IMAGE_DIMENSION_TRIALS`` standard-Gaussian latent samples.
+    They are walked as one stack and their Jacobians decomposed by one SVD.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    Z = as_rng(seed).normal(size=(trials, net.latent_dim))
-    sv = np.linalg.svd(generator_jacobian(net, Z)[1], compute_uv=False)
+    Z = as_rng(0).normal(size=(IMAGE_DIMENSION_TRIALS, net.latent_dim))
+    sv = np.linalg.svd(walk_jacobian(chart_walk(net, Z)), compute_uv=False)
     return max(numerical_rank(row) for row in sv)
+
+
+#: Each sparse prior kind, and the sample_mixing kind of its basis (None: real Fourier).
+_SPARSE_BASES = {
+    "standard-basis": None,
+    "generic-orthonormal": "special-orthogonal",
+    "generic-linear": "general-linear",
+}
 
 
 @dataclass(frozen=True)
@@ -314,16 +297,12 @@ class SparsePrior:
         N = B.shape[0]
         if not (1 <= self.sparsity <= N):
             raise ValueError(f"sparsity must lie in [1, {N}], got {self.sparsity}")
-        if self.kind not in ("standard-basis", "generic-orthonormal", "generic-linear"):
+        if self.kind not in _SPARSE_BASES:
             raise ValueError(f"unknown sparse prior kind {self.kind!r}")
-        if self.kind in ("standard-basis", "generic-orthonormal"):
+        if self.kind != "generic-linear":
             err = np.max(np.abs(B.T @ B - np.eye(N)))
             if err > 1e-10:
                 raise ValueError(f"basis not orthonormal: |B^T B - I|_max = {err:.3e}")
-
-    @property
-    def N(self) -> int:
-        return self.basis.shape[0]
 
     @property
     def latent_dim(self) -> int:
@@ -331,7 +310,7 @@ class SparsePrior:
 
     @property
     def output_dim(self) -> int:
-        return self.N
+        return self.basis.shape[0]
 
 
 def _support_chart(prior: SparsePrior, support) -> GeneratorNetwork:
@@ -346,7 +325,7 @@ def prior_charts(prior) -> list[GeneratorNetwork]:
     support, in ``itertools.combinations`` order.
     """
     if isinstance(prior, SparsePrior):
-        supports = combinations(range(prior.N), prior.sparsity)
+        supports = combinations(range(prior.output_dim), prior.sparsity)
         return [_support_chart(prior, list(support)) for support in supports]
     return [prior]
 
@@ -364,32 +343,22 @@ def latent_parametrizations(prior, rng):
     elif isinstance(prior, SparsePrior):
         M = prior.sparsity
         while True:
-            support = np.sort(rng.choice(prior.N, size=M, replace=False))
+            support = np.sort(rng.choice(prior.output_dim, size=M, replace=False))
             yield rng.normal(size=M), _support_chart(prior, support)
     else:
         raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 
-def standard_basis_sparse_prior(N: int, M: int) -> SparsePrior:
-    """Sparsity in the standard basis of the time domain.
+def sparse_prior(N: int, M: int, kind: str = "generic-orthonormal", seed=0) -> SparsePrior:
+    """Signals of R^N that are M-sparse in a Haar-random orthonormal basis, a random
+    invertible one (``generic-linear``), or the time domain's (``standard-basis``).
 
-    Time-domain coordinate vectors expand to the columns of the real
-    Fourier matrix in block coordinates, so the basis here is that matrix;
-    cyclically shifting a support then leaves the power spectrum unchanged.
+    Time-domain coordinate vectors are the columns of the real Fourier matrix in
+    block coordinates, so shifting a support keeps its power spectrum; no seed is read.
     """
-    return SparsePrior(real_fourier_matrix(N), int(M), "standard-basis")
-
-
-def generic_orthonormal_sparse_prior(N: int, M: int, seed=0) -> SparsePrior:
-    """Sparsity with respect to a Haar-random orthonormal basis."""
-    B = sample_mixing(N, "special-orthogonal", seed)
-    return SparsePrior(B, int(M), "generic-orthonormal")
-
-
-def generic_linear_sparse_prior(N: int, M: int, seed=0) -> SparsePrior:
-    """Sparsity with respect to a random invertible (non-orthogonal) basis."""
-    B = sample_mixing(N, "general-linear", seed)
-    return SparsePrior(B, int(M), "generic-linear")
+    mixing = _SPARSE_BASES.get(kind)        # SparsePrior rejects an unknown kind
+    B = real_fourier_matrix(N) if mixing is None else sample_mixing(N, mixing, seed)
+    return SparsePrior(B, int(M), kind)
 
 
 def sample_mixing(N: int, kind: str, seed=0) -> np.ndarray:

@@ -185,7 +185,7 @@ def _collision_row(N, M, regime, kind, seed, report) -> dict:
 def _prior_dimension_summary(prior) -> int:
     if isinstance(prior, SparsePrior):
         return prior.sparsity
-    return estimate_image_dimension(prior, trials=32, seed=0)
+    return estimate_image_dimension(prior)
 
 
 def _run_collide(p: dict, out: Path):

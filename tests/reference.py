@@ -19,6 +19,9 @@ files the library reads:
   read;
 * ``full_sample_complexity_scan`` -- the sample-complexity scan that
   recovers every seed of every cell it visits, with no early stop;
+* ``reference_walk`` -- a network's value and Jacobian at one latent point,
+  one layer at a time, with its own activation formulas: the form behind
+  ``priors.chart_walk`` and ``priors.walk_jacobian``;
 * ``pair_collision_objective`` / ``recover_objective`` -- the objectives of
   ``collision_search`` and ``recover`` with each signal walked and measured
   on its own, and each Jacobian from a fresh walk.
@@ -42,7 +45,7 @@ from momentlab.mra import (
     recover,
     simulate_invariants,
 )
-from momentlab.priors import GeneratorNetwork, SparsePrior, generator_forward, generator_jacobian
+from momentlab.priors import GeneratorNetwork, SparsePrior, parse_activation
 from momentlab.so3 import MAX_BAND_LIMIT, _real_basis_transform, _y_generator_eig, band_limit_blocks
 
 
@@ -205,7 +208,7 @@ def sparse_prior_to_json(prior: SparsePrior) -> str:
     """Serialize: {basis(row-major), sparsity, kind}."""
     return json.dumps(
         {
-            "n": prior.N,
+            "n": prior.output_dim,
             "basis": [float(v) for v in prior.basis.ravel()],
             "sparsity": prior.sparsity,
             "kind": prior.kind,
@@ -271,6 +274,45 @@ def full_sample_complexity_scan(
     return rows, slope, recoveries
 
 
+def reference_activation(tag: str, a):
+    """An activation's value and derivative (0 at the kinks) at pre-activations a."""
+    name, params = parse_activation(tag)
+    if name == "relu":
+        return np.maximum(a, 0.0), (a > 0).astype(float)
+    if name == "leaky-relu":
+        (slope,) = params
+        return np.where(a > 0, a, slope * a), np.where(a > 0, 1.0, slope)
+    if name == "hardtanh":
+        lo, hi = params
+        return np.clip(a, lo, hi), ((a > lo) & (a < hi)).astype(float)
+    assert name == "identity", name
+    return a, np.ones_like(a)
+
+
+def reference_walk(net: GeneratorNetwork, z):
+    """A network's value x and Jacobian dx/dz at one latent point z (K,).
+
+    The first pass maps z one layer at a time, as ``W @ a`` plus the bias and
+    then the activation, and keeps each layer's activation derivative d. The
+    second pass runs the chain rule J <- d * (W @ J), starting from J = d * W.
+    """
+    a = np.asarray(z, dtype=float)
+    if a.shape != (net.latent_dim,):
+        raise DimensionError(f"latent has shape {a.shape}, expected ({net.latent_dim},)")
+    slopes = []
+    for layer in net.layers:
+        a = layer.weight @ a
+        if layer.bias is not None:
+            a = a + layer.bias
+        a, d = reference_activation(layer.activation, a)
+        slopes.append(d)
+    J = None
+    for layer, d in zip(net.layers, slopes):
+        J = layer.weight if J is None else layer.weight @ J
+        J = d[:, None] * J
+    return a, J
+
+
 def pair_collision_objective(net1, net2, A, blocks, separation_tol):
     """``collision_search``'s (residual, jacobian) at u = [z1; z2], one signal at a time."""
     spen = np.sqrt(PENALTY_WEIGHT)
@@ -281,7 +323,7 @@ def pair_collision_objective(net1, net2, A, blocks, separation_tol):
 
     def residual(u):
         z1, z2 = split(u)
-        x, y = generator_forward(net1, z1), generator_forward(net2, z2)
+        x, y = reference_walk(net1, z1)[0], reference_walk(net2, z2)[0]
         s = max(np.linalg.norm(x), np.linalg.norm(y))
         sep = min(np.linalg.norm(x - y), np.linalg.norm(x + y))
         rm = separable_measurement(x, A, blocks) - separable_measurement(y, A, blocks)
@@ -291,8 +333,8 @@ def pair_collision_objective(net1, net2, A, blocks, separation_tol):
 
     def jacobian(u):
         z1, z2 = split(u)
-        x, G1 = generator_jacobian(net1, z1)
-        y, G2 = generator_jacobian(net2, z2)
+        x, G1 = reference_walk(net1, z1)
+        y, G2 = reference_walk(net2, z2)
         s = max(np.linalg.norm(x), np.linalg.norm(y))
         if s <= 0.0:
             return np.zeros((blocks.R + 1, u.shape[0]))
@@ -315,10 +357,10 @@ def recover_objective(net, A, blocks, invariants):
     """``recover``'s (residual, jacobian) at a latent point z of one chart."""
 
     def residual(z):
-        return separable_measurement(generator_forward(net, z), A, blocks) - invariants
+        return separable_measurement(reference_walk(net, z)[0], A, blocks) - invariants
 
     def jacobian(z):
-        x, G = generator_jacobian(net, z)
+        x, G = reference_walk(net, z)
         return measurement_jacobian(A @ x, A, blocks) @ G
 
     return residual, jacobian

@@ -85,7 +85,7 @@ def test_criterion_3_empirical_injectivity():
     preset = get_preset("thm2-so")
     p = preset.config.parameters
     prior = build_prior(p["prior"])
-    assert estimate_image_dimension(prior, trials=50, seed=0) == 2, (
+    assert estimate_image_dimension(prior) == 2, (
         "preset prior must have image dimension 2"
     )
     blocks = block_structure_for_power_spectrum(10)

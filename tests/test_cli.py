@@ -478,6 +478,10 @@ class TestDeterminism:
         assert (out1 / "probes.csv").read_bytes() == (out2 / "probes.csv").read_bytes()
 
 
+#: Activation tags whose parameters are no finite numbers.
+NON_FINITE_TAGS = ("leaky-relu(nan)", "leaky-relu(inf)", "hardtanh(nan,1)")
+
+
 class TestOverrides:
     def test_set_flag_overrides_parameters(self, tmp_path, capsys):
         rc = main(
@@ -546,6 +550,21 @@ class TestOverrides:
                 'prior={"type":"sparse","kind":"standard-basis","N":10,"M":2,"seed":4}',
                 "parameters.prior.seed",
             ),
+            *(
+                (
+                    'prior={"type":"relu-network","widths":[2,12,10],"seed":5,'
+                    f'"activation":"{tag}"}}',
+                    "parameters.prior.activation",
+                )
+                for tag in NON_FINITE_TAGS
+            ),
+            *(
+                (
+                    f'prior={{"type":"network-file","path":"nonfinite{i}.json"}}',
+                    "parameters.prior.path",
+                )
+                for i in range(len(NON_FINITE_TAGS))
+            ),
         ],
     )
     def test_bad_override_exits_2_naming_the_field(
@@ -553,6 +572,12 @@ class TestOverrides:
     ):
         (tmp_path / "bad.json").write_text("{}")      # a prior file of the wrong shape
         (tmp_path / "adir").mkdir()
+        for i, tag in enumerate(NON_FINITE_TAGS):     # well-formed but for the activation
+            layers = [
+                {"rows": 12, "cols": 2, "data": [0.5] * 24, "activation": tag},
+                {"rows": 10, "cols": 12, "data": [0.25] * 120},
+            ]
+            (tmp_path / f"nonfinite{i}.json").write_text(json.dumps({"layers": layers}))
         monkeypatch.chdir(tmp_path)
         argv = ["run", "--preset", "thm2-so", "--out", str(tmp_path), "--set", override]
         assert main(argv) == 2

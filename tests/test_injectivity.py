@@ -22,12 +22,10 @@ from momentlab.priors import (
     GeneratorNetwork,
     Layer,
     ambient_network,
-    generic_linear_sparse_prior,
-    generic_orthonormal_sparse_prior,
     latent_parametrizations,
     random_relu_network,
     sample_mixing,
-    standard_basis_sparse_prior,
+    sparse_prior,
 )
 
 from reference import pair_collision_objective
@@ -108,7 +106,7 @@ class TestCollisionSearch:
     def test_sparse_shift_collision(self):
         N = 8
         blocks = block_structure_for_power_spectrum(N)
-        prior = standard_basis_sparse_prior(N, 2)
+        prior = sparse_prior(N, 2, "standard-basis")
         rep = collision_search(
             prior, np.eye(N), blocks, restarts=100, seed=7
         )
@@ -281,7 +279,7 @@ class TestCollisionObjective:
         assert not np.any(equal[1])                     # x = y: separation 0, no penalty row
 
     def test_two_sparse_supports(self, spy_objectives):
-        prior = generic_linear_sparse_prior(5, 3, seed=2)
+        prior = sparse_prior(5, 3, "generic-linear", seed=2)
 
         def special_points(net1, net2, r):
             # zero, then x ~ y and x ~ -y in the span of the shared basis columns
@@ -339,13 +337,13 @@ class TestBruteForceOracle:
     def test_point_cap_is_checked_before_any_forward_pass(self, monkeypatch):
         # 3 supports x 116^2 grid points = 40 368, just over the cap of 200^2;
         # 115^2 would give 39 675, just under it.
-        prior = generic_orthonormal_sparse_prior(3, 2, seed=0)
+        prior = sparse_prior(3, 2, seed=0)
         assert injectivity._ORACLE_POINTS == 200**2 < 3 * 116**2
 
         def forward(*args):
             raise AssertionError("the oracle evaluated the prior")
 
-        monkeypatch.setattr(injectivity, "generator_forward", forward)
+        monkeypatch.setattr(injectivity, "chart_walk", forward)
         with pytest.raises(ValueError, match="40368 points, above the cap of 40000"):
             brute_force_collision_oracle(prior, np.eye(3), block_structure_for_power_spectrum(3), 116)
 
@@ -355,7 +353,7 @@ class TestBruteForceOracle:
         # over the arrays of one chunk); chunks of at most _ORACLE_CELLS pairs
         # keep the peak under 16 float arrays of that size.
         N = 8
-        prior = generic_orthonormal_sparse_prior(N, 2, seed=1)
+        prior = sparse_prior(N, 2, seed=1)
         A = sample_mixing(N, "special-orthogonal", 2)
         bound = 16 * injectivity._ORACLE_CELLS * 8
         tracemalloc.start()
@@ -372,10 +370,10 @@ class TestBruteForceOracle:
         # P = 15 supports x 9^2 grid points = 1215, small enough for one chunk
         N = 6
         if kind == "standard-basis":
-            prior, A = standard_basis_sparse_prior(N, 2), np.eye(N)
+            prior, A = sparse_prior(N, 2, "standard-basis"), np.eye(N)
             expected = "collision"
         else:
-            prior = generic_orthonormal_sparse_prior(N, 2, seed=3)
+            prior = sparse_prior(N, 2, seed=3)
             A = sample_mixing(N, "special-orthogonal", 4)
             expected = "no-collision-found"
         blocks = block_structure_for_power_spectrum(N)

@@ -28,11 +28,11 @@ from momentlab.mra import (
 from momentlab.priors import (
     GeneratorNetwork,
     Layer,
-    generator_forward,
-    generic_linear_sparse_prior,
+    chart_walk,
     latent_parametrizations,
     random_relu_network,
     sample_mixing,
+    sparse_prior,
 )
 from momentlab.so3 import (
     _real_basis_transform,
@@ -492,7 +492,7 @@ class TestRecovery:
         blocks = block_structure_for_power_spectrum(N)
         prior = random_relu_network((2, 10, N), seed=4)
         A = sample_mixing(N, "special-orthogonal", 6)
-        x_true = A @ generator_forward(prior, rng.normal(size=2))
+        x_true = A @ chart_walk(prior, rng.normal(size=2)).x
         inv = second_moment_blocks(x_true, blocks)
         solves = spy_solves(mra)
         rec = recover(inv, prior, A, blocks, seed=seed, restarts=20)
@@ -500,7 +500,7 @@ class TestRecovery:
         assert rec.converged == (used < 20)
         best = min(solves, key=lambda s: s.f)      # the first of the best
         assert rec.residual == np.sqrt(best.f)
-        np.testing.assert_array_equal(rec.prior_point, generator_forward(prior, best.x))
+        np.testing.assert_array_equal(rec.prior_point, chart_walk(prior, best.x).x)
 
     @pytest.mark.parametrize(
         "kind", ["relu", "leaky-relu(0.1)", "hardtanh(-0.5,0.7)", "sparse"]
@@ -511,7 +511,7 @@ class TestRecovery:
         N = 5
         blocks = block_structure_for_power_spectrum(N)
         if kind == "sparse":
-            prior = generic_linear_sparse_prior(N, 2, seed=1)
+            prior = sparse_prior(N, 2, "generic-linear", seed=1)
         else:
             r = np.random.default_rng(5)
             prior = GeneratorNetwork(tuple(
@@ -538,10 +538,9 @@ class TestRecovery:
         blocks = block_structure_for_power_spectrum(N)
         prior = random_relu_network((2, 10, N), seed=4)
         A = sample_mixing(N, "special-orthogonal", 6)
-        from momentlab.priors import generator_forward
 
         z_true = rng.normal(size=2)
-        x_true = A @ generator_forward(prior, z_true)
+        x_true = A @ chart_walk(prior, z_true).x
         inv = second_moment_blocks(x_true, blocks)
         rec = recover(inv, prior, A, blocks, seed=0, restarts=20)
         assert rec.error_fn(x_true) < 1e-6
@@ -560,13 +559,12 @@ class TestRecovery:
         blocks = block_structure_for_power_spectrum(N)
         prior = random_relu_network((2, 10, N), seed=4)
         A = sample_mixing(N, "special-orthogonal", 6)
-        from momentlab.priors import generator_forward
 
         delta = 1e-3
         errs = []
         for seed in range(20):
             z_true = np.random.default_rng(seed).normal(size=2)
-            x_true = A @ generator_forward(prior, z_true)
+            x_true = A @ chart_walk(prior, z_true).x
             inv = second_moment_blocks(x_true, blocks)
             noise = np.random.default_rng(1000 + seed).normal(size=blocks.R)
             inv_noisy = inv * (1.0 + delta * noise)
@@ -697,7 +695,7 @@ class TestGroundTruth:
         prior = random_relu_network((2, 10, 8), seed=11)
         A = sample_mixing(8, "special-orthogonal", 11)
         net, z, x_star = draw_ground_truth(prior, A, 0, 0.4)
-        np.testing.assert_array_equal(x_star, A @ generator_forward(net, z))
+        np.testing.assert_array_equal(x_star, A @ chart_walk(net, z).x)
         assert np.linalg.norm(x_star) == pytest.approx(0.4, rel=1e-12)
 
     def test_unreachable_norm_raises(self):
