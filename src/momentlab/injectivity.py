@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussnewton import damped_gauss_newton, multistart
-from .measurements import (
-    BlockStructure,
-    measurement_jacobian,
-    mixed_signal,
-    second_moment_blocks,
-    separable_measurement,
-)
+from .measurements import BlockStructure, DimensionError, separable_measurement
 from .priors import (
     as_rng,
     chart_stack,
@@ -173,8 +167,13 @@ def collision_search(
     A solve's latent point u = [z1; z2] is walked as one two-lane stack
     through the stack of its two charts, and its Jacobian reuses what the
     residual computed at the same u: the walk, the mixed signals, the norms
-    and the separation.
+    and the separation. The mixing and the prior's output length are checked
+    once, so the objective runs the unchecked cores of the chart walk and of
+    the measurement.
     """
+    A = blocks.check_mixing(A)
+    if prior.output_dim != blocks.N:
+        raise DimensionError(f"prior signals have length {prior.output_dim}, expected {blocks.N}")
     rng = as_rng(seed)
     tracker = _PairTracker(separation_tol)
     spen = np.sqrt(PENALTY_WEIGHT)
@@ -193,9 +192,9 @@ def collision_search(
             # The solver accepts exactly the points where the strict running
             # minimum of its objective falls, so those are the ones tracked.
             nonlocal f_min, at
-            walk = chart_walk(pair, u.reshape(2, K))
-            S = mixed_signal(walk.x, A, blocks)
-            P = second_moment_blocks(S, blocks)
+            walk = pair.walk(u.reshape(2, K))
+            S = blocks.mix(A, walk.x)
+            P = blocks.energies(S)
             x, y = walk.x
             rm = P[0] - P[1]
             s = max(_norm(x), _norm(y))
@@ -220,7 +219,7 @@ def collision_search(
             if s <= 0.0:
                 return J
             G = walk_jacobian(walk)
-            JG = measurement_jacobian(S, A, blocks) @ G / s**2
+            JG = blocks.energy_jacobian(S, A) @ G / s**2
             J[:-1, :K] = JG[0]
             J[:-1, K:] = -JG[1]
             if sep > 1e-14 and separation_tol - sep / s > 0:
@@ -388,7 +387,8 @@ def codimension_probe(
     pair = np.stack([x, y])
 
     def resid(A):
-        P = separable_measurement(pair, A, blocks)
+        # every A is a draw or a retraction of one, so (N, N) floats
+        P = blocks.energies(blocks.mix(A, pair))
         return P[0] - P[1]
 
     if manifold == "general-linear":

@@ -83,6 +83,31 @@ class BlockStructure:
             )
         return x
 
+    def check_mixing(self, A) -> np.ndarray:
+        """A mixing (N, N), as a float array."""
+        A = np.asarray(A, dtype=float)
+        if A.shape != (self.N, self.N):
+            raise DimensionError(f"mixing has shape {A.shape}, expected {(self.N, self.N)}")
+        return A
+
+    # The unchecked cores of the module's kernels. Each public kernel runs the
+    # checks above and then its core; a solver's closures check once per call
+    # and then run the cores at every trial point.
+
+    def energies(self, x: np.ndarray) -> np.ndarray:
+        """Core of :func:`second_moment_blocks`."""
+        return np.add.reduceat(x * x, self.starts, axis=-1)
+
+    @staticmethod
+    def mix(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Core of :func:`mixed_signal`: ``A @ x`` for a signal, and for a stack
+        ``(A @ x[..., None])[..., 0]``, which gives each row the point form's bits."""
+        return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
+
+    def energy_jacobian(self, S: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """Core of :func:`measurement_jacobian`."""
+        return 2.0 * np.add.reduceat(S[..., None] * A, self.starts, axis=-2)
+
 
 def block_structure_for_power_spectrum(N: int) -> BlockStructure:
     """Block layout of the power spectrum in the real Fourier basis.
@@ -141,17 +166,7 @@ def second_moment_blocks(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
     With ``blocks = block_structure_for_power_spectrum(N)`` this is the
     power spectrum of the signal in block coordinates.
     """
-    x = blocks.check_signals(x)
-    return np.add.reduceat(x * x, blocks.starts, axis=-1)
-
-
-def _check_mixing(A, blocks: BlockStructure) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.shape != (blocks.N, blocks.N):
-        raise DimensionError(
-            f"mixing has shape {A.shape}, expected {(blocks.N, blocks.N)}"
-        )
-    return A
+    return blocks.energies(blocks.check_signals(x))
 
 
 def mixed_signal(x, A, blocks: BlockStructure) -> np.ndarray:
@@ -161,7 +176,7 @@ def mixed_signal(x, A, blocks: BlockStructure) -> np.ndarray:
     the bits of the point form ``A @ x``.
     """
     x = blocks.check_signals(x)
-    return (_check_mixing(A, blocks) @ x[..., None])[..., 0]
+    return blocks.mix(blocks.check_mixing(A), x)
 
 
 def separable_measurement(x, A, blocks: BlockStructure) -> np.ndarray:
@@ -170,7 +185,7 @@ def separable_measurement(x, A, blocks: BlockStructure) -> np.ndarray:
     Entry k is the sum of <x, w_j>^2 over the rows w_j of A belonging to
     block k, which equals ``second_moment_blocks(A @ x, blocks)``.
     """
-    return second_moment_blocks(mixed_signal(x, A, blocks), blocks)
+    return blocks.energies(mixed_signal(x, A, blocks))
 
 
 def measurement_jacobian(S, A, blocks: BlockStructure) -> np.ndarray:
@@ -181,4 +196,4 @@ def measurement_jacobian(S, A, blocks: BlockStructure) -> np.ndarray:
     signals (B, N) gives one Jacobian per row, (B, R, N).
     """
     S = blocks.check_signals(S)
-    return 2.0 * np.add.reduceat(S[..., None] * _check_mixing(A, blocks), blocks.starts, axis=-2)
+    return blocks.energy_jacobian(S, blocks.check_mixing(A))

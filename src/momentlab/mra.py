@@ -257,11 +257,16 @@ def recover(
     invariants the optimum sits at the noise floor, so ``converged`` only
     reflects whether some start reached the (relative) target residual.
     Each Jacobian reuses the chart walk and the mixed signal that the
-    residual computed at the same point.
+    residual computed at the same point. The mixing, the invariants and the
+    prior's output length are checked once, so the objective runs the
+    unchecked cores of the chart walk and of the measurement.
     """
     invariants = np.asarray(invariants, dtype=float)
     if invariants.shape != (blocks.R,):
         raise DimensionError(f"invariants shape {invariants.shape}, expected ({blocks.R},)")
+    A = blocks.check_mixing(A)
+    if prior.output_dim != blocks.N:
+        raise DimensionError(f"prior signals have length {prior.output_dim}, expected {blocks.N}")
     rng = as_rng(seed)
     params = latent_parametrizations(prior, rng)
     f_target = (1e-10 * max(1.0, np.linalg.norm(invariants))) ** 2
@@ -272,16 +277,16 @@ def recover(
 
         def residual(z):
             nonlocal at
-            walk = chart_walk(net, z)
-            S = mixed_signal(walk.x, A, blocks)
+            walk = net.walk(z)
+            S = blocks.mix(A, walk.x)
             at = (z, walk, S)
-            return second_moment_blocks(S, blocks) - invariants
+            return blocks.energies(S) - invariants
 
         def jacobian(z):
             z_at, walk, S = at
             if z is not z_at:
                 raise ValueError("jacobian(z) is only defined at the point of the last residual(z)")
-            return measurement_jacobian(S, A, blocks) @ walk_jacobian(walk)
+            return blocks.energy_jacobian(S, A) @ walk_jacobian(walk)
 
         res = damped_gauss_newton(
             residual, jacobian, z0, max_iter=max_iter, f_tol=f_target

@@ -13,7 +13,9 @@ support, whose layer holds that support's basis columns. So
 at a latent point or a stack of them and keeps each layer's pre-activation,
 from which :func:`walk_jacobian` takes the Jacobian without a second pass.
 Charts walked together, one per row of a stack, are stacked on a lane axis
-by :func:`chart_stack`.
+by :func:`chart_stack`. A network compiles its layers into a plan once, when
+it is built; :func:`chart_walk` checks the latent and then runs the unchecked
+walk over that plan, which a solver's objective calls directly.
 
 "Generic" matrices are realized as random draws from continuous
 distributions; every sampler threads an explicit seed so experiments can
@@ -134,6 +136,25 @@ class Layer:
             object.__setattr__(self, "bias", b)
 
 
+class _Step(NamedTuple):
+    """One layer as the walk reads it, built once per network."""
+
+    weight: np.ndarray      # a read-only view, so no Jacobian hands out a writable weight
+    bias: np.ndarray | None
+    identity: bool
+    value: Callable
+    derivative: Callable
+    params: tuple
+
+    @classmethod
+    def of(cls, layer: Layer) -> _Step:
+        name, params = layer._act
+        act = _ACTIVATIONS[name]
+        weight = layer.weight.view()
+        weight.flags.writeable = False
+        return cls(weight, layer.bias, name == "identity", act.value, act.derivative, params)
+
+
 @dataclass(frozen=True)
 class GeneratorNetwork:
     """Composition of layers: x = act_L(W_L ... act_1(W_1 z)).
@@ -146,6 +167,8 @@ class GeneratorNetwork:
     layers: tuple[Layer, ...]
     #: Lane count of a chart stack (see :func:`chart_stack`); None for one chart.
     lanes: int | None = field(init=False, compare=False)
+    #: The layers compiled once for the walk, one :class:`_Step` each.
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -161,6 +184,11 @@ class GeneratorNetwork:
             raise DimensionError(f"layers disagree on the lane count: {sorted(lanes)}")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "lanes", lanes.pop() if lanes else None)
+        object.__setattr__(self, "_plan", tuple(_Step.of(layer) for layer in layers))
+
+    def __reduce__(self):
+        # the plan holds the activation functions, so a copy rebuilds it
+        return GeneratorNetwork, (self.layers,)
 
     @property
     def latent_dim(self) -> int:
@@ -169,6 +197,24 @@ class GeneratorNetwork:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].weight.shape[-2]
+
+    def walk(self, a: np.ndarray) -> ChartWalk:
+        """The unchecked core of :func:`chart_walk`, for a float latent that it accepts.
+
+        A point maps as ``W @ a`` and a stack as ``(W @ a[..., None])[..., 0]``,
+        which gives every row the bits of the point form. Identity layers
+        apply nothing after their affine map.
+        """
+        point = a.ndim == 1
+        pre = []
+        for W, b, identity, value, _, params in self._plan:
+            a = W @ a if point else (W @ a[..., None])[..., 0]
+            if b is not None:
+                a += b
+            pre.append(a)
+            if not identity:
+                a = value(a, params)
+        return ChartWalk(self, a, tuple(pre))
 
 
 def chart_stack(nets) -> GeneratorNetwork:
@@ -210,9 +256,8 @@ class ChartWalk(NamedTuple):
 def chart_walk(net: GeneratorNetwork, z: np.ndarray) -> ChartWalk:
     """Walk the layers once at a latent point (K,) or stack (B, K).
 
-    Each layer maps a point or a stack as ``(W @ a[..., None])[..., 0]``,
-    which gives every row of a stack the bits of the point form ``W @ z``.
-    A chart stack walks a (lanes, K) stack, lane b through chart b.
+    Checks the latent, then runs ``net.walk``. A chart stack walks a
+    (lanes, K) stack, lane b through chart b.
     """
     a = np.asarray(z, dtype=float)
     K = net.latent_dim
@@ -221,15 +266,7 @@ def chart_walk(net: GeneratorNetwork, z: np.ndarray) -> ChartWalk:
             raise DimensionError(f"latent has shape {a.shape}, expected (..., {K})")
     elif a.shape != (net.lanes, K):
         raise DimensionError(f"latent has shape {a.shape}, expected ({net.lanes}, {K})")
-    pre = []
-    for layer in net.layers:
-        a = (layer.weight @ a[..., None])[..., 0]
-        if layer.bias is not None:
-            a = a + layer.bias
-        pre.append(a)
-        name, params = layer._act
-        a = _ACTIVATIONS[name].value(a, params)
-    return ChartWalk(net, a, tuple(pre))
+    return net.walk(a)
 
 
 def walk_jacobian(walk: ChartWalk) -> np.ndarray:
@@ -238,12 +275,18 @@ def walk_jacobian(walk: ChartWalk) -> np.ndarray:
     The chain rule runs over the walk's pre-activations, so there is no
     second forward pass. Piecewise-linear activations have derivative 0 at
     their kinks, so the Jacobian is the one of the active linear piece.
+    Identity layers multiply by nothing. When every layer is an identity, a
+    single network walked on a stack gives each row the one Jacobian as a
+    read-only broadcast, and a one-layer chart hands out its weight only as
+    a read-only view.
     """
     J = None
-    for layer, a in zip(walk.net.layers, walk.pre_activations):
-        name, params = layer._act
-        J = layer.weight if J is None else layer.weight @ J
-        J = _ACTIVATIONS[name].derivative(a, params)[..., None] * J
+    for (W, _, identity, _, derivative, params), a in zip(walk.net._plan, walk.pre_activations):
+        J = W if J is None else W @ J
+        if not identity:
+            J = derivative(a, params)[..., None] * J
+    if J.ndim == walk.x.ndim:
+        J = np.broadcast_to(J, walk.x.shape + J.shape[-1:])
     return J
 
 
@@ -442,13 +485,21 @@ def perturb_final_layer(
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
+def _finite_array(values, where: str) -> np.ndarray:
+    """``values`` as a float array; a NaN or infinite entry raises ValueError naming ``where``."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{where} has a non-finite entry")
+    return a
+
+
 def network_from_json(text: str) -> GeneratorNetwork:
     """Parse {layers: [{rows, cols, data(row-major), activation, bias?}], latent_dim?}."""
     payload = json.loads(text)
     layers = []
-    for spec in payload["layers"]:
-        W = np.asarray(spec["data"], dtype=float).reshape(spec["rows"], spec["cols"])
-        bias = np.asarray(spec["bias"], dtype=float) if "bias" in spec else None
+    for i, spec in enumerate(payload["layers"]):
+        W = _finite_array(spec["data"], f"layers[{i}].data").reshape(spec["rows"], spec["cols"])
+        bias = _finite_array(spec["bias"], f"layers[{i}].bias") if "bias" in spec else None
         layers.append(Layer(W, spec.get("activation", "identity"), bias))
     net = GeneratorNetwork(tuple(layers))
     declared = payload.get("latent_dim")
@@ -463,5 +514,5 @@ def sparse_prior_from_json(text: str) -> SparsePrior:
     """Parse {n?, basis(row-major), sparsity, kind?}."""
     payload = json.loads(text)
     n = int(payload["n"]) if "n" in payload else int(round(len(payload["basis"]) ** 0.5))
-    B = np.asarray(payload["basis"], dtype=float).reshape(n, n)
+    B = _finite_array(payload["basis"], "basis").reshape(n, n)
     return SparsePrior(B, int(payload["sparsity"]), payload.get("kind", "generic-orthonormal"))

@@ -586,6 +586,44 @@ class TestOverrides:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
+        "kind, value, where",
+        [
+            ("network-file", math.nan, "layers[1].data"),
+            ("network-file", math.inf, "layers[0].bias"),
+            ("sparse-file", math.nan, "basis"),
+            ("sparse-file", -math.inf, "basis"),
+        ],
+    )
+    def test_non_finite_prior_file_exits_2(
+        self, tmp_path, capsys, monkeypatch, kind, value, where
+    ):
+        # json writes and reads NaN and Infinity, so the loaders check finiteness
+        if kind == "network-file":
+            layers = [
+                {"rows": 12, "cols": 2, "data": [0.5] * 24, "bias": [0.1] * 12},
+                {"rows": 10, "cols": 12, "data": [0.25] * 120},
+            ]
+            field, _, key = where.partition(".")
+            target = layers[int(field[len("layers["):-1])][key]
+            payload = {"layers": layers}
+        else:
+            target = np.eye(10).ravel().tolist()
+            payload = {"n": 10, "basis": target, "sparsity": 2, "kind": "generic-linear"}
+        target[3] = value
+        (tmp_path / "prior.json").write_text(json.dumps(payload))
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "run", "--preset", "thm2-so", "--out", str(tmp_path / "out"),
+            "--set", f'prior={{"type":"{kind}","path":"prior.json"}}',
+            "--set", "restarts=2", "--set", "mixing_seeds=[21]",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "parameters.prior.path" in err and f"{where} has a non-finite entry" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "preset, override, field",
         [
             ("ctrl-torus", "oracle_check=true", "parameters.oracle_check"),

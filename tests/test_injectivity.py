@@ -14,6 +14,7 @@ from momentlab.injectivity import (
 )
 from momentlab.measurements import (
     BlockStructure,
+    DimensionError,
     block_structure_for_power_spectrum,
     separable_measurement,
     to_real_fourier,
@@ -140,6 +141,16 @@ class TestCollisionSearch:
         blocks = block_structure_for_power_spectrum(4)
         with pytest.raises(ValueError, match="restarts"):
             collision_search(ambient_network(4), np.eye(4), blocks, restarts=0)
+
+    def test_checks_mixing_and_prior_length_before_any_solve(self, spy_solves):
+        # the objective runs unchecked cores, so the search checks its inputs once
+        blocks = block_structure_for_power_spectrum(4)
+        solves = spy_solves(injectivity)
+        with pytest.raises(DimensionError, match="mixing has shape"):
+            collision_search(ambient_network(4), np.eye(5), blocks)
+        with pytest.raises(DimensionError, match="prior signals have length 5"):
+            collision_search(sparse_prior(5, 2), np.eye(4), blocks)
+        assert solves == []
 
     @pytest.mark.parametrize("K, seed, restarts, used", [(2, 3, 20, 6), (1, 0, 5, 5)])
     def test_one_solve_per_restart_used(self, spy_solves, K, seed, restarts, used):
@@ -489,6 +500,25 @@ class TestCodimensionProbe:
         for i in range(3):
             A = sample_mixing(blocks.N, manifold, i)
             np.testing.assert_array_equal(jac(A), loop(A, xn, yn, blocks))
+
+    @pytest.mark.parametrize("blocks", [
+        block_structure_for_power_spectrum(7),
+        block_structure_for_power_spectrum(16),
+        BlockStructure((1, 3, 5)),
+    ], ids=lambda b: str(b.dims))
+    @pytest.mark.parametrize("manifold", ["general-linear", "special-orthogonal"])
+    def test_residual_is_the_measurement_gap(
+        self, monkeypatch, spy_objectives, rng, blocks, manifold
+    ):
+        x, y = rng.normal(size=blocks.N), rng.normal(size=blocks.N)
+        seen = spy_objectives(injectivity)
+        monkeypatch.setattr(injectivity, "PROBE_MAX_ITER", 1)
+        codimension_probe(x, y, manifold, blocks, seed=0, restarts=1)
+        residual, _, A0 = seen[0]
+        xn, yn = probe_normalized(x, y, manifold)
+        for A in [A0] + [sample_mixing(blocks.N, manifold, i) for i in range(3)]:
+            gap = separable_measurement(xn, A, blocks) - separable_measurement(yn, A, blocks)
+            np.testing.assert_array_equal(residual(A), gap)
 
     def test_singleton_block_factorization_at_solution(self, rng):
         # every singleton-block row of a solution is orthogonal to x - y or x + y

@@ -485,6 +485,16 @@ class TestRecovery:
         with pytest.raises(ValueError, match="restarts"):
             recover(np.ones(blocks.R), prior, np.eye(4), blocks, restarts=0)
 
+    def test_checks_mixing_and_prior_length_before_any_solve(self, spy_solves):
+        # the objective runs unchecked cores, so recover checks its inputs once
+        blocks = block_structure_for_power_spectrum(4)
+        solves = spy_solves(mra)
+        with pytest.raises(DimensionError, match="mixing has shape"):
+            recover(np.ones(blocks.R), random_relu_network((2, 6, 4)), np.eye(5), blocks)
+        with pytest.raises(DimensionError, match="prior signals have length 5"):
+            recover(np.ones(blocks.R), random_relu_network((2, 6, 5)), np.eye(4), blocks)
+        assert solves == []
+
     @pytest.mark.parametrize("seed, used", [(1, 16), (5, 20)])
     def test_one_solve_per_restart_used(self, spy_solves, rng, seed, used):
         # seed 1 reaches the target on its 16th start, seed 5 on none of 20

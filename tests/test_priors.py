@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -290,6 +291,46 @@ class TestLayerWalk:
             next(latent_parametrizations(np.eye(3), np.random.default_rng(0)))
 
 
+def one_layer_chart(kind):
+    """The ambient network of R^4, or the chart of one support of a sparse prior."""
+    if kind == "ambient":
+        return ambient_network(4)
+    return prior_charts(sparse_prior(6, 2, "generic-linear", seed=1))[3]
+
+
+class TestOneLayerCharts:
+    """Identity layers apply nothing, yet a one-layer chart's walk keeps its contract."""
+
+    @pytest.mark.parametrize("kind", ["ambient", "sparse-support"])
+    def test_stack_gets_one_jacobian_per_row(self, rng, kind):
+        chart = one_layer_chart(kind)
+        Z = rng.normal(size=(3, chart.latent_dim))
+        X, J = walk(chart, Z)
+        assert J.shape == (3, chart.output_dim, chart.latent_dim)
+        for z, x, j in zip(Z, X, J):
+            assert_is_reference_walk(x, j, chart, z)
+
+    @pytest.mark.parametrize("kind", ["ambient", "sparse-support", "two-lane-stack"])
+    def test_no_jacobian_writes_into_a_weight(self, rng, kind):
+        if kind == "two-lane-stack":
+            charts = prior_charts(sparse_prior(6, 2, "generic-linear", seed=1))[:2]
+            chart = chart_stack(charts)
+            latents = [rng.normal(size=(2, 2))]
+        else:
+            chart = one_layer_chart(kind)
+            K = chart.latent_dim
+            latents = [rng.normal(size=K), rng.normal(size=(3, K))]
+        (layer,) = chart.layers
+        before = layer.weight.copy()
+        for z in latents:
+            J = walk_jacobian(chart_walk(chart, z))
+            try:
+                J[...] = 7.0
+            except ValueError:          # a read-only view
+                pass
+            np.testing.assert_array_equal(layer.weight, before)
+
+
 class TestImageDimension:
     def test_linear_rank_two(self, rng):
         # product of two rank-2 factors, no activations
@@ -445,6 +486,15 @@ class TestSerialization:
         assert clone.latent_dim == net.latent_dim
         z = np.array([0.3, -1.2])
         np.testing.assert_array_equal(chart_walk(clone, z).x, chart_walk(net, z).x)
+
+    def test_network_pickles(self):
+        # a copy rebuilds the walk's plan from the layers
+        net = random_relu_network((2, 5, 4), seed=9, activation="leaky-relu(0.1)")
+        clone = pickle.loads(pickle.dumps(net))
+        assert len(clone.layers) == len(net.layers)
+        z = np.array([0.3, -1.2])
+        for a, b in zip(walk(clone, z), walk(net, z)):
+            np.testing.assert_array_equal(a, b)
 
     def test_sparse_roundtrip(self):
         prior = sparse_prior(6, 2, seed=1)
