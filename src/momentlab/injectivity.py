@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussnewton import damped_gauss_newton, multistart
-from .measurements import BlockStructure, DimensionError, separable_measurement
+from .measurements import BlockStructure, matvec, separable_measurement
 from .priors import (
     as_rng,
     chart_stack,
     chart_walk,
+    check_prior,
     latent_parametrizations,
     numerical_rank,
     prior_charts,
@@ -172,8 +173,7 @@ def collision_search(
     the measurement.
     """
     A = blocks.check_mixing(A)
-    if prior.output_dim != blocks.N:
-        raise DimensionError(f"prior signals have length {prior.output_dim}, expected {blocks.N}")
+    check_prior(prior, blocks.N)
     rng = as_rng(seed)
     tracker = _PairTracker(separation_tol)
     spen = np.sqrt(PENALTY_WEIGHT)
@@ -193,7 +193,7 @@ def collision_search(
             # minimum of its objective falls, so those are the ones tracked.
             nonlocal f_min, at
             walk = pair.walk(u.reshape(2, K))
-            S = blocks.mix(A, walk.x)
+            S = matvec(A, walk.x)
             P = blocks.energies(S)
             x, y = walk.x
             rm = P[0] - P[1]
@@ -388,7 +388,7 @@ def codimension_probe(
 
     def resid(A):
         # every A is a draw or a retraction of one, so (N, N) floats
-        P = blocks.energies(blocks.mix(A, pair))
+        P = blocks.energies(matvec(A, pair))
         return P[0] - P[1]
 
     if manifold == "general-linear":

@@ -25,6 +25,7 @@ __all__ = [
     "real_fourier_matrix",
     "to_real_fourier",
     "second_moment_blocks",
+    "matvec",
     "mixed_signal",
     "separable_measurement",
     "measurement_jacobian",
@@ -90,19 +91,13 @@ class BlockStructure:
             raise DimensionError(f"mixing has shape {A.shape}, expected {(self.N, self.N)}")
         return A
 
-    # The unchecked cores of the module's kernels. Each public kernel runs the
-    # checks above and then its core; a solver's closures check once per call
-    # and then run the cores at every trial point.
+    # The unchecked cores of the module's kernels (with :func:`matvec`). Each
+    # public kernel runs the checks above and then its core; a solver's
+    # closures check once per call and then run the cores at every trial point.
 
     def energies(self, x: np.ndarray) -> np.ndarray:
         """Core of :func:`second_moment_blocks`."""
         return np.add.reduceat(x * x, self.starts, axis=-1)
-
-    @staticmethod
-    def mix(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Core of :func:`mixed_signal`: ``A @ x`` for a signal, and for a stack
-        ``(A @ x[..., None])[..., 0]``, which gives each row the point form's bits."""
-        return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
 
     def energy_jacobian(self, S: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Core of :func:`measurement_jacobian`."""
@@ -169,6 +164,15 @@ def second_moment_blocks(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
     return blocks.energies(blocks.check_signals(x))
 
 
+def matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``W @ x`` for a vector, and ``(W @ x[..., None])[..., 0]`` for a stack, unchecked.
+
+    The stack form gives each row the bits of the vector form. It is the one
+    product of :func:`mixed_signal` and of each layer of a chart walk.
+    """
+    return W @ x if x.ndim == 1 else (W @ x[..., None])[..., 0]
+
+
 def mixed_signal(x, A, blocks: BlockStructure) -> np.ndarray:
     """The mixed signal S = A x of a signal (N,), or of each row of a stack (B, N).
 
@@ -176,7 +180,7 @@ def mixed_signal(x, A, blocks: BlockStructure) -> np.ndarray:
     the bits of the point form ``A @ x``.
     """
     x = blocks.check_signals(x)
-    return blocks.mix(blocks.check_mixing(A), x)
+    return matvec(blocks.check_mixing(A), x)
 
 
 def separable_measurement(x, A, blocks: BlockStructure) -> np.ndarray:

@@ -37,6 +37,7 @@ from .measurements import (
     BlockStructure,
     DimensionError,
     block_structure_for_power_spectrum,
+    matvec,
     measurement_jacobian,
     mixed_signal,
     real_fourier_matrix,
@@ -45,6 +46,7 @@ from .measurements import (
 from .priors import (
     as_rng,
     chart_walk,
+    check_prior,
     latent_parametrizations,
     walk_jacobian,
 )
@@ -265,8 +267,7 @@ def recover(
     if invariants.shape != (blocks.R,):
         raise DimensionError(f"invariants shape {invariants.shape}, expected ({blocks.R},)")
     A = blocks.check_mixing(A)
-    if prior.output_dim != blocks.N:
-        raise DimensionError(f"prior signals have length {prior.output_dim}, expected {blocks.N}")
+    check_prior(prior, blocks.N)
     rng = as_rng(seed)
     params = latent_parametrizations(prior, rng)
     f_target = (1e-10 * max(1.0, np.linalg.norm(invariants))) ** 2
@@ -278,7 +279,7 @@ def recover(
         def residual(z):
             nonlocal at
             walk = net.walk(z)
-            S = blocks.mix(A, walk.x)
+            S = matvec(A, walk.x)
             at = (z, walk, S)
             return blocks.energies(S) - invariants
 

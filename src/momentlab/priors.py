@@ -13,9 +13,9 @@ support, whose layer holds that support's basis columns. So
 at a latent point or a stack of them and keeps each layer's pre-activation,
 from which :func:`walk_jacobian` takes the Jacobian without a second pass.
 Charts walked together, one per row of a stack, are stacked on a lane axis
-by :func:`chart_stack`. A network compiles its layers into a plan once, when
-it is built; :func:`chart_walk` checks the latent and then runs the unchecked
-walk over that plan, which a solver's objective calls directly.
+by :func:`chart_stack`. :func:`chart_walk` checks the latent and then runs
+the unchecked walk ``GeneratorNetwork.walk``, which a solver's objective,
+having checked its prior once, calls directly.
 
 "Generic" matrices are realized as random draws from continuous
 distributions; every sampler threads an explicit seed so experiments can
@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measurements import DimensionError, real_fourier_matrix
+from .measurements import DimensionError, matvec, real_fourier_matrix
 
 __all__ = [
     "Layer",
@@ -45,6 +45,7 @@ __all__ = [
     "estimate_image_dimension",
     "numerical_rank",
     "prior_charts",
+    "check_prior",
     "latent_parametrizations",
     "parse_activation",
     "sample_mixing",
@@ -136,25 +137,6 @@ class Layer:
             object.__setattr__(self, "bias", b)
 
 
-class _Step(NamedTuple):
-    """One layer as the walk reads it, built once per network."""
-
-    weight: np.ndarray      # a read-only view, so no Jacobian hands out a writable weight
-    bias: np.ndarray | None
-    identity: bool
-    value: Callable
-    derivative: Callable
-    params: tuple
-
-    @classmethod
-    def of(cls, layer: Layer) -> _Step:
-        name, params = layer._act
-        act = _ACTIVATIONS[name]
-        weight = layer.weight.view()
-        weight.flags.writeable = False
-        return cls(weight, layer.bias, name == "identity", act.value, act.derivative, params)
-
-
 @dataclass(frozen=True)
 class GeneratorNetwork:
     """Composition of layers: x = act_L(W_L ... act_1(W_1 z)).
@@ -167,8 +149,6 @@ class GeneratorNetwork:
     layers: tuple[Layer, ...]
     #: Lane count of a chart stack (see :func:`chart_stack`); None for one chart.
     lanes: int | None = field(init=False, compare=False)
-    #: The layers compiled once for the walk, one :class:`_Step` each.
-    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -184,11 +164,6 @@ class GeneratorNetwork:
             raise DimensionError(f"layers disagree on the lane count: {sorted(lanes)}")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "lanes", lanes.pop() if lanes else None)
-        object.__setattr__(self, "_plan", tuple(_Step.of(layer) for layer in layers))
-
-    def __reduce__(self):
-        # the plan holds the activation functions, so a copy rebuilds it
-        return GeneratorNetwork, (self.layers,)
 
     @property
     def latent_dim(self) -> int:
@@ -201,19 +176,17 @@ class GeneratorNetwork:
     def walk(self, a: np.ndarray) -> ChartWalk:
         """The unchecked core of :func:`chart_walk`, for a float latent that it accepts.
 
-        A point maps as ``W @ a`` and a stack as ``(W @ a[..., None])[..., 0]``,
-        which gives every row the bits of the point form. Identity layers
-        apply nothing after their affine map.
+        Each layer maps a point or a stack by :func:`matvec`, which gives every
+        row of a stack the bits of the point.
         """
-        point = a.ndim == 1
         pre = []
-        for W, b, identity, value, _, params in self._plan:
-            a = W @ a if point else (W @ a[..., None])[..., 0]
-            if b is not None:
-                a += b
+        for layer in self.layers:
+            a = matvec(layer.weight, a)
+            if layer.bias is not None:
+                a = a + layer.bias
             pre.append(a)
-            if not identity:
-                a = value(a, params)
+            name, params = layer._act
+            a = _ACTIVATIONS[name].value(a, params)
         return ChartWalk(self, a, tuple(pre))
 
 
@@ -275,18 +248,20 @@ def walk_jacobian(walk: ChartWalk) -> np.ndarray:
     The chain rule runs over the walk's pre-activations, so there is no
     second forward pass. Piecewise-linear activations have derivative 0 at
     their kinks, so the Jacobian is the one of the active linear piece.
-    Identity layers multiply by nothing. When every layer is an identity, a
-    single network walked on a stack gives each row the one Jacobian as a
-    read-only broadcast, and a one-layer chart hands out its weight only as
-    a read-only view.
+    The first layer always multiplies by its derivative, so the Jacobian is
+    a fresh array with one row per row of the walk's stack; a later identity
+    layer multiplies by nothing, which changes no bit.
     """
     J = None
-    for (W, _, identity, _, derivative, params), a in zip(walk.net._plan, walk.pre_activations):
-        J = W if J is None else W @ J
-        if not identity:
-            J = derivative(a, params)[..., None] * J
-    if J.ndim == walk.x.ndim:
-        J = np.broadcast_to(J, walk.x.shape + J.shape[-1:])
+    for layer, a in zip(walk.net.layers, walk.pre_activations):
+        name, params = layer._act
+        if J is None:
+            J = layer.weight
+        else:
+            J = layer.weight @ J
+            if name == "identity":
+                continue
+        J = _ACTIVATIONS[name].derivative(a, params)[..., None] * J
     return J
 
 
@@ -371,6 +346,17 @@ def prior_charts(prior) -> list[GeneratorNetwork]:
         supports = combinations(range(prior.output_dim), prior.sparsity)
         return [_support_chart(prior, list(support)) for support in supports]
     return [prior]
+
+
+def check_prior(prior, N: int) -> None:
+    """Check that ``prior`` is a network or a sparse prior whose signals have length N.
+
+    A solver checks its prior once, so its objective can walk the charts unchecked.
+    """
+    if not isinstance(prior, (GeneratorNetwork, SparsePrior)):
+        raise TypeError(f"unsupported prior type {type(prior).__name__}")
+    if prior.output_dim != N:
+        raise DimensionError(f"prior signals have length {prior.output_dim}, expected {N}")
 
 
 def latent_parametrizations(prior, rng):

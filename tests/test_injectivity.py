@@ -150,6 +150,8 @@ class TestCollisionSearch:
             collision_search(ambient_network(4), np.eye(5), blocks)
         with pytest.raises(DimensionError, match="prior signals have length 5"):
             collision_search(sparse_prior(5, 2), np.eye(4), blocks)
+        with pytest.raises(TypeError, match="unsupported prior type ndarray"):
+            collision_search(np.eye(4), np.eye(4), blocks)
         assert solves == []
 
     @pytest.mark.parametrize("K, seed, restarts, used", [(2, 3, 20, 6), (1, 0, 5, 5)])

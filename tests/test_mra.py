@@ -493,6 +493,8 @@ class TestRecovery:
             recover(np.ones(blocks.R), random_relu_network((2, 6, 4)), np.eye(5), blocks)
         with pytest.raises(DimensionError, match="prior signals have length 5"):
             recover(np.ones(blocks.R), random_relu_network((2, 6, 5)), np.eye(4), blocks)
+        with pytest.raises(TypeError, match="unsupported prior type ndarray"):
+            recover(np.ones(blocks.R), np.eye(4), np.eye(4), blocks)
         assert solves == []
 
     @pytest.mark.parametrize("seed, used", [(1, 16), (5, 20)])
