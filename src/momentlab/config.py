@@ -142,8 +142,7 @@ _PARAMETERS = {
     "measure": (None, {None: ((), ("signal", "signal_path", "domain", "blocks", "mixing"))}),
     "collide": (None, {None: (
         ("prior", "mixing", "seed"),
-        ("blocks", "mixing_seeds", "restarts", "residual_tol", "separation_tol", "oracle_check",
-         "oracle_grid"),
+        ("blocks", "mixing_seeds", "restarts", "oracle_check", "oracle_grid"),
     )}),
     "probe-dim": (None, {None: (
         ("N", "manifold", "seed"),
@@ -311,7 +310,7 @@ _RULES = {
         (_non_empty_list_of(_is_count), "a non-empty list of integers >= 1"),
     ),
     **dict.fromkeys(
-        ("residual_tol", "separation_tol", "amp_threshold", "signal_norm"),
+        ("amp_threshold", "signal_norm"),
         (_is_positive, "a number > 0"),
     ),
     **dict.fromkeys(

@@ -14,9 +14,9 @@ Three instruments:
   generator K, computed exactly in numpy from the symmetric
   eigendecomposition of K @ K.
 
-Verdict thresholds are scale-aware: measurements are quadratic, so a
-residual is compared against ``residual_tol * s**2`` and a separation
-against ``separation_tol * s`` with s the larger signal norm. This keeps
+Verdict thresholds are fixed and scale-aware: measurements are quadratic,
+so a residual is compared against ``RESIDUAL_TOL * s**2`` and a separation
+against ``SEPARATION_TOL * s`` with s the larger signal norm. This keeps
 verdicts invariant under rescaling a candidate pair.
 """
 
@@ -27,7 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussnewton import damped_gauss_newton, multistart
-from .measurements import BlockStructure, matvec, separable_measurement
+from .measurements import (
+    BlockStructure,
+    block_structure_for_power_spectrum,
+    matvec,
+    separable_measurement,
+)
 from .priors import (
     as_rng,
     chart_stack,
@@ -78,7 +83,7 @@ class CollisionReport:
 
     ``residual`` is the raw measurement gap ||P(x;A) - P(y;A)||_2 and
     ``separation`` is min(||x-y||, ||x+y||); ``scale`` is max(||x||, ||y||)
-    against which the verdict thresholds were applied.
+    against which the verdict thresholds are applied.
     """
 
     x: np.ndarray
@@ -86,13 +91,14 @@ class CollisionReport:
     residual: float
     separation: float
     scale: float
-    verdict: str                    # "collision" | "no-collision-found"
     restarts_used: int
     converged: bool = True
 
-    def __post_init__(self):
-        if self.verdict not in ("collision", "no-collision-found"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
+    @property
+    def verdict(self) -> str:
+        """``"collision"`` or ``"no-collision-found"``, from the fixed thresholds."""
+        hit = _is_collision(self.residual, self.separation, self.scale)
+        return "collision" if hit else "no-collision-found"
 
 
 @dataclass
@@ -117,7 +123,9 @@ def _norm(v):
     return np.sqrt(v @ v)
 
 
-def _is_collision(residual, separation, scale, residual_tol, separation_tol):
+def _is_collision(residual, separation, scale, residual_tol=RESIDUAL_TOL,
+                  separation_tol=SEPARATION_TOL):
+    """The collision verdict; only the search's early stop passes other thresholds."""
     return (
         scale > 0
         and residual <= residual_tol * scale**2
@@ -128,13 +136,12 @@ def _is_collision(residual, separation, scale, residual_tol, separation_tol):
 class _PairTracker:
     """Keeps the best separated candidate seen across all GN iterates."""
 
-    def __init__(self, separation_tol):
-        self.separation_tol = separation_tol
+    def __init__(self):
         self.best = None        # (normalized residual, raw, sep, scale, x, y)
         self.fallback = None
 
     def update(self, x, y, raw_residual, sep, s):
-        if s > 0 and sep >= self.separation_tol * s:
+        if s > 0 and sep >= SEPARATION_TOL * s:
             nres = raw_residual / s**2
             if self.best is None or nres < self.best[0]:
                 self.best = (nres, raw_residual, sep, s, x.copy(), y.copy())
@@ -151,8 +158,6 @@ def collision_search(
     blocks: BlockStructure,
     restarts: int = 200,
     seed=0,
-    residual_tol: float = RESIDUAL_TOL,
-    separation_tol: float = SEPARATION_TOL,
 ) -> CollisionReport:
     """Multi-start search for two prior points with equal mixed measurements.
 
@@ -175,7 +180,7 @@ def collision_search(
     A = blocks.check_mixing(A)
     check_prior(prior, blocks.N)
     rng = as_rng(seed)
-    tracker = _PairTracker(separation_tol)
+    tracker = _PairTracker()
     spen = np.sqrt(PENALTY_WEIGHT)
     params = latent_parametrizations(prior, rng)
 
@@ -201,9 +206,9 @@ def collision_search(
             d_minus, d_plus = _norm(x - y), _norm(x + y)
             sep = min(d_minus, d_plus)
             if s <= 0.0:
-                r = np.concatenate([rm, [spen * separation_tol]])
+                r = np.concatenate([rm, [spen * SEPARATION_TOL]])
             else:
-                r = np.concatenate([rm / s**2, [spen * max(0.0, separation_tol - sep / s)]])
+                r = np.concatenate([rm / s**2, [spen * max(0.0, SEPARATION_TOL - sep / s)]])
             at = (u, walk, S, s, d_minus, d_plus, sep)
             f = float(r @ r)
             if f_min is None or f < f_min:
@@ -222,7 +227,7 @@ def collision_search(
             JG = blocks.energy_jacobian(S, A) @ G / s**2
             J[:-1, :K] = JG[0]
             J[:-1, K:] = -JG[1]
-            if sep > 1e-14 and separation_tol - sep / s > 0:
+            if sep > 1e-14 and SEPARATION_TOL - sep / s > 0:
                 x, y = walk.x
                 sign = 1.0 if d_minus <= d_plus else -1.0
                 diff = (x - sign * y) / sep
@@ -237,22 +242,20 @@ def collision_search(
     def found(_):
         cand = tracker.best
         return cand is not None and _is_collision(
-            cand[1], cand[2], cand[3], 0.01 * residual_tol, 1.05 * separation_tol
+            cand[1], cand[2], cand[3], 0.01 * RESIDUAL_TOL, 1.05 * SEPARATION_TOL
         )
 
     converged = multistart(attempt, restarts, found)
 
     nres, raw, sep, s, x, y = tracker.result()
-    hit = _is_collision(raw, sep, s, residual_tol, separation_tol)
     return CollisionReport(
         x=x,
         y=y,
         residual=float(raw),
         separation=float(sep),
         scale=float(s),
-        verdict="collision" if hit else "no-collision-found",
         restarts_used=len(converged),
-        converged=bool(any(converged) or hit),
+        converged=bool(any(converged) or _is_collision(raw, sep, s)),
     )
 
 
@@ -261,8 +264,6 @@ def brute_force_collision_oracle(
     A,
     blocks: BlockStructure,
     grid_points_per_axis: int = 41,
-    residual_tol: float = RESIDUAL_TOL,
-    separation_tol: float = SEPARATION_TOL,
 ) -> CollisionReport:
     """All-pairs collision check on a uniform latent grid over [-1, 1]^K.
 
@@ -308,7 +309,7 @@ def brute_force_collision_oracle(
         sep = np.sqrt(np.maximum(sep2, 0.0))
         scale = np.sqrt(np.maximum(norms2[I, None], norms2[None, J]))
         res2 = np.maximum(mnorm2[I, None] + mnorm2[None, J] - 2 * (Meas[I] @ Meas[J].T), 0.0)
-        ok = (sep >= separation_tol * scale) & (scale > 0)
+        ok = (sep >= SEPARATION_TOL * scale) & (scale > 0)
         ok &= np.arange(i0 + 1, P)[None, :] > np.arange(I.start, I.stop)[:, None]
         nres = np.full_like(res2, np.inf)
         nres[ok] = np.sqrt(res2[ok]) / scale[ok] ** 2
@@ -318,14 +319,12 @@ def brute_force_collision_oracle(
             best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + 1 + jj)
 
     _, raw, sep, s, i, j = best
-    hit = _is_collision(raw, sep, s, residual_tol, separation_tol)
     return CollisionReport(
         x=X[i],
         y=X[j],
         residual=float(raw),
         separation=float(sep),
         scale=float(s),
-        verdict="collision" if hit else "no-collision-found",
         restarts_used=0,
     )
 
@@ -403,7 +402,7 @@ def codimension_probe(
 
         retract = lambda A, step: A + step.reshape(N, N)
         draw = lambda: rng.normal(size=(N, N))
-    elif manifold == "special-orthogonal":
+    else:       # special-orthogonal: solution_dim_bound rejected any other
         iu = np.triu_indices(N, 1)
         tangent_dim = N * (N - 1) // 2
         a_idx, b_idx = iu
@@ -425,8 +424,6 @@ def codimension_probe(
             return _expm_skew(S - S.T) @ A
 
         draw = lambda: sample_mixing(N, "special-orthogonal", rng)
-    else:
-        raise ValueError(f"unknown manifold {manifold!r}")
 
     def attempt():
         gn = damped_gauss_newton(
@@ -437,24 +434,19 @@ def codimension_probe(
 
     tries = multistart(attempt, restarts, lambda t: t[0] <= PROBE_RESIDUAL_TARGET)
     res_norm, A = tries[-1]
-    if res_norm > PROBE_RESIDUAL_TARGET:
-        return CodimensionEstimate(
-            ambient_dim=tangent_dim,
-            estimated_solution_dim=None,
-            theoretical_bound=bound,
-            converged=False,
-            residual=min(r for r, _ in tries),
-            restarts_used=len(tries),
-        )
-    rank = numerical_rank(np.linalg.svd(jac(A), compute_uv=False))
+    converged = res_norm <= PROBE_RESIDUAL_TARGET
+    if converged:
+        dim = tangent_dim - numerical_rank(np.linalg.svd(jac(A), compute_uv=False))
+    else:
+        dim, res_norm, A = None, min(r for r, _ in tries), None
     return CodimensionEstimate(
         ambient_dim=tangent_dim,
-        estimated_solution_dim=tangent_dim - rank,
+        estimated_solution_dim=dim,
         theoretical_bound=bound,
-        converged=True,
+        converged=converged,
         residual=res_norm,
         restarts_used=len(tries),
-        solution=np.asarray(A),
+        solution=A,
     )
 
 
@@ -476,18 +468,27 @@ def _expm_skew(K: np.ndarray) -> np.ndarray:
 # Injectivity regimes
 # ---------------------------------------------------------------------------
 
-def regime_label(N: int, M: int, kind: str) -> str:
-    """Which injectivity regime a cell (N, M) falls in for a mixing kind.
+def regime_label(blocks: BlockStructure, M: int, kind: str) -> str:
+    """Which injectivity regime a row with layout ``blocks`` and prior dimension M is in.
 
-    general-linear: all signals for N >= 4M, generic signals for N >= 2M;
-    special-orthogonal: N >= 4M + 2 and N >= 2M + 2 respectively.
+    The thresholds hold for the power-spectrum layout of N = blocks.N and a
+    generic mixing. general-linear: all signals for N >= 4M, generic signals
+    for N >= 2M; special-orthogonal: N >= 4M + 2 and N >= 2M + 2
+    respectively. An identity mixing is labeled ``non-generic`` and any other
+    layout ``custom-blocks``; neither label, nor ``below-threshold``, carries
+    an expectation.
     """
     if kind == "general-linear":
         all_thr, gen_thr = 4 * M, 2 * M
     elif kind == "special-orthogonal":
         all_thr, gen_thr = 4 * M + 2, 2 * M + 2
+    elif kind == "identity":
+        return "non-generic"
     else:
         raise ValueError(f"unknown mixing kind {kind!r}")
+    N = blocks.N
+    if blocks != block_structure_for_power_spectrum(N):
+        return "custom-blocks"
     if N >= all_thr:
         return "all-signals"
     if N >= gen_thr:

@@ -103,14 +103,6 @@ class GroupAction:
         return block_structure_for_power_spectrum(self.N)
 
     @classmethod
-    def cyclic(cls, N: int) -> "GroupAction":
-        return cls("cyclic", int(N))
-
-    @classmethod
-    def dihedral(cls, N: int) -> "GroupAction":
-        return cls("dihedral", int(N))
-
-    @classmethod
     def sphere(cls, L: int) -> "GroupAction":
         return cls("so3-bandlimited", (int(L) + 1) ** 2, int(L))
 

@@ -200,8 +200,8 @@ def _run_collide(p: dict, out: Path):
     kind = p["mixing"]["kind"]
     mixing_seeds = p.get("mixing_seeds") or [p["mixing"].get("seed", 0)]
     M = _prior_dimension_summary(prior)
-    regime = "non-generic" if kind == "identity" else regime_label(N, M, kind)
-    search_kwargs = given(p, "restarts", "seed", "residual_tol", "separation_tol")
+    regime = regime_label(blocks, M, kind)
+    search_kwargs = given(p, "restarts", "seed")
 
     def mixing(mseed):
         return build_mixing({"kind": kind, "seed": mseed}, N)
@@ -211,12 +211,8 @@ def _run_collide(p: dict, out: Path):
     oracle = None
     if p.get("oracle_check"):
         try:
-            oracle = brute_force_collision_oracle(
-                prior,
-                mixing(mixing_seeds[0]),
-                blocks,
-                **given(p, "residual_tol", "separation_tol", grid_points_per_axis="oracle_grid"),
-            )
+            grid = given(p, grid_points_per_axis="oracle_grid")
+            oracle = brute_force_collision_oracle(prior, mixing(mixing_seeds[0]), blocks, **grid)
         except ValueError as e:
             raise ConfigError(f"parameters.oracle_grid: {e}") from None
     reports = [
@@ -470,7 +466,7 @@ def _run_threshold(p: dict, out: Path):
         for M in p["M_range"]:
             if M > N:
                 continue
-            regime = regime_label(N, M, kind)
+            regime = regime_label(blocks, M, kind)
             cell = []
             for seed in p["seeds"]:
                 prior = _cell_prior(family, N, M, seed)

@@ -261,7 +261,7 @@ def test_criterion_8_wigner_correctness():
 @pytest.mark.slow
 def test_criterion_9_estimator_consistency():
     N, sigma = 8, 0.5
-    group = GroupAction.cyclic(N)
+    group = GroupAction("cyclic", N)
     rng = np.random.default_rng(9)
     x = rng.normal(size=N)
     M_pop = exact_population_moment(x, group)

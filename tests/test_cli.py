@@ -212,27 +212,42 @@ class TestCollideCommand:
         assert body[0] == "N,M,regime,kind,seed,verdict,residual,separation"
         assert "no-collision-found" in body[1]
 
-    def test_oracle_uses_the_search_thresholds(self, tmp_path, monkeypatch):
-        seen = {}
+    @pytest.mark.parametrize(
+        "blocks, regime", [([10], "custom-blocks"), ([1, 1, 2, 2, 2, 2], "all-signals")]
+    )
+    def test_a_custom_layout_has_no_regime(self, tmp_path, blocks, regime):
+        params = {
+            **get_preset("thm2-so").parameters(),
+            "restarts": 2,
+            "mixing_seeds": [21],
+            "blocks": blocks,
+        }
+        cfg = validate_config({"schema_version": 1, "command": "collide", "parameters": params})
+        report = run(cfg, out_dir=tmp_path)
+        assert report.results["regime"] == regime
+        _, row = (tmp_path / "collisions.csv").read_text().splitlines()
+        assert row.split(",")[:5] == ["10", "2", regime, "special-orthogonal", "21"]
+
+    def test_oracle_receives_only_its_grid(self, tmp_path, monkeypatch):
+        seen = []
 
         def oracle(*args, **kwargs):
-            seen.update(kwargs)
+            seen.append((len(args), kwargs))
             return SimpleNamespace(verdict="no-collision-found")
 
         monkeypatch.setattr(runner, "brute_force_collision_oracle", oracle)
-        thresholds = {"residual_tol": 1e-6, "separation_tol": 1e-2}
         params = {
             **get_preset("thm1-gl").parameters(),
             "restarts": 2,
             "mixing_seeds": [11],
             "oracle_check": True,
             "oracle_grid": 5,
-            **thresholds,
         }
         cfg = validate_config({"schema_version": 1, "command": "collide", "parameters": params})
         report = run(cfg, out_dir=tmp_path)
         assert report.results["oracle_verdict"] == "no-collision-found"
-        assert seen == {"grid_points_per_axis": 5, **thresholds}
+        # prior, mixing and layout; the verdict thresholds are the module's
+        assert seen == [(3, {"grid_points_per_axis": 5})]
 
 
 THRESHOLD_CONFIG = {
@@ -321,7 +336,7 @@ class TestSweepCommand:
                 restarts=restarts,
                 seed=seed,
             )
-            assert row["regime"] == regime_label(N, M, kind)
+            assert row["regime"] == regime_label(block_structure_for_power_spectrum(N), M, kind)
             assert row["verdict"] == report.verdict
             assert float(row["residual"]) == report.residual
             assert float(row["separation"]) == report.separation
@@ -510,7 +525,8 @@ class TestOverrides:
             ("n_min=0", "parameters.n_min"),
             ("grid_ratio=1", "parameters.grid_ratio"),
             ("seed=-1", "parameters.seed"),
-            ("residual_tol=0", "parameters.residual_tol"),
+            ("residual_tol=1e-6", "parameters.residual_tol: unknown field"),
+            ("separation_tol=1e-2", "parameters.separation_tol: unknown field"),
             ("penalty=100", "parameters.penalty"),
             ("oracle_grid=500", "parameters.oracle_grid"),
             ("sigma_list=[2,1]", "parameters.sigma_list"),

@@ -554,11 +554,40 @@ class TestSkewExponential:
             assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_verdict_boundaries():
+    """A report's verdict is a fixed function of its residual, separation and scale."""
+
+    def verdict(residual, separation, scale):
+        x = np.zeros(2)
+        return injectivity.CollisionReport(x, x, residual, separation, scale, 0).verdict
+
+    s = 3.0
+    at_residual = injectivity.RESIDUAL_TOL * s**2
+    at_separation = injectivity.SEPARATION_TOL * s
+    assert verdict(0.0, 0.0, 0.0) == "no-collision-found"
+    assert verdict(at_residual, at_separation, s) == "collision"
+    assert verdict(np.nextafter(at_residual, np.inf), at_separation, s) == "no-collision-found"
+    assert verdict(at_residual, np.nextafter(at_separation, 0.0), s) == "no-collision-found"
+
+
 class TestThresholdSweep:
     def test_regime_labels(self):
-        assert regime_label(10, 2, "special-orthogonal") == "all-signals"
-        assert regime_label(6, 2, "special-orthogonal") == "generic-signals"
-        assert regime_label(3, 2, "special-orthogonal") == "below-threshold"
-        assert regime_label(8, 2, "general-linear") == "all-signals"
-        assert regime_label(4, 2, "general-linear") == "generic-signals"
-        assert regime_label(3, 2, "general-linear") == "below-threshold"
+        def label(N, M, kind):
+            return regime_label(block_structure_for_power_spectrum(N), M, kind)
+
+        assert label(10, 2, "special-orthogonal") == "all-signals"
+        assert label(6, 2, "special-orthogonal") == "generic-signals"
+        assert label(3, 2, "special-orthogonal") == "below-threshold"
+        assert label(8, 2, "general-linear") == "all-signals"
+        assert label(4, 2, "general-linear") == "generic-signals"
+        assert label(3, 2, "general-linear") == "below-threshold"
+        assert label(10, 2, "identity") == "non-generic"
+
+    def test_a_layout_other_than_the_power_spectrum_has_no_regime(self):
+        for kind in ("general-linear", "special-orthogonal"):
+            assert regime_label(BlockStructure((10,)), 1, kind) == "custom-blocks"
+            assert regime_label(BlockStructure((1,) * 10), 1, kind) == "custom-blocks"
+            assert regime_label(BlockStructure((1, 1, 2, 2, 2, 2)), 1, kind) == "all-signals"
+        assert regime_label(BlockStructure((10,)), 1, "identity") == "non-generic"
+        with pytest.raises(ValueError, match="unknown mixing kind"):
+            regime_label(BlockStructure((10,)), 1, "bogus")

@@ -6,9 +6,10 @@ it never uses; a name listed in ``__all__`` counts as used (re-exports).
 Every name a module lists in ``__all__`` is defined in it.
 The third-party modules the package imports are its declared dependencies.
 Each command's runner reads exactly the parameters that the config table
-lets that command's configs carry. Every public top-level function is used
-by another function or module of the package, so the library holds no code
-that only the tests call; the console script is the one entry point.
+lets that command's configs carry. Every public top-level function, and
+every public method of a class, is used by other code of the package, so the
+library holds no code that only the tests call; the console script is the
+one entry point.
 """
 
 import ast
@@ -16,6 +17,7 @@ import importlib
 import re
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -204,13 +206,16 @@ def _local_names(func) -> set:
 
 
 def orphans(sources: dict) -> list[str]:
-    """``module.name`` of each public top-level function no other code uses.
+    """``module.name`` of each public top-level function no other code uses,
+    then ``module.Class.name`` of each such public method.
 
     ``sources`` maps module names to their source. A name is resolved through
     the module that binds it: its own top-level definitions, and
     ``from .x import y as z`` (z is x.y). A use inside the function it names,
     or one that a local name of an enclosing function shadows, does not
-    count; nor do ``__all__`` strings or the imports of ``__init__``.
+    count; nor do ``__all__`` strings or the imports of ``__init__``. A
+    method's type is not resolved: any read of an attribute of its name
+    outside its own body counts as a use.
     """
     trees = {m: ast.parse(source) for m, source in sources.items() if m != "__init__"}
     public, used = [], set()
@@ -236,7 +241,22 @@ def orphans(sources: dict) -> list[str]:
 
         for node in tree.body:
             visit(node, getattr(node, "name", None), frozenset())
-    return [f"{m}.{name}" for m, name in public if (m, name) not in used]
+    found = [f"{m}.{name}" for m, name in public if (m, name) not in used]
+
+    def reads(node):
+        return Counter(
+            n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        )
+
+    read = sum(map(reads, trees.values()), Counter())
+    for m, tree in trees.items():
+        for cls in tree.body:
+            for f in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    if read[f.name] == reads(f)[f.name]:
+                        found.append(f"{m}.{cls.name}.{f.name}")
+    return found
 
 
 def test_the_orphan_check_flags_an_unused_function():
@@ -252,6 +272,26 @@ def test_the_orphan_check_flags_an_unused_function():
         "__init__": "from .a import orphan, shadowed\n__all__ = ['orphan', 'shadowed']\n",
     }
     assert orphans(sources) == ["a.orphan", "a.shadowed"]
+
+
+def test_the_orphan_check_flags_an_unused_method():
+    sources = {
+        "a": (
+            "class Group:\n"
+            "    def used(self):\n        return 1\n"
+            "    @classmethod\n"
+            "    def orphan(cls, n):\n        return cls.orphan(n - 1) if n else cls\n"
+            "    @property\n"
+            "    def size(self):\n        return self.used()\n"
+            "    def _private(self):\n        return 2\n"
+            "    def stored(self):\n        return 3\n"
+        ),
+        "b": (
+            "from .a import Group\n"
+            "def _run(g):\n    g.stored = 1\n    return g.size\n"
+        ),
+    }
+    assert orphans(sources) == ["a.Group.orphan", "a.Group.stored"]
 
 
 def test_every_public_function_is_used_in_the_package():

@@ -61,7 +61,7 @@ def group_elements(group, rng, n):
 
 class TestGroupAction:
     def test_identity_elements(self, rng):
-        for group in (GroupAction.cyclic(7), GroupAction.dihedral(6), GroupAction.sphere(3)):
+        for group in (GroupAction("cyclic", 7), GroupAction("dihedral", 6), GroupAction.sphere(3)):
             x = rng.normal(size=group.N)
             e = 0 if group.kind == "cyclic" else (0, 0) if group.kind == "dihedral" else (0, 0, 0)
             np.testing.assert_allclose(action_matrix(e, group) @ x, x, atol=1e-12)
@@ -78,7 +78,7 @@ class TestGroupAction:
                 cached[0, ...] = 0.0
 
     def test_cyclic_inverse(self, rng):
-        group = GroupAction.cyclic(9)
+        group = GroupAction("cyclic", 9)
         x = rng.normal(size=9)
         for s in (1, 4, 8):
             y = action_matrix(s, group) @ x
@@ -87,7 +87,7 @@ class TestGroupAction:
     def test_action_matches_time_domain_shift(self, rng):
         # block-coordinate action = transform of the plain circular shift
         N = 8
-        group = GroupAction.cyclic(N)
+        group = GroupAction("cyclic", N)
         v = rng.normal(size=N)
         for s in range(N):
             lhs = action_matrix(s, group) @ to_real_fourier(v)
@@ -96,16 +96,16 @@ class TestGroupAction:
 
     def test_dihedral_reflection_matches_time_reversal(self, rng):
         N = 7
-        group = GroupAction.dihedral(N)
+        group = GroupAction("dihedral", N)
         v = rng.normal(size=N)
         lhs = action_matrix((0, 1), group) @ to_real_fourier(v)
         # time reversal t -> -t fixes index 0; numpy reversal is the reversal
         # composed with a shift by N-1, so undo that with one more shift
-        rhs = action_matrix(1, GroupAction.cyclic(N)) @ to_real_fourier(v[::-1].copy())
+        rhs = action_matrix(1, GroupAction("cyclic", N)) @ to_real_fourier(v[::-1].copy())
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_matrices_orthogonal_and_block_diagonal(self, rng):
-        for group in (GroupAction.cyclic(8), GroupAction.dihedral(5), GroupAction.sphere(2)):
+        for group in (GroupAction("cyclic", 8), GroupAction("dihedral", 5), GroupAction.sphere(2)):
             blocks = group.blocks
             for g in group_elements(group, rng, 20):
                 M = action_matrix(g, group)
@@ -116,7 +116,7 @@ class TestGroupAction:
                 assert np.max(np.abs(off)) < 1e-12
 
     def test_norm_and_moment_invariance(self, rng):
-        for group in (GroupAction.cyclic(9), GroupAction.dihedral(8), GroupAction.sphere(4)):
+        for group in (GroupAction("cyclic", 9), GroupAction("dihedral", 8), GroupAction.sphere(4)):
             blocks = group.blocks
             x = rng.normal(size=group.N)
             base = second_moment_blocks(x, blocks)
@@ -134,10 +134,10 @@ class TestGroupAction:
         x = rng.normal(size=N)
         blocks = block_structure_for_power_spectrum(N)
         inv_c = extract_invariants(
-            exact_population_moment(x, GroupAction.cyclic(N)), blocks
+            exact_population_moment(x, GroupAction("cyclic", N)), blocks
         )
         inv_d = extract_invariants(
-            exact_population_moment(x, GroupAction.dihedral(N)), blocks
+            exact_population_moment(x, GroupAction("dihedral", N)), blocks
         )
         np.testing.assert_allclose(inv_c, inv_d, atol=1e-12)
         np.testing.assert_allclose(inv_c, second_moment_blocks(x, blocks), atol=1e-12)
@@ -178,8 +178,8 @@ def streamed_observations(x, group, n, sigma, seed):
 
 
 STREAMED_CASES = [
-    (GroupAction.cyclic(8), 2 * _CHUNK_ROWS + 5, 0.7),
-    (GroupAction.dihedral(5), _CHUNK_ROWS + 1, 0.0),
+    (GroupAction("cyclic", 8), 2 * _CHUNK_ROWS + 5, 0.7),
+    (GroupAction("dihedral", 5), _CHUNK_ROWS + 1, 0.0),
     (GroupAction.sphere(1), _CHUNK_ROWS + 3, 0.2),
 ]
 
@@ -201,7 +201,7 @@ class TestSimulate:
         np.testing.assert_allclose(streamed, full, rtol=1e-12, atol=1e-15)
 
     def test_one_chunk_is_the_plain_estimate(self, rng):
-        group = GroupAction.cyclic(6)
+        group = GroupAction("cyclic", 6)
         x = rng.normal(size=6)
         np.testing.assert_array_equal(
             simulate_second_moment(x, group, _CHUNK_ROWS, 0.3, seed=4),
@@ -209,7 +209,7 @@ class TestSimulate:
         )
 
     def test_noiseless_orbit_preserves_energies(self, rng):
-        group = GroupAction.cyclic(8)
+        group = GroupAction("cyclic", 8)
         x = rng.normal(size=8)
         base = second_moment_blocks(x, group.blocks)
         for row in streamed_observations(x, group, 50, 0.0, 1):
@@ -218,7 +218,7 @@ class TestSimulate:
             )
 
     def test_single_observation_shape(self, rng):
-        for group in (GroupAction.cyclic(5), GroupAction.sphere(2)):
+        for group in (GroupAction("cyclic", 5), GroupAction.sphere(2)):
             x = rng.normal(size=group.N)
             assert streamed_observations(x, group, 1, 0.3, 0).shape == (1, group.N)
             assert simulate_second_moment(x, group, 1, 0.3, seed=0).shape == (group.N, group.N)
@@ -226,7 +226,7 @@ class TestSimulate:
     def test_first_moment_matches_orbit_mean(self, rng):
         # column mean approximates the orbit average (DC component only)
         N, n, sigma = 8, 100_000, 1.0
-        group = GroupAction.cyclic(N)
+        group = GroupAction("cyclic", N)
         x = rng.normal(size=N)
         Y = streamed_observations(x, group, n, sigma, 5)
         col_mean = Y.mean(axis=0)
@@ -245,7 +245,7 @@ class TestSimulate:
 
 
 #: The groups whose every block the invariant law is checked on (12 blocks).
-LAW_GROUPS = [GroupAction.cyclic(8), GroupAction.dihedral(7), GroupAction.sphere(2)]
+LAW_GROUPS = [GroupAction("cyclic", 8), GroupAction("dihedral", 7), GroupAction.sphere(2)]
 
 #: Fixed before running: a per-block two-sample KS test at this level over
 #: 12 blocks wrongly fails some block with probability about 1.2%.
@@ -274,7 +274,7 @@ class TestSimulateInvariants:
         ids=["n", "sigma", "length"],
     )
     def test_rejects_what_the_simulator_rejects(self, length, n, sigma, error, match):
-        group = GroupAction.cyclic(8)
+        group = GroupAction("cyclic", 8)
         x = np.ones(length)
         with pytest.raises(error, match=match):
             simulate_invariants(x, group, n, sigma, seed=0)
@@ -393,7 +393,7 @@ def test_block_scalar_check_on_the_finite_groups(tmp_path, group):
 
 class TestSimulatedMoment:
     def test_zero_signal_zero_noise(self):
-        group = GroupAction.cyclic(4)
+        group = GroupAction("cyclic", 4)
         M = simulate_second_moment(np.zeros(4), group, 10, 0.0, seed=0)
         np.testing.assert_array_equal(M, np.zeros((4, 4)))
 
@@ -401,19 +401,19 @@ class TestSimulatedMoment:
         # cyclic N=4, x = delta in time domain: orbit average is I/4 in any
         # orthonormal coordinates
         N = 4
-        group = GroupAction.cyclic(N)
+        group = GroupAction("cyclic", N)
         x = to_real_fourier(np.array([1.0, 0.0, 0.0, 0.0]))
         M = exact_population_moment(x, group)
         np.testing.assert_allclose(M, np.eye(N) / N, atol=1e-12)
 
     def test_symmetric(self, rng):
-        group = GroupAction.cyclic(6)
+        group = GroupAction("cyclic", 6)
         M = simulate_second_moment(rng.normal(size=6), group, 500, 0.7, seed=2)
         assert np.max(np.abs(M - M.T)) < 1e-12
 
     def test_monte_carlo_error_within_three_expected(self, rng):
         N, n, sigma = 8, 200_000, 0.5
-        group = GroupAction.cyclic(N)
+        group = GroupAction("cyclic", N)
         x = rng.normal(size=N)
         M = simulate_second_moment(x, group, n, sigma, seed=9)
         M_pop = exact_population_moment(x, group) + 0.0
@@ -428,7 +428,7 @@ class TestSimulatedMoment:
 
 class TestExtractInvariants:
     def test_population_moment_recovers_block_energies(self, rng):
-        for group in (GroupAction.cyclic(8), GroupAction.dihedral(7), GroupAction.sphere(3)):
+        for group in (GroupAction("cyclic", 8), GroupAction("dihedral", 7), GroupAction.sphere(3)):
             x = rng.normal(size=group.N)
             M = exact_population_moment(x, group)
             np.testing.assert_allclose(
@@ -438,7 +438,7 @@ class TestExtractInvariants:
             )
 
     def test_zero_signal_with_noise_correction(self, rng):
-        group = GroupAction.cyclic(6)
+        group = GroupAction("cyclic", 6)
         M = simulate_second_moment(np.zeros(6), group, 50_000, 0.4, seed=1)
         inv = extract_invariants(M, group.blocks)
         assert np.max(np.abs(inv)) < 0.05
@@ -588,7 +588,7 @@ class TestRecovery:
 class TestSampleComplexity:
     def test_noiseless_needs_few_observations(self):
         N = 8
-        group = GroupAction.cyclic(N)
+        group = GroupAction("cyclic", N)
         prior = random_relu_network((2, 10, N), seed=11)
         A = sample_mixing(N, "special-orthogonal", 11)
         result = sample_complexity_sweep(
@@ -602,13 +602,13 @@ class TestSampleComplexity:
         A = sample_mixing(N, "special-orthogonal", 11)
         with pytest.raises(ValueError, match="n_min <= n_cap"):
             sample_complexity_sweep(
-                prior, A, GroupAction.cyclic(N), [0.5], 0.1, seeds=[0], n_min=5000, n_cap=100
+                prior, A, GroupAction("cyclic", N), [0.5], 0.1, seeds=[0], n_min=5000, n_cap=100
             )
 
     def test_median_error_decreases_along_grid(self):
         # fixed sigma: growing n must (weakly) improve the median error
         N = 8
-        group = GroupAction.cyclic(N)
+        group = GroupAction("cyclic", N)
         prior = random_relu_network((2, 10, N), seed=11)
         A = sample_mixing(N, "special-orthogonal", 11)
         _, _, x_star = draw_ground_truth(prior, A, 0, 0.4)
@@ -626,7 +626,7 @@ class TestSampleComplexity:
     @pytest.mark.parametrize("seeds", [[0, 1, 2], [0, 1, 2, 3]])
     def test_early_stop_matches_the_full_scan(self, seeds, monkeypatch):
         N = 8
-        group = GroupAction.cyclic(N)
+        group = GroupAction("cyclic", N)
         prior = random_relu_network((2, 10, N), seed=11)
         A = sample_mixing(N, "special-orthogonal", 11)
         args = (prior, A, group, [0.25, 0.5], 0.1, seeds)
@@ -674,7 +674,7 @@ class TestSampleComplexity:
         monkeypatch.setattr(mra, "recover", scripted_recover)
         seeds = range(n_seeds)
         result = sample_complexity_sweep(
-            prior, A, GroupAction.cyclic(N), [0.5], 0.1, seeds,
+            prior, A, GroupAction("cyclic", N), [0.5], 0.1, seeds,
             signal_norm=0.4, n_min=100, n_cap=400, grid_ratio=2.0,
         )
         assert result.recoveries == calls
@@ -687,11 +687,11 @@ class TestSampleComplexity:
         prior = random_relu_network((2, 10, N), seed=11)
         A = sample_mixing(N, "special-orthogonal", 11)
         with pytest.raises(ValueError, match="seeds"):
-            sample_complexity_sweep(prior, A, GroupAction.cyclic(N), [0.5], 0.1, seeds=[])
+            sample_complexity_sweep(prior, A, GroupAction("cyclic", N), [0.5], 0.1, seeds=[])
 
     def test_amplification_screen(self):
         N = 8
-        group = GroupAction.cyclic(N)
+        group = GroupAction("cyclic", N)
         prior = random_relu_network((2, 10, N), seed=11)
         A = sample_mixing(N, "special-orthogonal", 11)
         amp = instance_noise_amplification(prior, A, group.blocks, 0, 0.4)
@@ -715,7 +715,7 @@ class TestGroundTruth:
         with pytest.raises(ValueError, match="not positively homogeneous"):
             draw_ground_truth(hardtanh_prior(11), np.eye(8), 0, 50.0)
         # with every seed skipped, the scan blames the norm, not the threshold
-        blocks = GroupAction.cyclic(8).blocks
+        blocks = GroupAction("cyclic", 8).blocks
         with pytest.raises(ValueError, match="no ground truth could be drawn in 256 seeds"):
             select_conditioned_instance(hardtanh_prior(11), np.eye(8), blocks, 50.0)
 
@@ -723,7 +723,7 @@ class TestGroundTruth:
         prior = hardtanh_prior(3)
         with pytest.raises(ValueError):
             draw_ground_truth(prior, np.eye(8), 0, 1.0)
-        seed = select_conditioned_instance(prior, np.eye(8), GroupAction.cyclic(8).blocks, 1.0)
+        seed = select_conditioned_instance(prior, np.eye(8), GroupAction("cyclic", 8).blocks, 1.0)
         assert seed > 0
         _, _, x_star = draw_ground_truth(prior, np.eye(8), seed, 1.0)
         assert np.linalg.norm(x_star) == pytest.approx(1.0, rel=1e-8)
