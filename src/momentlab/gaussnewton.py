@@ -21,6 +21,14 @@ its objective is below the current one, so the accepted iterates are the
 start plus the strict running minima of the residual evaluations, and a
 caller can follow them from its own residual.
 
+A solve ends when it stalls: right after an accepted trial that lowers the
+objective f by at most F_RTOL * f, the relative-reduction stop of Moré's
+Levenberg-Marquardt ("The Levenberg-Marquardt algorithm: implementation
+and theory", 1978). A scale-free objective is flat along a ray, where
+the accepted steps lower f by rounding-level amounts; without this stop a
+solve there keeps sliding along the ray until its step is shorter than
+STEP_TOL or its damping passes LAM_MAX.
+
 The normal matrix J^T J is neither formed nor factored: its condition
 number is the square of J's, and for the wide codimension-probe systems
 (d up to a few hundred columns, a handful of rows) a d x d factorization
@@ -37,11 +45,13 @@ import numpy as np
 __all__ = ["GaussNewtonResult", "damped_gauss_newton", "multistart"]
 
 #: A solve starts at damping LAM0. It ends once a step is shorter than
-#: STEP_TOL, or once the damping, grown tenfold per rejected step, exceeds
-#: LAM_MAX.
+#: STEP_TOL, once the damping, grown tenfold per rejected step, exceeds
+#: LAM_MAX, or once an accepted step lowers the objective f by at most
+#: F_RTOL * f.
 LAM0 = 1e-8
 STEP_TOL = 1e-14
 LAM_MAX = 1e12
+F_RTOL = 1e-12
 
 
 @dataclass
@@ -69,6 +79,12 @@ def damped_gauss_newton(
     which starts as x0's: the accepted points are where the strict running
     minimum of the evaluations fell, and the returned ``x`` is the last of
     them, or x0. The damping starts at ``LAM0``.
+
+    The solve stalls, and ends at the accepted trial, when that trial lowers
+    the objective f by at most ``F_RTOL * f``. It also ends when the
+    iteration count reaches ``max_iter``, when the objective is at most
+    ``f_tol``, or when no trial is accepted before the step is shorter than
+    ``STEP_TOL`` or the damping exceeds ``LAM_MAX``.
 
     ``jacobian(x)`` is only ever called with the very object last passed to
     ``residual``: x0 before any trial, and then an accepted trial right
@@ -105,6 +121,8 @@ def damped_gauss_newton(
             r_new = np.asarray(residual(x_new), dtype=float)
             f_new = float(r_new @ r_new)
             if f_new < f:
+                if f - f_new <= F_RTOL * f:
+                    return GaussNewtonResult(x_new, f_new, it, f_new <= f_tol)
                 x, r, f = x_new, r_new, f_new
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True

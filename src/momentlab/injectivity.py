@@ -170,6 +170,15 @@ def collision_search(
     accepted iterates of every solve, or, if none is separated, the one with
     the least raw gap.
 
+    The objective is scale-free: the gap is divided by s**2, and a network
+    or sparse prior is positively homogeneous, so it is flat along the ray
+    through a pair. Before the solver stopped on a stall (``F_RTOL`` in
+    :mod:`.gaussnewton`), a solve that found no collision kept accepting
+    steps whose rounding-level decreases slid its pair along that ray, and
+    ended with a pair shrunk toward zero by about 1e12 (the normalized
+    residual unchanged). It now stops where its progress stalls, and its
+    pair keeps its scale.
+
     A solve's latent point u = [z1; z2] is walked as one two-lane stack
     through the stack of its two charts, and its Jacobian reuses what the
     residual computed at the same u: the walk, the mixed signals, the norms

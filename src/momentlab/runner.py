@@ -230,6 +230,7 @@ def _run_collide(p: dict, out: Path):
         "collisions_found": collisions,
         "searches": len(rows),
         "all_converged": all(rep.converged for _, rep in reports),
+        "restarts_used": [rep.restarts_used for _, rep in reports],
     }
     if oracle is not None:
         results["oracle_verdict"] = oracle.verdict

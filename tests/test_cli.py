@@ -228,6 +228,22 @@ class TestCollideCommand:
         _, row = (tmp_path / "collisions.csv").read_text().splitlines()
         assert row.split(",")[:5] == ["10", "2", regime, "special-orthogonal", "21"]
 
+    def test_report_gives_the_restarts_of_each_search_in_seed_order(self, tmp_path, monkeypatch):
+        # each search reports a different count, so the order is visible
+        counts = iter([5, 2, 7])
+
+        def search(*args, **kwargs):
+            rep = collision_search(*args, **kwargs)
+            rep.restarts_used = next(counts)
+            return rep
+
+        monkeypatch.setattr(runner, "collision_search", search)
+        params = {**get_preset("thm2-so").parameters(), "restarts": 1, "mixing_seeds": [21, 3, 8]}
+        cfg = validate_config({"schema_version": 1, "command": "collide", "parameters": params})
+        report = run(cfg, out_dir=tmp_path)
+        assert report.results["restarts_used"] == [5, 2, 7]
+        assert report.results["searches"] == 3
+
     def test_oracle_receives_only_its_grid(self, tmp_path, monkeypatch):
         seen = []
 

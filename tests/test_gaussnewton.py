@@ -105,6 +105,39 @@ def test_a_start_with_no_finite_jacobian_ends_unconverged():
     assert not res.converged
 
 
+def test_a_stalled_solve_ends_at_its_first_stalled_step():
+    # f = 1 + x0^4 is flat along x1 and bounded below by 1; each Gauss-Newton
+    # step halves x0, so the decrease shrinks until it is at most F_RTOL * f.
+    # The solve ends at that accepted trial and evaluates no point after it.
+    evaluations = []
+
+    def residual(x):
+        r = np.array([1.0, x[0] ** 2])
+        evaluations.append((x, float(r @ r)))
+        return r
+
+    res = damped_gauss_newton(
+        residual, lambda x: np.array([[0.0, 0.0], [2.0 * x[0], 0.0]]), np.array([1e-2, 0.5])
+    )
+    fs = [f for _, f in evaluations]
+    stalls = [i for i in range(1, len(fs)) if fs[i - 1] - fs[i] <= gaussnewton.F_RTOL * fs[i - 1]]
+    assert all(fs[i] < fs[i - 1] for i in range(1, len(fs)))     # every trial accepted
+    assert stalls and len(evaluations) == stalls[0] + 1 == 6
+    assert res.x is evaluations[-1][0]
+    assert res.f == fs[-1] and res.f > 1.0
+    assert res.iterations == 5
+    assert not res.converged
+
+
+def test_a_zero_residual_problem_still_reaches_f_tol():
+    # r = x * x has a double root at 0: Gauss-Newton only halves x per step,
+    # so f falls by a fixed fraction of itself and never stalls
+    res = damped_gauss_newton(lambda x: x * x, lambda x: np.diag(2.0 * x), np.array([1.0, -0.7]))
+    assert res.converged
+    assert res.f <= 1e-28
+    np.testing.assert_allclose(res.x, 0.0, atol=1e-6)
+
+
 def first_trial_step(monkeypatch, J, r0, lam):
     """The solver's first damped step at ``lam`` for the linear residual J x + r0."""
     steps = []

@@ -125,6 +125,18 @@ class TestCollisionSearch:
         rep = collision_search(prior, A, blocks, restarts=60, seed=0)
         assert rep.verdict == "no-collision-found"
 
+    def test_a_search_without_collision_keeps_its_pair_at_scale(self):
+        # the objective is flat along the ray through a pair, so a solve that
+        # stalls there must stop rather than slide its pair toward zero
+        N = 10
+        prior = random_relu_network((2, 12, N), seed=5)
+        A = sample_mixing(N, "special-orthogonal", seed=21)
+        rep = collision_search(
+            prior, A, block_structure_for_power_spectrum(N), restarts=8, seed=0
+        )
+        assert rep.verdict == "no-collision-found"
+        assert rep.scale > 1e-3
+
     def test_sign_pair_never_reported(self):
         # even when the only measurement-equal pairs are sign pairs, the
         # separation requirement keeps them out of collision verdicts
