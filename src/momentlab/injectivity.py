@@ -68,9 +68,9 @@ PROBE_RESIDUAL_TARGET = 1e-11
 PROBE_MAX_ITER = 200
 
 #: The grid oracle compares its grid points with the points after them in
-#: chunks of rows, each of at most this many point pairs (512 rows of a
-#: 41 x 41 grid) unless one row alone holds more.
-_ORACLE_CELLS = 512 * 41**2
+#: chunks of rows, each of at most this many point pairs (32 rows of a
+#: 41 x 41 grid, whose arrays stay in cache) unless two rows alone hold more.
+_ORACLE_CELLS = 32 * 41**2
 
 #: The grid oracle evaluates at most this many points P = charts x grid^K
 #: (a 200 x 200 grid of one chart), so its ~P^2/2 pairs stay bounded.
@@ -280,8 +280,23 @@ def brute_force_collision_oracle(
     sparse priors, every support) on the grid and scans all point pairs for
     the minimal measurement gap among sufficiently separated pairs. Only
     latent dimension K <= 2 is supported, and at most ``_ORACLE_POINTS``
-    grid points over all charts, which bounds the time. The pairs are
-    scanned in chunks of at most ``_ORACLE_CELLS``, which bounds the memory.
+    grid points over all charts, which bounds the time.
+
+    The P grid points are scanned in chunks of consecutive rows: a chunk
+    pairs its rows i with the points j after its first row, and a triangle
+    mask drops the pairs with j <= i. A chunk has ``_ORACLE_CELLS // P``
+    rows but never fewer than two, since a one-row Gram product goes down
+    BLAS's matrix-vector path and rounds differently, and never more than
+    P, which a small grid would otherwise ask for. Every chunk works in
+    place in the same seven arrays of ``rows * P`` entries (five float, two
+    bool), made once per call, so beyond the grid the memory is about five
+    float arrays of one chunk. Each pair's gap, separation and scale come
+    from its two Gram entries by the same operations in the same order for
+    any chunk size, and the first strict minimum in row-major order wins.
+    So the chunk size changes no bit of the report where BLAS gives a Gram
+    entry the same bits in chunks of either size. Some OpenBLAS kernels
+    (Haswell, Zen, Nehalem) do not: they round the rows left over from
+    their register block otherwise, and a separation can move by ~1e-13.
     """
     K = prior.latent_dim
     if K > 2:
@@ -305,7 +320,14 @@ def brute_force_collision_oracle(
 
     norms2 = np.einsum("ij,ij->i", X, X)
     mnorm2 = np.einsum("ij,ij->i", Meas, Meas)
-    rows = max(1, _ORACLE_CELLS // P)
+    # one row would round differently (see above); more than P are never used
+    rows = max(2, min(P, _ORACLE_CELLS // P))
+    # a chunk of r rows and c columns works on contiguous (r, c) views of
+    # these arrays' first r * c entries
+    buffers = [np.empty(rows * P) for _ in range(5)] + [np.empty(rows * P, bool) for _ in range(2)]
+    # the pairs j > i of a chunk's first columns: column jj is point i0 + 1 + jj,
+    # so row ii keeps it iff jj >= ii, which every column from the row count on does
+    upper = np.triu(np.ones((rows, rows), bool))
 
     # (normalized residual, raw, sep, scale, i, j); with no separated pair on
     # the grid (e.g. a constant-zero prior) the first two points are reported
@@ -313,15 +335,35 @@ def brute_force_collision_oracle(
     for i0 in range(0, P - 1, rows):
         # pair rows i0 .. i1-1 with the points j > i0 only: j <= i repeats a pair
         I, J = slice(i0, min(i0 + rows, P)), slice(i0 + 1, P)
-        # min(||x - y||, ||x + y||)^2 = ||x||^2 + ||y||^2 - 2 |<x, y>|
-        sep2 = norms2[I, None] + norms2[None, J] - 2 * np.abs(X[I] @ X[J].T)
-        sep = np.sqrt(np.maximum(sep2, 0.0))
-        scale = np.sqrt(np.maximum(norms2[I, None], norms2[None, J]))
-        res2 = np.maximum(mnorm2[I, None] + mnorm2[None, J] - 2 * (Meas[I] @ Meas[J].T), 0.0)
-        ok = (sep >= SEPARATION_TOL * scale) & (scale > 0)
-        ok &= np.arange(i0 + 1, P)[None, :] > np.arange(I.start, I.stop)[:, None]
-        nres = np.full_like(res2, np.inf)
-        nres[ok] = np.sqrt(res2[ok]) / scale[ok] ** 2
+        r, c = I.stop - i0, P - 1 - i0
+        gram, sep, scale, res2, nres, ok, positive = (b[: r * c].reshape(r, c) for b in buffers)
+        # min(||x - y||, ||x + y||)^2 = ||x||^2 + ||y||^2 - 2 |<x, y>|, each
+        # element by the operations of the plain form, in its order
+        np.matmul(X[I], X[J].T, out=gram)
+        np.abs(gram, out=gram)
+        gram *= 2
+        np.add(norms2[I, None], norms2[None, J], out=sep)
+        sep -= gram
+        np.maximum(sep, 0.0, out=sep)
+        np.sqrt(sep, out=sep)
+        np.maximum(norms2[I, None], norms2[None, J], out=scale)
+        np.sqrt(scale, out=scale)
+        np.matmul(Meas[I], Meas[J].T, out=gram)
+        gram *= 2
+        np.add(mnorm2[I, None], mnorm2[None, J], out=res2)
+        res2 -= gram
+        np.maximum(res2, 0.0, out=res2)
+        np.multiply(scale, SEPARATION_TOL, out=gram)
+        np.greater_equal(sep, gram, out=ok)
+        np.greater(scale, 0, out=positive)
+        ok &= positive
+        m = min(r, c)
+        ok[:, :m] &= upper[:r, :m]
+        # sqrt(res2) / scale**2 where ok holds, inf elsewhere
+        nres.fill(np.inf)
+        np.sqrt(res2, out=nres, where=ok)
+        np.square(scale, out=gram)
+        np.divide(nres, gram, out=nres, where=ok)
         ii, jj = np.unravel_index(np.argmin(nres), nres.shape)
         if nres[ii, jj] < best[0]:
             pair = (ii, jj)

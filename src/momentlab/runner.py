@@ -234,6 +234,9 @@ def _run_collide(p: dict, out: Path):
     }
     if oracle is not None:
         results["oracle_verdict"] = oracle.verdict
+        results["oracle_residual"] = oracle.residual
+        results["oracle_separation"] = oracle.separation
+        results["oracle_scale"] = oracle.scale
     return results, [path]
 
 

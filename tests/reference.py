@@ -24,14 +24,18 @@ files the library reads:
   ``priors.chart_walk`` and ``priors.walk_jacobian``;
 * ``pair_collision_objective`` / ``recover_objective`` -- the objectives of
   ``collision_search`` and ``recover`` with each signal walked and measured
-  on its own, and each Jacobian from a fresh walk.
+  on its own, and each Jacobian from a fresh walk;
+* ``brute_force_collision_oracle_reference`` -- the grid oracle's all-pairs
+  scan with fresh arrays for every chunk of 512 rows of a 41 x 41 grid, the
+  form behind ``injectivity.brute_force_collision_oracle``'s in-place scan,
+  over the points and measurements of ``oracle_points``.
 """
 
 import json
 
 import numpy as np
 
-from momentlab.injectivity import PENALTY_WEIGHT
+from momentlab.injectivity import PENALTY_WEIGHT, SEPARATION_TOL, CollisionReport
 from momentlab.measurements import (
     BlockStructure,
     DimensionError,
@@ -45,7 +49,13 @@ from momentlab.mra import (
     recover,
     simulate_invariants,
 )
-from momentlab.priors import GeneratorNetwork, SparsePrior, parse_activation
+from momentlab.priors import (
+    GeneratorNetwork,
+    SparsePrior,
+    chart_walk,
+    parse_activation,
+    prior_charts,
+)
 from momentlab.so3 import MAX_BAND_LIMIT, _real_basis_transform, _y_generator_eig, band_limit_blocks
 
 
@@ -364,3 +374,54 @@ def recover_objective(net, A, blocks, invariants):
         return measurement_jacobian(A @ x, A, blocks) @ G
 
     return residual, jacobian
+
+
+#: Point pairs per chunk of ``brute_force_collision_oracle_reference``.
+REFERENCE_ORACLE_CELLS = 512 * 41**2
+
+
+def oracle_points(prior, A, blocks, grid_points_per_axis):
+    """The grid oracle's P signals (P, N) and their measurements, chart by chart."""
+    axis = np.linspace(-1.0, 1.0, grid_points_per_axis)
+    if prior.latent_dim == 1:
+        lat = axis[:, None]
+    else:
+        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+        lat = np.column_stack([g1.ravel(), g2.ravel()])
+    X = np.concatenate([chart_walk(net, lat).x for net in prior_charts(prior)])
+    return X, separable_measurement(X, A, blocks)
+
+
+def brute_force_collision_oracle_reference(prior, A, blocks, grid_points_per_axis=41):
+    """The grid oracle's report, each chunk's pair arrays built afresh.
+
+    The same grid as ``brute_force_collision_oracle``, scanned in chunks of
+    ``REFERENCE_ORACLE_CELLS // P`` rows (at least one), each building its
+    separations, scales, gaps and normalized gaps as new arrays.
+    """
+    X, Meas = oracle_points(prior, A, blocks, grid_points_per_axis)
+    P = len(X)
+    norms2 = np.einsum("ij,ij->i", X, X)
+    mnorm2 = np.einsum("ij,ij->i", Meas, Meas)
+    rows = max(1, REFERENCE_ORACLE_CELLS // P)
+
+    best = (np.inf, 0.0, 0.0, np.sqrt(norms2.max()), 0, min(1, P - 1))
+    for i0 in range(0, P - 1, rows):
+        I, J = slice(i0, min(i0 + rows, P)), slice(i0 + 1, P)
+        sep2 = norms2[I, None] + norms2[None, J] - 2 * np.abs(X[I] @ X[J].T)
+        sep = np.sqrt(np.maximum(sep2, 0.0))
+        scale = np.sqrt(np.maximum(norms2[I, None], norms2[None, J]))
+        res2 = np.maximum(mnorm2[I, None] + mnorm2[None, J] - 2 * (Meas[I] @ Meas[J].T), 0.0)
+        ok = (sep >= SEPARATION_TOL * scale) & (scale > 0)
+        ok &= np.arange(i0 + 1, P)[None, :] > np.arange(I.start, I.stop)[:, None]
+        nres = np.full_like(res2, np.inf)
+        nres[ok] = np.sqrt(res2[ok]) / scale[ok] ** 2
+        ii, jj = np.unravel_index(np.argmin(nres), nres.shape)
+        if nres[ii, jj] < best[0]:
+            pair = (ii, jj)
+            best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + 1 + jj)
+
+    _, raw, sep, s, i, j = best
+    return CollisionReport(
+        x=X[i], y=X[j], residual=float(raw), separation=float(sep), scale=float(s), restarts_used=0
+    )

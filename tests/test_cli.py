@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from momentlab import mra, runner
 from momentlab.cli import main
 from momentlab.config import ConfigError, load_config, validate_config
-from momentlab.injectivity import collision_search, regime_label
+from momentlab.injectivity import brute_force_collision_oracle, collision_search, regime_label
 from momentlab.measurements import block_structure_for_power_spectrum
 from momentlab.presets import PRESETS, get_preset, list_presets
 from momentlab.priors import random_relu_network, sample_mixing
@@ -249,7 +249,9 @@ class TestCollideCommand:
 
         def oracle(*args, **kwargs):
             seen.append((len(args), kwargs))
-            return SimpleNamespace(verdict="no-collision-found")
+            return SimpleNamespace(
+                verdict="no-collision-found", residual=1.0, separation=1.0, scale=1.0
+            )
 
         monkeypatch.setattr(runner, "brute_force_collision_oracle", oracle)
         params = {
@@ -264,6 +266,27 @@ class TestCollideCommand:
         assert report.results["oracle_verdict"] == "no-collision-found"
         # prior, mixing and layout; the verdict thresholds are the module's
         assert seen == [(3, {"grid_points_per_axis": 5})]
+
+    def test_report_gives_the_oracle_floats(self, tmp_path):
+        # CI's oracle step: the report holds the oracle's pair floats to the bit
+        params = {
+            **get_preset("thm1-gl").parameters(),
+            "restarts": 2,
+            "mixing_seeds": [11],
+            "oracle_check": True,
+            "oracle_grid": 21,
+        }
+        config = {"schema_version": 1, "command": "collide", "parameters": params}
+        path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        prior = random_relu_network((2, 12, 9), seed=3)
+        A = sample_mixing(9, "general-linear", seed=11)
+        oracle = brute_force_collision_oracle(prior, A, block_structure_for_power_spectrum(9), 21)
+        assert results["oracle_verdict"] == oracle.verdict == "no-collision-found"
+        assert results["oracle_residual"] == oracle.residual
+        assert results["oracle_separation"] == oracle.separation
+        assert results["oracle_scale"] == oracle.scale
 
 
 THRESHOLD_CONFIG = {

@@ -1,4 +1,7 @@
+import hashlib
 import tracemalloc
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +32,12 @@ from momentlab.priors import (
     sparse_prior,
 )
 
-from reference import pair_collision_objective
+from reference import (
+    REFERENCE_ORACLE_CELLS,
+    brute_force_collision_oracle_reference,
+    oracle_points,
+    pair_collision_objective,
+)
 
 
 def loop_gl_probe_jacobian(A, x, y, blocks):
@@ -324,6 +332,78 @@ class TestCollisionObjective:
             assert penalty > 0 and np.any(row != 0)
 
 
+def oracle_instances():
+    """(prior, mixing, layout, grid) the oracle's scan is checked on, by name.
+
+    Criterion 4's ten instances, ``thm1-gl``'s prior under three mixings, a
+    28-support sparse prior, a K = 1 network and the constant-zero generator.
+    """
+    N = 9
+    blocks = block_structure_for_power_spectrum(N)
+    out = {}
+    for seed in range(5):
+        A = sample_mixing(N, "general-linear", seed=100 + seed)
+        out[f"relu-{seed}"] = (random_relu_network((2, 12, N), seed=seed), A, blocks, 41)
+    for i in range(5):
+        net = pair_block_embedding_network(N, 1 + 2 * (i % 4))
+        out[f"embedding-{i}"] = (net, np.eye(N), blocks, 41)
+    for mseed in (11, 21, 31):
+        A = sample_mixing(N, "general-linear", seed=mseed)
+        out[f"thm1-gl-{mseed}"] = (random_relu_network((2, 12, 9), seed=3), A, blocks, 41)
+    out["sparse"] = (
+        sparse_prior(8, 2, seed=1),
+        sample_mixing(8, "special-orthogonal", 2),
+        block_structure_for_power_spectrum(8),
+        15,
+    )
+    A = sample_mixing(N, "general-linear", seed=5)
+    out["latent-1"] = (random_relu_network((1, 8, N), seed=2), A, blocks, 101)
+    zero = GeneratorNetwork((Layer(np.zeros((N, 2)), "identity"),))
+    out["zero"] = (zero, np.eye(N), blocks, 21)
+    return out
+
+
+ORACLE_INSTANCES = oracle_instances()
+
+
+def report_bits(rep):
+    return rep.x.tobytes(), rep.y.tobytes(), rep.residual, rep.separation, rep.scale
+
+
+def gram_digests(X, Meas, rows):
+    """Digests of the Gram entries <x_i, x_j> and <m_i, m_j>, j > i, in
+    row-major order, each computed in a chunk of ``rows`` rows as the oracle's
+    scan and its reference form compute them."""
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    P = len(X)
+    for i0 in range(0, P - 1, rows):
+        I, J = slice(i0, min(i0 + rows, P)), slice(i0 + 1, P)
+        keep = np.triu(np.ones((I.stop - i0, P - 1 - i0), bool))
+        for digest, Y in zip(digests, (X, Meas)):
+            digest.update((Y[I] @ Y[J].T)[keep].tobytes())
+    return [digest.hexdigest() for digest in digests]
+
+
+def assert_same_report(rep, want, X, Meas, rows, want_rows):
+    """``rep`` and ``want`` scan the points X, with measurements Meas, in
+    chunks of ``rows`` and ``want_rows`` rows.
+
+    Each pair's floats follow from its two Gram entries by the same
+    elementwise operations, so the reports are the same bits whenever the
+    BLAS gives every Gram entry the same bits at both chunk sizes. Some
+    OpenBLAS kernels (Haswell, Zen and Nehalem among them) round an entry
+    by where it falls in the chunk, and a near tie may then go to another
+    pair. There the verdict must agree and the gap to rtol 1e-9.
+    """
+    if report_bits(rep) == report_bits(want):
+        return
+    assert gram_digests(X, Meas, rows) != gram_digests(X, Meas, want_rows), (
+        "the same Gram entries gave another report"
+    )
+    assert rep.verdict == want.verdict
+    np.testing.assert_allclose(rep.residual, want.residual, rtol=1e-9, atol=1e-15)
+
+
 class TestBruteForceOracle:
     def test_constant_zero_generator(self):
         N = 5
@@ -374,9 +454,8 @@ class TestBruteForceOracle:
 
     def test_memory_is_bounded_by_the_chunk_size(self):
         # 28 supports x 15^2 grid points: P = 6300 points, 3.7 times a 41^2 grid.
-        # 512-row chunks would hold 512 x 6300 pairs per array (about 250 MB
-        # over the arrays of one chunk); chunks of at most _ORACLE_CELLS pairs
-        # keep the peak under 16 float arrays of that size.
+        # Chunks of at most _ORACLE_CELLS pairs (8 rows of 6300 here) keep the
+        # peak under 16 float arrays of that size.
         N = 8
         prior = sparse_prior(N, 2, seed=1)
         A = sample_mixing(N, "special-orthogonal", 2)
@@ -389,6 +468,50 @@ class TestBruteForceOracle:
             tracemalloc.stop()
         assert peak < bound
         assert rep.verdict == "no-collision-found"
+
+    def test_a_41_by_41_grid_peaks_under_8_mib(self):
+        # thm1-gl's instance: five float arrays of 32 x 1681 pairs take 2.2 MB
+        prior, A, blocks, grid = ORACLE_INSTANCES["thm1-gl-11"]
+        tracemalloc.start()
+        try:
+            brute_force_collision_oracle(prior, A, blocks, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("K, grid", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 4)])
+    def test_a_tiny_grid_takes_tiny_memory(self, K, grid):
+        # at most 16 points: a chunk holds at most P rows, however many
+        # _ORACLE_CELLS // P would give, so its arrays and mask stay small
+        prior = random_relu_network((K, 12, 9), seed=0)
+        A = sample_mixing(9, "general-linear", seed=11)
+        tracemalloc.start()
+        try:
+            brute_force_collision_oracle(prior, A, block_structure_for_power_spectrum(9), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_every_pair_after_its_row_is_scanned(self, monkeypatch, rows):
+        # Five points, one pair (a, b) of them with the same block energies:
+        # x_b is x_a with coordinate 1 negated, which keeps the energy of the
+        # block {1, 2}. In chunks of any row count the oracle reports x_a, x_b,
+        # so the triangle mask keeps every j > i, j = i + 1 included.
+        N, P = 9, 5
+        blocks = block_structure_for_power_spectrum(N)
+        prior = random_relu_network((1, 4, N), seed=0)
+        monkeypatch.setattr(injectivity, "_ORACLE_CELLS", rows * P)
+        for a, b in combinations(range(P), 2):
+            X = np.random.default_rng(0).standard_normal((P, N))
+            X[b] = X[a]
+            X[b, 1] *= -1
+            monkeypatch.setattr(injectivity, "chart_walk", lambda net, lat: SimpleNamespace(x=X))
+            rep = brute_force_collision_oracle(prior, np.eye(N), blocks, P)
+            assert rep.verdict == "collision", (a, b)
+            assert (rep.x.tobytes(), rep.y.tobytes()) == (X[a].tobytes(), X[b].tobytes()), (a, b)
 
     @pytest.mark.parametrize("kind", ["standard-basis", "generic-orthonormal"])
     def test_verdict_does_not_depend_on_the_chunks(self, monkeypatch, kind):
@@ -403,15 +526,30 @@ class TestBruteForceOracle:
             expected = "no-collision-found"
         blocks = block_structure_for_power_spectrum(N)
         P = 15 * 9**2
-        reports = []
-        for cells in (P * P, 5 * P, injectivity._ORACLE_CELLS):
-            monkeypatch.setattr(injectivity, "_ORACLE_CELLS", cells)
-            reports.append(brute_force_collision_oracle(prior, A, blocks, 9))
-        one_chunk = reports[0]
+        X, Meas = oracle_points(prior, A, blocks, 9)
+        default_rows = injectivity._ORACLE_CELLS // P
+        monkeypatch.setattr(injectivity, "_ORACLE_CELLS", P * P)
+        one_chunk = brute_force_collision_oracle(prior, A, blocks, 9)
         assert one_chunk.verdict == expected
-        for rep in reports[1:]:
-            assert rep.verdict == one_chunk.verdict
-            np.testing.assert_allclose(rep.residual, one_chunk.residual, rtol=1e-9, atol=1e-15)
+        for rows in (5, default_rows):
+            monkeypatch.setattr(injectivity, "_ORACLE_CELLS", rows * P)
+            rep = brute_force_collision_oracle(prior, A, blocks, 9)
+            assert_same_report(rep, one_chunk, X, Meas, rows, P)
+
+    @pytest.mark.parametrize("name", ORACLE_INSTANCES)
+    def test_scan_is_the_reference_form_bit_for_bit(self, monkeypatch, name):
+        prior, A, blocks, grid = ORACLE_INSTANCES[name]
+        want = brute_force_collision_oracle_reference(prior, A, blocks, grid)
+        X, Meas = oracle_points(prior, A, blocks, grid)
+        P = len(X)
+        want_rows = max(1, REFERENCE_ORACLE_CELLS // P)
+        # 1 pair asks for chunks of 0 rows and gets the floor of two; the
+        # reference's own size gives its chunks
+        for cells in (1, 3 * P, injectivity._ORACLE_CELLS, REFERENCE_ORACLE_CELLS):
+            monkeypatch.setattr(injectivity, "_ORACLE_CELLS", cells)
+            rep = brute_force_collision_oracle(prior, A, blocks, grid)
+            rows = max(2, min(P, cells // P))
+            assert_same_report(rep, want, X, Meas, rows, want_rows)
 
     def test_agrees_with_search_on_seeded_instances(self):
         # mixed positive/negative instances, K <= 2 throughout
