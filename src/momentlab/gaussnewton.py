@@ -19,15 +19,32 @@ wide J alike; for wide J the undamped limit is the minimal-norm step.
 The damping starts each solve at LAM0. A trial is accepted exactly when
 its objective is below the current one, so the accepted iterates are the
 start plus the strict running minima of the residual evaluations, and a
-caller can follow them from its own residual.
+caller can follow them from its own residual. An acceptance divides the
+damping by ten. A rejection multiplies it by ten, and raises it at once
+to at least LAM_JUMP * s_min^2, s_min the smallest singular value of J:
+below that damping every component of the step is within one percent of
+the rejected one, so a trial there would only repeat it. A rank-deficient
+J (s_min about 0) keeps the plain tenfold growth.
 
-A solve ends when it stalls: right after an accepted trial that lowers the
-objective f by at most F_RTOL * f, the relative-reduction stop of Moré's
-Levenberg-Marquardt ("The Levenberg-Marquardt algorithm: implementation
-and theory", 1978). A scale-free objective is flat along a ray, where
-the accepted steps lower f by rounding-level amounts; without this stop a
-solve there keeps sliding along the ray until its step is shorter than
-STEP_TOL or its damping passes LAM_MAX.
+A solve ends when it stalls, right after an accepted trial, by either of
+two relative-reduction stops (Moré, "The Levenberg-Marquardt algorithm:
+implementation and theory", 1978; the ``ftol`` test of MINPACK's
+``lmder``, Moré, Garbow and Hillstrom, "User Guide for MINPACK-1",
+ANL-80-74, 1980). With f the objective before the trial and f_new after:
+
+* F_RTOL: the trial lowers f by at most F_RTOL * f. A scale-free
+  objective is flat along a ray, where the accepted steps lower f by
+  rounding-level amounts, while a Jacobian that freezes the scale (as
+  collision search's does) has the linear model still promise most of f;
+  without this stop a solve there keeps sliding along the ray until its
+  step is shorter than STEP_TOL or its damping passes LAM_MAX.
+* FTOL: both the actual reduction f - f_new and the reduction pred that
+  the linear model predicts for the step are at most FTOL * f, and the
+  actual one is at most twice pred. From the SVD,
+  pred = ||c||^2 - ||lam / (s^2 + lam) * c||^2 with c = U^T r. This ends a
+  solve that has reached a nonzero minimum to about half the digits of f,
+  MINPACK's default, and it needs the model's agreement, so a solve that
+  only crawls across a plateau the model sees past goes on.
 
 The normal matrix J^T J is neither formed nor factored: its condition
 number is the square of J's, and for the wide codimension-probe systems
@@ -44,14 +61,17 @@ import numpy as np
 
 __all__ = ["GaussNewtonResult", "damped_gauss_newton", "multistart"]
 
-#: A solve starts at damping LAM0. It ends once a step is shorter than
-#: STEP_TOL, once the damping, grown tenfold per rejected step, exceeds
-#: LAM_MAX, or once an accepted step lowers the objective f by at most
-#: F_RTOL * f.
+#: A solve starts at damping LAM0, and a rejected step raises the damping
+#: tenfold and to at least LAM_JUMP * s_min^2. The solve ends once a step is
+#: shorter than STEP_TOL, once the damping exceeds LAM_MAX, or once an
+#: accepted step lowers the objective f by at most F_RTOL * f, or by at most
+#: FTOL * f where the linear model predicts so too (module docstring).
 LAM0 = 1e-8
+LAM_JUMP = 1e-2
 STEP_TOL = 1e-14
 LAM_MAX = 1e12
 F_RTOL = 1e-12
+FTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass
@@ -78,13 +98,16 @@ def damped_gauss_newton(
     accepted exactly when its objective is strictly below the current one,
     which starts as x0's: the accepted points are where the strict running
     minimum of the evaluations fell, and the returned ``x`` is the last of
-    them, or x0. The damping starts at ``LAM0``.
+    them, or x0. The damping starts at ``LAM0``; after a rejected trial it
+    is at least ``LAM_JUMP`` times the smallest squared singular value of J.
 
     The solve stalls, and ends at the accepted trial, when that trial lowers
-    the objective f by at most ``F_RTOL * f``. It also ends when the
-    iteration count reaches ``max_iter``, when the objective is at most
-    ``f_tol``, or when no trial is accepted before the step is shorter than
-    ``STEP_TOL`` or the damping exceeds ``LAM_MAX``.
+    the objective f by at most ``F_RTOL * f``, or by at most ``FTOL * f``
+    while the linear model predicts a reduction of at most ``FTOL * f`` and
+    at least half the actual one (MINPACK's ``ftol`` test). It also ends
+    when the iteration count reaches ``max_iter``, when the objective is at
+    most ``f_tol``, or when no trial is accepted before the step is shorter
+    than ``STEP_TOL`` or the damping exceeds ``LAM_MAX``.
 
     ``jacobian(x)`` is only ever called with the very object last passed to
     ``residual``: x0 before any trial, and then an accepted trial right
@@ -121,13 +144,17 @@ def damped_gauss_newton(
             r_new = np.asarray(residual(x_new), dtype=float)
             f_new = float(r_new @ r_new)
             if f_new < f:
-                if f - f_new <= F_RTOL * f:
-                    return GaussNewtonResult(x_new, f_new, it, f_new <= f_tol)
+                drop = f - f_new
+                if drop <= FTOL * f:
+                    # the reduction the linear model predicts for this step
+                    pred = c @ c - np.square(lam / (sv2 + lam) * c).sum()
+                    if drop <= F_RTOL * f or (pred <= FTOL * f and drop <= 2.0 * pred):
+                        return GaussNewtonResult(x_new, f_new, it, f_new <= f_tol)
                 x, r, f = x_new, r_new, f_new
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 break
-            lam *= 10.0
+            lam = max(10.0 * lam, LAM_JUMP * float(sv2[-1]))
         if not accepted:
             return GaussNewtonResult(x, f, it, f <= f_tol)
     return GaussNewtonResult(x, f, it, f <= f_tol)

@@ -283,14 +283,15 @@ def brute_force_collision_oracle(
     grid points over all charts, which bounds the time.
 
     The P grid points are scanned in chunks of consecutive rows: a chunk
-    pairs its rows i with the points j after its first row, and a triangle
-    mask drops the pairs with j <= i. A chunk has ``_ORACLE_CELLS // P``
-    rows but never fewer than two, since a one-row Gram product goes down
-    BLAS's matrix-vector path and rounds differently, and never more than
-    P, which a small grid would otherwise ask for. Every chunk works in
-    place in the same seven arrays of ``rows * P`` entries (five float, two
-    bool), made once per call, so beyond the grid the memory is about five
-    float arrays of one chunk. Each pair's gap, separation and scale come
+    pairs its rows i with the points j from its first row on, and a
+    triangle mask drops the pairs with j <= i. A chunk has
+    ``_ORACLE_CELLS // P`` rows but never fewer than two, and never more
+    than P, which a small grid would otherwise ask for. So a chunk's Gram
+    product has at least two rows and two columns: with one of either it
+    goes down BLAS's matrix-vector path and rounds differently. Every chunk
+    works in place in the same seven arrays of ``rows * P`` entries (five
+    float, two bool), made once per call, so beyond the grid the memory is
+    about five float arrays of one chunk. Each pair's gap, separation and scale come
     from its two Gram entries by the same operations in the same order for
     any chunk size, and the first strict minimum in row-major order wins.
     So the chunk size changes no bit of the report where BLAS gives a Gram
@@ -325,17 +326,18 @@ def brute_force_collision_oracle(
     # a chunk of r rows and c columns works on contiguous (r, c) views of
     # these arrays' first r * c entries
     buffers = [np.empty(rows * P) for _ in range(5)] + [np.empty(rows * P, bool) for _ in range(2)]
-    # the pairs j > i of a chunk's first columns: column jj is point i0 + 1 + jj,
-    # so row ii keeps it iff jj >= ii, which every column from the row count on does
-    upper = np.triu(np.ones((rows, rows), bool))
+    # the pairs j > i of a chunk's first columns: column jj is point i0 + jj,
+    # so row ii keeps it iff jj > ii, which every column from the row count on does
+    upper = np.triu(np.ones((rows, rows), bool), k=1)
 
     # (normalized residual, raw, sep, scale, i, j); with no separated pair on
     # the grid (e.g. a constant-zero prior) the first two points are reported
     best = (np.inf, 0.0, 0.0, np.sqrt(norms2.max()), 0, min(1, P - 1))
     for i0 in range(0, P - 1, rows):
-        # pair rows i0 .. i1-1 with the points j > i0 only: j <= i repeats a pair
-        I, J = slice(i0, min(i0 + rows, P)), slice(i0 + 1, P)
-        r, c = I.stop - i0, P - 1 - i0
+        # pair rows i0 .. i1-1 with the points j >= i0 only: j <= i repeats a
+        # pair or pairs a point with itself
+        I, J = slice(i0, min(i0 + rows, P)), slice(i0, P)
+        r, c = I.stop - i0, P - i0
         gram, sep, scale, res2, nres, ok, positive = (b[: r * c].reshape(r, c) for b in buffers)
         # min(||x - y||, ||x + y||)^2 = ||x||^2 + ||y||^2 - 2 |<x, y>|, each
         # element by the operations of the plain form, in its order
@@ -357,8 +359,7 @@ def brute_force_collision_oracle(
         np.greater_equal(sep, gram, out=ok)
         np.greater(scale, 0, out=positive)
         ok &= positive
-        m = min(r, c)
-        ok[:, :m] &= upper[:r, :m]
+        ok[:, :r] &= upper[:r, :r]
         # sqrt(res2) / scale**2 where ok holds, inf elsewhere
         nres.fill(np.inf)
         np.sqrt(res2, out=nres, where=ok)
@@ -367,7 +368,7 @@ def brute_force_collision_oracle(
         ii, jj = np.unravel_index(np.argmin(nres), nres.shape)
         if nres[ii, jj] < best[0]:
             pair = (ii, jj)
-            best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + 1 + jj)
+            best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + jj)
 
     _, raw, sep, s, i, j = best
     return CollisionReport(

@@ -396,7 +396,8 @@ def brute_force_collision_oracle_reference(prior, A, blocks, grid_points_per_axi
     """The grid oracle's report, each chunk's pair arrays built afresh.
 
     The same grid as ``brute_force_collision_oracle``, scanned in chunks of
-    ``REFERENCE_ORACLE_CELLS // P`` rows (at least one), each building its
+    ``REFERENCE_ORACLE_CELLS // P`` rows (at least one), each pairing its
+    rows with the points from its first row on and building its
     separations, scales, gaps and normalized gaps as new arrays.
     """
     X, Meas = oracle_points(prior, A, blocks, grid_points_per_axis)
@@ -407,19 +408,19 @@ def brute_force_collision_oracle_reference(prior, A, blocks, grid_points_per_axi
 
     best = (np.inf, 0.0, 0.0, np.sqrt(norms2.max()), 0, min(1, P - 1))
     for i0 in range(0, P - 1, rows):
-        I, J = slice(i0, min(i0 + rows, P)), slice(i0 + 1, P)
+        I, J = slice(i0, min(i0 + rows, P)), slice(i0, P)
         sep2 = norms2[I, None] + norms2[None, J] - 2 * np.abs(X[I] @ X[J].T)
         sep = np.sqrt(np.maximum(sep2, 0.0))
         scale = np.sqrt(np.maximum(norms2[I, None], norms2[None, J]))
         res2 = np.maximum(mnorm2[I, None] + mnorm2[None, J] - 2 * (Meas[I] @ Meas[J].T), 0.0)
         ok = (sep >= SEPARATION_TOL * scale) & (scale > 0)
-        ok &= np.arange(i0 + 1, P)[None, :] > np.arange(I.start, I.stop)[:, None]
+        ok &= np.arange(i0, P)[None, :] > np.arange(I.start, I.stop)[:, None]
         nres = np.full_like(res2, np.inf)
         nres[ok] = np.sqrt(res2[ok]) / scale[ok] ** 2
         ii, jj = np.unravel_index(np.argmin(nres), nres.shape)
         if nres[ii, jj] < best[0]:
             pair = (ii, jj)
-            best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + 1 + jj)
+            best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + jj)
 
     _, raw, sep, s, i, j = best
     return CollisionReport(

@@ -105,27 +105,134 @@ def test_a_start_with_no_finite_jacobian_ends_unconverged():
     assert not res.converged
 
 
-def test_a_stalled_solve_ends_at_its_first_stalled_step():
-    # f = 1 + x0^4 is flat along x1 and bounded below by 1; each Gauss-Newton
-    # step halves x0, so the decrease shrinks until it is at most F_RTOL * f.
-    # The solve ends at that accepted trial and evaluates no point after it.
-    evaluations = []
+def spy_trials(residual, jacobian, x0, **kw):
+    """Solve, recording every evaluation (x, f) and every trial (x, step)."""
+    evaluations, trials = [], []
 
-    def residual(x):
-        r = np.array([1.0, x[0] ** 2])
+    def counted(x):
+        r = residual(x)
         evaluations.append((x, float(r @ r)))
         return r
 
-    res = damped_gauss_newton(
-        residual, lambda x: np.array([[0.0, 0.0], [2.0 * x[0], 0.0]]), np.array([1e-2, 0.5])
-    )
-    fs = [f for _, f in evaluations]
-    stalls = [i for i in range(1, len(fs)) if fs[i - 1] - fs[i] <= gaussnewton.F_RTOL * fs[i - 1]]
-    assert all(fs[i] < fs[i - 1] for i in range(1, len(fs)))     # every trial accepted
+    def retract(x, step):
+        trials.append((x, step))
+        return x + step
+
+    res = damped_gauss_newton(counted, jacobian, x0, retract=retract, **kw)
+    return res, evaluations, trials
+
+
+def accepted_reductions(residual, jacobian, evaluations, trials):
+    """(index of the trial's evaluation, f, actual and predicted reduction) per accepted trial.
+
+    The predicted reduction is that of the linear model, ||r||^2 - ||r + J step||^2.
+    """
+    out, f = [], evaluations[0][1]
+    for k, (x, step) in enumerate(trials):
+        f_new = evaluations[k + 1][1]
+        if f_new < f:
+            r = residual(x)
+            lin = r + jacobian(x) @ step
+            out.append((k + 1, f, f - f_new, r @ r - lin @ lin))
+            f = f_new
+    return out
+
+
+def test_a_scale_free_stall_ends_at_its_first_f_rtol_step():
+    # f = 1 + x0^4, its 1 a scale-free term ||x||^2 / ||x||^2 whose Jacobian
+    # keeps the scale frozen, as collision search's does. So the linear model
+    # predicts that halving x zeroes the whole residual: the predicted
+    # reduction stays about f, the FTOL stop never holds, and only F_RTOL can
+    # end the solve. Each step halves x, so the decrease shrinks until it is
+    # at most F_RTOL * f; the solve ends at that accepted trial and evaluates
+    # no point after it.
+    def residual(x):
+        return np.array([(x @ x) / (x @ x), x[0] ** 2])
+
+    def jacobian(x):
+        return np.array([2.0 * x / (x @ x), [2.0 * x[0], 0.0]])
+
+    res, evaluations, trials = spy_trials(residual, jacobian, np.array([1e-2, 0.5]))
+    steps = accepted_reductions(residual, jacobian, evaluations, trials)
+    assert len(steps) == len(trials)                           # every trial accepted
+    assert all(pred > gaussnewton.FTOL * f for _, f, _, pred in steps)
+    stalls = [k for k, f, drop, _ in steps if drop <= gaussnewton.F_RTOL * f]
     assert stalls and len(evaluations) == stalls[0] + 1 == 6
     assert res.x is evaluations[-1][0]
-    assert res.f == fs[-1] and res.f > 1.0
+    assert res.f == evaluations[-1][1] and res.f > 1.0
     assert res.iterations == 5
+    assert not res.converged
+
+
+def test_a_smooth_solve_ends_at_its_first_ftol_step():
+    # An exponential fit with a nonzero minimum: Gauss-Newton converges
+    # linearly, so the relative reductions shrink step by step. The solve ends
+    # at the first accepted trial whose actual and predicted relative
+    # reductions are both at most FTOL, with the actual at most twice the
+    # predicted, and evaluates no point after it; F_RTOL would go on.
+    t = np.linspace(0.0, 1.0, 8)
+    y = np.exp(t) + 0.1 * np.cos(7.0 * t)
+
+    def residual(p):
+        return p[0] * np.exp(p[1] * t) - y
+
+    def jacobian(p):
+        e = np.exp(p[1] * t)
+        return np.column_stack([e, p[0] * t * e])
+
+    res, evaluations, trials = spy_trials(residual, jacobian, np.array([1.0, 0.0]))
+    steps = accepted_reductions(residual, jacobian, evaluations, trials)
+    ftol = gaussnewton.FTOL
+    stops = [
+        (k, f, drop) for k, f, drop, pred in steps
+        if drop <= ftol * f and pred <= ftol * f and drop <= 2.0 * pred
+    ]
+    assert len(evaluations) > len(steps) + 1                    # some trials were rejected
+    k, f, drop = stops[0]
+    assert len(evaluations) == k + 1
+    assert drop > gaussnewton.F_RTOL * f
+    assert res.x is evaluations[-1][0] and res.f == evaluations[-1][1] > 0.0
+    assert not res.converged
+
+
+def smallest_component_damping(J, r, step):
+    """The damping lam of ``step`` = -V (s / (s^2 + lam) * U^T r), read off
+    its component along the right singular vector of J's smallest singular
+    value."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    return -s[-1] * (U[:, -1] @ r) / (Vt[-1] @ step) - s[-1] ** 2, s[-1] ** 2
+
+
+def test_a_rejected_step_is_not_retried_at_a_like_damping():
+    # Rosenbrock rejects trials. After a rejection the damping is at least
+    # LAM_JUMP * s_min^2: below it every component of the step is within
+    # about 1% of the rejected one. At that floor the smallest component
+    # moves by LAM_JUMP / (1 + LAM_JUMP), so consecutive trials differ by
+    # more than half a percent.
+    res, evaluations, trials = spy_trials(rosenbrock, rosenbrock_jacobian, np.array([-1.2, 1.0]))
+    assert res.converged
+    retries = 0
+    for (x0, step0), (x1, step1) in zip(trials, trials[1:]):
+        assert rel_err(step1, step0) > gaussnewton.LAM_JUMP / 2
+        if x1 is x0:                                            # step0 was rejected
+            retries += 1
+            lam, smin2 = smallest_component_damping(rosenbrock_jacobian(x1), rosenbrock(x1), step1)
+            assert lam >= gaussnewton.LAM_JUMP * smin2 * (1 - 1e-9)
+    assert retries > 0
+
+
+def test_a_damping_jump_past_lam_max_ends_the_solve():
+    # Every trial point is worse than the start, and J's singular value is
+    # 1e8 * sqrt(2), so the first rejection asks for a damping of about
+    # 2e14, past LAM_MAX: the solve ends where it started, after one trial.
+    x0 = np.zeros(2)
+    res, evaluations, trials = spy_trials(
+        lambda x: np.array([1.0 + np.abs(x).sum()]), lambda x: np.array([[1e8, 1e8]]), x0
+    )
+    assert gaussnewton.LAM_JUMP * 2e16 > gaussnewton.LAM_MAX
+    assert len(trials) == 1 and len(evaluations) == 2
+    assert res.x is x0 and res.f == 1.0
+    assert res.iterations == 1
     assert not res.converged
 
 
@@ -140,17 +247,9 @@ def test_a_zero_residual_problem_still_reaches_f_tol():
 
 def first_trial_step(monkeypatch, J, r0, lam):
     """The solver's first damped step at ``lam`` for the linear residual J x + r0."""
-    steps = []
-
-    def retract(x, delta):
-        steps.append(delta)
-        return x + delta
-
     monkeypatch.setattr(gaussnewton, "LAM0", lam)
-    damped_gauss_newton(
-        lambda x: J @ x + r0, lambda x: J, np.zeros(J.shape[1]), retract=retract, max_iter=1
-    )
-    return steps[0]
+    _, _, trials = spy_trials(lambda x: J @ x + r0, lambda x: J, np.zeros(J.shape[1]), max_iter=1)
+    return trials[0][1]
 
 
 def augmented_lstsq_step(J, r0, lam):

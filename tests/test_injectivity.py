@@ -177,7 +177,12 @@ class TestCollisionSearch:
     @pytest.mark.parametrize("K, seed, restarts, used", [(2, 3, 20, 6), (1, 0, 5, 5)])
     def test_one_solve_per_restart_used(self, spy_solves, K, seed, restarts, used):
         # N = 4 < 2M: the K=2 prior collides on its sixth restart, the K=1
-        # prior uses every restart without a collision
+        # prior uses every restart without a collision. The K=2 case guards
+        # the solver's FTOL stop on a plateau: the sixth solve opens with
+        # relative decreases of 5.3e-7, 1.3e-8 and 3.3e-10 before it falls
+        # off. A stop on the actual decrease alone would end it there, and
+        # the search would need 11 restarts; the linear model still predicts
+        # more than FTOL, so the solve goes on and the search collides.
         N = 4
         solves = spy_solves(injectivity)
         rep = collision_search(
@@ -377,8 +382,8 @@ def gram_digests(X, Meas, rows):
     digests = [hashlib.sha256(), hashlib.sha256()]
     P = len(X)
     for i0 in range(0, P - 1, rows):
-        I, J = slice(i0, min(i0 + rows, P)), slice(i0 + 1, P)
-        keep = np.triu(np.ones((I.stop - i0, P - 1 - i0), bool))
+        I, J = slice(i0, min(i0 + rows, P)), slice(i0, P)
+        keep = np.triu(np.ones((I.stop - i0, P - i0), bool), k=1)
         for digest, Y in zip(digests, (X, Meas)):
             digest.update((Y[I] @ Y[J].T)[keep].tobytes())
     return [digest.hexdigest() for digest in digests]
@@ -512,6 +517,28 @@ class TestBruteForceOracle:
             rep = brute_force_collision_oracle(prior, np.eye(N), blocks, P)
             assert rep.verdict == "collision", (a, b)
             assert (rep.x.tobytes(), rep.y.tobytes()) == (X[a].tobytes(), X[b].tobytes()), (a, b)
+
+    @pytest.mark.parametrize("rows", [2, 59, 118])
+    def test_the_last_pair_keeps_its_bits_in_any_chunk(self, monkeypatch, rows):
+        # P - 2 = 118 is a multiple of the row count, so the last chunk holds
+        # the rows P - 2 and P - 1 alone. Its Gram product still has two
+        # columns, as its columns start at its first row: a (2, 1) product
+        # would go down BLAS's matrix-vector path. The last pair is the
+        # collision, so the report carries its Gram entries' bits.
+        N, P = 9, 120
+        blocks = block_structure_for_power_spectrum(N)
+        prior = random_relu_network((1, 4, N), seed=0)
+        X = np.random.default_rng(7).standard_normal((P, N))
+        X[-1] = X[-2]
+        X[-1, 1] *= -1
+        monkeypatch.setattr(injectivity, "chart_walk", lambda net, lat: SimpleNamespace(x=X))
+        Meas = separable_measurement(X, np.eye(N), blocks)
+        monkeypatch.setattr(injectivity, "_ORACLE_CELLS", P * P)
+        one_chunk = brute_force_collision_oracle(prior, np.eye(N), blocks, P)
+        assert (one_chunk.x.tobytes(), one_chunk.y.tobytes()) == (X[-2].tobytes(), X[-1].tobytes())
+        monkeypatch.setattr(injectivity, "_ORACLE_CELLS", rows * P)
+        rep = brute_force_collision_oracle(prior, np.eye(N), blocks, P)
+        assert_same_report(rep, one_chunk, X, Meas, rows, P)
 
     @pytest.mark.parametrize("kind", ["standard-basis", "generic-orthonormal"])
     def test_verdict_does_not_depend_on_the_chunks(self, monkeypatch, kind):
