@@ -231,6 +231,7 @@ def _run_collide(p: dict, out: Path):
         "searches": len(rows),
         "all_converged": all(rep.converged for _, rep in reports),
         "restarts_used": [rep.restarts_used for _, rep in reports],
+        "solves_at_budget": [rep.solves_at_budget for _, rep in reports],
     }
     if oracle is not None:
         results["oracle_verdict"] = oracle.verdict

@@ -244,6 +244,20 @@ class TestCollideCommand:
         assert report.results["restarts_used"] == [5, 2, 7]
         assert report.results["searches"] == 3
 
+    def test_report_gives_the_solves_at_budget_of_each_search_in_seed_order(self, tmp_path):
+        # with mixing seed 31 one solve of the 20 runs to the budget, with 3 none
+        params = {
+            **get_preset("thm2-so").parameters(),
+            "restarts": 20,
+            "seed": 10,
+            "mixing_seeds": [31, 3],
+        }
+        cfg = validate_config({"schema_version": 1, "command": "collide", "parameters": params})
+        run(cfg, out_dir=tmp_path)
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert results["solves_at_budget"] == [1, 0]
+        assert results["restarts_used"] == [20, 20]
+
     def test_oracle_receives_only_its_grid(self, tmp_path, monkeypatch):
         seen = []
 

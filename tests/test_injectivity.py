@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from momentlab import injectivity
+from momentlab.config import build_mixing, build_prior
 from momentlab.injectivity import (
     brute_force_collision_oracle,
     codimension_probe,
@@ -31,6 +32,7 @@ from momentlab.priors import (
     sample_mixing,
     sparse_prior,
 )
+from momentlab.presets import get_preset
 
 from reference import (
     REFERENCE_ORACLE_CELLS,
@@ -194,6 +196,73 @@ class TestCollisionSearch:
         )
         assert rep.restarts_used == used == len(solves)
         assert rep.verdict == ("collision" if used < restarts else "no-collision-found")
+
+    def test_each_solve_gets_the_search_budget(self, monkeypatch):
+        # The thm2-so search of perfbench collide draw 1. Its 17th solve
+        # crawls along the separation hinge without colliding, and it ran 500
+        # iterations before the budget was SEARCH_MAX_ITER.
+        budgets, solves = [], []
+        solve = injectivity.damped_gauss_newton
+
+        def spy(*args, max_iter, **kwargs):
+            budgets.append(max_iter)
+            solves.append(solve(*args, max_iter=max_iter, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(injectivity, "damped_gauss_newton", spy)
+        N = 10
+        rep = collision_search(
+            random_relu_network((2, 12, N), seed=5),
+            sample_mixing(N, "special-orthogonal", seed=31),
+            block_structure_for_power_spectrum(N),
+            restarts=20,
+            seed=10,
+        )
+        assert budgets == [injectivity.SEARCH_MAX_ITER] * 20
+        assert solves[16].iterations == injectivity.SEARCH_MAX_ITER
+        assert rep.solves_at_budget == 1
+        assert rep.verdict == "no-collision-found" and rep.restarts_used == 20
+
+    def test_solves_at_budget_reads_the_budget_at_call_time(self, monkeypatch, spy_solves):
+        N = 10
+        solves = spy_solves(injectivity)
+        monkeypatch.setattr(injectivity, "SEARCH_MAX_ITER", 5)
+        rep = collision_search(
+            random_relu_network((2, 12, N), seed=5),
+            sample_mixing(N, "special-orthogonal", seed=31),
+            block_structure_for_power_spectrum(N),
+            restarts=6,
+            seed=10,
+        )
+        assert max(gn.iterations for gn in solves) == 5
+        assert rep.solves_at_budget == sum(gn.iterations == 5 for gn in solves) > 0
+
+    @pytest.mark.parametrize("case", [
+        "ctrl-torus", "ctrl-sparse-shift", "plateau-guard", "threshold-N3-M2",
+    ])
+    def test_a_collision_is_found_well_within_the_budget(self, spy_solves, case):
+        # Collisions are zero-residual basins, where a solve converges fast;
+        # the solve that finds one keeps at least half the budget spare.
+        if case.startswith("ctrl-"):
+            params = get_preset(case).parameters()
+            prior = build_prior(params["prior"])
+            N = prior.output_dim
+            A = build_mixing(params["mixing"], N)
+            restarts, seed = params["restarts"], params["seed"]
+        elif case == "plateau-guard":       # the K=2 case of test_one_solve_per_restart_used
+            N, restarts, seed = 4, 20, 3
+            prior = random_relu_network((2, 8, N), seed=seed)
+            A = sample_mixing(N, "general-linear", seed=seed)
+        else:       # the first-seed search of a threshold sweep's cell N=3, M=2
+            N, restarts, seed = 3, 5, 0
+            prior = build_prior({"type": "relu-network", "widths": [2, 6, N], "seed": seed})
+            A = sample_mixing(N, "general-linear", np.random.SeedSequence((seed, 0xA)))
+        solves = spy_solves(injectivity)
+        rep = collision_search(
+            prior, A, block_structure_for_power_spectrum(N), restarts=restarts, seed=seed
+        )
+        assert rep.verdict == "collision" and rep.restarts_used < restarts
+        assert solves[-1].iterations <= injectivity.SEARCH_MAX_ITER // 2
 
     @pytest.mark.parametrize(
         "N, kind, restarts, seed",
