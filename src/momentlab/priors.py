@@ -45,6 +45,7 @@ __all__ = [
     "estimate_image_dimension",
     "numerical_rank",
     "prior_charts",
+    "is_cone",
     "check_prior",
     "latent_parametrizations",
     "parse_activation",
@@ -74,17 +75,22 @@ class _Activation(NamedTuple):
     n_params: int
     value: Callable         # (a, params) -> act(a), elementwise
     derivative: Callable    # (a, params) -> act'(a), elementwise and 0 at the kinks
+    homogeneous: bool       # act(t a) = t act(a) for every t > 0, whatever the params
 
 
 #: Every activation a layer may carry, by name.
 _ACTIVATIONS = {
-    "identity": _Activation(0, lambda a, p: a, lambda a, p: np.ones_like(a)),
-    "relu": _Activation(0, lambda a, p: np.maximum(a, 0.0), lambda a, p: (a > 0).astype(float)),
+    "identity": _Activation(0, lambda a, p: a, lambda a, p: np.ones_like(a), True),
+    "relu": _Activation(
+        0, lambda a, p: np.maximum(a, 0.0), lambda a, p: (a > 0).astype(float), True
+    ),
     "leaky-relu": _Activation(
-        1, lambda a, p: np.where(a > 0, a, p[0] * a), lambda a, p: np.where(a > 0, 1.0, p[0])
+        1, lambda a, p: np.where(a > 0, a, p[0] * a), lambda a, p: np.where(a > 0, 1.0, p[0]),
+        True,
     ),
     "hardtanh": _Activation(
-        2, lambda a, p: np.clip(a, *p), lambda a, p: ((a > p[0]) & (a < p[1])).astype(float)
+        2, lambda a, p: np.clip(a, *p), lambda a, p: ((a > p[0]) & (a < p[1])).astype(float),
+        False,
     ),
 }
 
@@ -346,6 +352,19 @@ def prior_charts(prior) -> list[GeneratorNetwork]:
         supports = combinations(range(prior.output_dim), prior.sparsity)
         return [_support_chart(prior, list(support)) for support in supports]
     return [prior]
+
+
+def is_cone(net: GeneratorNetwork) -> bool:
+    """Whether the network counts as a cone: net(t z) = t net(z) for every t > 0.
+
+    It does when no layer has a bias and every activation is positively
+    homogeneous (identity, ReLU and leaky ReLU are; hardtanh is not). A
+    sparse prior's charts are single identity layers with no bias, so each
+    is a cone.
+    """
+    return all(
+        layer.bias is None and _ACTIVATIONS[layer._act[0]].homogeneous for layer in net.layers
+    )
 
 
 def check_prior(prior, N: int) -> None:

@@ -25,10 +25,10 @@ files the library reads:
 * ``pair_collision_objective`` / ``recover_objective`` -- the objectives of
   ``collision_search`` and ``recover`` with each signal walked and measured
   on its own, and each Jacobian from a fresh walk;
-* ``brute_force_collision_oracle_reference`` -- the grid oracle's all-pairs
+* ``brute_force_collision_oracle_reference`` -- the grid oracle's pair
   scan with fresh arrays for every chunk of 512 rows of a 41 x 41 grid, the
   form behind ``injectivity.brute_force_collision_oracle``'s in-place scan,
-  over the points and measurements of ``oracle_points``.
+  over the points, measurements and rows of ``oracle_points``.
 """
 
 import json
@@ -380,35 +380,57 @@ def recover_objective(net, A, blocks, invariants):
 REFERENCE_ORACLE_CELLS = 512 * 41**2
 
 
+#: The activations that commute with scaling by t > 0.
+HOMOGENEOUS_ACTIVATIONS = {"identity", "relu", "leaky-relu"}
+
+
 def oracle_points(prior, A, blocks, grid_points_per_axis):
-    """The grid oracle's P signals (P, N) and their measurements, chart by chart."""
+    """The grid oracle's P signals (P, N), their measurements, and the number
+    of leading points it scans as rows.
+
+    The points are the grid's, chart by chart. When every chart is a cone
+    (no bias, homogeneous activations), the points whose latent lies on the
+    box boundary come first, in that order, and only they are rows;
+    otherwise every point is a row.
+    """
     axis = np.linspace(-1.0, 1.0, grid_points_per_axis)
     if prior.latent_dim == 1:
         lat = axis[:, None]
     else:
         g1, g2 = np.meshgrid(axis, axis, indexing="ij")
         lat = np.column_stack([g1.ravel(), g2.ravel()])
-    X = np.concatenate([chart_walk(net, lat).x for net in prior_charts(prior)])
-    return X, separable_measurement(X, A, blocks)
+    charts = prior_charts(prior)
+    X = np.concatenate([chart_walk(net, lat).x for net in charts])
+    cone = all(
+        layer.bias is None and parse_activation(layer.activation)[0] in HOMOGENEOUS_ACTIVATIONS
+        for net in charts
+        for layer in net.layers
+    )
+    if not cone:
+        return X, separable_measurement(X, A, blocks), len(X)
+    interior = np.tile([np.abs(z).max() < 1.0 for z in lat], len(charts))
+    X = X[np.argsort(interior, kind="stable")]
+    return X, separable_measurement(X, A, blocks), int(np.sum(~interior))
 
 
 def brute_force_collision_oracle_reference(prior, A, blocks, grid_points_per_axis=41):
     """The grid oracle's report, each chunk's pair arrays built afresh.
 
-    The same grid as ``brute_force_collision_oracle``, scanned in chunks of
-    ``REFERENCE_ORACLE_CELLS // P`` rows (at least one), each pairing its
-    rows with the points from its first row on and building its
-    separations, scales, gaps and normalized gaps as new arrays.
+    The same points and rows as ``brute_force_collision_oracle``, from
+    ``oracle_points``, scanned in chunks of ``REFERENCE_ORACLE_CELLS // P``
+    rows (at least one), each pairing its rows with the points from its
+    first row on and building its separations, scales, gaps and normalized
+    gaps as new arrays.
     """
-    X, Meas = oracle_points(prior, A, blocks, grid_points_per_axis)
+    X, Meas, stop = oracle_points(prior, A, blocks, grid_points_per_axis)
     P = len(X)
     norms2 = np.einsum("ij,ij->i", X, X)
     mnorm2 = np.einsum("ij,ij->i", Meas, Meas)
     rows = max(1, REFERENCE_ORACLE_CELLS // P)
 
     best = (np.inf, 0.0, 0.0, np.sqrt(norms2.max()), 0, min(1, P - 1))
-    for i0 in range(0, P - 1, rows):
-        I, J = slice(i0, min(i0 + rows, P)), slice(i0, P)
+    for i0 in range(0, min(stop, P - 1), rows):
+        I, J = slice(i0, min(i0 + rows, stop)), slice(i0, P)
         sep2 = norms2[I, None] + norms2[None, J] - 2 * np.abs(X[I] @ X[J].T)
         sep = np.sqrt(np.maximum(sep2, 0.0))
         scale = np.sqrt(np.maximum(norms2[I, None], norms2[None, J]))

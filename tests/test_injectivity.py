@@ -410,7 +410,9 @@ def oracle_instances():
     """(prior, mixing, layout, grid) the oracle's scan is checked on, by name.
 
     Criterion 4's ten instances, ``thm1-gl``'s prior under three mixings, a
-    28-support sparse prior, a K = 1 network and the constant-zero generator.
+    28-support sparse prior, a K = 1 network, the constant-zero generator,
+    and two priors that are no cone: ``thm1-gl``'s network with hardtanh
+    activations, and with a bias on its hidden layer.
     """
     N = 9
     blocks = block_structure_for_power_spectrum(N)
@@ -434,6 +436,12 @@ def oracle_instances():
     out["latent-1"] = (random_relu_network((1, 8, N), seed=2), A, blocks, 101)
     zero = GeneratorNetwork((Layer(np.zeros((N, 2)), "identity"),))
     out["zero"] = (zero, np.eye(N), blocks, 21)
+    A = sample_mixing(N, "general-linear", seed=11)
+    hardtanh = random_relu_network((2, 12, N), seed=3, activation="hardtanh(-1,1)")
+    out["hardtanh"] = (hardtanh, A, blocks, 41)
+    hidden, last = random_relu_network((2, 12, N), seed=3).layers
+    bias = np.random.default_rng(4).normal(size=12)
+    out["bias"] = (GeneratorNetwork((Layer(hidden.weight, "relu", bias), last)), A, blocks, 41)
     return out
 
 
@@ -444,23 +452,26 @@ def report_bits(rep):
     return rep.x.tobytes(), rep.y.tobytes(), rep.residual, rep.separation, rep.scale
 
 
-def gram_digests(X, Meas, rows):
-    """Digests of the Gram entries <x_i, x_j> and <m_i, m_j>, j > i, in
-    row-major order, each computed in a chunk of ``rows`` rows as the oracle's
-    scan and its reference form compute them."""
+def gram_digests(X, Meas, rows, stop):
+    """Digests of the Gram entries <x_i, x_j> and <m_i, m_j>, i < stop and
+    j > i, in row-major order, each computed in a chunk of ``rows`` rows as
+    the oracle's scan computes them. A last chunk that would hold one row
+    takes the next too; the reference form's chunks never hold one row on
+    the instances checked."""
     digests = [hashlib.sha256(), hashlib.sha256()]
     P = len(X)
-    for i0 in range(0, P - 1, rows):
-        I, J = slice(i0, min(i0 + rows, P)), slice(i0, P)
+    for i0 in range(0, min(stop, P - 1), rows):
+        I, J = slice(i0, min(i0 + rows, max(stop, i0 + 2), P)), slice(i0, P)
         keep = np.triu(np.ones((I.stop - i0, P - i0), bool), k=1)
+        keep[stop - i0:] = False
         for digest, Y in zip(digests, (X, Meas)):
             digest.update((Y[I] @ Y[J].T)[keep].tobytes())
     return [digest.hexdigest() for digest in digests]
 
 
-def assert_same_report(rep, want, X, Meas, rows, want_rows):
-    """``rep`` and ``want`` scan the points X, with measurements Meas, in
-    chunks of ``rows`` and ``want_rows`` rows.
+def assert_same_report(rep, want, X, Meas, stop, rows, want_rows):
+    """``rep`` and ``want`` scan the points X, with measurements Meas, as
+    rows up to ``stop``, in chunks of ``rows`` and ``want_rows`` rows.
 
     Each pair's floats follow from its two Gram entries by the same
     elementwise operations, so the reports are the same bits whenever the
@@ -471,7 +482,7 @@ def assert_same_report(rep, want, X, Meas, rows, want_rows):
     """
     if report_bits(rep) == report_bits(want):
         return
-    assert gram_digests(X, Meas, rows) != gram_digests(X, Meas, want_rows), (
+    assert gram_digests(X, Meas, rows, stop) != gram_digests(X, Meas, want_rows, stop), (
         "the same Gram entries gave another report"
     )
     assert rep.verdict == want.verdict
@@ -573,10 +584,11 @@ class TestBruteForceOracle:
         # Five points, one pair (a, b) of them with the same block energies:
         # x_b is x_a with coordinate 1 negated, which keeps the energy of the
         # block {1, 2}. In chunks of any row count the oracle reports x_a, x_b,
-        # so the triangle mask keeps every j > i, j = i + 1 included.
+        # so the triangle mask keeps every j > i, j = i + 1 included. A
+        # hardtanh prior is no cone, so every point is a row.
         N, P = 9, 5
         blocks = block_structure_for_power_spectrum(N)
-        prior = random_relu_network((1, 4, N), seed=0)
+        prior = random_relu_network((1, 4, N), seed=0, activation="hardtanh(-1,1)")
         monkeypatch.setattr(injectivity, "_ORACLE_CELLS", rows * P)
         for a, b in combinations(range(P), 2):
             X = np.random.default_rng(0).standard_normal((P, N))
@@ -593,10 +605,11 @@ class TestBruteForceOracle:
         # the rows P - 2 and P - 1 alone. Its Gram product still has two
         # columns, as its columns start at its first row: a (2, 1) product
         # would go down BLAS's matrix-vector path. The last pair is the
-        # collision, so the report carries its Gram entries' bits.
+        # collision, so the report carries its Gram entries' bits. A hardtanh
+        # prior is no cone, so every point is a row.
         N, P = 9, 120
         blocks = block_structure_for_power_spectrum(N)
-        prior = random_relu_network((1, 4, N), seed=0)
+        prior = random_relu_network((1, 4, N), seed=0, activation="hardtanh(-1,1)")
         X = np.random.default_rng(7).standard_normal((P, N))
         X[-1] = X[-2]
         X[-1, 1] *= -1
@@ -607,7 +620,37 @@ class TestBruteForceOracle:
         assert (one_chunk.x.tobytes(), one_chunk.y.tobytes()) == (X[-2].tobytes(), X[-1].tobytes())
         monkeypatch.setattr(injectivity, "_ORACLE_CELLS", rows * P)
         rep = brute_force_collision_oracle(prior, np.eye(N), blocks, P)
-        assert_same_report(rep, one_chunk, X, Meas, rows, P)
+        assert_same_report(rep, one_chunk, X, Meas, P, rows, P)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 11])
+    def test_a_cone_prior_scans_the_pairs_with_a_boundary_point(self, monkeypatch, rows):
+        # A 4 x 4 grid of a ReLU prior: 12 boundary points, then the 4 interior
+        # ones (5, 6, 9, 10). One pair (a, b) of its points has the same block
+        # energies, as above. A pair with a boundary point is reported, in
+        # scan order; a pair of two interior points is never scanned. At 11
+        # rows the last chunk would hold row 11 alone: it takes the interior
+        # row 12 too and masks it out. The coordinates are nonzero integers,
+        # so every Gram entry is exact and the pair's gap is 0.
+        N, grid = 9, 4
+        blocks = block_structure_for_power_spectrum(N)
+        prior = random_relu_network((2, 4, N), seed=0)
+        P = grid**2
+        interior = [5, 6, 9, 10]
+        order = [p for p in range(P) if p not in interior] + interior
+        monkeypatch.setattr(injectivity, "_ORACLE_CELLS", rows * P)
+        for a, b in combinations(range(P), 2):
+            rng = np.random.default_rng(0)
+            X = rng.integers(1, 10, size=(P, N)) * rng.choice([-1.0, 1.0], size=(P, N))
+            X[b] = X[a]
+            X[b, 1] *= -1
+            monkeypatch.setattr(injectivity, "chart_walk", lambda net, lat: SimpleNamespace(x=X))
+            rep = brute_force_collision_oracle(prior, np.eye(N), blocks, grid)
+            if a in interior and b in interior:
+                assert rep.verdict == "no-collision-found", (a, b)
+                continue
+            first, second = sorted((a, b), key=order.index)
+            assert rep.verdict == "collision", (a, b)
+            assert (rep.x.tobytes(), rep.y.tobytes()) == (X[first].tobytes(), X[second].tobytes())
 
     @pytest.mark.parametrize("kind", ["standard-basis", "generic-orthonormal"])
     def test_verdict_does_not_depend_on_the_chunks(self, monkeypatch, kind):
@@ -622,7 +665,7 @@ class TestBruteForceOracle:
             expected = "no-collision-found"
         blocks = block_structure_for_power_spectrum(N)
         P = 15 * 9**2
-        X, Meas = oracle_points(prior, A, blocks, 9)
+        X, Meas, stop = oracle_points(prior, A, blocks, 9)
         default_rows = injectivity._ORACLE_CELLS // P
         monkeypatch.setattr(injectivity, "_ORACLE_CELLS", P * P)
         one_chunk = brute_force_collision_oracle(prior, A, blocks, 9)
@@ -630,13 +673,13 @@ class TestBruteForceOracle:
         for rows in (5, default_rows):
             monkeypatch.setattr(injectivity, "_ORACLE_CELLS", rows * P)
             rep = brute_force_collision_oracle(prior, A, blocks, 9)
-            assert_same_report(rep, one_chunk, X, Meas, rows, P)
+            assert_same_report(rep, one_chunk, X, Meas, stop, rows, P)
 
     @pytest.mark.parametrize("name", ORACLE_INSTANCES)
     def test_scan_is_the_reference_form_bit_for_bit(self, monkeypatch, name):
         prior, A, blocks, grid = ORACLE_INSTANCES[name]
         want = brute_force_collision_oracle_reference(prior, A, blocks, grid)
-        X, Meas = oracle_points(prior, A, blocks, grid)
+        X, Meas, stop = oracle_points(prior, A, blocks, grid)
         P = len(X)
         want_rows = max(1, REFERENCE_ORACLE_CELLS // P)
         # 1 pair asks for chunks of 0 rows and gets the floor of two; the
@@ -645,7 +688,22 @@ class TestBruteForceOracle:
             monkeypatch.setattr(injectivity, "_ORACLE_CELLS", cells)
             rep = brute_force_collision_oracle(prior, A, blocks, grid)
             rows = max(2, min(P, cells // P))
-            assert_same_report(rep, want, X, Meas, rows, want_rows)
+            assert_same_report(rep, want, X, Meas, stop, rows, want_rows)
+
+    def test_a_cone_scan_keeps_the_full_scans_verdict(self, monkeypatch):
+        # Each instance above, and the benchmark's thm1-gl-oracle prior at the
+        # mixing seeds of its 100 draws at seed 0, with every prior taken as
+        # no cone, so that every pair is scanned.
+        instances = list(ORACLE_INSTANCES.values())
+        prior = random_relu_network((2, 12, 9), seed=3)
+        blocks = block_structure_for_power_spectrum(9)
+        for mseed in range(11, 1002, 10):
+            instances.append((prior, sample_mixing(9, "general-linear", seed=mseed), blocks, 41))
+        cone = [brute_force_collision_oracle(*instance).verdict for instance in instances]
+        monkeypatch.setattr(injectivity, "is_cone", lambda net: False)
+        full = [brute_force_collision_oracle(*instance).verdict for instance in instances]
+        assert cone == full
+        assert cone.count("collision") == 5        # the five pair-block embeddings
 
     def test_agrees_with_search_on_seeded_instances(self):
         # mixed positive/negative instances, K <= 2 throughout

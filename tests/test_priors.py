@@ -21,6 +21,7 @@ from momentlab.priors import (
     chart_stack,
     chart_walk,
     estimate_image_dimension,
+    is_cone,
     latent_parametrizations,
     network_from_json,
     parse_activation,
@@ -166,6 +167,45 @@ def network(tag, bias, seed=0):
         Layer(r.normal(size=(n_out, n_in)), tag, r.normal(size=n_out) if bias else None)
         for n_in, n_out in zip(widths, widths[1:])
     ))
+
+
+class TestIsCone:
+    @pytest.mark.parametrize("tag", ACTIVATIONS + ["leaky-relu(-0.5)"])
+    def test_the_table_marks_the_activations_that_commute_with_scaling(self, rng, tag):
+        name, params = parse_activation(tag)
+        act = priors._ACTIVATIONS[name]
+        a = 2.0 * rng.normal(size=500)
+        commutes = all(
+            np.allclose(act.value(t * a, params), t * act.value(a, params))
+            for t in (0.3, 2.0, 7.0)
+        )
+        assert act.homogeneous == commutes == (name != "hardtanh")
+
+    @pytest.mark.parametrize("tag", ACTIVATIONS)
+    def test_a_network_with_no_bias_is_a_cone_unless_an_activation_is_hardtanh(self, rng, tag):
+        net = network(tag, bias=False)
+        assert is_cone(net) == (tag != "hardtanh(-0.5,0.7)")
+        z = rng.normal(size=2)
+        scaled_walk_is_scaled = np.allclose(chart_walk(net, 5.0 * z).x, 5.0 * chart_walk(net, z).x)
+        assert scaled_walk_is_scaled == is_cone(net)
+
+    @pytest.mark.parametrize("tag", ACTIVATIONS)
+    def test_a_network_with_a_bias_is_no_cone(self, tag):
+        assert not is_cone(network(tag, bias=True))
+        net = random_relu_network((2, 6, 5), seed=0)
+        first, last = net.layers
+        assert is_cone(net)
+        assert not is_cone(GeneratorNetwork((first, Layer(last.weight, tag, np.zeros(5)))))
+
+    def test_one_hardtanh_layer_makes_no_cone(self):
+        first, last = random_relu_network((2, 6, 5), seed=0).layers
+        assert not is_cone(GeneratorNetwork((Layer(first.weight, "hardtanh(-1,1)"), last)))
+
+    @pytest.mark.parametrize("kind", ["standard-basis", "generic-orthonormal", "generic-linear"])
+    def test_every_sparse_chart_is_a_cone(self, kind):
+        charts = prior_charts(sparse_prior(6, 2, kind, seed=1))
+        assert len(charts) == 15
+        assert all(map(is_cone, charts))
 
 
 def assert_is_reference_walk(x, J, net, z):
