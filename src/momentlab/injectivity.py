@@ -333,8 +333,14 @@ def brute_force_collision_oracle(
     order wins. So the chunk size changes no bit of the report where BLAS
     gives a Gram entry the same bits in chunks of either size. Some
     OpenBLAS kernels (Haswell, Zen, Nehalem) do not: they round the rows
-    left over from their register block otherwise, and a separation can
-    move by ~1e-13.
+    left over from their register block otherwise, and a near tie can go
+    to another pair.
+
+    The Gram form only chooses the pair. Its cancellation leaves a floor
+    near sqrt(eps) ||m|| on a gap, which can put an exact collision above
+    ``RESIDUAL_TOL``, so the report gives the chosen pair's gap
+    ||m_i - m_j|| and separation min(||x - y||, ||x + y||) from its own
+    vectors.
     """
     K = prior.latent_dim
     if K > 2:
@@ -375,9 +381,9 @@ def brute_force_collision_oracle(
     # so row ii keeps it iff jj > ii, which every column from the row count on does
     upper = np.triu(np.ones((rows, rows), bool), k=1)
 
-    # (normalized residual, raw, sep, scale, i, j); with no separated pair on
-    # the grid (e.g. a constant-zero prior) the first two points are reported
-    best = (np.inf, 0.0, 0.0, norms.max(), 0, min(1, P - 1))
+    # (normalized residual, scale, i, j); with no separated pair on the grid
+    # (e.g. a constant-zero prior) the first two points are reported
+    best = (np.inf, norms.max(), 0, min(1, P - 1))
     for i0 in range(0, min(stop, P - 1), rows):
         # pair rows i0 .. i1-1 with the points j >= i0 only: j <= i repeats a
         # pair or pairs a point with itself
@@ -413,14 +419,14 @@ def brute_force_collision_oracle(
         ii, jj = np.unravel_index(np.argmin(nres), nres.shape)
         if nres[ii, jj] < best[0]:
             pair = (ii, jj)
-            best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + jj)
+            best = (nres[pair], scale[pair], i0 + ii, i0 + jj)
 
-    _, raw, sep, s, i, j = best
+    _, s, i, j = best
     return CollisionReport(
         x=X[i],
         y=X[j],
-        residual=float(raw),
-        separation=float(sep),
+        residual=float(np.linalg.norm(Meas[i] - Meas[j])),
+        separation=float(min(np.linalg.norm(X[i] - X[j]), np.linalg.norm(X[i] + X[j]))),
         scale=float(s),
         restarts_used=0,
     )

@@ -17,7 +17,10 @@ Z(alpha) J Z(beta) J^T Z(gamma) (Pinchon & Hoggan, J. Phys. A 40, 1597,
 2007). Each Z is a z-rotation, which turns every (m, -m) coefficient pair by
 |m| times its angle, and J = D(pi/2, pi/2, -pi/2) is one fixed real matrix
 per band limit, built lazily from the Wigner blocks and cached. No rotation
-matrix is formed. Everything here is plain numpy.
+matrix is formed. The first stage J^T Z(gamma) x is one small product of a
+(N, 2L+1) matrix, built from x, with the (2L+1, n) table of 1, cos k gamma
+and sin k gamma; Z(beta) and Z(alpha) turn the (N, n) columns in place.
+Everything here is plain numpy.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ __all__ = [
 ]
 
 MAX_BAND_LIMIT = 16
+
+#: ``rotate_bandlimited`` pads its rotations to a multiple of this many
+#: columns. BLAS computes the columns left over from its register blocks in
+#: another order, so without the padding a rotation's bits would depend on
+#: its call's column count, and a chunked draw would not be the one-shot draw.
+_PAD_COLUMNS = 16
 
 
 def band_limit_blocks(L: int) -> BlockStructure:
@@ -116,23 +125,45 @@ def _rotation_factors(L: int):
     return order, inverse, J
 
 
-def _z_rotate(v: np.ndarray, theta: np.ndarray, L: int) -> None:
+def _trig_table(theta: np.ndarray, L: int, out: np.ndarray) -> None:
+    """Fill out, (2L+1, n), with the rows 1, cos k theta, sin k theta for k = 1..L.
+
+    cos k theta and sin k theta come from one cos and sin of theta by angle
+    addition, c_k = c_{k-1} c_1 - s_{k-1} s_1 and s_k = s_{k-1} c_1 + c_{k-1} s_1,
+    each written into its row.
+    """
+    out[0] = 1.0
+    if L == 0:
+        return
+    c1, s1 = out[1], out[2]
+    np.cos(theta, out=c1)
+    np.sin(theta, out=s1)
+    for k in range(2, L + 1):
+        c, s, ck, sk = out[2 * k - 3 : 2 * k + 1]
+        np.multiply(c, c1, out=ck)
+        ck -= s * s1
+        np.multiply(s, c1, out=sk)
+        sk += c * s1
+
+
+def _z_rotate(v: np.ndarray, table: np.ndarray, L: int) -> None:
     """Apply Z(theta) in place to v, whose rows are |m|-sorted and columns rotations.
 
-    The m = 0 rows stay put. Each m = +k row p and its m = -k partner q turn
-    by k theta: p <- cos(k theta) p - sin(k theta) q and
-    q <- cos(k theta) q + sin(k theta) p. cos k theta and sin k theta come
-    from one cos and sin of theta by angle addition.
+    ``table`` is theta's trig table (``_trig_table``). The m = 0 rows stay put.
+    Each m = +k row p and its m = -k partner q turn by k theta:
+    p <- cos(k theta) p - sin(k theta) q and q <- cos(k theta) q + sin(k theta) p,
+    in place, with sin(k theta) q taken before q changes.
     """
-    c1, s1 = np.cos(theta), np.sin(theta)
-    c, s = c1, s1
     lo = L + 1
     for k in range(1, L + 1):
-        if k > 1:
-            c, s = c * c1 - s * s1, s * c1 + c * s1
+        c, s = table[2 * k - 1], table[2 * k]
         w = L + 1 - k                   # degrees k..L carry |m| = k
         p, q = v[lo:lo + w], v[lo + w:lo + 2 * w]
-        p[...], q[...] = c * p - s * q, c * q + s * p
+        t = s * q
+        q *= c
+        q += s * p
+        p *= c
+        p -= t
         lo += 2 * w
 
 
@@ -143,6 +174,17 @@ def rotate_bandlimited(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
     applied to x, as Z(alpha) J Z(beta) J^T Z(gamma) x. The kernel works on
     an (N, n) array with one column per rotation and returns its transpose,
     so the result is column-major.
+
+    The first stage J^T Z(gamma) x is one product. Z(gamma) x is a fixed
+    combination of 2L+1 vectors: the m = 0 part of x, and for each k = 1..L
+    a cos k gamma vector (x's m = +-k pairs as they are) and a sin k gamma
+    vector (each pair (p, q) as (-q, p)). These are the columns of B,
+    (N, 2L+1), so J^T Z(gamma) x = (J^T B) T(gamma), with T(gamma) the
+    (2L+1, n) trig table of rows 1, cos k gamma, sin k gamma. The Z(beta) and
+    Z(alpha) stages turn the columns in place with the tables of beta and
+    alpha, built one after the other in the same buffer. Zero columns pad
+    the table to a multiple of ``_PAD_COLUMNS``, so a rotation's row has the
+    same bits in a call of any size.
     """
     if not 0 <= L <= MAX_BAND_LIMIT:
         raise DimensionError(f"band limit must lie in [0, {MAX_BAND_LIMIT}], got {L}")
@@ -154,14 +196,26 @@ def rotate_bandlimited(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.shape != (N,):
         raise DimensionError(f"coefficients have shape {x.shape}, expected ({N},)")
     order, inverse, J = _rotation_factors(L)
-    alpha, beta, gamma = np.ascontiguousarray(angles.T)
-    v = np.repeat(x[order, None], angles.shape[0], axis=1)
-    _z_rotate(v, gamma, L)
-    v = J.T @ v
-    _z_rotate(v, beta, L)
+    xs = x[order]
+    B = np.zeros((N, 2 * L + 1))
+    B[: L + 1, 0] = xs[: L + 1]
+    lo = L + 1
+    for k in range(1, L + 1):
+        w = L + 1 - k
+        p, q = slice(lo, lo + w), slice(lo + w, lo + 2 * w)
+        B[p, 2 * k - 1], B[q, 2 * k - 1] = xs[p], xs[q]
+        B[p, 2 * k], B[q, 2 * k] = -xs[q], xs[p]
+        lo += 2 * w
+    n = angles.shape[0]
+    table = np.zeros((2 * L + 1, -(-n // _PAD_COLUMNS) * _PAD_COLUMNS))
+    _trig_table(angles[:, 2], L, table[:, :n])
+    v = (J.T @ B) @ table
+    _trig_table(angles[:, 1], L, table[:, :n])
+    _z_rotate(v, table, L)
     v = J @ v
-    _z_rotate(v, alpha, L)
-    return v[inverse].T
+    _trig_table(angles[:, 0], L, table[:, :n])
+    _z_rotate(v, table, L)
+    return v[inverse, :n].T
 
 
 def haar_euler_angles(rng, size: int) -> np.ndarray:

@@ -420,7 +420,8 @@ def brute_force_collision_oracle_reference(prior, A, blocks, grid_points_per_axi
     ``oracle_points``, scanned in chunks of ``REFERENCE_ORACLE_CELLS // P``
     rows (at least one), each pairing its rows with the points from its
     first row on and building its separations, scales, gaps and normalized
-    gaps as new arrays.
+    gaps as new arrays. The chosen pair's gap and separation are reported
+    from its own vectors.
     """
     X, Meas, stop = oracle_points(prior, A, blocks, grid_points_per_axis)
     P = len(X)
@@ -428,7 +429,7 @@ def brute_force_collision_oracle_reference(prior, A, blocks, grid_points_per_axi
     mnorm2 = np.einsum("ij,ij->i", Meas, Meas)
     rows = max(1, REFERENCE_ORACLE_CELLS // P)
 
-    best = (np.inf, 0.0, 0.0, np.sqrt(norms2.max()), 0, min(1, P - 1))
+    best = (np.inf, np.sqrt(norms2.max()), 0, min(1, P - 1))
     for i0 in range(0, min(stop, P - 1), rows):
         I, J = slice(i0, min(i0 + rows, stop)), slice(i0, P)
         sep2 = norms2[I, None] + norms2[None, J] - 2 * np.abs(X[I] @ X[J].T)
@@ -442,9 +443,14 @@ def brute_force_collision_oracle_reference(prior, A, blocks, grid_points_per_axi
         ii, jj = np.unravel_index(np.argmin(nres), nres.shape)
         if nres[ii, jj] < best[0]:
             pair = (ii, jj)
-            best = (nres[pair], np.sqrt(res2[pair]), sep[pair], scale[pair], i0 + ii, i0 + jj)
+            best = (nres[pair], scale[pair], i0 + ii, i0 + jj)
 
-    _, raw, sep, s, i, j = best
+    _, s, i, j = best
     return CollisionReport(
-        x=X[i], y=X[j], residual=float(raw), separation=float(sep), scale=float(s), restarts_used=0
+        x=X[i],
+        y=X[j],
+        residual=float(np.linalg.norm(Meas[i] - Meas[j])),
+        separation=float(min(np.linalg.norm(X[i] - X[j]), np.linalg.norm(X[i] + X[j]))),
+        scale=float(s),
+        restarts_used=0,
     )

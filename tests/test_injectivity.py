@@ -473,9 +473,10 @@ def assert_same_report(rep, want, X, Meas, stop, rows, want_rows):
     """``rep`` and ``want`` scan the points X, with measurements Meas, as
     rows up to ``stop``, in chunks of ``rows`` and ``want_rows`` rows.
 
-    Each pair's floats follow from its two Gram entries by the same
-    elementwise operations, so the reports are the same bits whenever the
-    BLAS gives every Gram entry the same bits at both chunk sizes. Some
+    Each pair's normalized gap follows from its two Gram entries by the same
+    elementwise operations, and the report's floats from the chosen pair's
+    own vectors, so the reports are the same bits whenever the BLAS gives
+    every Gram entry the same bits at both chunk sizes. Some
     OpenBLAS kernels (Haswell, Zen and Nehalem among them) round an entry
     by where it falls in the chunk, and a near tie may then go to another
     pair. There the verdict must agree and the gap to rtol 1e-9.
@@ -605,8 +606,8 @@ class TestBruteForceOracle:
         # the rows P - 2 and P - 1 alone. Its Gram product still has two
         # columns, as its columns start at its first row: a (2, 1) product
         # would go down BLAS's matrix-vector path. The last pair is the
-        # collision, so the report carries its Gram entries' bits. A hardtanh
-        # prior is no cone, so every point is a row.
+        # collision, so every chunking must choose it. A hardtanh prior is no
+        # cone, so every point is a row.
         N, P = 9, 120
         blocks = block_structure_for_power_spectrum(N)
         prior = random_relu_network((1, 4, N), seed=0, activation="hardtanh(-1,1)")
@@ -651,6 +652,29 @@ class TestBruteForceOracle:
             first, second = sorted((a, b), key=order.index)
             assert rep.verdict == "collision", (a, b)
             assert (rep.x.tobytes(), rep.y.tobytes()) == (X[first].tobytes(), X[second].tobytes())
+
+    def test_an_exact_collision_reports_its_direct_gap(self, monkeypatch):
+        # A 4 x 4 grid of a ReLU prior whose points are standard-normal, with
+        # x_5 = x_4 but coordinate 1 negated: the same block energies, so the
+        # pair collides exactly. Its Gram-form gap cancels to 1.19e-7 at
+        # scale 3.11, 1.2e-8 of s^2, above RESIDUAL_TOL; the report gives
+        # the pair's own gap, ||m_4 - m_5|| = 0.
+        N, grid = 9, 4
+        blocks = block_structure_for_power_spectrum(N)
+        prior = random_relu_network((2, 4, N), seed=0)
+        X = np.random.default_rng(0).standard_normal((grid**2, N))
+        X[5] = X[4]
+        X[5, 1] *= -1
+        monkeypatch.setattr(injectivity, "chart_walk", lambda net, lat: SimpleNamespace(x=X))
+        rep = brute_force_collision_oracle(prior, np.eye(N), blocks, grid)
+        assert (rep.x.tobytes(), rep.y.tobytes()) == (X[4].tobytes(), X[5].tobytes())
+        Meas = separable_measurement(X[4:6], np.eye(N), blocks)
+        norms2 = np.einsum("ij,ij->i", Meas, Meas)
+        gram_gap = np.sqrt(max(norms2.sum() - 2 * (Meas @ Meas.T)[0, 1], 0.0))
+        assert gram_gap > injectivity.RESIDUAL_TOL * rep.scale**2
+        assert rep.residual == np.linalg.norm(Meas[0] - Meas[1]) == 0.0
+        assert rep.separation == min(np.linalg.norm(X[4] - X[5]), np.linalg.norm(X[4] + X[5]))
+        assert rep.verdict == "collision"
 
     @pytest.mark.parametrize("kind", ["standard-basis", "generic-orthonormal"])
     def test_verdict_does_not_depend_on_the_chunks(self, monkeypatch, kind):

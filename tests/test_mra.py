@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,11 +182,13 @@ STREAMED_CASES = [
     (GroupAction("cyclic", 8), 2 * _CHUNK_ROWS + 5, 0.7),
     (GroupAction("dihedral", 5), _CHUNK_ROWS + 1, 0.0),
     (GroupAction.sphere(1), _CHUNK_ROWS + 3, 0.2),
+    (GroupAction.sphere(4), 2 * _CHUNK_ROWS + 7, 0.5),
 ]
+STREAMED_IDS = ["cyclic", "dihedral", "so3", "so3-L4"]
 
 
 class TestSimulate:
-    @pytest.mark.parametrize("group, n, sigma", STREAMED_CASES, ids=["cyclic", "dihedral", "so3"])
+    @pytest.mark.parametrize("group, n, sigma", STREAMED_CASES, ids=STREAMED_IDS)
     def test_chunked_draws_equal_one_shot_draws(self, group, n, sigma):
         x = np.random.default_rng(group.N).normal(size=group.N)
         np.testing.assert_array_equal(
@@ -193,7 +196,7 @@ class TestSimulate:
             one_shot_observations(x, group, n, sigma, 7),
         )
 
-    @pytest.mark.parametrize("group, n, sigma", STREAMED_CASES, ids=["cyclic", "dihedral", "so3"])
+    @pytest.mark.parametrize("group, n, sigma", STREAMED_CASES, ids=STREAMED_IDS)
     def test_streamed_moment_matches_full_estimate(self, group, n, sigma):
         x = np.random.default_rng(group.N).normal(size=group.N)
         full = one_shot_moment(one_shot_observations(x, group, n, sigma, 7), sigma)
@@ -242,6 +245,23 @@ class TestSimulate:
             simulate_second_moment(x, group, 20, 0.1, seed=3),
             simulate_second_moment(x, group, 20, 0.1, seed=3),
         )
+
+    def test_so3_draws_take_bounded_memory(self):
+        # The benchmark's block-scalar draw, L = 4 and n = 10^5. All n Euler
+        # angles are drawn before any noise (2.3 MiB, and twice that while
+        # haar_euler_angles stacks them); beyond them a chunk holds a few
+        # (N, _CHUNK_ROWS) arrays of 0.8 MiB. Chunks of 16 384 rows peaked
+        # at 12 MiB.
+        group = GroupAction.sphere(4)
+        x = np.random.default_rng(0).normal(size=group.N)
+        simulate_second_moment(x, group, 10, 0.5, seed=0)     # cached factors
+        tracemalloc.start()
+        try:
+            simulate_second_moment(x, group, 100_000, 0.5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 #: The groups whose every block the invariant law is checked on (12 blocks).

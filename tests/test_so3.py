@@ -8,6 +8,7 @@ from momentlab.so3 import (
     MAX_BAND_LIMIT,
     band_limit_blocks,
     haar_euler_angles,
+    _trig_table,
     rotate_bandlimited,
     so3_quadrature,
 )
@@ -128,7 +129,7 @@ class TestWigner:
 
 
 class TestBatchedRotation:
-    @pytest.mark.parametrize("L", [0, 1, 2, 4, 8, MAX_BAND_LIMIT])
+    @pytest.mark.parametrize("L", range(MAX_BAND_LIMIT + 1))
     def test_matches_reference_and_matrices(self, rng, L):
         x = rng.normal(size=(L + 1) ** 2)
         angles = np.vstack([EDGE_ANGLES, haar_euler_angles(rng, size=7)])
@@ -138,6 +139,22 @@ class TestBatchedRotation:
         )
         for g, row in zip(angles, batched):
             np.testing.assert_allclose(row, wigner_block(L, *g) @ x, rtol=0, atol=1e-12)
+        # one rotation: the first stage's product has one column
+        np.testing.assert_allclose(
+            rotate_bandlimited(L, angles[-1:], x),
+            rotate_bandlimited_reference(L, angles[-1:], x),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_trig_table_matches_cos_and_sin(self, rng):
+        theta = np.concatenate([[0.0, np.pi / 2, np.pi, 2 * np.pi], rng.uniform(0, 2 * np.pi, 500)])
+        table = np.empty((2 * MAX_BAND_LIMIT + 1, theta.size))
+        _trig_table(theta, MAX_BAND_LIMIT, table)
+        np.testing.assert_array_equal(table[0], 1.0)
+        k = np.arange(1, MAX_BAND_LIMIT + 1)[:, None]
+        np.testing.assert_allclose(table[1::2], np.cos(k * theta), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(table[2::2], np.sin(k * theta), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, _CHUNK_ROWS + 1])
     def test_row_counts(self, rng, n):
