@@ -11,9 +11,9 @@ Three instruments:
 * :func:`codimension_probe` finds a mixing that confuses a fixed pair
   (x, y) and estimates the local dimension of the set of such mixings from
   the rank of the constraint Jacobian on the manifold tangent space. On
-  SO(N) each Gauss-Newton step moves along the exponential of a skew
-  generator K, computed exactly in numpy from the symmetric
-  eigendecomposition of K @ K.
+  SO(N) each Gauss-Newton step moves by the Cayley transform of a skew
+  generator K, which stays exactly on SO(N) and agrees with exp(K) to
+  first order.
 
 Verdict thresholds are fixed and scale-aware: measurements are quadratic,
 so a residual is compared against ``RESIDUAL_TOL * s**2`` and a separation
@@ -24,6 +24,7 @@ verdicts invariant under rescaling a candidate pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -450,6 +451,37 @@ def solution_dim_bound(manifold: str, N: int, R: int) -> int:
     raise ValueError(f"unknown manifold {manifold!r}")
 
 
+@lru_cache(maxsize=None)
+def _probe_geometry(manifold: str, blocks: BlockStructure) -> tuple:
+    """The index arrays of the probe's constraint Jacobian for one layout.
+
+    Built once per (manifold, blocks) and shared read-only by every probe.
+    general-linear: ``(block_of_row, rows)``, where row j of A lies in block
+    ``block_of_row[j]`` and ``rows`` is 0..N-1. special-orthogonal:
+    ``(ab, ba, Pa, Pb)``. The tangent coordinates are the generators
+    e_a e_b^T - e_b e_a^T, a < b, in the order of ``np.triu_indices(N, 1)``;
+    ``ab`` and ``ba`` are the flat positions of (a, b) and (b, a) in an
+    (N, N) array, and Pa, Pb are the (R, T) one-hot matrices whose column of
+    generator (a, b) marks the block of row a and of row b.
+    """
+    N, R = blocks.N, blocks.R
+    block_of_row = np.repeat(np.arange(R), blocks.dims)
+    if manifold == "general-linear":
+        geometry = (block_of_row, np.arange(N))
+    else:
+        a_idx, b_idx = np.triu_indices(N, 1)
+        block = np.arange(R)[:, None]
+        geometry = (
+            a_idx * N + b_idx,
+            b_idx * N + a_idx,
+            (block_of_row[a_idx] == block).astype(float),
+            (block_of_row[b_idx] == block).astype(float),
+        )
+    for cached in geometry:             # shared by every caller
+        cached.flags.writeable = False
+    return geometry
+
+
 def codimension_probe(
     x: np.ndarray,
     y: np.ndarray,
@@ -465,28 +497,35 @@ def codimension_probe(
     to the manifold tangent space) from the tangent dimension. Orthogonal
     mixings preserve total energy, so on the special-orthogonal manifold y
     is rescaled to ||x|| first -- without that the constraint set is empty.
+
+    On SO(N) a step's tangent coordinates fill the upper triangle of a skew
+    generator K, and the step moves A to the Cayley transform
+    (I - K/2)^-1 (I + K/2) A, one linear solve. For skew K the transform is
+    exactly orthogonal with determinant +1, and it agrees with exp(K) up to
+    a term of order ||K||^3 (Wen & Yin, "A feasible method for optimization
+    with orthogonality constraints", 2013), so the Jacobian in the generator
+    coordinates is the retraction's own at a zero step. The Jacobian's index
+    arrays come from ``_probe_geometry``, built once per layout.
     """
     x = blocks.check_signal(np.asarray(x, dtype=float))
     y = blocks.check_signal(np.asarray(y, dtype=float))
     N, R = blocks.N, blocks.R
-    if np.linalg.norm(x) == 0 or np.linalg.norm(y) == 0:
+    nx, ny = _norm(x), _norm(y)
+    if nx == 0 or ny == 0:
         raise ValueError("x and y must be nonzero")
     if manifold == "special-orthogonal":
-        y = y * (np.linalg.norm(x) / np.linalg.norm(y))
-    if min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= 1e-6 * np.linalg.norm(x):
+        y = y * (nx / ny)
+        ny = _norm(y)
+    if min(_norm(x - y), _norm(x + y)) <= 1e-6 * nx:
         raise ValueError("x and y are equivalent up to sign; probe undefined")
 
     # joint normalization keeps tolerances meaningful and the set unchanged
-    joint = max(np.linalg.norm(x), np.linalg.norm(y))
-    x = x / joint
-    y = y / joint
+    pair = np.stack([x, y]) / max(nx, ny)
+    x, y = pair
 
     bound = solution_dim_bound(manifold, N, R)
-    block_of_row = np.repeat(np.arange(R), blocks.dims)
-    D = np.outer(x, x) - np.outer(y, y)
+    D = x[:, None] * x - y[:, None] * y     # outer(x, x) - outer(y, y)
     rng = as_rng(seed)
-
-    pair = np.stack([x, y])
 
     def resid(A):
         # every A is a draw or a retraction of one, so (N, N) floats
@@ -495,7 +534,7 @@ def codimension_probe(
 
     if manifold == "general-linear":
         tangent_dim = N * N
-        rows = np.arange(N)
+        block_of_row, rows = _probe_geometry(manifold, blocks)
 
         def jac(A):
             G = 2.0 * (A @ D)       # row j: gradient of its block constraint wrt w_j
@@ -506,25 +545,22 @@ def codimension_probe(
         retract = lambda A, step: A + step.reshape(N, N)
         draw = lambda: rng.normal(size=(N, N))
     else:       # special-orthogonal: solution_dim_bound rejected any other
-        iu = np.triu_indices(N, 1)
         tangent_dim = N * (N - 1) // 2
-        a_idx, b_idx = iu
-        cols = np.arange(tangent_dim)   # column of generator (a, b): rows a and b move
-        plus_at = (block_of_row[a_idx], cols)
-        minus_at = (block_of_row[b_idx], cols)
+        ab, ba, Pa, Pb = _probe_geometry(manifold, blocks)
+        eye = np.eye(N)
 
         def jac(A):
-            G = 2.0 * (A @ D)
-            H = G @ A.T             # H[j, c] = <grad_j, row c of A>
-            J = np.zeros((R, tangent_dim))
-            np.add.at(J, plus_at, H[a_idx, b_idx])
-            np.subtract.at(J, minus_at, H[b_idx, a_idx])
-            return J
+            # column of generator (a, b): rows a and b of A move
+            H = (2.0 * (A @ D)) @ A.T   # H[j, c] = <grad_j, row c of A>
+            return Pa * H.take(ab) - Pb * H.take(ba)
 
         def retract(A, step):
-            S = np.zeros((N, N))
-            S[iu] = step
-            return _expm_skew(S - S.T) @ A
+            half = 0.5 * step
+            W = np.zeros(N * N)     # K / 2, skew
+            W[ab] = half
+            W[ba] = -half
+            W = W.reshape(N, N)
+            return np.linalg.solve(eye - W, A + W @ A)
 
         draw = lambda: sample_mixing(N, "special-orthogonal", rng)
 
@@ -551,20 +587,6 @@ def codimension_probe(
         restarts_used=len(tries),
         solution=A,
     )
-
-
-def _expm_skew(K: np.ndarray) -> np.ndarray:
-    """exp(K) for a real skew-symmetric K, from one symmetric eigendecomposition.
-
-    K @ K = Q diag(-theta^2) Q^T is real symmetric, and splitting the series
-    of exp(K) into even and odd powers gives exactly
-    exp(K) = Q diag(cos theta) Q^T + K Q diag(sin(theta) / theta) Q^T.
-    The real eigh of K @ K takes less than half the time of the complex eigh
-    of iK, which gives the same map.
-    """
-    t, Q = np.linalg.eigh(K @ K)
-    theta = np.sqrt(np.maximum(-t, 0.0))    # rounding can leave t slightly above 0
-    return (Q * np.cos(theta) + (K @ Q) * np.sinc(theta / np.pi)) @ Q.T
 
 
 # ---------------------------------------------------------------------------

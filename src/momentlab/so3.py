@@ -97,14 +97,20 @@ def _real_basis_transform(l: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _rotation_factors(L: int):
-    """Coefficient order and fixed factor J of ``rotate_bandlimited`` at band limit L.
+    """Fixed factors ``(inverse, J, b_at, b_from, b_sign)`` of ``rotate_bandlimited``.
 
     The kernel keeps the coefficients sorted by |m|: the m = 0 entries of
     degrees 0..L, then for k = 1..L the m = +k entries of degrees k..L
     followed by their m = -k partners. ``order`` lists the position in
-    (l, m) order of each sorted entry and ``inverse`` undoes it. J is
+    (l, m) order of each sorted entry, and ``inverse`` undoes it. J is
     D(pi/2, pi/2, -pi/2) in the sorted order: the rotation Rx(-pi/2) that
     takes the z-axis to the y-axis, so that J Z(beta) J^T = D(0, beta, 0).
+
+    ``b_at``, ``b_from`` and ``b_sign`` build the kernel's (N, 2L+1) matrix
+    B, in sorted rows, from x in (l, m) order: its nonzero entries, at the
+    flat positions ``b_at``, are ``b_sign * x[b_from]``. Column 0 holds the
+    m = 0 entries; for each k = 1..L column 2k-1 holds the (p, q) pairs of
+    |m| = k as they are, and column 2k holds them as (-q, p).
     """
     order = [l * l + l for l in range(L + 1)]
     for k in range(1, L + 1):
@@ -120,9 +126,23 @@ def _rotation_factors(L: int):
         J[s, s] = (U @ (z[:, None] * d / z[None, :]) @ U.conj().T).real
     J = J[np.ix_(order, order)]
     inverse = np.argsort(order)
-    for cached in (order, inverse, J):  # shared by every caller
+    source = np.zeros((len(order), 2 * L + 1), dtype=int)
+    sign = np.zeros(source.shape)
+    source[: L + 1, 0], sign[: L + 1, 0] = order[: L + 1], 1.0
+    lo = L + 1
+    for k in range(1, L + 1):
+        w = L + 1 - k
+        p, q = slice(lo, lo + w), slice(lo + w, lo + 2 * w)
+        source[p, 2 * k - 1], source[q, 2 * k - 1] = order[p], order[q]
+        source[p, 2 * k], source[q, 2 * k] = order[q], order[p]
+        sign[p, 2 * k - 1] = sign[q, 2 * k - 1] = sign[q, 2 * k] = 1.0
+        sign[p, 2 * k] = -1.0
+        lo += 2 * w
+    b_at = np.flatnonzero(sign)
+    b_from, b_sign = source.ravel()[b_at], sign.ravel()[b_at]
+    for cached in (inverse, J, b_at, b_from, b_sign):   # shared by every caller
         cached.flags.writeable = False
-    return order, inverse, J
+    return inverse, J, b_at, b_from, b_sign
 
 
 def _trig_table(theta: np.ndarray, L: int, out: np.ndarray) -> None:
@@ -179,7 +199,8 @@ def rotate_bandlimited(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
     combination of 2L+1 vectors: the m = 0 part of x, and for each k = 1..L
     a cos k gamma vector (x's m = +-k pairs as they are) and a sin k gamma
     vector (each pair (p, q) as (-q, p)). These are the columns of B,
-    (N, 2L+1), so J^T Z(gamma) x = (J^T B) T(gamma), with T(gamma) the
+    (N, 2L+1), filled from x by index arrays cached with J, so
+    J^T Z(gamma) x = (J^T B) T(gamma), with T(gamma) the
     (2L+1, n) trig table of rows 1, cos k gamma, sin k gamma. The Z(beta) and
     Z(alpha) stages turn the columns in place with the tables of beta and
     alpha, built one after the other in the same buffer. Zero columns pad
@@ -195,17 +216,10 @@ def rotate_bandlimited(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
     N = (L + 1) ** 2
     if x.shape != (N,):
         raise DimensionError(f"coefficients have shape {x.shape}, expected ({N},)")
-    order, inverse, J = _rotation_factors(L)
-    xs = x[order]
-    B = np.zeros((N, 2 * L + 1))
-    B[: L + 1, 0] = xs[: L + 1]
-    lo = L + 1
-    for k in range(1, L + 1):
-        w = L + 1 - k
-        p, q = slice(lo, lo + w), slice(lo + w, lo + 2 * w)
-        B[p, 2 * k - 1], B[q, 2 * k - 1] = xs[p], xs[q]
-        B[p, 2 * k], B[q, 2 * k] = -xs[q], xs[p]
-        lo += 2 * w
+    inverse, J, b_at, b_from, b_sign = _rotation_factors(L)
+    B = np.zeros(N * (2 * L + 1))
+    B[b_at] = b_sign * x[b_from]
+    B = B.reshape(N, 2 * L + 1)
     n = angles.shape[0]
     table = np.zeros((2 * L + 1, -(-n // _PAD_COLUMNS) * _PAD_COLUMNS))
     _trig_table(angles[:, 2], L, table[:, :n])
@@ -219,11 +233,18 @@ def rotate_bandlimited(L: int, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def haar_euler_angles(rng, size: int) -> np.ndarray:
-    """Haar-uniform rotations, (size, 3): alpha, gamma uniform, cos(beta) uniform."""
-    al = rng.uniform(0.0, 2 * np.pi, size=size)
-    ga = rng.uniform(0.0, 2 * np.pi, size=size)
-    be = np.arccos(rng.uniform(-1.0, 1.0, size=size))
-    return np.column_stack([al, be, ga])
+    """Haar-uniform rotations, (size, 3): alpha, gamma uniform, cos(beta) uniform.
+
+    alpha, gamma and cos(beta) are drawn in that order, and each draw is
+    written into its column of the result before the next, so besides the
+    result one draw is held at a time.
+    """
+    angles = np.empty((size, 3))
+    angles[:, 0] = rng.uniform(0.0, 2 * np.pi, size=size)
+    angles[:, 2] = rng.uniform(0.0, 2 * np.pi, size=size)
+    cos_beta = rng.uniform(-1.0, 1.0, size=size)
+    angles[:, 1] = np.arccos(cos_beta, out=cos_beta)
+    return angles
 
 
 def so3_quadrature(L: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,10 @@ files the library reads:
 * ``brute_force_collision_oracle_reference`` -- the grid oracle's pair
   scan with fresh arrays for every chunk of 512 rows of a 41 x 41 grid, the
   form behind ``injectivity.brute_force_collision_oracle``'s in-place scan,
-  over the points, measurements and rows of ``oracle_points``.
+  over the points, measurements and rows of ``oracle_points``;
+* ``so_probe_jacobian_scatter`` -- the SO(N) codimension probe's constraint
+  Jacobian scattered into place by ``np.add.at``, the form behind the
+  one-hot products of ``injectivity.codimension_probe``.
 """
 
 import json
@@ -454,3 +457,22 @@ def brute_force_collision_oracle_reference(prior, A, blocks, grid_points_per_axi
         scale=float(s),
         restarts_used=0,
     )
+
+
+def so_probe_jacobian_scatter(A, x, y, blocks):
+    """The SO(N) probe's constraint Jacobian at A, for a pair (x, y) already normalized.
+
+    Column (a, b), a < b in ``np.triu_indices`` order, is the derivative
+    along the generator e_a e_b^T - e_b e_a^T: H[a, b] added into the row of
+    a's block and H[b, a] subtracted from the row of b's block, where
+    H = 2 A (x x^T - y y^T) A^T.
+    """
+    N, R = blocks.N, blocks.R
+    block_of_row = np.repeat(np.arange(R), blocks.dims)
+    a_idx, b_idx = np.triu_indices(N, 1)
+    cols = np.arange(a_idx.size)
+    H = 2.0 * (A @ (np.outer(x, x) - np.outer(y, y))) @ A.T
+    J = np.zeros((R, a_idx.size))
+    np.add.at(J, (block_of_row[a_idx], cols), H[a_idx, b_idx])
+    np.subtract.at(J, (block_of_row[b_idx], cols), H[b_idx, a_idx])
+    return J

@@ -39,6 +39,7 @@ from reference import (
     brute_force_collision_oracle_reference,
     oracle_points,
     pair_collision_objective,
+    so_probe_jacobian_scatter,
 )
 
 
@@ -75,19 +76,20 @@ def probe_normalized(x, y, manifold):
     return x / joint, y / joint
 
 
-def probe_jacobian(monkeypatch, x, y, manifold, blocks):
-    """The constraint Jacobian that codimension_probe hands to the solver."""
+def probe_closures(monkeypatch, x, y, manifold, blocks):
+    """The constraint Jacobian and the retraction that codimension_probe hands to the solver."""
     seen = []
     solve = injectivity.damped_gauss_newton
 
     def spy(residual, jacobian, x0, **kwargs):
-        seen.append(jacobian)
+        seen.append((jacobian, kwargs["retract"]))
         return solve(residual, jacobian, x0, **kwargs)
 
     monkeypatch.setattr(injectivity, "damped_gauss_newton", spy)
     monkeypatch.setattr(injectivity, "PROBE_MAX_ITER", 1)
     codimension_probe(x, y, manifold, blocks, seed=0, restarts=1)
     return seen[0]
+
 
 
 def pair_block_embedding_network(N: int, block_start: int) -> GeneratorNetwork:
@@ -824,12 +826,48 @@ class TestCodimensionProbe:
     @pytest.mark.parametrize("manifold", ["general-linear", "special-orthogonal"])
     def test_jacobian_equals_loop_form(self, monkeypatch, rng, blocks, manifold):
         x, y = rng.normal(size=blocks.N), rng.normal(size=blocks.N)
-        jac = probe_jacobian(monkeypatch, x, y, manifold, blocks)
+        jac, _ = probe_closures(monkeypatch, x, y, manifold, blocks)
         xn, yn = probe_normalized(x, y, manifold)
         loop = loop_gl_probe_jacobian if manifold == "general-linear" else loop_so_probe_jacobian
         for i in range(3):
             A = sample_mixing(blocks.N, manifold, i)
             np.testing.assert_array_equal(jac(A), loop(A, xn, yn, blocks))
+
+    @pytest.mark.parametrize("blocks", [
+        block_structure_for_power_spectrum(7),
+        block_structure_for_power_spectrum(20),
+        BlockStructure((1, 3, 5)),
+        BlockStructure((4,)),
+    ], ids=lambda b: str(b.dims))
+    def test_so_jacobian_equals_scatter_oracle(self, monkeypatch, rng, blocks):
+        # the one-hot products give every entry of the np.add.at scatter
+        x, y = rng.normal(size=blocks.N), rng.normal(size=blocks.N)
+        jac, _ = probe_closures(monkeypatch, x, y, "special-orthogonal", blocks)
+        xn, yn = probe_normalized(x, y, "special-orthogonal")
+        for i in range(3):
+            A = sample_mixing(blocks.N, "special-orthogonal", i)
+            np.testing.assert_array_equal(jac(A), so_probe_jacobian_scatter(A, xn, yn, blocks))
+
+    @pytest.mark.parametrize("manifold", ["general-linear", "special-orthogonal"])
+    def test_geometry_is_read_only_and_shared(self, monkeypatch, rng, manifold):
+        blocks = block_structure_for_power_spectrum(9)
+        geometry = injectivity._probe_geometry(manifold, blocks)
+        assert injectivity._probe_geometry(manifold, BlockStructure(blocks.dims)) is geometry
+        for cached in geometry:
+            with pytest.raises(ValueError):
+                cached[0, ...] = 0
+        seen = []
+        build = injectivity._probe_geometry
+
+        def spy(*args):
+            seen.append(build(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(injectivity, "_probe_geometry", spy)
+        for seed in (0, 1):
+            x, y = rng.normal(size=9), rng.normal(size=9)
+            codimension_probe(x, y, manifold, blocks, seed=seed, restarts=1)
+        assert len(seen) == 2 and all(g is geometry for g in seen)
 
     @pytest.mark.parametrize("blocks", [
         block_structure_for_power_spectrum(7),
@@ -867,19 +905,31 @@ class TestCodimensionProbe:
                 assert min(abs((x + y) @ w), abs((x - y) @ w)) < 1e-8
 
 
-class TestSkewExponential:
-    """The SO(N) probe's retraction map against scipy's general expm."""
+class TestCayleyRetraction:
+    """The SO(N) probe's retraction: the Cayley transform of the step's skew generator."""
 
     @pytest.mark.parametrize("N", range(2, 21))
-    def test_matches_expm(self, N):
+    def test_orthogonal_and_third_order_close_to_expm(self, monkeypatch, N):
         rng = np.random.default_rng(N)
-        for scale in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 10.0):   # spectral norm of K
-            G = rng.normal(size=(N, N))
-            K = scale * (G - G.T) / np.linalg.norm(G - G.T, 2)
-            Q = injectivity._expm_skew(K)
-            assert np.max(np.abs(Q - expm(K))) <= 1e-13
+        blocks = BlockStructure((1,) * N)
+        _, retract = probe_closures(
+            monkeypatch, rng.normal(size=N), rng.normal(size=N), "special-orthogonal", blocks
+        )
+        A = sample_mixing(N, "special-orthogonal", rng)
+        for scale in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0):   # spectral norm of K
+            step = rng.normal(size=N * (N - 1) // 2)
+            S = np.zeros((N, N))
+            S[np.triu_indices(N, 1)] = step
+            norm = np.linalg.norm(S - S.T, 2)
+            step *= scale / norm
+            K = (S - S.T) * (scale / norm)
+            Q = retract(np.eye(N), step)
             assert np.max(np.abs(Q.T @ Q - np.eye(N))) <= 1e-13
             assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
+            # on each eigenvalue i theta of K the two maps turn by 2 atan(theta / 2)
+            # and theta, which differ by at most theta^3 / 12
+            assert np.linalg.norm(Q - expm(K), 2) <= scale**3 / 12 + 1e-14
+            np.testing.assert_allclose(retract(A, step), Q @ A, rtol=0, atol=1e-14)
 
 
 def test_verdict_boundaries():

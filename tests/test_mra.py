@@ -248,10 +248,10 @@ class TestSimulate:
 
     def test_so3_draws_take_bounded_memory(self):
         # The benchmark's block-scalar draw, L = 4 and n = 10^5. All n Euler
-        # angles are drawn before any noise (2.3 MiB, and twice that while
-        # haar_euler_angles stacks them); beyond them a chunk holds a few
-        # (N, _CHUNK_ROWS) arrays of 0.8 MiB. Chunks of 16 384 rows peaked
-        # at 12 MiB.
+        # angles are drawn before any noise (2.3 MiB, and one 0.8 MiB draw
+        # more while haar_euler_angles fills them); beyond them a chunk holds
+        # a few (N, _CHUNK_ROWS) arrays of 0.8 MiB. Chunks of 16 384 rows
+        # peaked at 12 MiB.
         group = GroupAction.sphere(4)
         x = np.random.default_rng(0).normal(size=group.N)
         simulate_second_moment(x, group, 10, 0.5, seed=0)     # cached factors

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -6,9 +8,12 @@ from momentlab.measurements import DimensionError, second_moment_blocks
 from momentlab.mra import _CHUNK_ROWS
 from momentlab.so3 import (
     MAX_BAND_LIMIT,
+    _PAD_COLUMNS,
+    _rotation_factors,
+    _trig_table,
+    _z_rotate,
     band_limit_blocks,
     haar_euler_angles,
-    _trig_table,
     rotate_bandlimited,
     so3_quadrature,
 )
@@ -35,6 +40,40 @@ EDGE_ANGLES = np.array(
 
 # real degree-1 harmonics are proportional to (y, z, x) in our m = -1, 0, 1 order
 PERM_YZX = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def loop_rotate_bandlimited(L, angles, x):
+    """``rotate_bandlimited``'s stages, with B built by a loop over k from x's sorted entries."""
+    inverse, J = _rotation_factors(L)[:2]
+    N = (L + 1) ** 2
+    xs = x[np.argsort(inverse)]
+    B = np.zeros((N, 2 * L + 1))
+    B[: L + 1, 0] = xs[: L + 1]
+    lo = L + 1
+    for k in range(1, L + 1):
+        w = L + 1 - k
+        p, q = slice(lo, lo + w), slice(lo + w, lo + 2 * w)
+        B[p, 2 * k - 1], B[q, 2 * k - 1] = xs[p], xs[q]
+        B[p, 2 * k], B[q, 2 * k] = -xs[q], xs[p]
+        lo += 2 * w
+    n = angles.shape[0]
+    table = np.zeros((2 * L + 1, -(-n // _PAD_COLUMNS) * _PAD_COLUMNS))
+    _trig_table(angles[:, 2], L, table[:, :n])
+    v = (J.T @ B) @ table
+    _trig_table(angles[:, 1], L, table[:, :n])
+    _z_rotate(v, table, L)
+    v = J @ v
+    _trig_table(angles[:, 0], L, table[:, :n])
+    _z_rotate(v, table, L)
+    return v[inverse, :n].T
+
+
+def column_stack_haar_euler_angles(rng, size):
+    """Haar Euler angles drawn as three arrays and stacked, in the draw order of the library."""
+    al = rng.uniform(0.0, 2 * np.pi, size=size)
+    ga = rng.uniform(0.0, 2 * np.pi, size=size)
+    be = np.arccos(rng.uniform(-1.0, 1.0, size=size))
+    return np.column_stack([al, be, ga])
 
 
 def fit_degree1_coeffs(fun, points):
@@ -147,6 +186,15 @@ class TestBatchedRotation:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("L", [0, 1, 4, MAX_BAND_LIMIT])
+    @pytest.mark.parametrize("n", [1, 17, 300])
+    def test_cached_b_indices_keep_every_bit(self, rng, L, n):
+        x = rng.normal(size=(L + 1) ** 2)
+        angles = np.vstack([EDGE_ANGLES, haar_euler_angles(rng, size=n)])
+        np.testing.assert_array_equal(
+            rotate_bandlimited(L, angles, x), loop_rotate_bandlimited(L, angles, x)
+        )
+
     def test_trig_table_matches_cos_and_sin(self, rng):
         theta = np.concatenate([[0.0, np.pi / 2, np.pi, 2 * np.pi], rng.uniform(0, 2 * np.pi, 500)])
         table = np.empty((2 * MAX_BAND_LIMIT + 1, theta.size))
@@ -194,6 +242,27 @@ class TestBatchedRotation:
     def test_rejects_bad_inputs(self, L, angles_shape, x_size):
         with pytest.raises(DimensionError):
             rotate_bandlimited(L, np.zeros(angles_shape), np.zeros(x_size))
+
+
+class TestHaarEulerAngles:
+    @pytest.mark.parametrize("size", [1, 7, 1000])
+    def test_same_draws_as_stacked_columns(self, size):
+        np.testing.assert_array_equal(
+            haar_euler_angles(np.random.default_rng(3), size),
+            column_stack_haar_euler_angles(np.random.default_rng(3), size),
+        )
+
+    def test_peak_memory_is_result_and_two_draws(self):
+        # the stacked form peaks at the result plus three draws (4.58 MiB here)
+        n = 100_000
+        haar_euler_angles(np.random.default_rng(0), 10)
+        tracemalloc.start()
+        try:
+            angles = haar_euler_angles(np.random.default_rng(0), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= angles.nbytes + 2 * n * 8
 
 
 class TestQuadrature:
