@@ -36,7 +36,7 @@ def _cmd_run(args) -> int:
         config = validate_config({**config.to_dict(), "parameters": params})
         if args.out is not None:
             check_output_dir(args.out, "--out")
-    except (ConfigError, KeyError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:

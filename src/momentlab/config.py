@@ -27,7 +27,6 @@ from .priors import (
     ambient_network,
     network_from_json,
     parse_activation,
-    perturb_final_layer,
     random_relu_network,
     sample_mixing,
     sparse_prior,
@@ -90,19 +89,13 @@ def check_output_dir(path, field: str) -> None:
 def build_prior(spec: dict):
     t = spec["type"]
     if t == "relu-network":
-        net = random_relu_network(
+        return random_relu_network(
             tuple(int(w) for w in spec["widths"]), **given(spec, "seed", "activation")
         )
-        if spec.get("perturb_final_layer"):
-            net = perturb_final_layer(
-                net, **given(spec, rel_scale="perturb_scale", seed="perturb_seed")
-            )
-        return net
     if t in ("network-file", "sparse-file"):
-        text = Path(spec["path"]).read_text()
         load = network_from_json if t == "network-file" else sparse_prior_from_json
         try:
-            return load(text)
+            return load(Path(spec["path"]).read_text("utf-8"))
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(
                 f"parameters.prior.path: {spec['path']} is not a {t} prior "
@@ -171,10 +164,7 @@ _ENVELOPE = (
 #: The levels below the parameters, by the field that holds them.
 _SPECS = {
     "prior": ("type", {
-        "relu-network": (
-            ("widths",),
-            ("seed", "activation", "perturb_final_layer", "perturb_scale", "perturb_seed"),
-        ),
+        "relu-network": (("widths",), ("seed", "activation")),
         "network-file": (("path",), ()),
         "sparse": (("N", "M"), ("kind", "seed")),
         "sparse-file": (("path",), ()),
@@ -183,7 +173,7 @@ _SPECS = {
     "mixing": ("kind", {
         "general-linear": (("seed",), ()),
         "special-orthogonal": (("seed",), ()),
-        "identity": ((), ("seed",)),
+        "identity": ((), ()),
     }),
     "group": ("kind", {
         "cyclic": (("N",), ()),
@@ -195,43 +185,33 @@ _SPECS = {
 
 #: Fields that a run reads on one of its paths only, by level: the parameters
 #: of a command or ``sweep_kind``, or a spec as (its field, its tag value).
-#: Each field maps to (does the run read it, given the level's dict and the
-#: command; what it needs).
+#: Each field maps to (does the run read it, given the level's dict; what it
+#: needs).
 _PREREQUISITES = {
     "collide": {
-        "oracle_grid": (lambda p, _: p.get("oracle_check") is True, "needs oracle_check: true"),
+        "oracle_grid": (lambda p: p.get("oracle_check") is True, "needs oracle_check: true"),
     },
     "mra-sim": {
         **dict.fromkeys(
             ("recover", "mixing", "true_seed", "signal_norm"),
-            (lambda p, _: "prior" in p, "needs a prior"),
+            (lambda p: "prior" in p, "needs a prior"),
         ),
         **dict.fromkeys(
             ("repeats", "recover_restarts"),
-            (lambda p, _: p.get("recover") is True, "needs recover: true"),
+            (lambda p: p.get("recover") is True, "needs recover: true"),
         ),
-        "signal_seed": (lambda p, _: "prior" not in p, "unread when a prior draws the signal"),
+        "signal_seed": (lambda p: "prior" not in p, "unread when a prior draws the signal"),
     },
     "sample-complexity": {
         "amp_threshold": (
-            lambda p, _: p.get("true_seed") == "auto-conditioned",
+            lambda p: p.get("true_seed") == "auto-conditioned",
             'needs true_seed: "auto-conditioned"',
         ),
     },
-    ("prior", "relu-network"): dict.fromkeys(
-        ("perturb_scale", "perturb_seed"),
-        (lambda spec, _: spec.get("perturb_final_layer") is True, "needs perturb_final_layer: true"),
-    ),
     ("prior", "sparse"): {
         "seed": (
-            lambda spec, _: spec.get("kind") != "standard-basis",
+            lambda spec: spec.get("kind") != "standard-basis",
             "unread by a standard-basis prior",
-        ),
-    },
-    ("mixing", "identity"): {
-        "seed": (
-            lambda spec, command: command == "collide",
-            "unread outside collide, where it labels the row",
         ),
     },
 }
@@ -292,7 +272,7 @@ _RULES = {
         ("restarts", "pairs", "repeats", "n", "recover_restarts", "n_min", "n_cap", "N", "M"),
         (_is_count, "an integer >= 1"),
     ),
-    **dict.fromkeys(("seed", "signal_seed", "perturb_seed"), (_is_natural, "an integer >= 0")),
+    **dict.fromkeys(("seed", "signal_seed"), (_is_natural, "an integer >= 0")),
     "L": (
         lambda v: _is_int(v) and 0 <= v <= MAX_BAND_LIMIT,
         f"an integer in [0, {MAX_BAND_LIMIT}]",
@@ -314,14 +294,11 @@ _RULES = {
         (_is_positive, "a number > 0"),
     ),
     **dict.fromkeys(
-        ("oracle_check", "block_scalar_check", "recover", "perturb_final_layer"),
+        ("oracle_check", "block_scalar_check", "recover"),
         (lambda v: isinstance(v, bool), "true or false"),
     ),
     "signal": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
-    **dict.fromkeys(
-        ("sigma", "perturb_scale"),
-        (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    ),
+    "sigma": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
     "oracle_grid": (lambda v: _is_int(v) and 1 <= v <= 200, "an integer in [1, 200]"),
     "grid_ratio": (lambda v: _is_number(v) and v > 1, "a number > 1"),
     "target_error": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
@@ -364,7 +341,7 @@ def _check(d, level, where: str):
         if key == tag:
             continue
         if key not in required and key not in optional:
-            known = ", ".join((*required, *optional))
+            known = ", ".join((*required, *optional)) or "no field"
             raise ConfigError(f"{where}{key}: unknown field; this level takes {known}")
         rule = _RULES.get(key)
         if rule is not None and not rule[0](value):
@@ -393,7 +370,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     ]
     for where, d, level in levels:
         for key, (taken, needs) in _PREREQUISITES.get(level, {}).items():
-            if key in d and not taken(d, command):
+            if key in d and not taken(d):
                 raise ConfigError(f"{where}{key}: {needs}")
     if command == "measure" and ("signal" in p) == ("signal_path" in p):
         raise ConfigError("parameters.signal: give exactly one of signal and signal_path")
@@ -419,7 +396,14 @@ def validate_config(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a config file; parse errors carry line/column info."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text("utf-8")
+    except OSError as e:
+        raise ConfigError(f"--config: cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(
+            f"--config: {path} is not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

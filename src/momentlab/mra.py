@@ -78,6 +78,11 @@ _CHUNK_ROWS = 1 << 12
 #: ``select_conditioned_instance`` scans ground-truth seeds 0 .. _MAX_SCAN - 1.
 _MAX_SCAN = 256
 
+#: Each ``recover`` solve stops after RECOVER_MAX_ITER iterations, as a
+#: collision search's does after ``injectivity.SEARCH_MAX_ITER``. The
+#: ``cor-sphere-so3`` solves end within 39 iterations.
+RECOVER_MAX_ITER = 150
+
 
 @dataclass(frozen=True)
 class GroupAction:
@@ -246,7 +251,6 @@ def recover(
     blocks: BlockStructure,
     seed=0,
     restarts: int = 20,
-    max_iter: int = 200,
 ) -> RecoveryResult:
     """Search the prior for a signal whose mixed measurements match invariants.
 
@@ -254,6 +258,7 @@ def recover(
     the returned estimate is the mixed signal A @ p(z*). With noisy
     invariants the optimum sits at the noise floor, so ``converged`` only
     reflects whether some start reached the (relative) target residual.
+    Each solve stops after ``RECOVER_MAX_ITER`` iterations.
     Each Jacobian reuses the chart walk and the mixed signal that the
     residual computed at the same point. The mixing, the invariants and the
     prior's output length are checked once, so the objective runs the
@@ -286,7 +291,7 @@ def recover(
             return blocks.energy_jacobian(S, A) @ walk_jacobian(walk)
 
         res = damped_gauss_newton(
-            residual, jacobian, z0, max_iter=max_iter, f_tol=f_target
+            residual, jacobian, z0, max_iter=RECOVER_MAX_ITER, f_tol=f_target
         )
         return res.f, chart_walk(net, res.x).x
 
@@ -451,7 +456,6 @@ def sample_complexity_sweep(
             blocks,
             seed=np.random.SeedSequence((int(true_seed), sigma_idx, n_idx, int(seed), 0xC)),
             restarts=recover_restarts,
-            max_iter=150,
         )
         return rec.error_fn(x_star)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 __all__ = ["Preset", "PRESETS", "get_preset", "list_presets"]
 
@@ -62,19 +62,12 @@ _PRESET_LIST = [
     ),
     Preset(
         "cor-deepnet",
-        "deep generator (3 hidden layers, perturbed generic final layer), "
+        "deep generator (3 hidden layers), "
         "N >= 4M with M=2 at N=12: expects verdict no-collision-found",
         _cfg(
             "collide",
             {
-                "prior": {
-                    "type": "relu-network",
-                    "widths": [2, 8, 6, 8, 12],
-                    "seed": 7,
-                    "perturb_final_layer": True,
-                    "perturb_scale": 1e-2,
-                    "perturb_seed": 1,
-                },
+                "prior": {"type": "relu-network", "widths": [2, 8, 6, 8, 12], "seed": 7},
                 "mixing": {"kind": "general-linear", "seed": 31},
                 "mixing_seeds": [31, 32, 33],
                 "restarts": 200,
@@ -245,7 +238,7 @@ def get_preset(name: str) -> Preset:
         return PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown preset {name!r}; known presets: {known}") from None
+        raise ConfigError(f"--preset: unknown preset {name!r}; known presets: {known}") from None
 
 
 def list_presets() -> list[dict]:

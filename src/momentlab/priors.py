@@ -52,7 +52,6 @@ __all__ = [
     "sample_mixing",
     "ambient_network",
     "random_relu_network",
-    "perturb_final_layer",
     "sparse_prior",
     "network_from_json",
     "sparse_prior_from_json",
@@ -468,22 +467,6 @@ def random_relu_network(
         act = activation if i < len(widths) - 2 else "identity"
         layers.append(Layer(W, act))
     return GeneratorNetwork(tuple(layers))
-
-
-def perturb_final_layer(
-    net: GeneratorNetwork, rel_scale: float = 1e-2, seed=0
-) -> GeneratorNetwork:
-    """Add a small Gaussian perturbation to the last layer's weights.
-
-    Makes the final linear map generic (almost surely) while staying close
-    to the original network; the relative scale is a tunable knob.
-    """
-    rng = as_rng(seed)
-    last = net.layers[-1]
-    W = last.weight
-    scale = rel_scale * np.linalg.norm(W) / np.sqrt(W.size)
-    W_new = W + scale * rng.normal(size=W.shape)
-    return GeneratorNetwork(net.layers[:-1] + (Layer(W_new, last.activation, last.bias),))
 
 
 # ---------------------------------------------------------------------------

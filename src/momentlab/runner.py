@@ -150,11 +150,8 @@ def _run_measure(p: dict, out: Path):
         sig = to_real_fourier(sig)
     N = sig.shape[0]
     blocks = build_blocks(p, N)
-    if "mixing" in p:
-        A = build_mixing(p["mixing"], N)
-        values = separable_measurement(sig, A, blocks)
-    else:
-        values = second_moment_blocks(sig, blocks)
+    A = build_mixing(p.get("mixing", {"kind": "identity"}), N)
+    values = separable_measurement(sig, A, blocks)
     path = out / "measurement.csv"
     row = {f"b{k + 1}": v for k, v in enumerate(values)}
     write_csv(path, ",".join(row), [row])

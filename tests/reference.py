@@ -268,7 +268,7 @@ def full_sample_complexity_scan(
                 )
                 rec = recover(
                     inv, prior, A, group.blocks, seed=np.random.SeedSequence(key + (0xC,)),
-                    restarts=recover_restarts, max_iter=150,
+                    restarts=recover_restarts,
                 )
                 errs.append(rec.error_fn(x_star))
             recoveries += len(errs)

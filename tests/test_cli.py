@@ -14,7 +14,7 @@ from momentlab import mra, runner
 from momentlab.cli import main
 from momentlab.config import ConfigError, load_config, validate_config
 from momentlab.injectivity import brute_force_collision_oracle, collision_search, regime_label
-from momentlab.measurements import block_structure_for_power_spectrum
+from momentlab.measurements import block_structure_for_power_spectrum, second_moment_blocks
 from momentlab.presets import PRESETS, get_preset, list_presets
 from momentlab.priors import random_relu_network, sample_mixing
 from momentlab.runner import run
@@ -75,6 +75,23 @@ class TestValidate:
         with pytest.raises(ConfigError, match="parameters.amp_threshold"):
             validate_config({"schema_version": 1, "command": "sweep", "parameters": params})
 
+    @pytest.mark.parametrize("subcommand", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("absent.json", "No such file or directory"),
+            ("adir", "Is a directory"),
+            ("latin1.json", "is not UTF-8 text"),
+        ],
+    )
+    def test_an_unreadable_config_exits_2(self, tmp_path, capsys, subcommand, name, message):
+        (tmp_path / "adir").mkdir()
+        text = json.dumps({**MEASURE_CONFIG, "output_dir": "caf\u00e9"}, ensure_ascii=False)
+        (tmp_path / "latin1.json").write_bytes(text.encode("latin-1"))
+        assert main([subcommand, "--config", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and message in err
+
     def test_every_readme_config_validates(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
@@ -99,7 +116,7 @@ class TestMeasureCommand:
             ('mixing={"kind":"general-linear"}', "parameters.mixing.seed"),
             ('domain="bogus"', "parameters.domain"),
             ('signal_path="ragged.txt"', "parameters.signal"),
-            ('mixing={"kind":"identity","seed":1}', "parameters.mixing.seed"),
+            ('mixing={"kind":"identity","seed":1}', "parameters.mixing.seed: unknown field"),
             ('signal_path="adir"', "parameters.signal_path"),
         ],
     )
@@ -128,6 +145,19 @@ class TestMeasureCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "parameters.signal_path" in err and "Traceback" not in err
+
+    def test_no_mixing_measures_as_an_identity_mixing(self, tmp_path):
+        # the block energies of the unmixed signal, to the bit
+        signal = [1.0, -0.0, 1e-300, 2.5, -3.0, 0.0, 1e-300]
+        expected = second_moment_blocks(np.array(signal), block_structure_for_power_spectrum(7))
+        bodies = []
+        for extra in ({}, {"mixing": {"kind": "identity"}}):
+            params = {"signal": signal, **extra}
+            out = tmp_path / str(len(bodies))
+            report = run(validate_config({**MEASURE_CONFIG, "parameters": params}), out_dir=out)
+            assert report.results["values"] == expected.tolist()
+            bodies.append((out / "measurement.csv").read_bytes())
+        assert bodies[0] == bodies[1]
 
     def test_time_domain_measure(self, tmp_path):
         cfg = {
@@ -607,14 +637,20 @@ class TestOverrides:
             ('mixing={"kind":"special-orthogonal","seed":21,"sead":1}', "parameters.mixing.sead"),
             ('prior={"type":"sparse","kind":"bogus","N":10,"M":2}', "parameters.prior.kind"),
             ("oracle_grid=21", "parameters.oracle_grid"),
-            (
-                'prior={"type":"relu-network","widths":[2,12,10],"perturb_scale":0.5}',
-                "parameters.prior.perturb_scale",
+            *(
+                (
+                    f'prior={{"type":"relu-network","widths":[2,12,10],"{key}":{value}}}',
+                    f"parameters.prior.{key}: unknown field",
+                )
+                for key, value in [
+                    ("perturb_final_layer", "true"), ("perturb_scale", 0.5), ("perturb_seed", 3)
+                ]
             ),
             (
-                'prior={"type":"relu-network","widths":[2,12,10],"perturb_seed":3}',
-                "parameters.prior.perturb_seed",
+                'mixing={"kind":"identity","seed":3}',
+                "parameters.mixing.seed: unknown field; this level takes no field",
             ),
+            ('prior={"type":"network-file","path":"latin1.json"}', "parameters.prior.path"),
             (
                 'prior={"type":"sparse","kind":"standard-basis","N":10,"M":2,"seed":4}',
                 "parameters.prior.seed",
@@ -640,6 +676,8 @@ class TestOverrides:
         self, tmp_path, capsys, monkeypatch, override, field
     ):
         (tmp_path / "bad.json").write_text("{}")      # a prior file of the wrong shape
+        latin1 = '{"layers": [], "note": "caf\u00e9"}'.encode("latin-1")   # not UTF-8
+        (tmp_path / "latin1.json").write_bytes(latin1)
         (tmp_path / "adir").mkdir()
         for i, tag in enumerate(NON_FINITE_TAGS):     # well-formed but for the activation
             layers = [
@@ -714,8 +752,16 @@ class TestOverrides:
             ("appendixB-blockscalar", "repeats=2", "parameters.repeats"),
             ("cor-sphere-so3", "recover=false", "parameters.repeats"),
             ("cor-sphere-so3", "signal_seed=1", "parameters.signal_seed"),
-            ("cor-sphere-so3", 'mixing={"kind":"identity","seed":3}', "parameters.mixing.seed"),
-            ("mra-cyclic-n4", 'mixing={"kind":"identity","seed":3}', "parameters.mixing.seed"),
+            (
+                "cor-sphere-so3",
+                'mixing={"kind":"identity","seed":3}',
+                "parameters.mixing.seed: unknown field",
+            ),
+            (
+                "mra-cyclic-n4",
+                'mixing={"kind":"identity","seed":3}',
+                "parameters.mixing.seed: unknown field",
+            ),
             (
                 "appendixB-blockscalar",
                 'group={"kind":"so3-bandlimited","L":1000000}',
@@ -755,9 +801,14 @@ class TestOverrides:
 
     def test_identity_mixing_seed_labels_the_collide_row(self, tmp_path, capsys):
         argv = ["run", "--preset", "ctrl-torus", "--out", str(tmp_path), "--set", "restarts=1"]
-        assert main([*argv, "--set", 'mixing={"kind":"identity","seed":3}']) == 0
+        assert main([*argv, "--set", "mixing_seeds=[3]"]) == 0
         header, row = (tmp_path / "collisions.csv").read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["seed"] == "3"
+
+    def test_an_unknown_preset_exits_2_with_its_message_unquoted(self, capsys):
+        assert main(["run", "--preset", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --preset: unknown preset 'nope'; known presets: ")
 
     def test_blocks_not_matching_the_signal_exit_2(self, tmp_path, capsys):
         argv = ["run", "--preset", "lemma-codim-gl-blocks", "--out", str(tmp_path)]

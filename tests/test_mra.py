@@ -26,6 +26,7 @@ from momentlab.mra import (
     simulate_invariants,
     simulate_second_moment,
 )
+from momentlab.presets import get_preset
 from momentlab.priors import (
     GeneratorNetwork,
     Layer,
@@ -537,7 +538,7 @@ class TestRecovery:
     @pytest.mark.parametrize(
         "kind", ["relu", "leaky-relu(0.1)", "hardtanh(-0.5,0.7)", "sparse"]
     )
-    def test_objective_is_the_one_walk_per_call_form(self, spy_objectives, kind):
+    def test_objective_is_the_one_walk_per_call_form(self, monkeypatch, spy_objectives, kind):
         # the residual and the Jacobian that reuses its walk have the bits of
         # a fresh walk per call
         N = 5
@@ -553,7 +554,8 @@ class TestRecovery:
         A = sample_mixing(N, "general-linear", 3)
         inv = np.abs(np.random.default_rng(4).normal(size=blocks.R))
         seen = spy_objectives(mra)
-        recover(inv, prior, A, blocks, seed=6, restarts=1, max_iter=3)
+        monkeypatch.setattr(mra, "RECOVER_MAX_ITER", 3)
+        recover(inv, prior, A, blocks, seed=6, restarts=1)
         residual, jacobian, z0 = seen[0]
         z_ref, net = next(latent_parametrizations(prior, np.random.default_rng(6)))
         np.testing.assert_array_equal(z0, z_ref)
@@ -564,6 +566,40 @@ class TestRecovery:
             np.testing.assert_array_equal(jacobian(z), ref_jacobian(z))
             with pytest.raises(ValueError, match="last residual"):
                 jacobian(z.copy())
+
+    @pytest.mark.parametrize(
+        "command, parameters",
+        [
+            (
+                "mra-sim",
+                {**get_preset("cor-sphere-so3").parameters(), "n": 4000, "recover_restarts": 3},
+            ),
+            (
+                "sweep",
+                {
+                    **get_preset("mra-cyclic-n4").parameters(),
+                    "sigma_list": [0.25],
+                    "seeds": [0, 1, 2],
+                    "true_seed": 0,
+                    "n_min": 64,
+                    "grid_ratio": 2.0,
+                    "recover_restarts": 2,
+                },
+            ),
+        ],
+    )
+    def test_each_solve_gets_the_recover_budget(self, monkeypatch, tmp_path, command, parameters):
+        # both callers of recover in the runner leave the budget to the module
+        budgets = []
+        solve = mra.damped_gauss_newton
+
+        def spy(*args, max_iter, **kwargs):
+            budgets.append(max_iter)
+            return solve(*args, max_iter=max_iter, **kwargs)
+
+        monkeypatch.setattr(mra, "damped_gauss_newton", spy)
+        runner.run(ExperimentConfig(command, parameters), out_dir=tmp_path)
+        assert budgets and budgets == [mra.RECOVER_MAX_ITER] * len(budgets)
 
     def test_noiseless_round_trip(self, rng):
         N = 9

@@ -25,7 +25,6 @@ from momentlab.priors import (
     latent_parametrizations,
     network_from_json,
     parse_activation,
-    perturb_final_layer,
     prior_charts,
     random_relu_network,
     sample_mixing,
@@ -532,14 +531,3 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.basis, prior.basis)
         assert clone.sparsity == prior.sparsity
         assert clone.kind == prior.kind
-
-
-class TestPerturbFinalLayer:
-    def test_small_relative_change(self):
-        net = random_relu_network((2, 6, 8), seed=2)
-        bumped = perturb_final_layer(net, rel_scale=1e-2, seed=0)
-        base = net.layers[-1].weight
-        delta = bumped.layers[-1].weight - base
-        assert 0 < np.linalg.norm(delta) < 0.1 * np.linalg.norm(base)
-        for a, b in zip(net.layers[:-1], bumped.layers[:-1]):
-            np.testing.assert_array_equal(a.weight, b.weight)
