@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .measurements import BlockStructure, block_structure_for_power_spectrum
-from .mra import sample_complexity_sweep
+from .mra import MAX_STREAMED_N, sample_complexity_sweep
 from .priors import (
     ambient_network,
     network_from_json,
@@ -377,6 +377,11 @@ def validate_config(data: dict) -> ExperimentConfig:
     if command == "mra-sim" and p.get("true_seed") == "auto-conditioned":
         raise ConfigError(
             "parameters.true_seed: auto-conditioned applies to sample-complexity sweeps"
+        )
+    if p.get("block_scalar_check") and p["n"] > MAX_STREAMED_N:
+        raise ConfigError(
+            f"parameters.n: the block-scalar check streams observations, "
+            f"so n must be <= {MAX_STREAMED_N}, got {p['n']}"
         )
     if p.get("manifold") == "special-orthogonal" and p["N"] < 2:
         raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")

@@ -59,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["GaussNewtonResult", "damped_gauss_newton", "multistart"]
+__all__ = ["GaussNewtonResult", "damped_gauss_newton", "linearized", "multistart"]
 
 #: A solve starts at damping LAM0, and a rejected step raises the damping
 #: tenfold and to at least LAM_JUMP * s_min^2. The solve ends once a step is
@@ -112,7 +112,8 @@ def damped_gauss_newton(
     ``jacobian(x)`` is only ever called with the very object last passed to
     ``residual``: x0 before any trial, and then an accepted trial right
     after its evaluation. So ``jacobian`` may reuse what ``residual``
-    computed at that point instead of evaluating it again.
+    computed at that point instead of evaluating it again;
+    :func:`linearized` builds such a pair from one function.
 
     Convergence means the final objective dropped below ``f_tol``; a result
     with ``converged=False`` still carries the best iterate found.
@@ -158,6 +159,32 @@ def damped_gauss_newton(
         if not accepted:
             return GaussNewtonResult(x, f, it, f <= f_tol)
     return GaussNewtonResult(x, f, it, f <= f_tol)
+
+
+def linearized(evaluate: Callable) -> tuple[Callable, Callable]:
+    """The ``(residual, jacobian)`` pair of ``evaluate`` for :func:`damped_gauss_newton`.
+
+    ``evaluate(x)`` returns ``(r, jac)``: the residual at x and a function of
+    no argument that builds J at x from what ``evaluate`` computed. The
+    solver asks for J only at the point of its last residual, so ``jac`` is
+    kept for that one object, and runs only at the points the solver
+    linearizes at: a rejected trial builds no Jacobian. Asking at any other
+    object raises ``ValueError``.
+    """
+    x_at, jac = object(), None      # no point yet: jacobian(x) raises for every x
+
+    def residual(x):
+        nonlocal x_at, jac
+        r, jac = evaluate(x)
+        x_at = x
+        return r
+
+    def jacobian(x):
+        if x is not x_at:
+            raise ValueError("jacobian(x) is only defined at the point of the last residual(x)")
+        return jac()
+
+    return residual, jacobian
 
 
 def multistart(attempt: Callable[[], object], restarts: int, succeeded: Callable) -> list:

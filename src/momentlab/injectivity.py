@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussnewton import damped_gauss_newton, multistart
+from .gaussnewton import damped_gauss_newton, linearized, multistart
 from .measurements import (
     BlockStructure,
     block_structure_for_power_spectrum,
@@ -203,10 +203,10 @@ def collision_search(
 
     A solve's latent point u = [z1; z2] is walked as one two-lane stack
     through the stack of its two charts, and its Jacobian reuses what the
-    residual computed at the same u: the walk, the mixed signals, the norms
-    and the separation. The mixing and the prior's output length are checked
-    once, so the objective runs the unchecked cores of the chart walk and of
-    the measurement.
+    residual computed at the same u (:func:`.gaussnewton.linearized`): the
+    walk, the mixed signals, the norms and the separation. The mixing and
+    the prior's output length are checked once, so the objective runs the
+    unchecked cores of the chart walk and of the measurement.
     """
     A = blocks.check_mixing(A)
     check_prior(prior, blocks.N)
@@ -223,12 +223,11 @@ def collision_search(
         pair = chart_stack((net1, net2))
         u0 = np.concatenate([z1, z2])
         f_min = None
-        at = None       # what residual(u) computed, for jacobian(u)
 
-        def residual(u):
+        def evaluate(u):
             # The solver accepts exactly the points where the strict running
             # minimum of its objective falls, so those are the ones tracked.
-            nonlocal f_min, at
+            nonlocal f_min
             walk = pair.walk(u.reshape(2, K))
             S = matvec(A, walk.x)
             P = blocks.energies(S)
@@ -241,33 +240,30 @@ def collision_search(
                 r = np.concatenate([rm, [spen * SEPARATION_TOL]])
             else:
                 r = np.concatenate([rm / s**2, [spen * max(0.0, SEPARATION_TOL - sep / s)]])
-            at = (u, walk, S, s, d_minus, d_plus, sep)
             f = float(r @ r)
             if f_min is None or f < f_min:
                 f_min = f
                 tracker.update(x, y, _norm(rm), sep, s)
-            return r
 
-        def jacobian(u):
-            u_at, walk, S, s, d_minus, d_plus, sep = at
-            if u is not u_at:
-                raise ValueError("jacobian(u) is only defined at the point of the last residual(u)")
-            J = np.zeros((blocks.R + 1, 2 * K))
-            if s <= 0.0:
+            def jac():
+                J = np.zeros((blocks.R + 1, 2 * K))
+                if s <= 0.0:
+                    return J
+                G = walk_jacobian(walk)
+                JG = blocks.energy_jacobian(S, A) @ G / s**2
+                J[:-1, :K] = JG[0]
+                J[:-1, K:] = -JG[1]
+                if sep > 1e-14 and SEPARATION_TOL - sep / s > 0:
+                    sign = 1.0 if d_minus <= d_plus else -1.0
+                    diff = (x - sign * y) / sep
+                    # scale s frozen within one linearization
+                    J[-1, :K] = (-spen / s) * (diff @ G[0])
+                    J[-1, K:] = (-spen / s) * (-sign * (diff @ G[1]))
                 return J
-            G = walk_jacobian(walk)
-            JG = blocks.energy_jacobian(S, A) @ G / s**2
-            J[:-1, :K] = JG[0]
-            J[:-1, K:] = -JG[1]
-            if sep > 1e-14 and SEPARATION_TOL - sep / s > 0:
-                x, y = walk.x
-                sign = 1.0 if d_minus <= d_plus else -1.0
-                diff = (x - sign * y) / sep
-                # scale s frozen within one linearization
-                J[-1, :K] = (-spen / s) * (diff @ G[0])
-                J[-1, K:] = (-spen / s) * (-sign * (diff @ G[1]))
-            return J
 
+            return r, jac
+
+        residual, jacobian = linearized(evaluate)
         return damped_gauss_newton(residual, jacobian, u0, max_iter=max_iter, f_tol=1e-30)
 
     def found(_):
@@ -332,10 +328,11 @@ def brute_force_collision_oracle(
     entries and the two points' norms by the same operations in the same
     order for any chunk size, and the first strict minimum in row-major
     order wins. So the chunk size changes no bit of the report where BLAS
-    gives a Gram entry the same bits in chunks of either size. Some
-    OpenBLAS kernels (Haswell, Zen, Nehalem) do not: they round the rows
-    left over from their register block otherwise, and a near tie can go
-    to another pair.
+    gives a Gram entry the same bits in chunks of either size. Not every
+    OpenBLAS kernel does: on the test instances SkylakeX, Haswell and
+    Nehalem give some Gram entries other bits at another chunk size (Sandy
+    Bridge gives none), and there a near tie could go to another pair. No
+    report changed a bit under any of the four.
 
     The Gram form only chooses the pair. Its cancellation leaves a floor
     near sqrt(eps) ||m|| on a gap, which can put an exact collision above

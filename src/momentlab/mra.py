@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussnewton import damped_gauss_newton, multistart
+from .gaussnewton import damped_gauss_newton, linearized, multistart
 from .measurements import (
     BlockStructure,
     DimensionError,
@@ -74,6 +74,12 @@ _GROUP_KINDS = ("cyclic", "dihedral", "so3-bandlimited")
 #: 10^5 noiseless SO(3) observations at L = 4 took a median 54 ms in chunks
 #: of 2 048 or 4 096 rows, 63 ms in 8 192 and 82 ms in 16 384.
 _CHUNK_ROWS = 1 << 12
+
+#: ``_observation_chunks`` draws all n group elements before its first chunk:
+#: 24 bytes of Euler angles per SO(3) observation, 8 of a group index per
+#: finite-group one. So configs cap the n of the block-scalar check, which
+#: streams observations, at MAX_STREAMED_N (240 MB of angles).
+MAX_STREAMED_N = 10**7
 
 #: ``select_conditioned_instance`` scans ground-truth seeds 0 .. _MAX_SCAN - 1.
 _MAX_SCAN = 256
@@ -260,9 +266,10 @@ def recover(
     reflects whether some start reached the (relative) target residual.
     Each solve stops after ``RECOVER_MAX_ITER`` iterations.
     Each Jacobian reuses the chart walk and the mixed signal that the
-    residual computed at the same point. The mixing, the invariants and the
-    prior's output length are checked once, so the objective runs the
-    unchecked cores of the chart walk and of the measurement.
+    residual computed at the same point (:func:`.gaussnewton.linearized`).
+    The mixing, the invariants and the prior's output length are checked
+    once, so the objective runs the unchecked cores of the chart walk and of
+    the measurement.
     """
     invariants = np.asarray(invariants, dtype=float)
     if invariants.shape != (blocks.R,):
@@ -275,21 +282,16 @@ def recover(
 
     def attempt():
         z0, net = next(params)
-        at = None       # what residual(z) computed, for jacobian(z)
 
-        def residual(z):
-            nonlocal at
+        def evaluate(z):
             walk = net.walk(z)
             S = matvec(A, walk.x)
-            at = (z, walk, S)
-            return blocks.energies(S) - invariants
+            return (
+                blocks.energies(S) - invariants,
+                lambda: blocks.energy_jacobian(S, A) @ walk_jacobian(walk),
+            )
 
-        def jacobian(z):
-            z_at, walk, S = at
-            if z is not z_at:
-                raise ValueError("jacobian(z) is only defined at the point of the last residual(z)")
-            return blocks.energy_jacobian(S, A) @ walk_jacobian(walk)
-
+        residual, jacobian = linearized(evaluate)
         res = damped_gauss_newton(
             residual, jacobian, z0, max_iter=RECOVER_MAX_ITER, f_tol=f_target
         )

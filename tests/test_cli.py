@@ -75,6 +75,22 @@ class TestValidate:
         with pytest.raises(ConfigError, match="parameters.amp_threshold"):
             validate_config({"schema_version": 1, "command": "sweep", "parameters": params})
 
+    def test_the_block_scalar_check_caps_n(self, capsys, monkeypatch):
+        # it draws all n group elements up front; a bare simulation draws its
+        # invariants in O(R) and takes any n. Validation only: nothing runs.
+        monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+        params = get_preset("appendixB-blockscalar").parameters()
+        config = {"schema_version": 1, "command": "mra-sim"}
+        validate_config({**config, "parameters": {**params, "n": mra.MAX_STREAMED_N}})
+        too_many = {**params, "n": mra.MAX_STREAMED_N + 1}
+        with pytest.raises(ConfigError, match="parameters.n: "):
+            validate_config({**config, "parameters": too_many})
+        validate_config({**config, "parameters": {**too_many, "block_scalar_check": False}})
+        n = f"n={mra.MAX_STREAMED_N + 1}"
+        assert main(["run", "--preset", "appendixB-blockscalar", "--set", n]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.n: " in err and "Traceback" not in err
+
     @pytest.mark.parametrize("subcommand", ["run", "validate"])
     @pytest.mark.parametrize(
         "name, message",

@@ -95,6 +95,36 @@ def test_jacobian_is_asked_at_the_last_residual_point():
     assert len(evaluated) > len(asked) + 1      # some trials were rejected
 
 
+def test_linearized_builds_the_jacobian_of_the_last_residual_only():
+    # the same contract through the helper: J comes from the last evaluation,
+    # and a rejected trial builds none
+    evaluated, built = [], []
+
+    def evaluate(x):
+        evaluated.append(x)
+
+        def jac():
+            built.append((x, rosenbrock_jacobian(x)))
+            return built[-1][1]
+
+        return rosenbrock(x), jac
+
+    residual, jacobian = gaussnewton.linearized(evaluate)
+    x = np.array([0.5, -0.3])
+    with pytest.raises(ValueError, match="last residual"):
+        jacobian(x)                             # no residual yet
+    res = damped_gauss_newton(residual, jacobian, np.array([-1.2, 1.0]))
+    assert res.converged
+    assert len(built) == res.iterations
+    assert len(evaluated) > len(built) + 1      # some trials were rejected
+
+    residual(x)
+    J = jacobian(x)
+    assert built[-1][0] is x and J is built[-1][1]
+    with pytest.raises(ValueError, match="last residual"):
+        jacobian(x.copy())
+
+
 def test_a_start_with_no_finite_jacobian_ends_unconverged():
     # the SVD of a NaN Jacobian does not converge; the solve returns its start
     x0 = np.array([np.nan, 0.0])

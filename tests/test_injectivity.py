@@ -479,9 +479,9 @@ def assert_same_report(rep, want, X, Meas, stop, rows, want_rows):
     elementwise operations, and the report's floats from the chosen pair's
     own vectors, so the reports are the same bits whenever the BLAS gives
     every Gram entry the same bits at both chunk sizes. Some
-    OpenBLAS kernels (Haswell, Zen and Nehalem among them) round an entry
-    by where it falls in the chunk, and a near tie may then go to another
-    pair. There the verdict must agree and the gap to rtol 1e-9.
+    OpenBLAS kernels (SkylakeX, Haswell and Nehalem among them) round an
+    entry by where it falls in the chunk, and a near tie may then go to
+    another pair. There the verdict must agree and the gap to rtol 1e-9.
     """
     if report_bits(rep) == report_bits(want):
         return
