@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .injectivity import MAX_PROBE_N
 from .measurements import BlockStructure, block_structure_for_power_spectrum
 from .mra import MAX_STREAMED_N, sample_complexity_sweep
 from .priors import (
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+#: A relu-network layer holds widths[i] * widths[i + 1] float weights; configs
+#: cap that count at MAX_LAYER_WEIGHTS, 128 MiB of weights per layer.
+MAX_LAYER_WEIGHTS = 2**24
 
 
 class ConfigError(ValueError):
@@ -307,8 +312,11 @@ _RULES = {
         "a non-empty ascending list of numbers > 0",
     ),
     "widths": (
-        lambda v: _non_empty_list_of(_is_count)(v) and len(v) >= 2,
-        "a list of at least two integers >= 1",
+        lambda v: _non_empty_list_of(_is_count)(v)
+        and len(v) >= 2
+        and all(a * b <= MAX_LAYER_WEIGHTS for a, b in zip(v, v[1:])),
+        "a list of at least two integers >= 1 whose neighbours' products, each "
+        f"layer's weight count, are <= {MAX_LAYER_WEIGHTS}",
     ),
     "hidden_widths": (
         lambda v: isinstance(v, list) and all(_is_count(w) for w in v),
@@ -382,6 +390,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"parameters.n: the block-scalar check streams observations, "
             f"so n must be <= {MAX_STREAMED_N}, got {p['n']}"
+        )
+    if command == "probe-dim" and p["N"] > MAX_PROBE_N:
+        raise ConfigError(
+            f"parameters.N: a probe holds arrays of N^3 floats, so N must be "
+            f"<= {MAX_PROBE_N}, got {p['N']}"
         )
     if p.get("manifold") == "special-orthogonal" and p["N"] < 2:
         raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")

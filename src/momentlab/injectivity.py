@@ -70,6 +70,12 @@ PENALTY_WEIGHT = 1e2
 PROBE_RESIDUAL_TARGET = 1e-11
 PROBE_MAX_ITER = 200
 
+#: Probe configs cap N at MAX_PROBE_N. A probe's largest arrays hold R x N^2
+#: floats, R <= N: the general-linear Jacobian and its SVD factor (the
+#: special-orthogonal ones hold half as many), so at most 8 N^3 bytes,
+#: 128 MiB at N = 256.
+MAX_PROBE_N = 256
+
 #: A collision search's solve stops after SEARCH_MAX_ITER iterations (see
 #: :func:`collision_search`).
 SEARCH_MAX_ITER = 100

@@ -15,7 +15,11 @@ at a time.
 The debiased empirical second moment estimates the population moment,
 whose diagonal blocks are scalar matrices carrying exactly one invariant
 per block: the signal's block energy. Recovery searches a prior for a
-signal reproducing those invariants.
+signal reproducing those invariants. For a cone network of latent
+dimension 2, the prior of every MRA preset, the search is global: the
+network is linear on finitely many angular sectors of its latent plane, so
+``recover`` finds the best point from the sectors and polishes it with one
+solve. Every other prior takes random restarts.
 
 Callers that need only the invariants (``sample_complexity_sweep`` and the
 runner's ``recover`` and bare-simulation paths) draw them from their exact
@@ -47,6 +51,8 @@ from .priors import (
     as_rng,
     chart_walk,
     check_prior,
+    cone_sectors,
+    has_cone_sectors,
     latent_parametrizations,
     walk_jacobian,
 )
@@ -60,6 +66,7 @@ __all__ = [
     "simulate_invariants",
     "exact_population_moment",
     "recover",
+    "recover_path",
     "sample_complexity_sweep",
     "draw_ground_truth",
     "instance_noise_amplification",
@@ -250,6 +257,95 @@ class RecoveryResult:
         return float(err if scale == 0 else err / scale)
 
 
+def recover_path(prior) -> str:
+    """Which search ``recover`` runs for ``prior``: ``"sectors"`` or ``"multistart"``.
+
+    A cone network of latent dimension 2 (:func:`.priors.has_cone_sectors`)
+    takes the search over its sectors; every other prior takes random restarts.
+    """
+    return "sectors" if has_cone_sectors(prior) else "multistart"
+
+
+def _ray_fits(P, invariants, A, blocks: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+    """How well the ray through each prior point (row of P) fits the invariants: (score, t).
+
+    Along the ray t p, the energies of A t p are t^2 e and the objective
+    ||t^2 e - b||^2 is least at t^2 = max(0, <e, b>) / ||e||^2, where it is
+    ||b||^2 minus the score max(0, <e, b>)^2 / ||e||^2 (variable
+    projection: Golub & Pereyra, "The differentiation of pseudo-inverses and
+    nonlinear least squares problems whose variables separate", 1973). A
+    row with e = 0 scores 0 at t = 0.
+    """
+    e = blocks.energies(P @ A.T)
+    eb = np.maximum(e @ invariants, 0.0)
+    ee = np.einsum("ij,ij->i", e, e)
+    score = np.divide(eb * eb, ee, out=np.zeros_like(ee), where=ee > 0)
+    t2 = np.divide(eb, ee, out=np.zeros_like(ee), where=ee > 0)
+    return score, np.sqrt(t2)
+
+
+def _conv(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The products of two stacks of polynomials, coefficients along the last axis."""
+    out = np.zeros(X.shape[:-1] + (X.shape[-1] + Y.shape[-1] - 1,), dtype=complex)
+    for i in range(X.shape[-1]):
+        out[..., i : i + Y.shape[-1]] += X[..., i, None] * Y
+    return out
+
+
+def _critical_angles(W, invariants, A, blocks: BlockStructure) -> np.ndarray:
+    """Every angle where the score of :func:`_ray_fits` is stationary on a sector's map.
+
+    Through the map W_s, block k's energy at u(theta) is the quadratic form
+    u^T Q_k u = a_k + 2 Re(w_k z), z = e^{i phi}, phi = 2 theta: a
+    trigonometric polynomial of degree 1 in phi. So g = <e, b> has degree
+    1, h = ||e||^2 degree 2, and where g > 0 the score g^2 / h is
+    stationary where F = 2 g' h - g h' = 0 (d/dphi). F's terms of degree 3
+    cancel, so z^2 F is a polynomial of degree 4 in z; its roots come from
+    one batch of companion matrices. Each root's phi gives the angles
+    phi / 2 and phi / 2 + pi; a root off the unit circle gives two more
+    angles to try, which costs nothing but their evaluation.
+    """
+    M = A @ W                                           # (S, N, 2)
+    Q = np.add.reduceat(M[..., :, None] * M[..., None, :], blocks.starts, axis=-3)
+    a = 0.5 * (Q[..., 0, 0] + Q[..., 1, 1])             # (S, R)
+    w = 0.25 * (Q[..., 0, 0] - Q[..., 1, 1]) - 0.5j * Q[..., 0, 1]
+    E = np.stack([w.conj(), a, w], axis=-1)             # powers -1, 0, 1 of z
+    G = invariants @ E                                  # (S, 3): powers -1 .. 1
+    H = _conv(E, E).sum(axis=-2)                        # (S, 5): powers -2 .. 2
+    dG = 1j * np.arange(-1, 2) * G
+    dH = 1j * np.arange(-2, 3) * H
+    C = (2.0 * _conv(dG, H) - _conv(G, dH))[:, 5:0:-1]  # powers 2 .. -2 of z: z^2 F
+    # a coefficient this far below its polynomial's largest is rounding
+    C[np.abs(C) <= 1e-12 * np.abs(C).max(axis=1, keepdims=True)] = 0.0
+    full = C[:, 0] != 0
+    companion = np.zeros((full.sum(), 4, 4), dtype=complex)
+    companion[:, 0] = -C[full, 1:] / C[full, :1]
+    companion[:, 1:, :-1] = np.eye(3)
+    roots = [np.linalg.eigvals(companion).ravel()]
+    roots += [np.roots(c) for c in C[~full]]        # a lower degree, or F = 0
+    half = 0.5 * np.angle(np.concatenate(roots))
+    return np.concatenate([half, half + np.pi])
+
+
+def _sector_start(invariants, net, A, blocks: BlockStructure) -> np.ndarray:
+    """The latent point of a 2-D cone network that best fits the invariants.
+
+    On each sector of :func:`.priors.cone_sectors` the network is linear,
+    so the best ray's score (:func:`_ray_fits`) is a smooth function of the
+    angle there, and its maximum over the circle sits on a sector edge or
+    at an angle where the score is stationary on a sector
+    (:func:`_critical_angles`). The network is walked at all of them, and
+    the best direction is returned at its best scale; where no direction
+    scores above 0, the point is 0.
+    """
+    edges, W = cone_sectors(net)
+    theta = np.concatenate([edges[:-1], _critical_angles(W, invariants, A, blocks)])
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    score, t = _ray_fits(net.walk(U).x, invariants, A, blocks)
+    i = int(np.argmax(score))
+    return t[i] * U[i]
+
+
 def recover(
     invariants: np.ndarray,
     prior,
@@ -260,10 +356,24 @@ def recover(
 ) -> RecoveryResult:
     """Search the prior for a signal whose mixed measurements match invariants.
 
-    Multi-start damped Gauss-Newton over the prior's latent parameters;
-    the returned estimate is the mixed signal A @ p(z*). With noisy
-    invariants the optimum sits at the noise floor, so ``converged`` only
-    reflects whether some start reached the (relative) target residual.
+    Damped Gauss-Newton over the prior's latent parameters; the returned
+    estimate is the mixed signal A @ p(z*). Two searches feed it
+    (:func:`recover_path`):
+
+    * ``"sectors"``, for a cone network of latent dimension 2. It is linear
+      on each angular sector of its latent plane
+      (:func:`.priors.cone_sectors`) and the best scale of a direction has
+      a closed form, so the objective is a function of the angle whose
+      minimum sits on a sector edge or at an angle where it is stationary
+      on one sector. :func:`_sector_start` finds that point, and one solve
+      polishes it: ``restarts_used`` is 1, ``seed`` is not read, and
+      ``restarts`` only has to be >= 1.
+    * ``"multistart"``, for every other prior: up to ``restarts`` solves
+      from random latent starts drawn from ``seed``, stopping at the first
+      that reaches the (relative) target residual.
+
+    With noisy invariants the optimum sits at the noise floor, so
+    ``converged`` only reflects whether some solve reached that target.
     Each solve stops after ``RECOVER_MAX_ITER`` iterations.
     Each Jacobian reuses the chart walk and the mixed signal that the
     residual computed at the same point (:func:`.gaussnewton.linearized`).
@@ -276,13 +386,9 @@ def recover(
         raise DimensionError(f"invariants shape {invariants.shape}, expected ({blocks.R},)")
     A = blocks.check_mixing(A)
     check_prior(prior, blocks.N)
-    rng = as_rng(seed)
-    params = latent_parametrizations(prior, rng)
     f_target = (1e-10 * max(1.0, np.linalg.norm(invariants))) ** 2
 
-    def attempt():
-        z0, net = next(params)
-
+    def solve(z0, net):
         def evaluate(z):
             walk = net.walk(z)
             S = matvec(A, walk.x)
@@ -297,7 +403,13 @@ def recover(
         )
         return res.f, chart_walk(net, res.x).x
 
-    tries = multistart(attempt, restarts, lambda t: t[0] <= f_target)
+    if recover_path(prior) == "sectors":
+        starts = iter([(_sector_start(invariants, prior, A, blocks), prior)])
+        done = lambda t: True           # one start, so one solve
+    else:
+        starts = latent_parametrizations(prior, as_rng(seed))
+        done = lambda t: t[0] <= f_target
+    tries = multistart(lambda: solve(*next(starts)), restarts, done)
     f, p = min(tries, key=lambda t: t[0])      # the first of the best
     return RecoveryResult(
         x_hat=A @ p,

@@ -46,6 +46,8 @@ __all__ = [
     "numerical_rank",
     "prior_charts",
     "is_cone",
+    "has_cone_sectors",
+    "cone_sectors",
     "check_prior",
     "latent_parametrizations",
     "parse_activation",
@@ -364,6 +366,58 @@ def is_cone(net: GeneratorNetwork) -> bool:
     return all(
         layer.bias is None and _ACTIVATIONS[layer._act[0]].homogeneous for layer in net.layers
     )
+
+
+def has_cone_sectors(prior) -> bool:
+    """Whether ``prior`` is one cone network of latent dimension 2 (:func:`cone_sectors`)."""
+    return (
+        isinstance(prior, GeneratorNetwork)
+        and prior.lanes is None
+        and prior.latent_dim == 2
+        and is_cone(prior)
+    )
+
+
+def cone_sectors(net: GeneratorNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """The angular sectors on which a cone network of latent dimension 2 is linear.
+
+    Returns ``(edges, W)``: the S + 1 ascending angles from -pi to pi and the
+    (S, N, 2) maps, read-only, with net(t u(theta)) = t W[s] u(theta) for
+    every t >= 0 and theta in [edges[s], edges[s + 1]], u = (cos, sin).
+    The layers are walked with exact cuts: inside a sector each unit's
+    pre-activation r . u is linear in u, so its zeros are at
+    arctan2(-r0, r1) and that angle plus pi, and each piece between the cuts
+    takes its activation pattern from the derivative at its midpoint.
+    Montufar et al., "On the number of linear regions of deep neural
+    networks" (2014), bound the number of sectors.
+    """
+    if not has_cone_sectors(net):
+        raise ValueError("cone_sectors needs one cone network of latent dimension 2")
+    sectors = [(-np.pi, np.pi, np.eye(2))]      # (lo, hi, the map of the layer's input)
+    for layer in net.layers:
+        name, params = layer._act
+        derivative = _ACTIVATIONS[name].derivative
+        cut = []
+        for lo, hi, M in sectors:
+            pre = layer.weight @ M
+            if name == "identity":          # no kink, so no cut
+                cut.append((lo, hi, pre))
+                continue
+            rows = pre[np.any(pre != 0.0, axis=1)]
+            zero = np.arctan2(-rows[:, 0], rows[:, 1])
+            angles = np.concatenate([zero, zero + np.pi, zero - np.pi])
+            inner = np.unique(angles[(angles > lo) & (angles < hi)])
+            bounds = np.concatenate([[lo], inner, [hi]])
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                mid = 0.5 * (a + b)
+                slope = derivative(pre @ np.array([np.cos(mid), np.sin(mid)]), params)
+                cut.append((a, b, slope[:, None] * pre))
+        sectors = cut
+    edges = np.array([lo for lo, _, _ in sectors] + [np.pi])
+    W = np.stack([M for _, _, M in sectors])
+    edges.flags.writeable = False
+    W.flags.writeable = False
+    return edges, W
 
 
 def check_prior(prior, N: int) -> None:

@@ -34,6 +34,7 @@ from .mra import (
     draw_ground_truth,
     exact_population_moment,
     recover,
+    recover_path,
     sample_complexity_sweep,
     select_conditioned_instance,
     simulate_invariants,
@@ -420,6 +421,7 @@ def _run_mra_sim(p: dict, out: Path):
             np.median([r["recovery_error"] for r in rows])
         )
         results["all_recoveries_converged"] = all(r["recovery_converged"] for r in rows)
+        results["recover_path"] = recover_path(prior)
 
     if not csv_files:
         # bare simulation: report invariant estimates only
@@ -526,5 +528,6 @@ def _run_sweep(p: dict, out: Path):
         "resolved_true_seed": int(true_seed),
         "saturated_sigmas": saturated,
         "recoveries": result.recoveries,
+        "recover_path": recover_path(prior),
         "rows": result.rows,
     }, [path]

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 from momentlab import mra, runner
 from momentlab.cli import main
-from momentlab.config import ConfigError, load_config, validate_config
-from momentlab.injectivity import brute_force_collision_oracle, collision_search, regime_label
+from momentlab.config import MAX_LAYER_WEIGHTS, ConfigError, load_config, validate_config
+from momentlab.injectivity import (
+    MAX_PROBE_N,
+    brute_force_collision_oracle,
+    collision_search,
+    regime_label,
+)
 from momentlab.measurements import block_structure_for_power_spectrum, second_moment_blocks
 from momentlab.presets import PRESETS, get_preset, list_presets
 from momentlab.priors import random_relu_network, sample_mixing
@@ -90,6 +95,34 @@ class TestValidate:
         assert main(["run", "--preset", "appendixB-blockscalar", "--set", n]) == 2
         err = capsys.readouterr().err
         assert "parameters.n: " in err and "Traceback" not in err
+
+    def test_the_probe_caps_n(self, capsys, monkeypatch):
+        # its arrays grow as N^3: validation stops an N that cannot be held
+        monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+        config = {"schema_version": 1, "command": "probe-dim"}
+        for preset in ("lemma-codim-gl", "prop-codim-so"):
+            params = get_preset(preset).parameters()
+            validate_config({**config, "parameters": {**params, "N": MAX_PROBE_N}})
+            with pytest.raises(ConfigError, match="parameters.N: "):
+                validate_config({**config, "parameters": {**params, "N": MAX_PROBE_N + 1}})
+        assert main(["run", "--preset", "lemma-codim-gl", "--set", "N=10000000"]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.N: " in err and "Traceback" not in err
+
+    def test_a_relu_network_caps_each_layer_s_weights(self, capsys, monkeypatch):
+        monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+        params = get_preset("thm1-gl").parameters()
+        config = {"schema_version": 1, "command": "collide"}
+        widest = {**params["prior"], "widths": [2, MAX_LAYER_WEIGHTS // 2, 2, 9]}
+        validate_config({**config, "parameters": {**params, "prior": widest}})
+        for widths in ([2, MAX_LAYER_WEIGHTS // 2 + 1, 9], [2, 3000000, 3000000]):
+            prior = {**params["prior"], "widths": widths}
+            with pytest.raises(ConfigError, match="parameters.prior.widths: "):
+                validate_config({**config, "parameters": {**params, "prior": prior}})
+        prior = json.dumps({"type": "relu-network", "widths": [2, 3000000, 3000000]})
+        assert main(["run", "--preset", "cor-sphere-so3", "--set", f"prior={prior}"]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.prior.widths: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("subcommand", ["run", "validate"])
     @pytest.mark.parametrize(
@@ -519,6 +552,24 @@ class TestSweepCommand:
         assert report["results"]["recoveries"] == len(calls) > 0
         header = (tmp_path / "samplecomplexity.csv").read_text().splitlines()[0]
         assert header == "sigma,n_star,median_error,seeds_used"
+
+    @pytest.mark.parametrize(
+        "activation, path", [("relu", "sectors"), ("hardtanh(-1,1)", "multistart")]
+    )
+    @pytest.mark.parametrize("command", ["sweep", "mra-sim"])
+    def test_report_gives_the_recover_path(self, tmp_path, command, activation, path):
+        if command == "sweep":
+            params = {
+                **get_preset("mra-cyclic-n4").parameters(),
+                "sigma_list": [0.25], "seeds": [0], "true_seed": 0, "n_min": 64, "n_cap": 64,
+            }
+        else:
+            params = {**get_preset("cor-sphere-so3").parameters(), "n": 4000, "repeats": 1}
+        params["prior"] = {**params["prior"], "activation": activation}
+        run(validate_config({"schema_version": 1, "command": command, "parameters": params}),
+            out_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["results"]["recover_path"] == path
 
     def test_a_sweep_with_no_cell_exits_2(self, tmp_path, capsys):
         # every M exceeds every N, so no (N, M) cell would be searched

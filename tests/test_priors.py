@@ -20,7 +20,9 @@ from momentlab.priors import (
     ambient_network,
     chart_stack,
     chart_walk,
+    cone_sectors,
     estimate_image_dimension,
+    has_cone_sectors,
     is_cone,
     latent_parametrizations,
     network_from_json,
@@ -205,6 +207,57 @@ class TestIsCone:
         charts = prior_charts(sparse_prior(6, 2, kind, seed=1))
         assert len(charts) == 15
         assert all(map(is_cone, charts))
+
+
+class TestConeSectors:
+    @pytest.mark.parametrize(
+        "widths, activation",
+        [
+            ((2, 10, 8), "relu"),
+            ((2, 10, 16), "relu"),
+            ((2, 12, 10), "leaky-relu(0.1)"),
+            ((2, 8, 8, 6), "relu"),
+        ],
+    )
+    def test_each_sector_map_is_the_walk(self, widths, activation):
+        net = random_relu_network(widths, seed=11, activation=activation)
+        edges, W = cone_sectors(net)
+        assert edges[0] == -np.pi and edges[-1] == np.pi and np.all(np.diff(edges) > 0)
+        assert W.shape == (len(edges) - 1, widths[-1], 2)
+        assert not edges.flags.writeable and not W.flags.writeable
+        theta = np.random.default_rng(0).uniform(-np.pi, np.pi, 2000)
+        s = np.searchsorted(edges, theta, side="right") - 1
+        U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        t = np.random.default_rng(1).uniform(0.1, 3.0, size=(2000, 1))
+        np.testing.assert_allclose(
+            t * np.einsum("bnk,bk->bn", W[s], U), net.walk(t * U).x, rtol=0, atol=1e-13
+        )
+
+    def test_the_mra_priors_have_21_sectors(self):
+        for widths, seed in [((2, 10, 8), 11), ((2, 10, 16), 13)]:
+            assert len(cone_sectors(random_relu_network(widths, seed=seed))[1]) == 21
+
+    def test_a_zero_network_is_one_zero_sector(self):
+        net = GeneratorNetwork((Layer(np.zeros((5, 2)), "relu"), Layer(np.ones((4, 5)))))
+        edges, W = cone_sectors(net)
+        np.testing.assert_array_equal(edges, [-np.pi, np.pi])
+        np.testing.assert_array_equal(W, np.zeros((1, 4, 2)))
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            random_relu_network((3, 6, 5), seed=0),
+            random_relu_network((2, 6, 5), seed=0, activation="hardtanh(-1,1)"),
+            network("relu", bias=True),
+            chart_stack(prior_charts(sparse_prior(5, 2, "generic-linear", seed=1))[:2]),
+            sparse_prior(5, 2, seed=1),
+        ],
+        ids=["K=3", "hardtanh", "bias", "chart-stack", "sparse"],
+    )
+    def test_only_a_2d_cone_network_has_sectors(self, net):
+        assert not has_cone_sectors(net)
+        with pytest.raises(ValueError, match="cone network of latent dimension 2"):
+            cone_sectors(net)
 
 
 def assert_is_reference_walk(x, J, net, z):
