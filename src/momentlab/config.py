@@ -23,7 +23,7 @@ import numpy as np
 
 from .injectivity import MAX_PROBE_N
 from .measurements import BlockStructure, block_structure_for_power_spectrum
-from .mra import MAX_STREAMED_N, sample_complexity_sweep
+from .mra import MAX_ORBIT_N, MAX_STREAMED_N, sample_complexity_sweep
 from .priors import (
     ambient_network,
     network_from_json,
@@ -44,6 +44,11 @@ SCHEMA_VERSION = 1
 #: A relu-network layer holds widths[i] * widths[i + 1] float weights; configs
 #: cap that count at MAX_LAYER_WEIGHTS, 128 MiB of weights per layer.
 MAX_LAYER_WEIGHTS = 2**24
+
+#: An ambient or sparse prior holds an N x N basis and a threshold-sweep cell
+#: an N x N mixing, so configs cap those signal lengths at MAX_SIGNAL_N, whose
+#: square is MAX_LAYER_WEIGHTS.
+MAX_SIGNAL_N = math.isqrt(MAX_LAYER_WEIGHTS)
 
 
 class ConfigError(ValueError):
@@ -89,6 +94,11 @@ def check_output_dir(path, field: str) -> None:
             if not part.is_dir():
                 raise ConfigError(f"{field}: not a directory: {part}")
             return
+
+
+def threshold_cell_widths(family: dict, N: int, M: int) -> list[int]:
+    """The widths of threshold-sweep cell (N, M)'s prior, of the ``relu-network`` family."""
+    return [M, *family.get("hidden_widths", [max(2 * M, 6)]), N]
 
 
 def build_prior(spec: dict):
@@ -256,6 +266,11 @@ def _is_activation(v) -> bool:
     return True
 
 
+def _layers_fit(widths) -> bool:
+    """Whether each layer of a network of these widths holds at most MAX_LAYER_WEIGHTS weights."""
+    return all(a * b <= MAX_LAYER_WEIGHTS for a, b in zip(widths, widths[1:]))
+
+
 def _non_empty_list_of(item_ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(item_ok(x) for x in v)
 
@@ -312,9 +327,7 @@ _RULES = {
         "a non-empty ascending list of numbers > 0",
     ),
     "widths": (
-        lambda v: _non_empty_list_of(_is_count)(v)
-        and len(v) >= 2
-        and all(a * b <= MAX_LAYER_WEIGHTS for a, b in zip(v, v[1:])),
+        lambda v: _non_empty_list_of(_is_count)(v) and len(v) >= 2 and _layers_fit(v),
         "a list of at least two integers >= 1 whose neighbours' products, each "
         f"layer's weight count, are <= {MAX_LAYER_WEIGHTS}",
     ),
@@ -396,13 +409,44 @@ def validate_config(data: dict) -> ExperimentConfig:
             f"parameters.N: a probe holds arrays of N^3 floats, so N must be "
             f"<= {MAX_PROBE_N}, got {p['N']}"
         )
+    prior = p.get("prior", {})
+    if prior.get("type") in ("ambient", "sparse") and prior["N"] > MAX_SIGNAL_N:
+        raise ConfigError(
+            f"parameters.prior.N: the prior holds an N x N basis, so N must be "
+            f"<= {MAX_SIGNAL_N}, got {prior['N']}"
+        )
+    group = p.get("group", {})
+    finite = group.get("kind") in ("cyclic", "dihedral")
+    if p.get("block_scalar_check") and finite and group["N"] > MAX_ORBIT_N:
+        raise ConfigError(
+            f"parameters.group.N: the block-scalar check holds the group's N x N "
+            f"element matrices, so N must be <= {MAX_ORBIT_N}, got {group['N']}"
+        )
     if p.get("manifold") == "special-orthogonal" and p["N"] < 2:
         raise ConfigError("parameters.N: special-orthogonal probes need N >= 2")
-    if p.get("sweep_kind") == "threshold" and min(p["M_range"]) > max(p["N_range"]):
-        raise ConfigError(
-            f"parameters.M_range: every M exceeds every N (at most {max(p['N_range'])}), "
-            "so the sweep has no cell"
-        )
+    if p.get("sweep_kind") == "threshold":
+        N = max(p["N_range"])
+        if min(p["M_range"]) > N:
+            raise ConfigError(
+                f"parameters.M_range: every M exceeds every N (at most {N}), "
+                "so the sweep has no cell"
+            )
+        if N > MAX_SIGNAL_N:
+            raise ConfigError(
+                f"parameters.N_range: each cell holds an N x N mixing, so every N must "
+                f"be <= {MAX_SIGNAL_N}, got {N}"
+            )
+        family = p.get("prior_family", {"type": "relu-network"})
+        if family["type"] == "relu-network":
+            # the largest cell has the largest layers: its widths grow with N and M
+            M = max(m for m in p["M_range"] if m <= N)
+            widths = threshold_cell_widths(family, N, M)
+            if not _layers_fit(widths):
+                field = "prior_family.hidden_widths" if "hidden_widths" in family else "M_range"
+                raise ConfigError(
+                    f"parameters.{field}: cell (N, M) = ({N}, {M}) has widths {widths}, "
+                    f"and a layer may hold at most {MAX_LAYER_WEIGHTS} weights"
+                )
     if p.get("sweep_kind") == "sample-complexity":
         defaults = inspect.signature(sample_complexity_sweep).parameters
         n_min, n_cap = (p.get(k, defaults[k].default) for k in ("n_min", "n_cap"))

@@ -18,8 +18,9 @@ per block: the signal's block energy. Recovery searches a prior for a
 signal reproducing those invariants. For a cone network of latent
 dimension 2, the prior of every MRA preset, the search is global: the
 network is linear on finitely many angular sectors of its latent plane, so
-``recover`` finds the best point from the sectors and polishes it with one
-solve. Every other prior takes random restarts.
+``recover`` finds the best point from the sectors, built once per
+instance, and polishes it with one solve. Every other prior takes random
+restarts.
 
 Callers that need only the invariants (``sample_complexity_sweep`` and the
 runner's ``recover`` and bare-simulation paths) draw them from their exact
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +89,11 @@ _CHUNK_ROWS = 1 << 12
 #: finite-group one. So configs cap the n of the block-scalar check, which
 #: streams observations, at MAX_STREAMED_N (240 MB of angles).
 MAX_STREAMED_N = 10**7
+
+#: The block-scalar check of a finite group of order |G| = N or 2N holds its
+#: (|G|, N, N) element matrices (``_orbit_matrices``), up to 2 N^3 floats, so
+#: configs cap its N at MAX_ORBIT_N: 256 MiB for the dihedral group.
+MAX_ORBIT_N = 256
 
 #: ``select_conditioned_instance`` scans ground-truth seeds 0 .. _MAX_SCAN - 1.
 _MAX_SCAN = 256
@@ -286,45 +293,99 @@ def _ray_fits(P, invariants, A, blocks: BlockStructure) -> tuple[np.ndarray, np.
 
 def _conv(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The products of two stacks of polynomials, coefficients along the last axis."""
-    out = np.zeros(X.shape[:-1] + (X.shape[-1] + Y.shape[-1] - 1,), dtype=complex)
+    lead = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
+    out = np.zeros(lead + (X.shape[-1] + Y.shape[-1] - 1,))
     for i in range(X.shape[-1]):
         out[..., i : i + Y.shape[-1]] += X[..., i, None] * Y
     return out
 
 
-def _critical_angles(W, invariants, A, blocks: BlockStructure) -> np.ndarray:
-    """Every angle where the score of :func:`_ray_fits` is stationary on a sector's map.
+def _stationarity_map(W, A, blocks: BlockStructure) -> np.ndarray:
+    """The (S, 5, R) map from the invariants b to each sector's stationarity quartic.
 
-    Through the map W_s, block k's energy at u(theta) is the quadratic form
-    u^T Q_k u = a_k + 2 Re(w_k z), z = e^{i phi}, phi = 2 theta: a
-    trigonometric polynomial of degree 1 in phi. So g = <e, b> has degree
-    1, h = ||e||^2 degree 2, and where g > 0 the score g^2 / h is
-    stationary where F = 2 g' h - g h' = 0 (d/dphi). F's terms of degree 3
-    cancel, so z^2 F is a polynomial of degree 4 in z; its roots come from
-    one batch of companion matrices. Each root's phi gives the angles
-    phi / 2 and phi / 2 + pi; a root off the unit circle gives two more
-    angles to try, which costs nothing but their evaluation.
+    Through the map W_s, block k's energy at u(theta) = (cos, sin) is
+    u^T Q_k u = cos^2(theta) q_k(t), with t = tan(theta) and the quadratic
+    q_k(t) = Q_k00 + 2 Q_k01 t + Q_k11 t^2. The factors cos^2(theta) cancel
+    in the score of :func:`_ray_fits`, which is G^2 / H with G = <q, b> and
+    H = ||q||^2, and dt / dtheta = 1 + t^2 > 0; so where G > 0 the score is
+    stationary where P = 2 G' H - G H' = 0 (d/dt). P's terms of degree 5
+    cancel, so it is a real quartic in t, and its coefficients (powers
+    4 .. 0) are linear in b: row s of the result maps b to those of sector s.
     """
     M = A @ W                                           # (S, N, 2)
     Q = np.add.reduceat(M[..., :, None] * M[..., None, :], blocks.starts, axis=-3)
-    a = 0.5 * (Q[..., 0, 0] + Q[..., 1, 1])             # (S, R)
-    w = 0.25 * (Q[..., 0, 0] - Q[..., 1, 1]) - 0.5j * Q[..., 0, 1]
-    E = np.stack([w.conj(), a, w], axis=-1)             # powers -1, 0, 1 of z
-    G = invariants @ E                                  # (S, 3): powers -1 .. 1
-    H = _conv(E, E).sum(axis=-2)                        # (S, 5): powers -2 .. 2
-    dG = 1j * np.arange(-1, 2) * G
-    dH = 1j * np.arange(-2, 3) * H
-    C = (2.0 * _conv(dG, H) - _conv(G, dH))[:, 5:0:-1]  # powers 2 .. -2 of z: z^2 F
-    # a coefficient this far below its polynomial's largest is rounding
-    C[np.abs(C) <= 1e-12 * np.abs(C).max(axis=1, keepdims=True)] = 0.0
+    q = np.stack([Q[..., 1, 1], 2.0 * Q[..., 0, 1], Q[..., 0, 0]], axis=-1)  # (S, R, 3)
+    H = _conv(q, q).sum(axis=-2)[:, None]               # (S, 1, 5): powers 4 .. 0
+    P = 2.0 * _conv(q[..., :-1] * [2.0, 1.0], H) - _conv(q, H[..., :-1] * [4.0, 3.0, 2.0, 1.0])
+    return P[..., 1:].swapaxes(-1, -2)                  # drop the power 5, which is 0
+
+
+def _stationary_angles(C: np.ndarray) -> np.ndarray:
+    """The candidate angles of the stationarity quartics in t = tan(theta), rows of C (S, 5).
+
+    Each root t gives theta = arctan(Re t) and theta + pi: a sector's map is
+    linear, so its score is the same at u and -u. A complex root gives two
+    angles that are no stationary point, which costs only their evaluation.
+    theta = +-pi/2 (t = inf), which no quartic's finite roots give, is always
+    added. A row's leading coefficients up to 1e-12 of its largest are
+    rounding, so they count as 0: such a row, a zero one among them, takes
+    ``np.roots`` at its lower degree, and the others take one batch of real
+    companion matrices.
+    """
+    small = np.abs(C) <= 1e-12 * np.abs(C).max(axis=1, keepdims=True)
+    C = np.where(np.logical_and.accumulate(small, axis=1), 0.0, C)
     full = C[:, 0] != 0
-    companion = np.zeros((full.sum(), 4, 4), dtype=complex)
+    companion = np.zeros((full.sum(), 4, 4))
     companion[:, 0] = -C[full, 1:] / C[full, :1]
     companion[:, 1:, :-1] = np.eye(3)
     roots = [np.linalg.eigvals(companion).ravel()]
-    roots += [np.roots(c) for c in C[~full]]        # a lower degree, or F = 0
-    half = 0.5 * np.angle(np.concatenate(roots))
-    return np.concatenate([half, half + np.pi])
+    roots += [np.roots(c) for c in C[~full]]
+    theta = np.arctan(np.concatenate(roots).real)
+    return np.concatenate([theta, theta + np.pi, [-0.5 * np.pi, 0.5 * np.pi]])
+
+
+class _SectorSearch(NamedTuple):
+    """What the sector path of ``recover`` needs of one instance, read-only.
+
+    ``edges`` are :func:`.priors.cone_sectors`' sector edges, and ``K`` is
+    :func:`_stationarity_map` of its sector maps.
+    """
+
+    edges: np.ndarray
+    K: np.ndarray
+
+
+#: The sector search of the last instance, under its content key (``_sector_search``).
+_SEARCH_MEMO: dict = {}
+
+
+def _sector_search(net, A, blocks: BlockStructure) -> _SectorSearch:
+    """The sector search of an instance: a 2-D cone network, a mixing and a block layout.
+
+    A one-entry memo keyed by content, so it cannot go stale: each layer's
+    weight shape, bytes and activation (a cone network has no bias), the
+    mixing's shape and bytes, and the block dims. A sweep, whose every cell
+    recovers one instance, builds it once; instances that alternate rebuild
+    it at each change.
+    """
+    key = (
+        tuple(
+            (layer.weight.shape, layer.weight.tobytes(), layer.activation)
+            for layer in net.layers
+        ),
+        A.shape,
+        A.tobytes(),
+        blocks.dims,
+    )
+    search = _SEARCH_MEMO.get(key)
+    if search is None:
+        edges, W = cone_sectors(net)
+        K = _stationarity_map(W, A, blocks)
+        K.flags.writeable = False
+        search = _SectorSearch(edges, K)
+        _SEARCH_MEMO.clear()
+        _SEARCH_MEMO[key] = search
+    return search
 
 
 def _sector_start(invariants, net, A, blocks: BlockStructure) -> np.ndarray:
@@ -333,13 +394,14 @@ def _sector_start(invariants, net, A, blocks: BlockStructure) -> np.ndarray:
     On each sector of :func:`.priors.cone_sectors` the network is linear,
     so the best ray's score (:func:`_ray_fits`) is a smooth function of the
     angle there, and its maximum over the circle sits on a sector edge or
-    at an angle where the score is stationary on a sector
-    (:func:`_critical_angles`). The network is walked at all of them, and
-    the best direction is returned at its best scale; where no direction
-    scores above 0, the point is 0.
+    at an angle where the score is stationary on a sector: a root of the
+    sector's quartic ``K[s] @ invariants`` (:func:`_sector_search`,
+    :func:`_stationary_angles`) or +-pi/2. The network is walked at all of
+    them, and the best direction is returned at its best scale; where no
+    direction scores above 0, the point is 0.
     """
-    edges, W = cone_sectors(net)
-    theta = np.concatenate([edges[:-1], _critical_angles(W, invariants, A, blocks)])
+    search = _sector_search(net, A, blocks)
+    theta = np.concatenate([search.edges[:-1], _stationary_angles(search.K @ invariants)])
     U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     score, t = _ray_fits(net.walk(U).x, invariants, A, blocks)
     i = int(np.argmax(score))
@@ -365,9 +427,14 @@ def recover(
       (:func:`.priors.cone_sectors`) and the best scale of a direction has
       a closed form, so the objective is a function of the angle whose
       minimum sits on a sector edge or at an angle where it is stationary
-      on one sector. :func:`_sector_start` finds that point, and one solve
-      polishes it: ``restarts_used`` is 1, ``seed`` is not read, and
-      ``restarts`` only has to be >= 1.
+      on one sector, a root of a real quartic in tan(angle) whose
+      coefficients are linear in the invariants. The sectors and that
+      linear map are built once per instance (network, mixing and block
+      layout) and kept while the instance repeats (:func:`_sector_search`),
+      so a call computes one product, one batch of 4 x 4 companion
+      eigenvalues and one walk. :func:`_sector_start` finds the best point,
+      and one solve polishes it: ``restarts_used`` is 1, ``seed`` is not
+      read, and ``restarts`` only has to be >= 1.
     * ``"multistart"``, for every other prior: up to ``restarts`` solves
       from random latent starts drawn from ``seed``, stopping at the first
       that reaches the (relative) target residual.

@@ -16,7 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_blocks, build_mixing, build_prior, given
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    build_blocks,
+    build_mixing,
+    build_prior,
+    given,
+    threshold_cell_widths,
+)
 from .injectivity import (
     brute_force_collision_oracle,
     codimension_probe,
@@ -449,8 +457,8 @@ def _cell_prior(spec: dict, N: int, M: int, seed: int):
     """The prior of threshold-sweep cell (N, M) for ``seed``, from its ``prior_family`` spec."""
     if spec["type"] == "sparse":
         return build_prior({**spec, "N": N, "M": M, "seed": seed})
-    hidden = spec.get("hidden_widths", [max(2 * M, 6)])
-    return build_prior({"type": "relu-network", "widths": [M, *hidden, N], "seed": seed})
+    widths = threshold_cell_widths(spec, N, M)
+    return build_prior({"type": "relu-network", "widths": widths, "seed": seed})
 
 
 def _run_threshold(p: dict, out: Path):

@@ -25,6 +25,10 @@ files the library reads:
 * ``pair_collision_objective`` / ``recover_objective`` -- the objectives of
   ``collision_search`` and ``recover`` with each signal walked and measured
   on its own, and each Jacobian from a fresh walk;
+* ``critical_angles_reference`` -- the stationary angles of the best ray's
+  score on a sector's linear map, as roots of a complex quartic in
+  z = e^{2i theta}: the form behind ``mra._stationarity_map`` and
+  ``mra._stationary_angles``' real quartic in tan(theta);
 * ``brute_force_collision_oracle_reference`` -- the grid oracle's pair
   scan with fresh arrays for every chunk of 512 rows of a 41 x 41 grid, the
   form behind ``injectivity.brute_force_collision_oracle``'s in-place scan,
@@ -385,6 +389,47 @@ REFERENCE_ORACLE_CELLS = 512 * 41**2
 
 #: The activations that commute with scaling by t > 0.
 HOMOGENEOUS_ACTIVATIONS = {"identity", "relu", "leaky-relu"}
+
+
+def _complex_conv(X, Y):
+    """The products of two stacks of polynomials, coefficients along the last axis."""
+    out = np.zeros(X.shape[:-1] + (X.shape[-1] + Y.shape[-1] - 1,), dtype=complex)
+    for i in range(X.shape[-1]):
+        out[..., i : i + Y.shape[-1]] += X[..., i, None] * Y
+    return out
+
+
+def critical_angles_reference(W, invariants, A, blocks: BlockStructure) -> np.ndarray:
+    """The roots z of z^2 F, where F is the stationarity condition of the best ray's score.
+
+    Through the map W_s, block k's energy at u(theta) is the quadratic form
+    u^T Q_k u = a_k + 2 Re(w_k z), z = e^{i phi}, phi = 2 theta: a
+    trigonometric polynomial of degree 1 in phi. So g = <e, b> has degree
+    1, h = ||e||^2 degree 2, and where g > 0 the score g^2 / h is
+    stationary where F = 2 g' h - g h' = 0 (d/dphi). F's terms of degree 3
+    cancel, so z^2 F is a polynomial of degree 4 in z; its roots come from
+    one batch of complex companion matrices. A root z on the unit circle is
+    a stationary point at theta = arg(z) / 2 and at that angle plus pi.
+    """
+    M = A @ W                                           # (S, N, 2)
+    Q = np.add.reduceat(M[..., :, None] * M[..., None, :], blocks.starts, axis=-3)
+    a = 0.5 * (Q[..., 0, 0] + Q[..., 1, 1])             # (S, R)
+    w = 0.25 * (Q[..., 0, 0] - Q[..., 1, 1]) - 0.5j * Q[..., 0, 1]
+    E = np.stack([w.conj(), a, w], axis=-1)             # powers -1, 0, 1 of z
+    G = invariants @ E                                  # (S, 3): powers -1 .. 1
+    H = _complex_conv(E, E).sum(axis=-2)                # (S, 5): powers -2 .. 2
+    dG = 1j * np.arange(-1, 2) * G
+    dH = 1j * np.arange(-2, 3) * H
+    C = (2.0 * _complex_conv(dG, H) - _complex_conv(G, dH))[:, 5:0:-1]  # powers 2 .. -2: z^2 F
+    # a coefficient this far below its polynomial's largest is rounding
+    C[np.abs(C) <= 1e-12 * np.abs(C).max(axis=1, keepdims=True)] = 0.0
+    full = C[:, 0] != 0
+    companion = np.zeros((full.sum(), 4, 4), dtype=complex)
+    companion[:, 0] = -C[full, 1:] / C[full, :1]
+    companion[:, 1:, :-1] = np.eye(3)
+    roots = [np.linalg.eigvals(companion).ravel()]
+    roots += [np.roots(c) for c in C[~full]]        # a lower degree, or F = 0
+    return np.concatenate(roots)
 
 
 def oracle_points(prior, A, blocks, grid_points_per_axis):

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 
 from momentlab import mra, runner
 from momentlab.cli import main
-from momentlab.config import MAX_LAYER_WEIGHTS, ConfigError, load_config, validate_config
+from momentlab.config import (
+    MAX_LAYER_WEIGHTS,
+    MAX_SIGNAL_N,
+    ConfigError,
+    load_config,
+    validate_config,
+)
 from momentlab.injectivity import (
     MAX_PROBE_N,
     brute_force_collision_oracle,
@@ -29,6 +37,11 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def hidden(width):
+    """A threshold sweep's relu-network prior family with one hidden layer of this width."""
+    return {"type": "relu-network", "hidden_widths": [width]}
 
 
 MEASURE_CONFIG = {
@@ -123,6 +136,72 @@ class TestValidate:
         assert main(["run", "--preset", "cor-sphere-so3", "--set", f"prior={prior}"]) == 2
         err = capsys.readouterr().err
         assert "parameters.prior.widths: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "prior",
+        [{"type": "ambient"}, {"type": "sparse", "M": 2, "kind": "generic-linear", "seed": 0}],
+        ids=["ambient", "sparse"],
+    )
+    def test_an_ambient_or_sparse_prior_caps_n(self, capsys, monkeypatch, prior):
+        # each holds an N x N basis
+        monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+        params = get_preset("ctrl-torus").parameters()
+        config = {"schema_version": 1, "command": "collide"}
+        validate_config({**config, "parameters": {**params, "prior": {**prior, "N": MAX_SIGNAL_N}}})
+        too_long = {**params, "prior": {**prior, "N": MAX_SIGNAL_N + 1}}
+        with pytest.raises(ConfigError, match="parameters.prior.N: "):
+            validate_config({**config, "parameters": too_long})
+        prior = json.dumps({**prior, "N": 10_000_000})
+        assert main(["run", "--preset", "ctrl-torus", "--set", f"prior={prior}"]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.prior.N: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cap, past, field",
+        [
+            ({"N_range": [MAX_SIGNAL_N], "M_range": [1]}, {"N_range": [4, MAX_SIGNAL_N + 1]},
+             "N_range"),
+            ({"N_range": [2], "M_range": [2], "prior_family": hidden(MAX_LAYER_WEIGHTS // 2)},
+             {"prior_family": hidden(MAX_LAYER_WEIGHTS // 2 + 1)}, "prior_family.hidden_widths"),
+            # the default hidden width is 2M, so cell (N, N) holds 2 N^2 weights a layer
+            ({"N_range": [2896], "M_range": [2896]}, {"N_range": [2897], "M_range": [2897]},
+             "M_range"),
+            ({"N_range": [MAX_SIGNAL_N], "M_range": [2], "prior_family": {"type": "sparse"}},
+             {"N_range": [MAX_SIGNAL_N + 1]}, "N_range"),
+        ],
+        ids=["N_range", "hidden_widths", "default-hidden-width", "sparse-N_range"],
+    )
+    def test_the_threshold_sweep_caps_its_cells(
+        self, tmp_path, capsys, monkeypatch, cap, past, field
+    ):
+        monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+        params = {"sweep_kind": "threshold", "mixing_kind": "general-linear", "seeds": [0], **cap}
+        config = {"schema_version": 1, "command": "sweep", "parameters": params}
+        validate_config(config)
+        config = {**config, "parameters": {**params, **past}}
+        with pytest.raises(ConfigError, match=f"parameters.{field}: "):
+            validate_config(config)
+        assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
+        err = capsys.readouterr().err
+        assert f"parameters.{field}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+    def test_the_block_scalar_check_caps_a_finite_group_s_n(self, capsys, monkeypatch, kind):
+        # it holds the group's element matrices, up to 2 N^3 floats; a bare
+        # simulation holds none and takes any N
+        monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+        params = get_preset("appendixB-blockscalar").parameters()
+        config = {"schema_version": 1, "command": "mra-sim"}
+        group = {"kind": kind, "N": mra.MAX_ORBIT_N}
+        validate_config({**config, "parameters": {**params, "group": group}})
+        too_long = {**params, "group": {**group, "N": mra.MAX_ORBIT_N + 1}}
+        with pytest.raises(ConfigError, match="parameters.group.N: "):
+            validate_config({**config, "parameters": too_long})
+        validate_config({**config, "parameters": {**too_long, "block_scalar_check": False}})
+        group = json.dumps({"kind": kind, "N": 3000})
+        assert main(["run", "--preset", "appendixB-blockscalar", "--set", f"group={group}"]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.group.N: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("subcommand", ["run", "validate"])
     @pytest.mark.parametrize(
@@ -255,6 +334,17 @@ class TestPresets:
     def test_every_preset_config_validates(self):
         for name, preset in PRESETS.items():
             validate_config(preset.config.to_dict())
+
+    def test_every_benchmark_config_validates(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        items = [item for build in workloads.WORKLOADS.values() for item in build()]
+        assert len(items) >= 4
+        for item in items:
+            validate_config(item.config_dict())
 
 
 class TestProbeDimCommand:

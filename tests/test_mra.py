@@ -9,6 +9,7 @@ from momentlab import mra, runner
 from momentlab.config import ExperimentConfig, build_mixing, build_prior
 from momentlab.gaussnewton import damped_gauss_newton
 from momentlab.measurements import (
+    BlockStructure,
     DimensionError,
     block_structure_for_power_spectrum,
     second_moment_blocks,
@@ -47,10 +48,42 @@ from momentlab.so3 import (
 
 from reference import (
     action_matrix,
+    critical_angles_reference,
     extract_invariants,
     full_sample_complexity_scan,
     recover_objective,
 )
+
+
+@pytest.fixture
+def sector_builds(monkeypatch):
+    """The sector tables that ``recover`` builds, from an empty sector-search memo."""
+    monkeypatch.setattr(mra, "_SEARCH_MEMO", {})
+    nets = []
+    build = mra.cone_sectors
+
+    def spy(net):
+        nets.append(net)
+        return build(net)
+
+    monkeypatch.setattr(mra, "cone_sectors", spy)
+    return nets
+
+
+def memo_instances():
+    """Two sector-path instances (prior, mixing, blocks), differing in the mixing, and invariants."""
+    blocks = block_structure_for_power_spectrum(8)
+    prior = random_relu_network((2, 10, 8), seed=11)
+    A = sample_mixing(8, "special-orthogonal", 11)
+    B = sample_mixing(8, "special-orthogonal", 12)
+    inv = second_moment_blocks(A @ chart_walk(prior, np.array([0.3, -0.2])).x, blocks) + 0.01
+    return (prior, A, blocks), (prior, B, blocks), inv
+
+
+def sector_scores(W, theta, invariants, A, blocks):
+    """The best ray's score at each angle through one sector's linear map W (N, 2)."""
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return mra._ray_fits(U @ W.T, invariants, A, blocks)[0]
 
 
 def group_elements(group, rng, n):
@@ -554,6 +587,57 @@ class TestRecovery:
         ref = recover(inv, prior, A, blocks)
         np.testing.assert_array_equal(rec.x_hat, ref.x_hat)
 
+    def test_recoveries_after_another_instance_keep_its_bits(self, sector_builds):
+        # A, then B, then A again: each change of instance rebuilds the one
+        # memo entry, and every recovery of A has the bits of an empty memo's
+        a, b, inv = memo_instances()
+        first = recover(inv, *a)
+        recover(inv, *b)
+        again = recover(inv, *a)
+        mra._SEARCH_MEMO.clear()
+        fresh = recover(inv, *a)
+        assert len(sector_builds) == 4
+        for rec in (first, again):
+            np.testing.assert_array_equal(rec.x_hat, fresh.x_hat)
+            assert rec.residual == fresh.residual
+
+    @pytest.mark.parametrize("change", ["mixing", "layout", "network", "activation"])
+    def test_a_changed_instance_rebuilds_the_sector_search(self, sector_builds, change):
+        (prior, A, blocks), _, inv = memo_instances()
+        recover(inv, prior, A, blocks)
+        recover(inv, prior, A.copy(), blocks)            # the same content
+        assert len(sector_builds) == 1
+        if change == "mixing":
+            A = A.copy()
+            A[0, 0] = np.nextafter(A[0, 0], 1.0)
+        elif change == "layout":
+            blocks = BlockStructure((2, 2, 2, 1, 1))
+        else:
+            first, last = prior.layers
+            weight = first.weight.copy()
+            if change == "network":
+                weight[0, 0] = -weight[0, 0]
+            act = "leaky-relu(0.1)" if change == "activation" else first.activation
+            prior = GeneratorNetwork((Layer(weight, act), last))
+        recover(inv, prior, A, blocks)
+        assert len(sector_builds) == 2
+
+    def test_a_sweep_builds_its_sector_search_once(self, sector_builds):
+        group = GroupAction("cyclic", 8)
+        (prior, A, _), _, _ = memo_instances()
+        res = sample_complexity_sweep(
+            prior, A, group, [0.5, 1.0], 0.1, seeds=[0, 1, 2], signal_norm=0.4, n_cap=30_000
+        )
+        assert res.recoveries > 20 and len(sector_builds) == 1
+
+    def test_the_sector_search_is_read_only(self):
+        (prior, A, blocks), _, _ = memo_instances()
+        search = mra._sector_search(prior, A, blocks)
+        S = len(search.edges) - 1
+        assert search.K.shape == (S, 5, blocks.R)
+        assert not search.edges.flags.writeable and not search.K.flags.writeable
+        assert mra._sector_search(prior, A, blocks) is search
+
     @pytest.mark.parametrize("sector", range(6))
     def test_every_extremum_of_a_sector_s_score_is_a_critical_angle(self, sector):
         # on one linear map the best ray's score is smooth in the angle: each
@@ -564,7 +648,7 @@ class TestRecovery:
         W = r.normal(size=(1, N, 2))
         A = sample_mixing(N, "special-orthogonal", sector)
         inv = np.abs(r.normal(size=blocks.R))
-        angles = mra._critical_angles(W, inv, A, blocks)
+        angles = mra._stationary_angles(mra._stationarity_map(W, A, blocks) @ inv)
         theta = np.linspace(-np.pi, np.pi, 100_001)[:-1]
         score, _ = mra._ray_fits(
             np.stack([np.cos(theta), np.sin(theta)], axis=-1) @ W[0].T, inv, A, blocks
@@ -577,6 +661,74 @@ class TestRecovery:
         for x in extrema:
             gap = np.abs(np.angle(np.exp(1j * (angles - x))))
             assert gap.min() < 1e-4
+
+    def test_the_real_quartic_finds_every_root_of_the_complex_one(self):
+        # 200 random sectors: each angle where the reference's z-form is
+        # stationary (a root on the unit circle) is a candidate, and the
+        # candidates' best ray scores no lower than the reference's best
+        for i in range(200):
+            r = np.random.default_rng(i)
+            N = int(r.choice([4, 5, 8, 9]))
+            blocks = block_structure_for_power_spectrum(N)
+            W = r.normal(size=(1, N, 2))
+            A = sample_mixing(N, "general-linear", i)
+            inv = np.abs(r.normal(size=blocks.R))
+            angles = mra._stationary_angles(mra._stationarity_map(W, A, blocks) @ inv)
+            z = critical_angles_reference(W, inv, A, blocks)
+            half = 0.5 * np.angle(z)
+            ref = np.concatenate([half, half + np.pi])
+            on_circle = np.tile(np.abs(np.abs(z) - 1.0) < 1e-6, 2)
+            assert on_circle.any()
+            for x in ref[on_circle]:
+                assert np.abs(np.angle(np.exp(1j * (angles - x)))).min() < 1e-9
+            best, ref_best = (sector_scores(W[0], th, inv, A, blocks).max() for th in (angles, ref))
+            assert best >= ref_best * (1 - 1e-12)
+
+    def test_a_stationary_angle_at_t_infinity_is_a_candidate(self):
+        # invariants that are the energies at u = (0, 1) score ||b||^2 there,
+        # the most any ray can: a maximum at theta = +-pi/2, where t = tan(theta)
+        # is infinite, and the quartic's leading coefficient is rounding
+        N = 8
+        blocks = block_structure_for_power_spectrum(N)
+        W = np.random.default_rng(3).normal(size=(1, N, 2))
+        A = sample_mixing(N, "special-orthogonal", 3)
+        inv = blocks.energies(A @ W[0, :, 1])
+        C = mra._stationarity_map(W, A, blocks) @ inv
+        assert abs(C[0, 0]) <= 1e-12 * np.abs(C).max()
+        angles = mra._stationary_angles(C)
+        score = sector_scores(W[0], angles, inv, A, blocks)
+        assert score.max() == pytest.approx(inv @ inv, rel=1e-12)
+        assert abs(np.cos(angles[np.argmax(score)])) < 1e-12
+
+    def test_a_quartic_of_lower_degree_gives_its_roots(self):
+        # rows of degree 4, 3, 2, and 3 under a leading coefficient that is rounding
+        C = np.array([
+            [1.0, 0.0, -5.0, 0.0, 4.0],     # roots -2, -1, 1, 2
+            [0.0, 1.0, 0.0, -1.0, 0.0],     # -1, 0, 1
+            [0.0, 0.0, 1.0, 0.0, -4.0],     # -2, 2
+            [1e-20, 1.0, 0.0, -1.0, 0.0],   # -1, 0, 1
+        ])
+        angles = mra._stationary_angles(C)
+        theta = np.arctan([-2.0, -1.0, 1.0, 2.0, -1.0, 0.0, 1.0, -2.0, 2.0, -1.0, 0.0, 1.0])
+        expected = np.concatenate([theta, theta + np.pi, [-0.5 * np.pi, 0.5 * np.pi]])
+        np.testing.assert_allclose(np.sort(angles), np.sort(expected), rtol=0, atol=1e-12)
+
+    def test_a_sector_of_constant_score_gives_only_t_infinity(self):
+        # identity rows on the one 2-D block make every energy constant, so
+        # F = 0: the row has no root, and theta = +-pi/2 scores the constant
+        N = 4
+        blocks = block_structure_for_power_spectrum(N)
+        assert blocks.dims == (1, 1, 2)
+        W = np.zeros((1, N, 2))
+        W[0, 2:] = np.eye(2)
+        inv = np.array([0.5, 0.2, 1.5])
+        C = mra._stationarity_map(W, np.eye(N), blocks) @ inv
+        np.testing.assert_array_equal(C, np.zeros((1, 5)))
+        angles = mra._stationary_angles(C)
+        np.testing.assert_array_equal(angles, [-0.5 * np.pi, 0.5 * np.pi])
+        np.testing.assert_allclose(
+            sector_scores(W[0], angles, inv, np.eye(N), blocks), [1.5**2, 1.5**2], rtol=1e-15
+        )
 
     @pytest.mark.parametrize("preset", ["mra-cyclic-n4", "cor-sphere-so3"])
     def test_the_sector_path_is_no_worse_than_50_random_starts(self, preset):
