@@ -45,9 +45,10 @@ SCHEMA_VERSION = 1
 #: cap that count at MAX_LAYER_WEIGHTS, 128 MiB of weights per layer.
 MAX_LAYER_WEIGHTS = 2**24
 
-#: An ambient or sparse prior holds an N x N basis and a threshold-sweep cell
-#: an N x N mixing, so configs cap those signal lengths at MAX_SIGNAL_N, whose
-#: square is MAX_LAYER_WEIGHTS.
+#: An ambient or sparse prior holds an N x N basis, and a run with a mixing (a
+#: threshold-sweep cell, or the signal of a relu-network prior or of a cyclic
+#: or dihedral group) an N x N mixing, so configs cap those signal lengths at
+#: MAX_SIGNAL_N, whose square is MAX_LAYER_WEIGHTS.
 MAX_SIGNAL_N = math.isqrt(MAX_LAYER_WEIGHTS)
 
 
@@ -415,8 +416,19 @@ def validate_config(data: dict) -> ExperimentConfig:
             f"parameters.prior.N: the prior holds an N x N basis, so N must be "
             f"<= {MAX_SIGNAL_N}, got {prior['N']}"
         )
+    if prior.get("type") == "relu-network" and prior["widths"][-1] > MAX_SIGNAL_N:
+        raise ConfigError(
+            f"parameters.prior.widths: the last width is the signal length N, and the "
+            f"run holds an N x N mixing, so it must be <= {MAX_SIGNAL_N}, "
+            f"got {prior['widths'][-1]}"
+        )
     group = p.get("group", {})
     finite = group.get("kind") in ("cyclic", "dihedral")
+    if finite and group["N"] > MAX_SIGNAL_N:
+        raise ConfigError(
+            f"parameters.group.N: N is the signal length, and the run may hold an N x N "
+            f"mixing, so N must be <= {MAX_SIGNAL_N}, got {group['N']}"
+        )
     if p.get("block_scalar_check") and finite and group["N"] > MAX_ORBIT_N:
         raise ConfigError(
             f"parameters.group.N: the block-scalar check holds the group's N x N "

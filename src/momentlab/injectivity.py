@@ -578,7 +578,8 @@ def codimension_probe(
     res_norm, A = tries[-1]
     converged = res_norm <= PROBE_RESIDUAL_TARGET
     if converged:
-        dim = tangent_dim - numerical_rank(np.linalg.svd(jac(A), compute_uv=False))
+        # the same singular values as J's, from the tall orientation, which is cheaper
+        dim = tangent_dim - numerical_rank(np.linalg.svd(jac(A).T, compute_uv=False))
     else:
         dim, res_norm, A = None, min(r for r, _ in tries), None
     return CodimensionEstimate(

@@ -35,7 +35,11 @@ files the library reads:
   over the points, measurements and rows of ``oracle_points``;
 * ``so_probe_jacobian_scatter`` -- the SO(N) codimension probe's constraint
   Jacobian scattered into place by ``np.add.at``, the form behind the
-  one-hot products of ``injectivity.codimension_probe``.
+  one-hot products of ``injectivity.codimension_probe``;
+* ``lm_step_reference`` -- a Levenberg-Marquardt step and its predicted
+  reduction from the thin SVD of J, the form that
+  ``gaussnewton.damped_gauss_newton`` keeps for tall and square J and
+  replaces for wide J by the eigendecomposition of the Gram matrix J J^T.
 """
 
 import json
@@ -521,3 +525,18 @@ def so_probe_jacobian_scatter(A, x, y, blocks):
     np.add.at(J, (block_of_row[a_idx], cols), H[a_idx, b_idx])
     np.subtract.at(J, (block_of_row[b_idx], cols), H[b_idx, a_idx])
     return J
+
+
+def lm_step_reference(J, r, lam):
+    """The damped step minimizing ||J delta + r||^2 + lam ||delta||^2, and its predicted reduction.
+
+    From the thin SVD J = U diag(s) V^T and c = U^T r: the step is
+    -V (s / (s^2 + lam) * c), and the reduction ||r||^2 - ||r + J delta||^2
+    that the linear model predicts for it is ||c||^2 - ||lam / (s^2 + lam) * c||^2.
+    """
+    U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+    c = U.T @ r
+    sv2 = sv * sv
+    step = -((sv / (sv2 + lam) * c) @ Vt)
+    pred = c @ c - np.square(lam / (sv2 + lam) * c).sum()
+    return step, pred

@@ -188,7 +188,7 @@ class TestValidate:
     @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
     def test_the_block_scalar_check_caps_a_finite_group_s_n(self, capsys, monkeypatch, kind):
         # it holds the group's element matrices, up to 2 N^3 floats; a bare
-        # simulation holds none and takes any N
+        # simulation holds none and takes any N up to MAX_SIGNAL_N
         monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
         params = get_preset("appendixB-blockscalar").parameters()
         config = {"schema_version": 1, "command": "mra-sim"}
@@ -200,6 +200,47 @@ class TestValidate:
         validate_config({**config, "parameters": {**too_long, "block_scalar_check": False}})
         group = json.dumps({"kind": kind, "N": 3000})
         assert main(["run", "--preset", "appendixB-blockscalar", "--set", f"group={group}"]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.group.N: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("collide", get_preset("thm1-gl").parameters()),
+            ("sweep", get_preset("mra-cyclic-n4").parameters()),
+        ],
+        ids=["collide", "sample-complexity"],
+    )
+    def test_a_relu_network_caps_its_signal_length(self, tmp_path, capsys, command, params):
+        # the last width is the signal length N, and the run holds an N x N mixing
+        config = {"schema_version": 1, "command": command}
+
+        def with_last_width(n):
+            prior = {**params["prior"], "widths": [2, 2, n]}
+            group = {"group": {"kind": "cyclic", "N": n}} if "group" in params else {}
+            return {**config, "parameters": {**params, "prior": prior, **group}}
+
+        path = write_config(tmp_path, with_last_width(MAX_SIGNAL_N))
+        assert main(["validate", "--config", str(path)]) == 0
+        path = write_config(tmp_path, with_last_width(MAX_SIGNAL_N + 1))
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.prior.widths: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+    @pytest.mark.parametrize("preset", ["mra-cyclic-n4", "appendixB-blockscalar"])
+    def test_a_finite_group_caps_its_signal_length(self, tmp_path, capsys, preset, kind):
+        # with or without the block-scalar check: a run may hold an N x N mixing
+        config = get_preset(preset).config.to_dict()
+        params = {k: v for k, v in config["parameters"].items() if k != "block_scalar_check"}
+
+        def with_n(n):
+            return {**config, "parameters": {**params, "group": {"kind": kind, "N": n}}}
+
+        path = write_config(tmp_path, with_n(MAX_SIGNAL_N))
+        assert main(["validate", "--config", str(path)]) == 0
+        path = write_config(tmp_path, with_n(MAX_SIGNAL_N + 1))
+        assert main(["validate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "parameters.group.N: " in err and "Traceback" not in err
 

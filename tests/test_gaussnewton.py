@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from reference import lm_step_reference
 
 from momentlab import gaussnewton
 from momentlab.gaussnewton import damped_gauss_newton, multistart
+from momentlab.measurements import block_structure_for_power_spectrum
 
 
 def test_solves_linear_least_squares(rng):
@@ -316,6 +320,81 @@ def test_svd_step_tends_to_minimal_norm_solution(monkeypatch, shape):
     J = r.normal(size=shape)
     r0 = r.normal(size=shape[0])
     assert rel_err(first_trial_step(monkeypatch, J, r0, 1e-14), -np.linalg.pinv(J) @ r0) < 1e-9
+
+
+def gl_probe_shaped(rng):
+    """9 x 256 in the GL(16) probe's layout: each row of A moves one block's
+    energy, so J's rows have disjoint supports and J J^T is diagonal."""
+    blocks = block_structure_for_power_spectrum(16)
+    J = np.zeros((blocks.R, 16, 16))
+    for k, sl in enumerate(blocks.slices()):
+        J[k, sl] = rng.normal(size=(blocks.dims[k], 16))
+    return J.reshape(blocks.R, 256), rng.normal(size=blocks.R)
+
+
+def so_probe_shaped(rng):
+    """11 x 190 whose rows sum to zero, SO(20)'s probe's one null direction
+    (energy conservation); r sums to zero too, as the probe's does there."""
+    J = rng.normal(size=(11, 190))
+    r = rng.normal(size=11)
+    return J - J.mean(axis=0), r - r.mean()
+
+
+def rank_one(rng):
+    """9 x 256 with one nonzero row, so J J^T has rank 1 exactly."""
+    J = np.zeros((9, 256))
+    J[3] = rng.normal(size=256)
+    return J, rng.normal(size=9)
+
+
+WIDE_CASES = {"gl-9x256": gl_probe_shaped, "so-11x190": so_probe_shaped, "rank-1": rank_one}
+WIDE_DAMPINGS = [1e-14, 1e-8, 1.0, 1e12]
+
+
+@pytest.mark.parametrize("case", WIDE_CASES)
+@pytest.mark.parametrize("lam", WIDE_DAMPINGS)
+def test_wide_step_matches_the_svd_step(monkeypatch, case, lam):
+    J, r0 = WIDE_CASES[case](np.random.default_rng(7))
+    ref_step, ref_pred = lm_step_reference(J, r0, lam)
+    step = first_trial_step(monkeypatch, J, r0, lam)
+    assert rel_err(step, ref_step) < 1e-10
+    # The reduction the linear model predicts for the solver's step, formed
+    # without cancellation. ``pred`` is a difference of two sums of size
+    # ||r||^2, so it is good to the rounding of ||r||^2.
+    Js = J @ step
+    assert abs(-(Js @ (2.0 * r0 + Js)) - ref_pred) <= 1e-10 * ref_pred + 1e-14 * (r0 @ r0)
+
+
+@pytest.mark.parametrize("lam", WIDE_DAMPINGS)
+def test_wide_step_of_a_zero_jacobian_ends_at_step_tol(monkeypatch, lam):
+    # the step is 0 at every damping, shorter than STEP_TOL: no trial
+    J, r0 = np.zeros((9, 256)), np.random.default_rng(7).normal(size=9)
+    assert not lm_step_reference(J, r0, lam)[0].any()
+    monkeypatch.setattr(gaussnewton, "LAM0", lam)
+    x0 = np.zeros(256)
+    res, evaluations, trials = spy_trials(lambda x: J @ x + r0, lambda x: J, x0)
+    assert trials == [] and len(evaluations) == 1
+    assert res.x is x0 and res.f == r0 @ r0 and res.iterations == 1
+    assert not res.converged
+
+
+@pytest.mark.parametrize("entry", [1e160, np.inf, np.nan], ids=["overflow", "inf", "nan"])
+def test_wide_step_from_a_gram_matrix_that_is_not_finite_ends_the_solve(entry):
+    # The first step is accepted. At the accepted point J J^T overflows or is
+    # not finite, eigh raises LinAlgError, and the solve ends unconverged at
+    # that point without a trial from it and without a warning.
+    J, r0 = gl_probe_shaped(np.random.default_rng(3))
+    bad = np.full(J.shape, entry)
+    x0 = np.zeros(J.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, evaluations, trials = spy_trials(
+            lambda x: J @ x + r0, lambda x: J if x is x0 else bad, x0, f_tol=0.0
+        )
+    assert len(trials) == 1 and len(evaluations) == 2
+    assert res.x is evaluations[1][0] and res.f == evaluations[1][1] < r0 @ r0
+    assert res.iterations == 2
+    assert not res.converged
 
 
 class TestMultistart:
