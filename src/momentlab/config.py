@@ -46,9 +46,9 @@ SCHEMA_VERSION = 1
 MAX_LAYER_WEIGHTS = 2**24
 
 #: An ambient or sparse prior holds an N x N basis, and a run with a mixing (a
-#: threshold-sweep cell, or the signal of a relu-network prior or of a cyclic
-#: or dihedral group) an N x N mixing, so configs cap those signal lengths at
-#: MAX_SIGNAL_N, whose square is MAX_LAYER_WEIGHTS.
+#: threshold-sweep cell, a measured signal, or the signal of a prior or of a
+#: cyclic or dihedral group) an N x N mixing, so configs cap those signal
+#: lengths at MAX_SIGNAL_N, whose square is MAX_LAYER_WEIGHTS.
 MAX_SIGNAL_N = math.isqrt(MAX_LAYER_WEIGHTS)
 
 
@@ -97,6 +97,19 @@ def check_output_dir(path, field: str) -> None:
             return
 
 
+def check_signal_length(N: int, field: str) -> None:
+    """Raise a ConfigError naming ``field`` unless a signal of length N is at most MAX_SIGNAL_N.
+
+    The run holds an N x N mixing, ``np.eye(N)`` when it names none. The cap
+    is read at each call.
+    """
+    if N > MAX_SIGNAL_N:
+        raise ConfigError(
+            f"{field}: the signal has length {N}, and the run holds an N x N mixing, "
+            f"so N must be <= {MAX_SIGNAL_N}"
+        )
+
+
 def threshold_cell_widths(family: dict, N: int, M: int) -> list[int]:
     """The widths of threshold-sweep cell (N, M)'s prior, of the ``relu-network`` family."""
     return [M, *family.get("hidden_widths", [max(2 * M, 6)]), N]
@@ -111,12 +124,14 @@ def build_prior(spec: dict):
     if t in ("network-file", "sparse-file"):
         load = network_from_json if t == "network-file" else sparse_prior_from_json
         try:
-            return load(Path(spec["path"]).read_text("utf-8"))
+            prior = load(Path(spec["path"]).read_text("utf-8"))
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(
                 f"parameters.prior.path: {spec['path']} is not a {t} prior "
                 f"({type(e).__name__}: {e})"
             ) from None
+        check_signal_length(prior.output_dim, "parameters.prior.path")
+        return prior
     if t == "ambient":
         return ambient_network(int(spec["N"]))
     return sparse_prior(int(spec["N"]), int(spec["M"]), **given(spec, "kind", "seed"))
@@ -396,6 +411,8 @@ def validate_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"{where}{key}: {needs}")
     if command == "measure" and ("signal" in p) == ("signal_path" in p):
         raise ConfigError("parameters.signal: give exactly one of signal and signal_path")
+    if "signal" in p:
+        check_signal_length(len(p["signal"]), "parameters.signal")
     if command == "mra-sim" and p.get("true_seed") == "auto-conditioned":
         raise ConfigError(
             "parameters.true_seed: auto-conditioned applies to sample-complexity sweeps"

@@ -29,12 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussnewton import damped_gauss_newton, linearized, multistart
-from .measurements import (
-    BlockStructure,
-    block_structure_for_power_spectrum,
-    matvec,
-    separable_measurement,
-)
+from .measurements import BlockStructure, matvec, separable_measurement
 from .priors import (
     as_rng,
     chart_stack,
@@ -70,10 +65,11 @@ PENALTY_WEIGHT = 1e2
 PROBE_RESIDUAL_TARGET = 1e-11
 PROBE_MAX_ITER = 200
 
-#: Probe configs cap N at MAX_PROBE_N. A probe's largest arrays hold R x N^2
-#: floats, R <= N: the general-linear Jacobian and its SVD factor (the
-#: special-orthogonal ones hold half as many), so at most 8 N^3 bytes,
-#: 128 MiB at N = 256.
+#: Probe configs cap N at MAX_PROBE_N. A probe's largest arrays hold R x T
+#: floats, R <= N blocks by T tangent coordinates. General-linear (T = N^2)
+#: holds two: a Jacobian and the next one, or the final rank's copy.
+#: Special-orthogonal (T = N(N - 1)/2) holds five: that pair, a second product
+#: and two one-hot matrices. So at most 2.5 N^3 floats, 320 MiB at N = 256.
 MAX_PROBE_N = 256
 
 #: A collision search's solve stops after SEARCH_MAX_ITER iterations (see
@@ -440,18 +436,28 @@ def brute_force_collision_oracle(
 # Codimension probe
 # ---------------------------------------------------------------------------
 
+def _invariant_count(R: int, kind: str) -> int:
+    """The independent invariants r of R blocks under a generic mixing of ``kind``.
+
+    r = R under a general-linear mixing. An orthogonal mixing keeps
+    ||A x||^2 = ||x||^2, the sum of the R block energies, so under a
+    special-orthogonal one r = R - 1.
+    """
+    if kind == "general-linear":
+        return R
+    if kind == "special-orthogonal":
+        return R - 1
+    raise ValueError(f"unknown mixing kind {kind!r}")
+
+
 def solution_dim_bound(manifold: str, N: int, R: int) -> int:
     """Upper bound on the dimension of the mixings confusing a generic pair.
 
-    general-linear: N^2 - R (for the power-spectrum layout R = floor(N/2)+1,
-    so this is N^2 - (N/2 + 1) for even N and N^2 - (N+1)/2 for odd N);
-    special-orthogonal: dim SO(N) - (R - 1).
+    The manifold's dimension less the pair's independent invariants:
+    N^2 - R on general-linear, dim SO(N) - (R - 1) on special-orthogonal.
     """
-    if manifold == "general-linear":
-        return N * N - R
-    if manifold == "special-orthogonal":
-        return N * (N - 1) // 2 - (R - 1)
-    raise ValueError(f"unknown manifold {manifold!r}")
+    dim = N * N if manifold == "general-linear" else N * (N - 1) // 2
+    return dim - _invariant_count(R, manifold)
 
 
 @lru_cache(maxsize=None)
@@ -597,29 +603,22 @@ def codimension_probe(
 # Injectivity regimes
 # ---------------------------------------------------------------------------
 
-def regime_label(blocks: BlockStructure, M: int, kind: str) -> str:
-    """Which injectivity regime a row with layout ``blocks`` and prior dimension M is in.
+def regime_label(R: int, M: int, kind: str) -> str:
+    """Which injectivity regime a row with R blocks and prior dimension M is in.
 
-    The thresholds hold for the power-spectrum layout of N = blocks.N and a
-    generic mixing. general-linear: all signals for N >= 4M, generic signals
-    for N >= 2M; special-orthogonal: N >= 4M + 2 and N >= 2M + 2
-    respectively. An identity mixing is labeled ``non-generic`` and any other
-    layout ``custom-blocks``; neither label, nor ``below-threshold``, carries
-    an expectation.
+    With r the independent invariants under a generic mixing of ``kind``
+    (R on general-linear, R - 1 on special-orthogonal): all signals for
+    r >= 2M + 1, generic signals for r >= M + 1. On the power-spectrum
+    layout, R = floor(N/2) + 1, these read N >= 4M and N >= 2M on
+    general-linear and N >= 4M + 2 and N >= 2M + 2 on special-orthogonal.
+    An identity mixing is labeled ``non-generic``; neither that label nor
+    ``below-threshold`` carries an expectation.
     """
-    if kind == "general-linear":
-        all_thr, gen_thr = 4 * M, 2 * M
-    elif kind == "special-orthogonal":
-        all_thr, gen_thr = 4 * M + 2, 2 * M + 2
-    elif kind == "identity":
+    if kind == "identity":
         return "non-generic"
-    else:
-        raise ValueError(f"unknown mixing kind {kind!r}")
-    N = blocks.N
-    if blocks != block_structure_for_power_spectrum(N):
-        return "custom-blocks"
-    if N >= all_thr:
+    r = _invariant_count(R, kind)
+    if r >= 2 * M + 1:
         return "all-signals"
-    if N >= gen_thr:
+    if r >= M + 1:
         return "generic-signals"
     return "below-threshold"

@@ -22,6 +22,7 @@ from .config import (
     build_blocks,
     build_mixing,
     build_prior,
+    check_signal_length,
     given,
     threshold_cell_widths,
 )
@@ -155,6 +156,7 @@ def _run_measure(p: dict, out: Path):
             raise ConfigError("parameters.signal_path: the file holds no numbers")
         if not np.isfinite(sig).all():
             raise ConfigError("parameters.signal_path: the file holds a value that is not finite")
+        check_signal_length(sig.shape[0], "parameters.signal_path")
     if p.get("domain", "block") == "time":
         sig = to_real_fourier(sig)
     N = sig.shape[0]
@@ -206,7 +208,7 @@ def _run_collide(p: dict, out: Path):
     kind = p["mixing"]["kind"]
     mixing_seeds = p.get("mixing_seeds") or [p["mixing"].get("seed", 0)]
     M = _prior_dimension_summary(prior)
-    regime = regime_label(blocks, M, kind)
+    regime = regime_label(blocks.R, M, kind)
     search_kwargs = given(p, "restarts", "seed")
 
     def mixing(mseed):
@@ -478,7 +480,7 @@ def _run_threshold(p: dict, out: Path):
         for M in p["M_range"]:
             if M > N:
                 continue
-            regime = regime_label(blocks, M, kind)
+            regime = regime_label(blocks.R, M, kind)
             cell = []
             for seed in p["seeds"]:
                 prior = _cell_prior(family, N, M, seed)

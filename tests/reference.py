@@ -11,7 +11,9 @@ files the library reads:
   degree by degree, with three phase tables per degree;
 * ``rotation_matrix_3d`` / ``euler_from_rotation_3d`` -- the 3-D rotations
   behind the homomorphism check of the Wigner blocks;
-* ``action_matrix`` -- the matrix of one group element in block coordinates;
+* ``action_matrix`` -- the matrix of one group element in block coordinates,
+  for a finite group F P F^T from an explicit permutation matrix P: the form
+  behind ``mra._orbit_matrices``' indexed rows of F^T;
 * ``extract_invariants`` -- per-block traces of a second moment, the law
   that ``mra.simulate_invariants`` draws from;
 * ``network_to_json`` / ``sparse_prior_to_json`` -- fixture writers for the
@@ -36,6 +38,9 @@ files the library reads:
 * ``so_probe_jacobian_scatter`` -- the SO(N) codimension probe's constraint
   Jacobian scattered into place by ``np.add.at``, the form behind the
   one-hot products of ``injectivity.codimension_probe``;
+* ``regime_label_reference`` -- the paper's thresholds in the signal length
+  N, for the power-spectrum layout: the form behind
+  ``injectivity.regime_label``'s thresholds in the block count R;
 * ``lm_step_reference`` -- a Levenberg-Marquardt step and its predicted
   reduction from the thin SVD of J, the form that
   ``gaussnewton.damped_gauss_newton`` keeps for tall and square J and
@@ -51,11 +56,11 @@ from momentlab.measurements import (
     BlockStructure,
     DimensionError,
     measurement_jacobian,
+    real_fourier_matrix,
     separable_measurement,
 )
 from momentlab.mra import (
     GroupAction,
-    _orbit_matrices,
     draw_ground_truth,
     recover,
     simulate_invariants,
@@ -174,19 +179,30 @@ def rotate_bandlimited_reference(L: int, angles: np.ndarray, x: np.ndarray) -> n
 
 
 def action_matrix(g, group: GroupAction) -> np.ndarray:
-    """Matrix of one group element in block coordinates."""
+    """Matrix of one group element in block coordinates.
+
+    A finite group's element is F P F^T, with F the real Fourier basis and P
+    the time-domain permutation matrix: the shift v[t] -> v[t - s] for
+    cyclic s or dihedral (s, 0), and that shift after the reversal
+    v[t] -> v[-t] for dihedral (s, 1), so v[t] -> v[s - t].
+    """
     if group.kind == "cyclic":
-        s = int(g)
+        s, refl = int(g), 0
         if not 0 <= s < group.N:
             raise ValueError(f"shift must lie in [0, {group.N}), got {g}")
-        return _orbit_matrices("cyclic", group.N)[s]
-    if group.kind == "dihedral":
+    elif group.kind == "dihedral":
         s, refl = int(g[0]), int(g[1])
         if not 0 <= s < group.N or refl not in (0, 1):
             raise ValueError(f"bad dihedral element {g!r}")
-        return _orbit_matrices("dihedral", group.N)[refl * group.N + s]
-    alpha, beta, gamma = (float(v) for v in g)
-    return wigner_block(group.L, alpha, beta, gamma)
+    else:
+        alpha, beta, gamma = (float(v) for v in g)
+        return wigner_block(group.L, alpha, beta, gamma)
+    N = group.N
+    P = np.zeros((N, N))
+    for t in range(N):
+        P[t, (s - t if refl else t - s) % N] = 1.0      # (P v)[t] = v[source]
+    F = real_fourier_matrix(N)
+    return F @ P @ F.T
 
 
 def extract_invariants(est, blocks: BlockStructure) -> np.ndarray:
@@ -525,6 +541,28 @@ def so_probe_jacobian_scatter(A, x, y, blocks):
     np.add.at(J, (block_of_row[a_idx], cols), H[a_idx, b_idx])
     np.subtract.at(J, (block_of_row[b_idx], cols), H[b_idx, a_idx])
     return J
+
+
+def regime_label_reference(N: int, M: int, kind: str) -> str:
+    """The injectivity regime of the power-spectrum layout of length N, prior dimension M.
+
+    general-linear: all signals for N >= 4M, generic signals for N >= 2M;
+    special-orthogonal: N >= 4M + 2 and N >= 2M + 2 respectively. An
+    identity mixing is ``non-generic``.
+    """
+    if kind == "general-linear":
+        all_thr, gen_thr = 4 * M, 2 * M
+    elif kind == "special-orthogonal":
+        all_thr, gen_thr = 4 * M + 2, 2 * M + 2
+    elif kind == "identity":
+        return "non-generic"
+    else:
+        raise ValueError(f"unknown mixing kind {kind!r}")
+    if N >= all_thr:
+        return "all-signals"
+    if N >= gen_thr:
+        return "generic-signals"
+    return "below-threshold"
 
 
 def lm_step_reference(J, r, lam):

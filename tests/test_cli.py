@@ -29,8 +29,15 @@ from momentlab.injectivity import (
 )
 from momentlab.measurements import block_structure_for_power_spectrum, second_moment_blocks
 from momentlab.presets import PRESETS, get_preset, list_presets
-from momentlab.priors import random_relu_network, sample_mixing
+from momentlab.priors import (
+    GeneratorNetwork,
+    Layer,
+    random_relu_network,
+    sample_mixing,
+    sparse_prior,
+)
 from momentlab.runner import run
+from reference import network_to_json, sparse_prior_to_json
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -244,6 +251,57 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "parameters.group.N: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["signal", "signal_path"])
+    def test_a_measured_signal_caps_its_length(self, tmp_path, capsys, monkeypatch, field):
+        # the measurement holds an N x N mixing, the identity when none is
+        # given; the cap is read at each call, so a lowered one applies
+        monkeypatch.setattr("momentlab.config.MAX_SIGNAL_N", 8)
+        monkeypatch.chdir(tmp_path)
+
+        def measure(n):
+            if field == "signal":
+                params = {"signal": [1.0] * n}
+            else:
+                Path(f"signal{n}.txt").write_text("1\n" * n)
+                params = {"signal_path": f"signal{n}.txt"}
+            path = write_config(tmp_path, {**MEASURE_CONFIG, "parameters": params}, f"{n}.json")
+            return main(["run", "--config", str(path), "--out", f"out{n}"])
+
+        assert measure(8) == 0
+        assert measure(9) == 2
+        err = capsys.readouterr().err
+        assert f"parameters.{field}: the signal has length 9" in err and "Traceback" not in err
+        assert not Path("out9", "report.json").exists()
+
+    @pytest.mark.parametrize("prior_type", ["network-file", "sparse-file"])
+    def test_a_prior_file_caps_its_signal_length(self, tmp_path, capsys, monkeypatch, prior_type):
+        # its signal length is known once the file is read, and the run holds
+        # an N x N mixing
+        monkeypatch.setattr("momentlab.config.MAX_SIGNAL_N", 8)
+        monkeypatch.chdir(tmp_path)
+
+        def collide(n):
+            if prior_type == "network-file":
+                text = network_to_json(GeneratorNetwork([Layer(np.eye(n, 2), "identity")]))
+            else:
+                text = sparse_prior_to_json(sparse_prior(n, 1, "standard-basis"))
+            Path(f"prior{n}.json").write_text(text)
+            params = {
+                "prior": {"type": prior_type, "path": f"prior{n}.json"},
+                "mixing": {"kind": "general-linear", "seed": 0},
+                "seed": 0,
+                "restarts": 1,
+            }
+            cfg = {"schema_version": 1, "command": "collide", "parameters": params}
+            path = write_config(tmp_path, cfg, f"{n}.json")
+            return main(["run", "--config", str(path), "--out", f"out{n}"])
+
+        assert collide(8) == 0
+        assert collide(9) == 2
+        err = capsys.readouterr().err
+        assert "parameters.prior.path: the signal has length 9" in err and "Traceback" not in err
+        assert not Path("out9", "report.json").exists()
+
     @pytest.mark.parametrize("subcommand", ["run", "validate"])
     @pytest.mark.parametrize(
         "name, message",
@@ -423,9 +481,10 @@ class TestCollideCommand:
         assert "no-collision-found" in body[1]
 
     @pytest.mark.parametrize(
-        "blocks, regime", [([10], "custom-blocks"), ([1, 1, 2, 2, 2, 2], "all-signals")]
+        "blocks, regime", [([10], "below-threshold"), ([1, 1, 2, 2, 2, 2], "all-signals")]
     )
-    def test_a_custom_layout_has_no_regime(self, tmp_path, blocks, regime):
+    def test_a_custom_layout_is_labelled_by_its_block_count(self, tmp_path, blocks, regime):
+        # special-orthogonal, M = 2: R - 1 = 0 and 5 = 2M + 1 invariants
         params = {
             **get_preset("thm2-so").parameters(),
             "restarts": 2,
@@ -437,6 +496,24 @@ class TestCollideCommand:
         assert report.results["regime"] == regime
         _, row = (tmp_path / "collisions.csv").read_text().splitlines()
         assert row.split(",")[:5] == ["10", "2", regime, "special-orthogonal", "21"]
+
+    @pytest.mark.parametrize(
+        "blocks, regime, verdict",
+        [([4, 5], "below-threshold", "collision"),
+         ([1, 1, 1, 1, 5], "all-signals", "no-collision-found")],
+    )
+    def test_a_custom_layout_s_regime_reads_as_its_searches_do(
+        self, tmp_path, blocks, regime, verdict
+    ):
+        # thm1-gl's prior (M = 2, N = 9) under two general-linear mixings:
+        # R = 2 < M + 1 collides, R = 5 = 2M + 1 finds no collision
+        params = {**get_preset("thm1-gl").parameters(), "mixing_seeds": [11, 12], "blocks": blocks}
+        cfg = validate_config({"schema_version": 1, "command": "collide", "parameters": params})
+        run(cfg, out_dir=tmp_path)
+        _, *rows = (tmp_path / "collisions.csv").read_text().splitlines()
+        assert [row.split(",")[2:6] for row in rows] == [
+            [regime, "general-linear", seed, verdict] for seed in ("11", "12")
+        ]
 
     def test_report_gives_the_restarts_of_each_search_in_seed_order(self, tmp_path, monkeypatch):
         # each search reports a different count, so the order is visible
@@ -599,7 +676,7 @@ class TestSweepCommand:
                 restarts=restarts,
                 seed=seed,
             )
-            assert row["regime"] == regime_label(block_structure_for_power_spectrum(N), M, kind)
+            assert row["regime"] == regime_label(block_structure_for_power_spectrum(N).R, M, kind)
             assert row["verdict"] == report.verdict
             assert float(row["residual"]) == report.residual
             assert float(row["separation"]) == report.separation

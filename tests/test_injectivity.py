@@ -39,6 +39,7 @@ from reference import (
     brute_force_collision_oracle_reference,
     oracle_points,
     pair_collision_objective,
+    regime_label_reference,
     so_probe_jacobian_scatter,
 )
 
@@ -951,7 +952,7 @@ def test_verdict_boundaries():
 class TestThresholdSweep:
     def test_regime_labels(self):
         def label(N, M, kind):
-            return regime_label(block_structure_for_power_spectrum(N), M, kind)
+            return regime_label(block_structure_for_power_spectrum(N).R, M, kind)
 
         assert label(10, 2, "special-orthogonal") == "all-signals"
         assert label(6, 2, "special-orthogonal") == "generic-signals"
@@ -961,11 +962,24 @@ class TestThresholdSweep:
         assert label(3, 2, "general-linear") == "below-threshold"
         assert label(10, 2, "identity") == "non-generic"
 
-    def test_a_layout_other_than_the_power_spectrum_has_no_regime(self):
+    def test_the_block_count_form_gives_the_signal_length_form_on_the_power_spectrum(self):
+        # R = floor(N/2) + 1: floor(N/2) >= 2M iff N >= 4M, and so on
+        for N in range(1, 301):
+            R = block_structure_for_power_spectrum(N).R
+            for M in range(1, N + 1):
+                for kind in ("general-linear", "special-orthogonal", "identity"):
+                    assert regime_label(R, M, kind) == regime_label_reference(N, M, kind)
+
+    def test_a_custom_layout_is_labelled_by_its_block_count(self):
+        # one block of 10: R = 1; ten blocks of one: R = 10, above 2M + 2
         for kind in ("general-linear", "special-orthogonal"):
-            assert regime_label(BlockStructure((10,)), 1, kind) == "custom-blocks"
-            assert regime_label(BlockStructure((1,) * 10), 1, kind) == "custom-blocks"
-            assert regime_label(BlockStructure((1, 1, 2, 2, 2, 2)), 1, kind) == "all-signals"
-        assert regime_label(BlockStructure((10,)), 1, "identity") == "non-generic"
+            assert regime_label(BlockStructure((10,)).R, 1, kind) == "below-threshold"
+            assert regime_label(BlockStructure((1,) * 10).R, 1, kind) == "all-signals"
+            assert regime_label(BlockStructure((1, 1, 2, 2, 2, 2)).R, 1, kind) == "all-signals"
+        # general-linear keeps all R invariants, special-orthogonal R - 1
+        assert regime_label(3, 1, "general-linear") == "all-signals"
+        assert regime_label(3, 1, "special-orthogonal") == "generic-signals"
+        assert regime_label(2, 1, "special-orthogonal") == "below-threshold"
+        assert regime_label(1, 1, "identity") == "non-generic"
         with pytest.raises(ValueError, match="unknown mixing kind"):
-            regime_label(BlockStructure((10,)), 1, "bogus")
+            regime_label(1, 1, "bogus")

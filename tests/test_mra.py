@@ -102,6 +102,18 @@ class TestGroupAction:
             e = 0 if group.kind == "cyclic" else (0, 0) if group.kind == "dihedral" else (0, 0, 0)
             np.testing.assert_allclose(action_matrix(e, group) @ x, x, atol=1e-12)
 
+    @pytest.mark.parametrize("N", [5, 6])
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+    def test_orbit_matrices_match_explicit_permutations(self, kind, N):
+        # element s is the shift by s, dihedral element N + s that shift
+        # after the reversal; the oracle permutes an identity, not F^T's rows
+        group = GroupAction(kind, N)
+        orbit = _orbit_matrices(kind, N)
+        elements = group_elements(group, None, 0)
+        assert orbit.shape == (len(elements), N, N)
+        for g, element in enumerate(elements):
+            np.testing.assert_allclose(orbit[g], action_matrix(element, group), rtol=0, atol=1e-12)
+
     def test_cached_matrices_are_read_only(self):
         before = _orbit_matrices("cyclic", 4).copy()
         with pytest.raises(ValueError):
