@@ -13,15 +13,14 @@ rejected, so a config never describes an experiment other than the one run.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .injectivity import ORACLE_CELLS
+from .injectivity import ORACLE_CELLS, ORACLE_POINTS
 from .measurements import BlockStructure, block_structure_for_power_spectrum
-from .mra import CHUNK_ROWS, sample_complexity_sweep
+from .mra import CHUNK_ROWS
 from .priors import (
     IMAGE_DIMENSION_TRIALS,
     ambient_network,
@@ -41,6 +40,11 @@ SCHEMA_VERSION = 1
 
 #: The bytes of arrays one run may hold at once; read at each check, so tests can lower it.
 MEMORY_BUDGET = 2**30
+
+#: A sample-complexity sweep's n grid runs from N_MIN to N_CAP unless
+#: ``n_min`` or ``n_cap`` is set.
+N_MIN = 8
+N_CAP = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -387,8 +391,7 @@ def validate_config(data: dict) -> ExperimentConfig:
             "so the sweep has no cell"
         )
     if p.get("sweep_kind") == "sample-complexity":
-        defaults = inspect.signature(sample_complexity_sweep).parameters
-        n_min, n_cap = (p.get(k, defaults[k].default) for k in ("n_min", "n_cap"))
+        n_min, n_cap = p.get("n_min", N_MIN), p.get("n_cap", N_CAP)
         if n_min > n_cap:
             field = "n_min" if "n_min" in p else "n_cap"
             raise ConfigError(f"parameters.{field}: n_min = {n_min} exceeds n_cap = {n_cap}")
@@ -402,7 +405,8 @@ def validate_config(data: dict) -> ExperimentConfig:
 
 def check_memory(command: str, p: dict, read=None, sectors: int | None = None) -> None:
     """Exit 2 naming the largest term's field unless a run's arrays, and 256 KiB of its own
-    objects, fit in MEMORY_BUDGET; the runner adds a file's signal or prior and ``sectors``."""
+    objects, fit in MEMORY_BUDGET; the runner adds a file's signal or prior and ``sectors``.
+    A grid oracle of more than ORACLE_POINTS points exits 2 here too, naming oracle_grid."""
     terms = _memory_terms(command, p, read, sectors)
     total = 2**18 + 8 * sum(floats for floats, _ in terms)
     if total > MEMORY_BUDGET:
@@ -467,15 +471,23 @@ def _memory_terms(command: str, p: dict, read=None, sectors=None) -> list[tuple[
         # P points over the charts: walks, copies, mixed signals, squares, energies;
         # seven max(ORACLE_CELLS, 2P) chunk buffers; C(N, M) sparse chart objects
         charts = math.comb(N, K) if sparse else 1
-        P = charts * p.get("oracle_grid", 41) ** K
+        grid_points = p.get("oracle_grid", 41)
+        P = charts * grid_points**K
+        if P > ORACLE_POINTS:           # a bound on the oracle's time, checked before any chart
+            raise ConfigError(
+                f"parameters.oracle_grid: {charts} charts x {grid_points}^{K} grid = {P} points, "
+                f"above the cap of {ORACLE_POINTS}"
+            )
         grid = P * (3 * N + R + units) + 6 * max(ORACLE_CELLS, 2 * P)
         stages.append([(grid + sparse * charts * (N * K + 128), "parameters.oracle_grid")])
     if p.get("block_scalar_check"):
-        # two (N, Q) arrays of the exact moment (Q: (2L+1)^2 (L+2) nodes, or |G| N element
-        # rows); n Euler angles and a draw (n indexes if finite); a chunk's arrays and noise
+        # the exact moment: two (N, Q) arrays over Q = (2L+1)^2 (L+2) quadrature nodes, or a
+        # finite group's orbit, |G| rows of N, with their indexes and their gather; n Euler
+        # angles and a draw (n indexes if finite); a chunk's arrays and noise
         L, so3 = group.get("L", 0), "L" in group
-        Q = (2 * L + 1) ** 2 * (L + 2) if so3 else N * N * (1 + (group["kind"] == "dihedral"))
-        exact = (2 * N + 2 * L + 15) * Q + 8 * N * N + 128 * R     # and a CSV row a block
+        Q = (2 * L + 1) ** 2 * (L + 2)
+        G = N * (1 + (group["kind"] == "dihedral"))
+        exact = ((2 * N + 2 * L + 15) * Q if so3 else 4 * G * N) + 8 * N * N + 128 * R
         draws = (1 + 3 * so3) * p["n"] + (3 * N + 2 * L + 1) * min(p["n"], CHUNK_ROWS)
         stages.append([(exact, n_field), (draws, "parameters.n")])
     if widths and (p.get("recover") or sweep == "sample-complexity") and K == 2 and not sparse:

@@ -23,6 +23,7 @@ verdicts invariant under rescaling a candidate pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,7 @@ import numpy as np
 from .gaussnewton import damped_gauss_newton, linearized, multistart
 from .measurements import BlockStructure, matvec, separable_measurement
 from .priors import (
+    SparsePrior,
     as_rng,
     chart_stack,
     chart_walk,
@@ -76,7 +78,7 @@ ORACLE_CELLS = 32 * 41**2
 
 #: The grid oracle evaluates at most this many points P = charts x grid^K
 #: (a 200 x 200 grid of one chart), so its ~P^2/2 pairs stay bounded.
-_ORACLE_POINTS = 200**2
+ORACLE_POINTS = 200**2
 
 
 @dataclass
@@ -293,7 +295,7 @@ def brute_force_collision_oracle(
     Independent of the optimizer: evaluates every chart of the prior (for
     sparse priors, every support) on the grid and scans the point pairs for
     the minimal measurement gap among sufficiently separated pairs. Only
-    latent dimension K <= 2 is supported, and at most ``_ORACLE_POINTS``
+    latent dimension K <= 2 is supported, and at most ``ORACLE_POINTS``
     grid points over all charts, which bounds the time.
 
     When every chart is a cone (:func:`.priors.is_cone`: no bias and
@@ -338,13 +340,15 @@ def brute_force_collision_oracle(
     K = prior.latent_dim
     if K > 2:
         raise ValueError(f"oracle supports latent dimension <= 2, got {K}")
-    charts = prior_charts(prior)
-    P = len(charts) * grid_points_per_axis**K
-    if P > _ORACLE_POINTS:
+    # a sparse prior's charts are counted before any is built
+    count = math.comb(prior.output_dim, K) if isinstance(prior, SparsePrior) else 1
+    P = count * grid_points_per_axis**K
+    if P > ORACLE_POINTS:
         raise ValueError(
-            f"{len(charts)} charts x {grid_points_per_axis}^{K} grid = {P} points, "
-            f"above the cap of {_ORACLE_POINTS}"
+            f"{count} charts x {grid_points_per_axis}^{K} grid = {P} points, "
+            f"above the cap of {ORACLE_POINTS}"
         )
+    charts = prior_charts(prior)
 
     axis = np.linspace(-1.0, 1.0, grid_points_per_axis)
     if K == 1:

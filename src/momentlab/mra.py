@@ -6,11 +6,11 @@ distribution and Gaussian noise of known level sigma. Everything lives in
 block coordinates, where all three supported actions (cyclic shifts,
 dihedral shifts-plus-reflection, 3-D rotations of band-limited spherical
 functions) are block-diagonal orthogonal matrices. A finite group acts
-through the stack of all its element matrices (``_orbit_matrices``), and
-rotations through ``so3.rotate_bandlimited``, which applies the real
-factorization Z(alpha) J Z(beta) J^T Z(gamma) to many rotations at once and
-forms no rotation matrix; draws take the group elements in bulk, never one
-at a time.
+through the signal's orbit, its shifts taken in the time domain
+(``_orbit``), and rotations through ``so3.rotate_bandlimited``, which
+applies the real factorization Z(alpha) J Z(beta) J^T Z(gamma) to many
+rotations at once and forms no rotation matrix; draws take the group
+elements in bulk, never one at a time.
 
 The debiased empirical second moment estimates the population moment,
 whose diagonal blocks are scalar matrices carrying exactly one invariant
@@ -22,18 +22,20 @@ network is linear on finitely many angular sectors of its latent plane, so
 instance, and polishes it with one solve. Every other prior takes random
 restarts.
 
-Callers that need only the invariants (``sample_complexity_sweep`` and the
-runner's ``recover`` and bare-simulation paths) draw them from their exact
-law with ``simulate_invariants``, in O(R) whatever n is. The streamed
+Callers that need only the invariants (the runner's sample-complexity
+sweep and its ``recover`` and bare-simulation paths) draw them from their
+exact law with ``simulate_invariants``, in O(R) whatever n is. The streamed
 simulator ``simulate_second_moment`` is the one path that draws
 observations: the runner's block-scalar check reads the whole moment, and
 the fast path is tested against it.
+
+This module holds no experiment loop: the scans over sigma, n and seeds,
+and the choice of a ground-truth seed, are the runner's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -63,16 +65,13 @@ from .so3 import band_limit_blocks, haar_euler_angles, rotate_bandlimited, so3_q
 __all__ = [
     "GroupAction",
     "RecoveryResult",
-    "SampleComplexityResult",
     "simulate_second_moment",
     "simulate_invariants",
     "exact_population_moment",
     "recover",
     "recover_path",
-    "sample_complexity_sweep",
     "draw_ground_truth",
     "instance_noise_amplification",
-    "select_conditioned_instance",
 ]
 
 _GROUP_KINDS = ("cyclic", "dihedral", "so3-bandlimited")
@@ -83,9 +82,6 @@ _GROUP_KINDS = ("cyclic", "dihedral", "so3-bandlimited")
 #: 10^5 noiseless SO(3) observations at L = 4 took a median 54 ms in chunks
 #: of 2 048 or 4 096 rows, 63 ms in 8 192 and 82 ms in 16 384.
 CHUNK_ROWS = 1 << 12
-
-#: ``select_conditioned_instance`` scans ground-truth seeds 0 .. _MAX_SCAN - 1.
-_MAX_SCAN = 256
 
 #: Each ``recover`` solve stops after RECOVER_MAX_ITER iterations, as a
 #: collision search's does after ``injectivity.SEARCH_MAX_ITER``. The
@@ -125,22 +121,22 @@ class GroupAction:
         return cls("so3-bandlimited", (int(L) + 1) ** 2, int(L))
 
 
-@lru_cache(maxsize=None)
-def _orbit_matrices(kind: str, N: int) -> np.ndarray:
-    """All group-element matrices for the finite groups, stacked.
+def _orbit(x: np.ndarray, kind: str) -> np.ndarray:
+    """Every element of a finite group applied to x (block coordinates), one row each.
 
     Element s is the time-domain shift v[t] -> v[t - s], and element N + s
-    (dihedral only) that shift after the reversal v[t] -> v[-t], each moved
-    to block coordinates by ``real_fourier_matrix``: F P F^T = F (F^T)[perm].
+    (dihedral only) that shift after the reversal v[t] -> v[-t]. Row g is
+    F P_g F^T x: the time-domain signal F^T x (``real_fourier_matrix`` F),
+    permuted, and taken back to block coordinates. So the orbit takes
+    (|G|, N) floats and no (|G|, N, N) stack of element matrices.
     """
+    N = x.shape[0]
     F = real_fourier_matrix(N)
-    t = np.arange(N)
-    perms = [(t - s) % N for s in range(N)]
+    s, t = np.arange(N)[:, None], np.arange(N)
+    perms = (t - s) % N
     if kind == "dihedral":
-        perms += [(s - t) % N for s in range(N)]
-    orbit = F @ F.T[np.stack(perms)]
-    orbit.flags.writeable = False       # shared by every caller
-    return orbit
+        perms = np.concatenate([perms, (s - t) % N])
+    return (F.T @ x)[perms] @ F.T
 
 
 def _check_draw(n: int, sigma: float):
@@ -159,7 +155,7 @@ def _observation_chunks(x, group: GroupAction, n: int, sigma: float, rng):
     _check_draw(n, sigma)
     finite = group.kind in ("cyclic", "dihedral")
     if finite:
-        orbit = _orbit_matrices(group.kind, group.N) @ x
+        orbit = _orbit(x, group.kind)
         idx = rng.integers(0, orbit.shape[0], size=n)
     else:
         angles = haar_euler_angles(rng, size=n)
@@ -228,7 +224,7 @@ def exact_population_moment(x: np.ndarray, group: GroupAction) -> np.ndarray:
     """
     x = group.blocks.check_signal(x)
     if group.kind in ("cyclic", "dihedral"):
-        orbit = _orbit_matrices(group.kind, group.N) @ x
+        orbit = _orbit(x, group.kind)
         return orbit.T @ orbit / orbit.shape[0]
     nodes, weights = so3_quadrature(group.L)
     Y = rotate_bandlimited(group.L, nodes, x)
@@ -476,13 +472,6 @@ def recover(
     )
 
 
-@dataclass
-class SampleComplexityResult:
-    rows: list[dict]                # sigma, n_star, median_error, seeds_used
-    fitted_slope: float | None
-    recoveries: int                 # recover() calls the scan made
-
-
 def draw_ground_truth(prior, A, true_seed, signal_norm: float | None):
     """One fixed draw x* = A p(z*) from the mixed prior, optionally rescaled: (chart, z*, x*).
 
@@ -525,142 +514,3 @@ def instance_noise_amplification(prior, A, blocks, true_seed, signal_norm=None) 
     if sv_inv[-1] == 0:
         return np.inf
     return float(sv_x[0] / sv_inv[-1])
-
-
-def select_conditioned_instance(
-    prior, A, blocks, signal_norm=None, amp_threshold: float = 6.0
-) -> int:
-    """First ground-truth seed whose noise amplification is below a threshold.
-
-    Deterministic: scans seeds 0, 1, 2, ... and returns the first acceptable
-    one, so configs recording only the policy stay reproducible. A seed whose
-    ground truth cannot be drawn (see ``draw_ground_truth``) is skipped. If
-    every seed is skipped, a ``ValueError`` gives the last seed's reason; if
-    some were screened and none passed, a ``RuntimeError`` is raised.
-    """
-    skipped = 0
-    for seed in range(_MAX_SCAN):
-        try:
-            amp = instance_noise_amplification(prior, A, blocks, seed, signal_norm)
-        except ValueError as e:
-            skipped, last = skipped + 1, e
-            continue
-        if amp <= amp_threshold:
-            return seed
-    if skipped == _MAX_SCAN:
-        raise ValueError(f"no ground truth could be drawn in {_MAX_SCAN} seeds ({last})")
-    raise RuntimeError(
-        f"no instance with amplification <= {amp_threshold} in {_MAX_SCAN} seeds"
-    )
-
-
-def sample_complexity_sweep(
-    prior,
-    A,
-    group: GroupAction,
-    sigma_list,
-    target_error: float,
-    seeds,
-    true_seed=0,
-    signal_norm: float | None = None,
-    n_min: int = 8,
-    n_cap: int = 10_000_000,
-    grid_ratio: float = 2.0 ** 0.25,
-    recover_restarts: int = 10,
-) -> SampleComplexityResult:
-    """Smallest observation count reaching a target median recovery error.
-
-    For each sigma, scans an ascending geometric grid of n and records the
-    first n whose median sign-aligned relative error over the seeds meets
-    the target; cells that never meet it before ``n_cap`` are marked
-    saturated (n_star = None). The fitted slope is the least-squares slope
-    of log n_star against log sigma over non-saturated cells.
-
-    A cell stops early: once more than ``len(seeds) // 2`` of its errors
-    exceed the target, its median cannot meet it, so the remaining seeds
-    are skipped and the scan moves to the next n. That changes no result.
-    Each seed draws from its own streams (below), so a skipped seed alters
-    no other seed's draws; a cell that meets the target evaluates every
-    seed, so its ``median_error`` is exact; and ``seeds_used`` is always
-    ``len(seeds)``, the sample the median is taken over. ``recoveries``
-    counts the ``recover`` calls actually made.
-
-    The ground-truth signal is one fixed draw from the mixed prior
-    (optionally rescaled to ``signal_norm``), shared by every cell.
-
-    Seeding is keyed by position: the invariants and the recovery starts of
-    one seed in one cell come from ``SeedSequence``s keyed by
-    ``(true_seed, i, j, seed)``, with i the index of sigma in ``sigma_list``
-    and j the index of n in the grid. The same sigma at another index of
-    another list therefore gets other draws, and so may get another n_star.
-    """
-    sigma_list = [float(s) for s in sigma_list]
-    if sorted(sigma_list) != sigma_list:
-        raise ValueError("sigma_list must be sorted ascending")
-    if not 0.0 < target_error < 1.0:
-        raise ValueError("target_error must lie in (0, 1)")
-    if not 1 <= n_min <= n_cap or grid_ratio <= 1.0:
-        raise ValueError(
-            f"need 1 <= n_min <= n_cap and grid_ratio > 1, got {n_min}, {n_cap}, {grid_ratio}"
-        )
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seeds must name at least one seed")
-    blocks = group.blocks
-    _, _, x_star = draw_ground_truth(prior, A, true_seed, signal_norm)
-
-    grid = [int(n_min)]
-    while grid[-1] < n_cap:
-        grid.append(min(int(np.ceil(grid[-1] * grid_ratio)), int(n_cap)))
-    grid = np.unique(np.asarray(grid))
-
-    def cell_error(sigma_idx, n_idx, seed):
-        ss = np.random.SeedSequence((int(true_seed), sigma_idx, n_idx, int(seed)))
-        inv = simulate_invariants(
-            x_star, group, int(grid[n_idx]), sigma_list[sigma_idx], np.random.default_rng(ss)
-        )
-        rec = recover(
-            inv,
-            prior,
-            A,
-            blocks,
-            seed=np.random.SeedSequence((int(true_seed), sigma_idx, n_idx, int(seed), 0xC)),
-            restarts=recover_restarts,
-        )
-        return rec.error_fn(x_star)
-
-    rows = []
-    recoveries = 0
-    for si, sigma in enumerate(sigma_list):
-        n_star = None
-        median_err = None
-        for ni in range(len(grid)):
-            errs, misses = [], 0
-            for s in seeds:
-                errs.append(cell_error(si, ni, s))
-                misses += errs[-1] > target_error
-                if misses > len(seeds) // 2:    # the median misses too
-                    break
-            recoveries += len(errs)
-            if len(errs) < len(seeds):
-                continue
-            med = float(np.median(errs))
-            if med <= target_error:
-                n_star, median_err = int(grid[ni]), med
-                break
-        rows.append(
-            {
-                "sigma": sigma,
-                "n_star": n_star,
-                "median_error": median_err,
-                "seeds_used": len(seeds),
-            }
-        )
-
-    solved = [(r["sigma"], r["n_star"]) for r in rows if r["n_star"] is not None]
-    slope = None
-    if len(solved) >= 2:
-        ls = np.log([s for s, _ in solved])
-        ln = np.log([n for _, n in solved])
-        slope = float(np.polyfit(ls, ln, 1)[0])
-    return SampleComplexityResult(rows, slope, recoveries)

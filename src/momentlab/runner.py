@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    N_CAP,
+    N_MIN,
     ConfigError,
     ExperimentConfig,
     build_blocks,
@@ -41,10 +43,9 @@ from .mra import (
     GroupAction,
     draw_ground_truth,
     exact_population_moment,
+    instance_noise_amplification,
     recover,
     recover_path,
-    sample_complexity_sweep,
-    select_conditioned_instance,
     simulate_invariants,
     simulate_second_moment,
 )
@@ -234,15 +235,12 @@ def _run_collide(p: dict, out: Path):
     def mixing(mseed):
         return build_mixing({"kind": kind, "seed": mseed}, N)
 
-    # The oracle draws no randomness, so running it first changes no result
-    # and rejects an oversized grid before the searches spend their time.
+    # The oracle draws no randomness, so running it first changes no result;
+    # its point cap was checked with the memory budget (config.check_memory).
     oracle = None
     if p.get("oracle_check"):
-        try:
-            grid = given(p, grid_points_per_axis="oracle_grid")
-            oracle = brute_force_collision_oracle(prior, mixing(mixing_seeds[0]), blocks, **grid)
-        except ValueError as e:
-            raise ConfigError(f"parameters.oracle_grid: {e}") from None
+        grid = given(p, grid_points_per_axis="oracle_grid")
+        oracle = brute_force_collision_oracle(prior, mixing(mixing_seeds[0]), blocks, **grid)
     reports = [
         (mseed, collision_search(prior, mixing(mseed), blocks, **search_kwargs))
         for mseed in mixing_seeds
@@ -512,43 +510,131 @@ def _run_threshold(p: dict, out: Path):
     }, [path]
 
 
+#: ``true_seed: "auto-conditioned"`` scans ground-truth seeds 0 .. _MAX_SCAN - 1.
+_MAX_SCAN = 256
+
+
+def _conditioned_seed(prior, A, blocks, signal_norm, amp_threshold) -> int:
+    """The first ground-truth seed whose noise amplification is at most ``amp_threshold``.
+
+    Deterministic: scans seeds 0, 1, 2, ... and returns the first acceptable
+    one, so configs recording only the policy stay reproducible. A seed whose
+    ground truth cannot be drawn (see ``draw_ground_truth``) is skipped. If
+    every seed is skipped, the error names ``signal_norm`` and gives the last
+    seed's reason; if some were screened and none passed, ``amp_threshold``.
+    """
+    skipped = 0
+    for seed in range(_MAX_SCAN):
+        try:
+            amp = instance_noise_amplification(prior, A, blocks, seed, signal_norm)
+        except ValueError as e:
+            skipped, last = skipped + 1, e
+            continue
+        if amp <= amp_threshold:
+            return seed
+    if skipped == _MAX_SCAN:
+        raise ConfigError(
+            f"parameters.signal_norm: no ground truth could be drawn in {_MAX_SCAN} seeds ({last})"
+        )
+    raise ConfigError(
+        f"parameters.amp_threshold: no instance with amplification <= {amp_threshold} "
+        f"in {_MAX_SCAN} seeds"
+    )
+
+
+def _run_sample_complexity(p: dict, out: Path):
+    """Smallest observation count n* reaching a target median recovery error, per sigma.
+
+    For each sigma, walks an ascending geometric grid of n, from ``n_min`` by
+    n <- min(ceil(n * grid_ratio), n_cap) up to ``n_cap``, and records the
+    first n whose median sign-aligned relative error over the seeds meets
+    the target; a sigma that never meets it is saturated (n_star empty). The
+    fitted slope is the least-squares slope of log n_star against log sigma
+    over the sigmas that are not saturated.
+
+    A cell stops early: once more than half of its seeds' errors exceed the
+    target, its median cannot meet it, so the remaining seeds are skipped and
+    the walk moves to the next n. That changes no result. Each seed draws
+    from its own streams (below), so a skipped seed alters no other seed's
+    draws; a cell that meets the target evaluates every seed, so its
+    ``median_error`` is exact; and ``seeds_used`` is always the number of
+    seeds, the sample the median is taken over. ``recoveries`` counts the
+    ``recover`` calls actually made.
+
+    The ground-truth signal is one fixed draw from the mixed prior
+    (optionally rescaled to ``signal_norm``), shared by every cell. Seeding
+    is keyed by position: the invariants and the recovery starts of one seed
+    in one cell come from ``SeedSequence``s keyed by (true_seed, i, j, seed)
+    and that key plus 0xC, with i the index of sigma in ``sigma_list`` and j
+    the index of n along the grid. The same sigma at another index of another
+    list therefore gets other draws, and so may get another n_star.
+    """
+    group = _build_group(p["group"])
+    blocks = group.blocks
+    prior = _load_prior(p, "sweep", group.N, recovers=True)
+    A = build_mixing(p["mixing"], group.N)
+    signal_norm = p.get("signal_norm")
+    true_seed = p.get("true_seed", 0)
+    if true_seed == "auto-conditioned":
+        true_seed = _conditioned_seed(prior, A, blocks, signal_norm, p.get("amp_threshold", 6.0))
+    x_star = _ground_truth(prior, A, true_seed, signal_norm)
+    sigma_list = [float(s) for s in p["sigma_list"]]
+    target_error = p["target_error"]
+    seeds = p["seeds"]
+    n_cap = p.get("n_cap", N_CAP)
+    grid_ratio = p.get("grid_ratio", 2.0 ** 0.25)
+    restarts = p.get("recover_restarts", 10)
+
+    def cell_error(key, n, sigma):
+        inv = simulate_invariants(
+            x_star, group, n, sigma, np.random.default_rng(np.random.SeedSequence(key))
+        )
+        rec = recover(
+            inv, prior, A, blocks, seed=np.random.SeedSequence(key + (0xC,)), restarts=restarts
+        )
+        return rec.error_fn(x_star)
+
+    rows = []
+    recoveries = 0
+    for si, sigma in enumerate(sigma_list):
+        n_star = median_err = None
+        n, ni = p.get("n_min", N_MIN), 0
+        while True:
+            errs, misses = [], 0
+            for s in seeds:
+                errs.append(cell_error((true_seed, si, ni, s), n, sigma))
+                misses += errs[-1] > target_error
+                if misses > len(seeds) // 2:    # the median misses too
+                    break
+            recoveries += len(errs)
+            if len(errs) == len(seeds) and np.median(errs) <= target_error:
+                n_star, median_err = n, float(np.median(errs))
+                break
+            if n >= n_cap:
+                break
+            n, ni = min(int(np.ceil(n * grid_ratio)), n_cap), ni + 1
+        rows.append(
+            {"sigma": sigma, "n_star": n_star, "median_error": median_err, "seeds_used": len(seeds)}
+        )
+
+    solved = [(r["sigma"], r["n_star"]) for r in rows if r["n_star"] is not None]
+    slope = None
+    if len(solved) >= 2:
+        sig, ns = zip(*solved)
+        slope = float(np.polyfit(np.log(sig), np.log(ns), 1)[0])
+    path = out / "samplecomplexity.csv"
+    write_csv(path, SAMPLE_COMPLEXITY_CSV_HEADER, rows)
+    return {
+        "fitted_slope": slope,
+        "resolved_true_seed": true_seed,
+        "saturated_sigmas": [r["sigma"] for r in rows if r["n_star"] is None],
+        "recoveries": recoveries,
+        "recover_path": recover_path(prior),
+        "rows": rows,
+    }, [path]
+
+
 def _run_sweep(p: dict, out: Path):
     if p["sweep_kind"] == "threshold":
         return _run_threshold(p, out)
-
-    # sample-complexity
-    group = _build_group(p["group"])
-    prior = _load_prior(p, "sweep", group.N, recovers=True)
-    A = build_mixing(p["mixing"], group.N)
-    true_seed = p.get("true_seed", 0)
-    if true_seed == "auto-conditioned":
-        try:
-            true_seed = select_conditioned_instance(
-                prior, A, group.blocks, **given(p, "signal_norm", "amp_threshold")
-            )
-        except ValueError as e:
-            raise ConfigError(f"parameters.signal_norm: {e}") from None
-        except RuntimeError as e:
-            raise ConfigError(f"parameters.amp_threshold: {e}") from None
-    _ground_truth(prior, A, true_seed, p.get("signal_norm"))
-    result = sample_complexity_sweep(
-        prior,
-        A,
-        group,
-        [float(s) for s in p["sigma_list"]],
-        float(p["target_error"]),
-        [int(s) for s in p["seeds"]],
-        true_seed=int(true_seed),
-        **given(p, "signal_norm", "n_min", "n_cap", "grid_ratio", "recover_restarts"),
-    )
-    path = out / "samplecomplexity.csv"
-    write_csv(path, SAMPLE_COMPLEXITY_CSV_HEADER, result.rows)
-    saturated = [r["sigma"] for r in result.rows if r["n_star"] is None]
-    return {
-        "fitted_slope": result.fitted_slope,
-        "resolved_true_seed": int(true_seed),
-        "saturated_sigmas": saturated,
-        "recoveries": result.recoveries,
-        "recover_path": recover_path(prior),
-        "rows": result.rows,
-    }, [path]
+    return _run_sample_complexity(p, out)

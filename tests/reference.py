@@ -13,14 +13,16 @@ files the library reads:
   behind the homomorphism check of the Wigner blocks;
 * ``action_matrix`` -- the matrix of one group element in block coordinates,
   for a finite group F P F^T from an explicit permutation matrix P: the form
-  behind ``mra._orbit_matrices``' indexed rows of F^T;
+  behind ``mra._orbit``'s permuted time-domain signal;
 * ``extract_invariants`` -- per-block traces of a second moment, the law
   that ``mra.simulate_invariants`` draws from;
 * ``network_to_json`` / ``sparse_prior_to_json`` -- fixture writers for the
   formats that ``priors.network_from_json`` and ``sparse_prior_from_json``
   read;
-* ``full_sample_complexity_scan`` -- the sample-complexity scan that
-  recovers every seed of every cell it visits, with no early stop;
+* ``n_grid_reference`` -- a sample-complexity sweep's n grid as a list,
+  deduplicated: the form behind the runner's step-by-step walk of it;
+* ``full_sample_complexity_scan`` -- the runner's sample-complexity scan,
+  recovering every seed of every cell it visits, with no early stop;
 * ``reference_walk`` -- a network's value and Jacobian at one latent point,
   one layer at a time, with its own activation formulas: the form behind
   ``priors.chart_walk`` and ``priors.walk_jacobian``;
@@ -253,6 +255,14 @@ def sparse_prior_to_json(prior: SparsePrior) -> str:
     )
 
 
+def n_grid_reference(n_min, n_cap, grid_ratio) -> np.ndarray:
+    """The n grid from n_min by n <- min(ceil(n * grid_ratio), n_cap) to n_cap, as one array."""
+    grid = [int(n_min)]
+    while grid[-1] < n_cap:
+        grid.append(min(int(np.ceil(grid[-1] * grid_ratio)), int(n_cap)))
+    return np.unique(np.asarray(grid))
+
+
 def full_sample_complexity_scan(
     prior,
     A,
@@ -267,18 +277,15 @@ def full_sample_complexity_scan(
     grid_ratio=2.0 ** 0.25,
     recover_restarts=10,
 ):
-    """``mra.sample_complexity_sweep`` with no early stop: (rows, fitted slope, recoveries).
+    """The runner's sample-complexity scan with no early stop: (rows, fitted slope, recoveries).
 
     Every seed of every cell it visits is recovered, from the same
-    ``SeedSequence`` keys as the library's scan, and each cell's median is
+    ``SeedSequence`` keys as the runner's scan, and each cell's median is
     taken over all of them.
     """
     sigma_list = [float(s) for s in sigma_list]
     _, _, x_star = draw_ground_truth(prior, A, true_seed, signal_norm)
-    grid = [int(n_min)]
-    while grid[-1] < n_cap:
-        grid.append(min(int(np.ceil(grid[-1] * grid_ratio)), int(n_cap)))
-    grid = np.unique(np.asarray(grid))
+    grid = n_grid_reference(n_min, n_cap, grid_ratio)
 
     rows, recoveries = [], 0
     for si, sigma in enumerate(sigma_list):

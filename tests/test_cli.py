@@ -243,14 +243,14 @@ BUDGET_CASES = {
     ),
     "cyclic-block-scalar-N": (
         "mra-sim",
-        block_scalar(group={"kind": "cyclic", "N": 60}, n=1000),
-        block_scalar(group={"kind": "cyclic", "N": 61}, n=1000),
+        block_scalar(group={"kind": "cyclic", "N": 60}, n=10),
+        block_scalar(group={"kind": "cyclic", "N": 61}, n=10),
         "group.N",
     ),
     "dihedral-block-scalar-N": (
         "mra-sim",
-        block_scalar(group={"kind": "dihedral", "N": 60}, n=1000),
-        block_scalar(group={"kind": "dihedral", "N": 61}, n=1000),
+        block_scalar(group={"kind": "dihedral", "N": 60}, n=10),
+        block_scalar(group={"kind": "dihedral", "N": 61}, n=10),
         "group.N",
     ),
     "so3-block-scalar-L": (
@@ -527,7 +527,6 @@ DRAWN_RUNS = {
 def _clear_caches():
     """Drop what earlier runs cached, so that a traced run builds its own."""
     injectivity._probe_geometry.cache_clear()
-    mra._orbit_matrices.cache_clear()
     mra._SEARCH_MEMO.clear()
     so3._rotation_factors.cache_clear()
 
@@ -848,6 +847,26 @@ class TestCollideCommand:
         assert results["oracle_separation"] == oracle.separation
         assert results["oracle_scale"] == oracle.scale
 
+    @pytest.mark.parametrize("prior_type", ["sparse", "sparse-file"])
+    def test_a_sparse_oracle_past_its_point_cap_exits_2_before_any_chart(
+        self, tmp_path, capsys, monkeypatch, prior_type
+    ):
+        # C(300, 2) = 44 850 supports of one grid point each, past the oracle's
+        # cap of 200^2 points: validation rejects it, or the runner once it has
+        # read the prior's file, and no chart is built
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(injectivity, "prior_charts", lambda *a: pytest.fail("built charts"))
+        prior = {"type": "sparse", "N": 300, "M": 2, "seed": 9}
+        if prior_type == "sparse-file":
+            prior = {"type": "sparse-file", "path": _sparse_file(300, 2, 9)}
+        params = {"prior": prior, "mixing": GL, "seed": 0, "oracle_check": True, "oracle_grid": 1}
+        path = write_config(tmp_path, envelope("collide", params))
+        assert main(["validate", "--config", str(path)]) == (2 if prior_type == "sparse" else 0)
+        assert main(["run", "--config", str(path), "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.oracle_grid: 44850 charts x 1^2 grid" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 THRESHOLD_CONFIG = {
     "schema_version": 1,
@@ -965,8 +984,8 @@ class TestSweepCommand:
         "bounds, field",
         [
             ({"n_min": 5000, "n_cap": 100}, "parameters.n_min"),
-            ({"n_min": 20_000_000}, "parameters.n_min"),    # n_cap at its library default
-            ({"n_cap": 4}, "parameters.n_cap"),             # n_min at its library default
+            ({"n_min": 20_000_000}, "parameters.n_min"),    # n_cap at its default, config.N_CAP
+            ({"n_cap": 4}, "parameters.n_cap"),             # n_min at its default, config.N_MIN
         ],
     )
     def test_n_min_above_n_cap_exits_2(self, tmp_path, capsys, bounds, field):
@@ -1011,8 +1030,8 @@ class TestSweepCommand:
             "recover_restarts": 4,
         }
         calls = []
-        recover = mra.recover
-        monkeypatch.setattr(mra, "recover", lambda *a, **k: calls.append(1) or recover(*a, **k))
+        recover = runner.recover
+        monkeypatch.setattr(runner, "recover", lambda *a, **k: calls.append(1) or recover(*a, **k))
         run(validate_config({"schema_version": 1, "command": "sweep", "parameters": params}),
             out_dir=tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
@@ -1280,6 +1299,9 @@ class TestOverrides:
             ),
             ("cor-sparse", "oracle_check=true", "parameters.oracle_grid"),
             ("mra-cyclic-n4", "n_min=20000000", "parameters.n_min"),
+            ("mra-cyclic-n4", "seeds=[]", "parameters.seeds"),
+            ("mra-cyclic-n4", "target_error=0", "parameters.target_error"),
+            ("mra-cyclic-n4", "target_error=1", "parameters.target_error"),
             ("lemma-codim-gl", "residual_target=1e-11", "parameters.residual_target"),
             ("lemma-codim-gl", "rank_rtol=1e-6", "parameters.rank_rtol"),
             ("appendixB-blockscalar", "recover=true", "parameters.recover"),

@@ -531,14 +531,16 @@ class TestBruteForceOracle:
 
     def test_point_cap_is_checked_before_any_forward_pass(self, monkeypatch):
         # 3 supports x 116^2 grid points = 40 368, just over the cap of 200^2;
-        # 115^2 would give 39 675, just under it.
+        # 115^2 would give 39 675, just under it. The supports are counted,
+        # not built.
         prior = sparse_prior(3, 2, seed=0)
-        assert injectivity._ORACLE_POINTS == 200**2 < 3 * 116**2
+        assert injectivity.ORACLE_POINTS == 200**2 < 3 * 116**2
 
         def forward(*args):
             raise AssertionError("the oracle evaluated the prior")
 
         monkeypatch.setattr(injectivity, "chart_walk", forward)
+        monkeypatch.setattr(injectivity, "prior_charts", forward)
         with pytest.raises(ValueError, match="40368 points, above the cap of 40000"):
             brute_force_collision_oracle(prior, np.eye(3), block_structure_for_power_spectrum(3), 116)
 

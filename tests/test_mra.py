@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from momentlab import mra, runner
-from momentlab.config import ExperimentConfig, build_prior
+from momentlab.config import ConfigError, ExperimentConfig, build_prior
 from momentlab.gaussnewton import damped_gauss_newton
 from momentlab.measurements import (
     BlockStructure,
@@ -18,13 +18,10 @@ from momentlab.measurements import (
 from momentlab.mra import (
     CHUNK_ROWS,
     GroupAction,
-    _orbit_matrices,
     draw_ground_truth,
     exact_population_moment,
     instance_noise_amplification,
     recover,
-    sample_complexity_sweep,
-    select_conditioned_instance,
     simulate_invariants,
     simulate_second_moment,
 )
@@ -52,6 +49,7 @@ from reference import (
     critical_angles_reference,
     extract_invariants,
     full_sample_complexity_scan,
+    n_grid_reference,
     recover_objective,
 )
 
@@ -103,25 +101,22 @@ class TestGroupAction:
             e = 0 if group.kind == "cyclic" else (0, 0) if group.kind == "dihedral" else (0, 0, 0)
             np.testing.assert_allclose(action_matrix(e, group) @ x, x, atol=1e-12)
 
-    @pytest.mark.parametrize("N", [5, 6])
+    @pytest.mark.parametrize("N", [1, 2, 5, 6])
     @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
-    def test_orbit_matrices_match_explicit_permutations(self, kind, N):
-        # element s is the shift by s, dihedral element N + s that shift
-        # after the reversal; the oracle permutes an identity, not F^T's rows
+    def test_orbit_matches_explicit_permutations(self, kind, N):
+        # row s is the shift by s, dihedral row N + s that shift after the
+        # reversal; the oracle's element matrices permute an identity
         group = GroupAction(kind, N)
-        orbit = _orbit_matrices(kind, N)
+        x = np.random.default_rng(N).normal(size=N)
+        orbit = mra._orbit(x, kind)
         elements = group_elements(group, None, 0)
-        assert orbit.shape == (len(elements), N, N)
+        assert orbit.shape == (len(elements), N)
         for g, element in enumerate(elements):
-            np.testing.assert_allclose(orbit[g], action_matrix(element, group), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                orbit[g], action_matrix(element, group) @ x, rtol=0, atol=1e-12
+            )
 
     def test_cached_matrices_are_read_only(self):
-        before = _orbit_matrices("cyclic", 4).copy()
-        with pytest.raises(ValueError):
-            _orbit_matrices("cyclic", 4)[0, 0, 0] = 2.0
-        np.testing.assert_array_equal(_orbit_matrices("cyclic", 4), before)
-        with pytest.raises(ValueError):
-            _orbit_matrices("dihedral", 4)[5, 0, 0] = 2.0
         for cached in (*_y_generator_eig(2), _real_basis_transform(2), *_rotation_factors(2)):
             with pytest.raises(ValueError):
                 cached[0, ...] = 0.0
@@ -206,7 +201,7 @@ def one_shot_observations(x, group, n, sigma, seed):
     """Reference form: every group element, then all the noise, in single draws."""
     rng = np.random.default_rng(seed)
     if group.kind in ("cyclic", "dihedral"):
-        orbit = _orbit_matrices(group.kind, group.N) @ x
+        orbit = mra._orbit(x, group.kind)
         clean = orbit[rng.integers(0, orbit.shape[0], size=n)]
     else:
         clean = rotate_bandlimited(group.L, haar_euler_angles(rng, size=n), x)
@@ -635,13 +630,9 @@ class TestRecovery:
         recover(inv, prior, A, blocks)
         assert len(sector_builds) == 2
 
-    def test_a_sweep_builds_its_sector_search_once(self, sector_builds):
-        group = GroupAction("cyclic", 8)
-        (prior, A, _), _, _ = memo_instances()
-        res = sample_complexity_sweep(
-            prior, A, group, [0.5, 1.0], 0.1, seeds=[0, 1, 2], signal_norm=0.4, n_cap=30_000
-        )
-        assert res.recoveries > 20 and len(sector_builds) == 1
+    def test_a_sweep_builds_its_sector_search_once(self, sector_builds, tmp_path):
+        results = run_sweep(tmp_path, sweep(sigma_list=[0.5, 1.0], seeds=[0, 1, 2], n_cap=30_000))
+        assert results["recoveries"] > 20 and len(sector_builds) == 1
 
     def test_the_sector_search_is_read_only(self):
         (prior, A, blocks), _, _ = memo_instances()
@@ -756,7 +747,7 @@ class TestRecovery:
         prior, A = build_prior(p["prior"]), build_mixing(p["mixing"], group.N)
         true_seed = p.get("true_seed", 0)
         if true_seed == "auto-conditioned":
-            true_seed = select_conditioned_instance(prior, A, group.blocks, p["signal_norm"])
+            true_seed = runner._conditioned_seed(prior, A, group.blocks, p["signal_norm"], 6.0)
         _, _, x_star = draw_ground_truth(prior, A, true_seed, p.get("signal_norm"))
         lower = 0
         for si, sigma in enumerate([0.5, 1.0]):
@@ -898,26 +889,16 @@ class TestRecovery:
         assert np.median(errs) < 100 * delta
 
 
+def sweep(**params) -> dict:
+    """The ``mra-cyclic-n4`` sweep's parameters at a fixed ground truth, with ``params`` set."""
+    return {**get_preset("mra-cyclic-n4").parameters(), "true_seed": 0, **params}
+
+
+def run_sweep(tmp_path, params) -> dict:
+    return runner.run(ExperimentConfig("sweep", params), out_dir=tmp_path).results
+
+
 class TestSampleComplexity:
-    def test_noiseless_needs_few_observations(self):
-        N = 8
-        group = GroupAction("cyclic", N)
-        prior = random_relu_network((2, 10, N), seed=11)
-        A = sample_mixing(N, "special-orthogonal", 11)
-        result = sample_complexity_sweep(
-            prior, A, group, [0.0], 0.1, seeds=range(3), true_seed=0, n_min=4, n_cap=64
-        )
-        assert result.rows[0]["n_star"] == 4
-
-    def test_rejects_n_min_above_n_cap(self):
-        N = 8
-        prior = random_relu_network((2, 10, N), seed=11)
-        A = sample_mixing(N, "special-orthogonal", 11)
-        with pytest.raises(ValueError, match="n_min <= n_cap"):
-            sample_complexity_sweep(
-                prior, A, GroupAction("cyclic", N), [0.5], 0.1, seeds=[0], n_min=5000, n_cap=100
-            )
-
     def test_median_error_decreases_along_grid(self):
         # fixed sigma: growing n must (weakly) improve the median error
         N = 8
@@ -937,24 +918,24 @@ class TestSampleComplexity:
         assert sorted(meds, reverse=True) == meds
 
     @pytest.mark.parametrize("seeds", [[0, 1, 2], [0, 1, 2, 3]])
-    def test_early_stop_matches_the_full_scan(self, seeds, monkeypatch):
-        N = 8
-        group = GroupAction("cyclic", N)
-        prior = random_relu_network((2, 10, N), seed=11)
-        A = sample_mixing(N, "special-orthogonal", 11)
-        args = (prior, A, group, [0.25, 0.5], 0.1, seeds)
-        kw = dict(
+    def test_early_stop_matches_the_full_scan(self, seeds, monkeypatch, tmp_path):
+        params = sweep(
+            sigma_list=[0.25, 0.5], seeds=seeds, n_min=64, grid_ratio=2.0, n_cap=10**6,
+            recover_restarts=4,
+        )
+        prior, A = build_prior(params["prior"]), build_mixing(params["mixing"], 8)
+        rows, slope, full = full_sample_complexity_scan(
+            prior, A, GroupAction("cyclic", 8), [0.25, 0.5], 0.1, seeds,
             true_seed=0, signal_norm=0.4, n_min=64, grid_ratio=2.0, n_cap=10**6,
             recover_restarts=4,
         )
-        rows, slope, full = full_sample_complexity_scan(*args, **kw)
         calls = []
-        recover = mra.recover
-        monkeypatch.setattr(mra, "recover", lambda *a, **k: calls.append(1) or recover(*a, **k))
-        result = sample_complexity_sweep(*args, **kw)
-        assert result.rows == rows
-        assert result.fitted_slope == slope
-        assert result.recoveries == len(calls) < full
+        recover = runner.recover
+        monkeypatch.setattr(runner, "recover", lambda *a, **k: calls.append(1) or recover(*a, **k))
+        results = run_sweep(tmp_path, params)
+        assert results["rows"] == rows
+        assert results["fitted_slope"] == slope
+        assert results["recoveries"] == len(calls) < full
 
     # Scripted errors, one per recover call, for a grid of n = 100, 200, 400:
     # the first cell that meets the target of 0.1 gives n_star.
@@ -972,11 +953,11 @@ class TestSampleComplexity:
         ],
     )
     def test_a_cell_stops_once_more_than_half_its_seeds_miss(
-        self, n_seeds, errors, calls, n_star, monkeypatch
+        self, n_seeds, errors, calls, n_star, monkeypatch, tmp_path
     ):
-        N = 8
-        prior = random_relu_network((2, 10, N), seed=11)
-        A = sample_mixing(N, "special-orthogonal", 11)
+        params = sweep(sigma_list=[0.5], seeds=list(range(n_seeds)), n_min=100, n_cap=400,
+                       grid_ratio=2.0)
+        prior, A = build_prior(params["prior"]), build_mixing(params["mixing"], 8)
         _, _, x_star = draw_ground_truth(prior, A, 0, 0.4)
         script = iter(errors)
 
@@ -984,23 +965,49 @@ class TestSampleComplexity:
             x_hat = (1.0 + next(script)) * x_star     # error_fn reads the scripted error
             return mra.RecoveryResult(x_hat, x_hat, 0.0, False, 1)
 
-        monkeypatch.setattr(mra, "recover", scripted_recover)
-        seeds = range(n_seeds)
-        result = sample_complexity_sweep(
-            prior, A, GroupAction("cyclic", N), [0.5], 0.1, seeds,
-            signal_norm=0.4, n_min=100, n_cap=400, grid_ratio=2.0,
-        )
-        assert result.recoveries == calls
+        monkeypatch.setattr(runner, "recover", scripted_recover)
+        results = run_sweep(tmp_path, params)
+        assert results["recoveries"] == calls
         assert next(script, None) is None
-        assert result.rows[0]["n_star"] == n_star
-        assert result.rows[0]["seeds_used"] == len(seeds)
+        assert results["rows"][0]["n_star"] == n_star
+        assert results["rows"][0]["seeds_used"] == n_seeds
 
-    def test_no_seeds_raise(self):
-        N = 8
-        prior = random_relu_network((2, 10, N), seed=11)
-        A = sample_mixing(N, "special-orthogonal", 11)
-        with pytest.raises(ValueError, match="seeds"):
-            sample_complexity_sweep(prior, A, GroupAction("cyclic", N), [0.5], 0.1, seeds=[])
+    def test_the_n_walk_is_the_reference_grid(self, monkeypatch, tmp_path):
+        # Every cell misses, so each sigma walks its whole grid, one recovery
+        # a cell: the n of each cell, and the (sigma, n) indexes of its seed
+        # key, are those of the list form's entries, for random grids, a
+        # one-cell grid and the default one.
+        prior, A = build_prior(sweep()["prior"]), build_mixing(sweep()["mixing"], 8)
+        _, _, x_star = draw_ground_truth(prior, A, 0, 0.4)
+        cells = []
+
+        def spy(x, group, n, sigma, rng):
+            cells.append((n, rng.bit_generator.seed_seq.entropy))
+            return np.zeros(group.blocks.R)
+
+        def miss(*args, **kwargs):
+            return mra.RecoveryResult(2 * x_star, x_star, 0.0, False, 1)
+
+        monkeypatch.setattr(runner, "simulate_invariants", spy)
+        monkeypatch.setattr(runner, "recover", miss)
+        r = np.random.default_rng(0)
+        grids = [(int(lo), int(lo + r.integers(0, 3000)), float(1 + r.exponential(0.2)))
+                 for lo in r.integers(1, 500, size=30)]
+        grids += [(70, 70, 1.5), (None, None, None)]
+        for n_min, n_cap, ratio in grids:
+            bounds = {"n_min": n_min, "n_cap": n_cap, "grid_ratio": ratio}
+            params = {k: v for k, v in sweep(seeds=[0], sigma_list=[0.5, 1.0], **bounds).items()
+                      if v is not None}
+            cells.clear()
+            results = run_sweep(tmp_path, params)
+            grid = n_grid_reference(
+                params.get("n_min", 8), params.get("n_cap", 10**7), params.get("grid_ratio", 2**0.25)
+            )
+            assert [n for n, _ in cells] == 2 * grid.tolist()
+            keys = [(0, si, ni, 0) for si in range(2) for ni in range(len(grid))]
+            assert [key for _, key in cells] == keys
+            assert results["recoveries"] == 2 * len(grid)
+            assert results["saturated_sigmas"] == [0.5, 1.0]
 
     def test_amplification_screen(self):
         N = 8
@@ -1029,14 +1036,16 @@ class TestGroundTruth:
             draw_ground_truth(hardtanh_prior(11), np.eye(8), 0, 50.0)
         # with every seed skipped, the scan blames the norm, not the threshold
         blocks = GroupAction("cyclic", 8).blocks
-        with pytest.raises(ValueError, match="no ground truth could be drawn in 256 seeds"):
-            select_conditioned_instance(hardtanh_prior(11), np.eye(8), blocks, 50.0)
+        with pytest.raises(
+            ConfigError, match="^parameters.signal_norm: no ground truth could be drawn in 256 seeds"
+        ):
+            runner._conditioned_seed(hardtanh_prior(11), np.eye(8), blocks, 50.0, 6.0)
 
     def test_auto_conditioned_skips_unreachable_seeds(self):
         prior = hardtanh_prior(3)
         with pytest.raises(ValueError):
             draw_ground_truth(prior, np.eye(8), 0, 1.0)
-        seed = select_conditioned_instance(prior, np.eye(8), GroupAction("cyclic", 8).blocks, 1.0)
+        seed = runner._conditioned_seed(prior, np.eye(8), GroupAction("cyclic", 8).blocks, 1.0, 6.0)
         assert seed > 0
         _, _, x_star = draw_ground_truth(prior, np.eye(8), seed, 1.0)
         assert np.linalg.norm(x_star) == pytest.approx(1.0, rel=1e-8)
