@@ -8,6 +8,9 @@ JSON wire formats in :mod:`momentlab.priors`.
 Validation reads two tables: the fields each level of a config may carry,
 and the values each field takes. A key that the run would not read is
 rejected, so a config never describes an experiment other than the one run.
+The first table is also the one home of each default of a command's parameters:
+the memory rule and the runner read them filled in (:func:`with_defaults`), and a
+report echoes the config as written.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .priors import (
 from .so3 import MAX_BAND_LIMIT
 
 __all__ = [
-    "ExperimentConfig", "ConfigError", "load_config", "validate_config", "given", "check_output_dir"
+    "ExperimentConfig", "ConfigError", "load_config", "validate_config", "check_output_dir"
 ]
 
 SCHEMA_VERSION = 1
@@ -41,10 +44,9 @@ SCHEMA_VERSION = 1
 #: The bytes of arrays one run may hold at once; read at each check, so tests can lower it.
 MEMORY_BUDGET = 2**30
 
-#: A sample-complexity sweep's n grid runs from N_MIN to N_CAP unless
-#: ``n_min`` or ``n_cap`` is set.
-N_MIN = 8
-N_CAP = 10_000_000
+#: A sample-complexity sweep's n grid has at most this many cells per sigma, each at least
+#: one ``recover`` call: about 65 s per sigma with 10 seeds, at 0.65 ms a call.
+MAX_GRID_CELLS = 10_000
 
 
 class ConfigError(ValueError):
@@ -72,17 +74,6 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def given(d: dict, *keys: str, **renamed: str) -> dict:
-    """Keyword arguments for the fields that a config dict sets.
-
-    ``keys`` pass under their own names; ``renamed`` maps a library argument
-    to its field. A field left out is not passed, so each default lives in
-    one place: the signature of the library function.
-    """
-    names = {**dict(zip(keys, keys)), **renamed}
-    return {arg: d[key] for arg, key in names.items() if key in d}
-
-
 def check_output_dir(path, field: str) -> None:
     """Raise a ConfigError naming ``field`` unless ``path`` is or can become a directory."""
     for part in (Path(path), *Path(path).parents):
@@ -99,10 +90,10 @@ def threshold_cell_widths(family: dict, N: int, M: int) -> list[int]:
 
 def build_prior(spec: dict):
     t = spec["type"]
+    # a spec passes only the fields it sets, so their defaults are the builders' own
+    given = {key: value for key, value in spec.items() if key in ("seed", "activation", "kind")}
     if t == "relu-network":
-        return random_relu_network(
-            tuple(int(w) for w in spec["widths"]), **given(spec, "seed", "activation")
-        )
+        return random_relu_network(tuple(int(w) for w in spec["widths"]), **given)
     if t in ("network-file", "sparse-file"):
         load = network_from_json if t == "network-file" else sparse_prior_from_json
         try:
@@ -115,13 +106,13 @@ def build_prior(spec: dict):
         return prior
     if t == "ambient":
         return ambient_network(int(spec["N"]))
-    return sparse_prior(int(spec["N"]), int(spec["M"]), **given(spec, "kind", "seed"))
+    return sparse_prior(int(spec["N"]), int(spec["M"]), **given)
 
 
-def build_blocks(params: dict, N: int) -> BlockStructure:
-    if "blocks" not in params:
+def build_blocks(p: dict, N: int) -> BlockStructure:
+    if "blocks" not in p:
         return block_structure_for_power_spectrum(N)
-    blocks = BlockStructure(tuple(params["blocks"]))
+    blocks = BlockStructure(tuple(p["blocks"]))
     if blocks.N != N:
         raise ConfigError(f"parameters.blocks: dims sum to {blocks.N}, the signal has length {N}")
     return blocks
@@ -134,32 +125,46 @@ def build_blocks(params: dict, N: int) -> BlockStructure:
 #: Each level of a config is ``(tag, variants)``: the field whose value picks
 #: the variant (None for a level without one) and, for each value of the tag,
 #: the fields that variant requires and the fields it may also carry. Every
-#: other key is rejected. ``tests/test_layout.py`` checks the parameters of
-#: each command against the keys its runner reads.
+#: other key is rejected. A command's optional fields map to their defaults,
+#: None where the field's absence is itself the setting. ``tests/test_layout.py``
+#: checks the parameters of each command against the keys its runner reads.
 _PARAMETERS = {
-    "measure": (None, {None: ((), ("signal", "signal_path", "domain", "blocks", "mixing"))}),
-    "collide": (None, {None: (
-        ("prior", "mixing", "seed"),
-        ("blocks", "mixing_seeds", "restarts", "oracle_check", "oracle_grid"),
-    )}),
-    "probe-dim": (None, {None: (
-        ("N", "manifold", "seed"),
-        ("blocks", "pairs", "restarts"),
-    )}),
-    "mra-sim": (None, {None: (
-        ("group", "sigma", "n", "seed"),
-        ("prior", "mixing", "true_seed", "signal_norm", "signal_seed", "block_scalar_check",
-         "recover", "repeats", "recover_restarts"),
-    )}),
+    "measure": (None, {None: ((), {"signal": None, "signal_path": None, "domain": "block",
+                                   "blocks": None, "mixing": {"kind": "identity"}})}),
+    "collide": (None, {None: (("prior", "mixing", "seed"), {
+        "blocks": None, "mixing_seeds": None, "restarts": 200, "oracle_check": False,
+        "oracle_grid": 41})}),
+    "probe-dim": (
+        None, {None: (("N", "manifold", "seed"), {"blocks": None, "pairs": 20, "restarts": 50})}
+    ),
+    "mra-sim": (None, {None: (("group", "sigma", "n", "seed"), {
+        "prior": None, "mixing": {"kind": "identity"}, "true_seed": 0, "signal_norm": None,
+        "signal_seed": 0, "block_scalar_check": False, "recover": False, "repeats": 1,
+        "recover_restarts": 20})}),
     "sweep": ("sweep_kind", {
-        "threshold": (("N_range", "M_range", "mixing_kind", "seeds"), ("prior_family", "restarts")),
-        "sample-complexity": (
-            ("group", "prior", "mixing", "sigma_list", "target_error", "seeds"),
-            ("true_seed", "signal_norm", "amp_threshold", "n_min", "n_cap", "grid_ratio",
-             "recover_restarts"),
-        ),
+        "threshold": (("N_range", "M_range", "mixing_kind", "seeds"),
+                      {"prior_family": {"type": "relu-network"}, "restarts": 50}),
+        "sample-complexity": (("group", "prior", "mixing", "sigma_list", "target_error", "seeds"), {
+            "true_seed": 0, "signal_norm": None, "amp_threshold": 6.0, "n_min": 8,
+            "n_cap": 10_000_000, "grid_ratio": 2.0**0.25, "recover_restarts": 10}),
     }),
 }
+
+
+def with_defaults(command: str, p: dict) -> dict:
+    """A copy of a command's parameters with each absent field that has a default set to it."""
+    tag, variants = _PARAMETERS[command]
+    return {**{k: v for k, v in variants[p.get(tag)][1].items() if v is not None}, **p}
+
+
+def n_grid(p: dict):
+    """A sample-complexity sweep's n grid: from n_min by n <- min(ceil(n * grid_ratio), n_cap)."""
+    n = p["n_min"]
+    yield n
+    while n < p["n_cap"]:
+        n = p["n_cap"] if n * p["grid_ratio"] >= p["n_cap"] else math.ceil(n * p["grid_ratio"])
+        yield n
+
 
 _ENVELOPE = (
     "command",
@@ -367,7 +372,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     """Validate a parsed JSON object; raises ConfigError with a field path."""
     _check(data, _ENVELOPE, "")
     command, p = data["command"], data["parameters"]
-    levels = [("parameters.", p, p.get("sweep_kind", command))]
+    levels = [("parameters.", p, p["sweep_kind"] if command == "sweep" else command)]
     levels += [
         (f"parameters.{field}.", p[field], (field, p[field][tag]))
         for field, (tag, _) in _SPECS.items()
@@ -390,12 +395,16 @@ def validate_config(data: dict) -> ExperimentConfig:
             f"parameters.M_range: every M exceeds every N (at most {max(p['N_range'])}), "
             "so the sweep has no cell"
         )
+    full = with_defaults(command, p)
     if p.get("sweep_kind") == "sample-complexity":
-        n_min, n_cap = p.get("n_min", N_MIN), p.get("n_cap", N_CAP)
+        n_min, n_cap = full["n_min"], full["n_cap"]
         if n_min > n_cap:
             field = "n_min" if "n_min" in p else "n_cap"
             raise ConfigError(f"parameters.{field}: n_min = {n_min} exceeds n_cap = {n_cap}")
-    check_memory(command, p)
+        if any(cells == MAX_GRID_CELLS for cells, _ in enumerate(n_grid(full))):
+            raise ConfigError(f"parameters.grid_ratio: the n grid from {n_min} to {n_cap} "
+                              f"has more than {MAX_GRID_CELLS} cells")
+    check_memory(command, full)
     return ExperimentConfig(command, p, data.get("output_dir"))
 
 
@@ -406,7 +415,7 @@ def validate_config(data: dict) -> ExperimentConfig:
 def check_memory(command: str, p: dict, read=None, sectors: int | None = None) -> None:
     """Exit 2 naming the largest term's field unless a run's arrays, and 256 KiB of its own
     objects, fit in MEMORY_BUDGET; the runner adds a file's signal or prior and ``sectors``.
-    A grid oracle of more than ORACLE_POINTS points exits 2 here too, naming oracle_grid."""
+    A grid oracle past ORACLE_POINTS points or latent dimension 2 exits 2 here too."""
     terms = _memory_terms(command, p, read, sectors)
     total = 2**18 + 8 * sum(floats for floats, _ in terms)
     if total > MEMORY_BUDGET:
@@ -421,20 +430,21 @@ def _memory_terms(command: str, p: dict, read=None, sectors=None) -> list[tuple[
     if command == "measure":
         N = len(p["signal"]) if "signal" in p else read.shape[0] if read is not None else 0
         text = Path(p["signal_path"]).stat().st_size // 2 if read is not None else 0
-        mixed = p.get("mixing", {"kind": "identity"})["kind"] != "identity"
+        mixed = p["mixing"]["kind"] != "identity"
         # 100 a sample (signal, energies, row, report); file text; Fourier matrix; a mixing
-        size = 100 * N + text + ((p.get("domain") == "time") + 5 * mixed) * N * N
+        size = 100 * N + text + ((p["domain"] == "time") + 5 * mixed) * N * N
         return [(size, "parameters.signal" + "_path" * ("signal" not in p))]
     if command == "probe-dim":
         N, R = p["N"], len(p["blocks"]) if "blocks" in p else p["N"] // 2 + 1
         T = N * N if p["manifold"] == "general-linear" else N * (N - 1) // 2
         # three (R, T) Jacobians (the solver's two, the rank's copy), (N, N) products
         # and the Cayley solve, the SO(N) indexes; a 1 KiB row a pair
-        pairs = (128 * p.get("pairs", 20), "parameters.pairs")
+        pairs = (128 * p["pairs"], "parameters.pairs")
         return [(3 * R * T + 16 * N * N + 7 * T, "parameters.N"), pairs]
-    group, sweep = p.get("group", {}), p.get("sweep_kind")
-    spec = p.get("prior", p.get("prior_family", {"type": "relu-network"}))
-    sparse = spec["type"] in ("sparse", "sparse-file")
+    sweep = p.get("sweep_kind")
+    group = {} if command == "collide" or sweep == "threshold" else p["group"]
+    spec = p["prior_family"] if sweep == "threshold" else p.get("prior")    # None: no prior
+    sparse = spec is not None and spec["type"] in ("sparse", "sparse-file")
     if sweep == "threshold":            # its largest cell holds the most
         N = max(p["N_range"])
         M = max(m for m in p["M_range"] if m <= N)
@@ -442,11 +452,13 @@ def _memory_terms(command: str, p: dict, read=None, sectors=None) -> list[tuple[
         n_field = "parameters.N_range"
         w_field = "parameters.prior_family.hidden_widths" if "hidden_widths" in spec else n_field
     else:                               # widths from the latent dimension to N
-        widths = spec.get("widths") or "N" in spec and [spec.get("M", spec["N"]), spec["N"]]
+        widths, w_field = [], "parameters.prior"
+        if spec is not None:
+            widths = spec.get("widths") or "N" in spec and [spec.get("M", spec["N"]), spec["N"]]
+            w_field += "." + next(k for k in ("path", "widths", "N") if k in spec)
         if read is not None:
             widths = [read.sparsity, read.output_dim] if sparse else [
                 read.latent_dim, *(layer.weight.shape[0] for layer in read.layers)]
-        w_field = "parameters.prior." + next((k for k in ("path", "widths", "N") if k in spec), "")
         n_field = "parameters.group." + ("L" if "L" in group else "N") if group else w_field
         if not (group or widths):
             return []                   # collide with a prior file not read yet
@@ -467,11 +479,14 @@ def _memory_terms(command: str, p: dict, read=None, sectors=None) -> list[tuple[
         # estimate_image_dimension's (trials, width, K) Jacobians, two past the first layer
         jac = K * (wide if len(widths) == 2 else 2 * wide)
         stages.append([(IMAGE_DIMENSION_TRIALS * (jac + 4 * units) + 2 * N * K, w_field)])
-    if p.get("oracle_check") and K <= 2:
+    if command == "collide" and p["oracle_check"]:
+        if K > 2:
+            raise ConfigError("parameters.oracle_check: the grid oracle needs a prior of latent "
+                              f"dimension <= 2, this one has {K}")
         # P points over the charts: walks, copies, mixed signals, squares, energies;
         # seven max(ORACLE_CELLS, 2P) chunk buffers; C(N, M) sparse chart objects
         charts = math.comb(N, K) if sparse else 1
-        grid_points = p.get("oracle_grid", 41)
+        grid_points = p["oracle_grid"]
         P = charts * grid_points**K
         if P > ORACLE_POINTS:           # a bound on the oracle's time, checked before any chart
             raise ConfigError(
@@ -480,17 +495,25 @@ def _memory_terms(command: str, p: dict, read=None, sectors=None) -> list[tuple[
             )
         grid = P * (3 * N + R + units) + 6 * max(ORACLE_CELLS, 2 * P)
         stages.append([(grid + sparse * charts * (N * K + 128), "parameters.oracle_grid")])
-    if p.get("block_scalar_check"):
-        # the exact moment: two (N, Q) arrays over Q = (2L+1)^2 (L+2) quadrature nodes, or a
-        # finite group's orbit, |G| rows of N, with their indexes and their gather; n Euler
-        # angles and a draw (n indexes if finite); a chunk's arrays and noise
-        L, so3 = group.get("L", 0), "L" in group
-        Q = (2 * L + 1) ** 2 * (L + 2)
-        G = N * (1 + (group["kind"] == "dihedral"))
-        exact = ((2 * N + 2 * L + 15) * Q if so3 else 4 * G * N) + 8 * N * N + 128 * R
-        draws = (1 + 3 * so3) * p["n"] + (3 * N + 2 * L + 1) * min(p["n"], CHUNK_ROWS)
-        stages.append([(exact, n_field), (draws, "parameters.n")])
-    if widths and (p.get("recover") or sweep == "sample-complexity") and K == 2 and not sparse:
+    if command == "mra-sim" and p["block_scalar_check"]:
+        n, chunk = p["n"], min(p["n"], CHUNK_ROWS)
+        if "L" in group:
+            # the exact moment: two (N, Q) arrays over Q = (2L+1)^2 (L+2) quadrature nodes;
+            # n Euler angles and a draw; a chunk's arrays and noise
+            L = group["L"]
+            exact = (2 * N + 2 * L + 15) * (2 * L + 1) ** 2 * (L + 2) + 8 * N * N + 128 * R
+            stages.append([(exact, n_field), (4 * n + (3 * N + 2 * L + 1) * chunk, "parameters.n")])
+        else:
+            # a finite group's orbit, |G| rows of N: the exact moment builds it from the Fourier
+            # matrix, its indexes and their gather; the draw holds it beside that moment, four
+            # more N x N arrays at most (its own moment, a chunk's product, the sums that
+            # update it), n indexes and three chunks (the last, the next and its noise)
+            G = N * (1 + (group["kind"] == "dihedral"))
+            stages.append([(N * N + 3 * G * N + 128 * R, n_field)])
+            draws = (n + 3 * N * chunk, "parameters.n")
+            stages.append([(5 * N * N + G * N + 128 * R, n_field), draws])
+    recovers = sweep == "sample-complexity" or command == "mra-sim" and p["recover"]
+    if widths and recovers and K == 2 and not sparse:
         # a 2-D cone's sectors, each: its map, A times it, their products and quartics, or a
         # call's 9 rows walked and mixed; and the memo's key. A hidden unit cuts the circle
         # twice, so one hidden layer makes at most 1 + 2h; the runner counts a deeper one's.

@@ -162,8 +162,8 @@ def collision_search(
     prior,
     A,
     blocks: BlockStructure,
-    restarts: int = 200,
-    seed=0,
+    restarts: int,
+    seed,
 ) -> CollisionReport:
     """Multi-start search for two prior points with equal mixed measurements.
 
@@ -288,7 +288,7 @@ def brute_force_collision_oracle(
     prior,
     A,
     blocks: BlockStructure,
-    grid_points_per_axis: int = 41,
+    grid_points_per_axis: int,
 ) -> CollisionReport:
     """Collision check over the point pairs of a uniform latent grid over [-1, 1]^K.
 
@@ -493,8 +493,8 @@ def codimension_probe(
     y: np.ndarray,
     manifold: str,
     blocks: BlockStructure,
-    seed=0,
-    restarts: int = 50,
+    seed,
+    restarts: int,
 ) -> CodimensionEstimate:
     """Estimate dim{A on manifold : P(x;A) = P(y;A)} at a found solution.
 

@@ -398,8 +398,8 @@ def recover(
     prior,
     A,
     blocks: BlockStructure,
-    seed=0,
-    restarts: int = 20,
+    seed,
+    restarts: int,
 ) -> RecoveryResult:
     """Search the prior for a signal whose mixed measurements match invariants.
 

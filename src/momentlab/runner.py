@@ -17,15 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    N_CAP,
-    N_MIN,
     ConfigError,
     ExperimentConfig,
     build_blocks,
     build_prior,
     check_memory,
-    given,
+    n_grid,
     threshold_cell_widths,
+    with_defaults,
 )
 from .injectivity import (
     brute_force_collision_oracle,
@@ -107,7 +106,8 @@ class RunReport:
 
 
 def run(config: ExperimentConfig, out_dir=None) -> RunReport:
-    """Execute one experiment config and write its artifacts to out_dir."""
+    """Execute one experiment config and write its artifacts to out_dir. The command's loop
+    reads its parameters with their defaults filled in, the report as the config gives them."""
     t0 = time.perf_counter()
     out = Path(out_dir if out_dir is not None else (config.output_dir or "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -119,7 +119,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunReport:
         "mra-sim": _run_mra_sim,
         "sweep": _run_sweep,
     }[config.command]
-    results, csv_files = runner(config.parameters, out)
+    results, csv_files = runner(with_defaults(config.command, config.parameters), out)
 
     seeds: list[int] = []
     _collect_seeds(config.parameters, seeds)
@@ -164,14 +164,13 @@ def _run_measure(p: dict, out: Path):
         if not np.isfinite(sig).all():
             raise ConfigError("parameters.signal_path: the file holds a value that is not finite")
         check_memory("measure", p, sig)
-    if p.get("domain", "block") == "time":
+    if p["domain"] == "time":
         sig = to_real_fourier(sig)
     blocks = build_blocks(p, sig.shape[0])
-    mixing = p.get("mixing", {"kind": "identity"})
-    if mixing["kind"] == "identity":    # I x has the energies of x, to the bit
+    if p["mixing"]["kind"] == "identity":   # I x has the energies of x, to the bit
         values = second_moment_blocks(sig, blocks)
     else:
-        values = separable_measurement(sig, build_mixing(mixing, blocks.N), blocks)
+        values = separable_measurement(sig, build_mixing(p["mixing"], blocks.N), blocks)
     path = out / "measurement.csv"
     row = {f"b{k + 1}": v for k, v in enumerate(values)}
     write_csv(path, ",".join(row), [row])
@@ -219,30 +218,25 @@ def _load_prior(p: dict, command: str, N: int | None = None, recovers: bool = Fa
 
 def _run_collide(p: dict, out: Path):
     prior = _load_prior(p, "collide")
-    if p.get("oracle_check") and prior.latent_dim > 2:
-        raise ConfigError(
-            "parameters.oracle_check: the grid oracle needs a prior of latent "
-            f"dimension <= 2, this one has {prior.latent_dim}"
-        )
     N = prior.output_dim
     blocks = build_blocks(p, N)
     kind = p["mixing"]["kind"]
     mixing_seeds = p.get("mixing_seeds") or [p["mixing"].get("seed", 0)]
     M = _prior_dimension_summary(prior)
     regime = regime_label(blocks.R, M, kind)
-    search_kwargs = given(p, "restarts", "seed")
 
     def mixing(mseed):
         return build_mixing({"kind": kind, "seed": mseed}, N)
 
-    # The oracle draws no randomness, so running it first changes no result;
-    # its point cap was checked with the memory budget (config.check_memory).
+    # The oracle draws no randomness, so running it first changes no result; its latent
+    # dimension and point cap were checked with the memory budget (config.check_memory).
     oracle = None
-    if p.get("oracle_check"):
-        grid = given(p, grid_points_per_axis="oracle_grid")
-        oracle = brute_force_collision_oracle(prior, mixing(mixing_seeds[0]), blocks, **grid)
+    if p["oracle_check"]:
+        oracle = brute_force_collision_oracle(
+            prior, mixing(mixing_seeds[0]), blocks, grid_points_per_axis=p["oracle_grid"]
+        )
     reports = [
-        (mseed, collision_search(prior, mixing(mseed), blocks, **search_kwargs))
+        (mseed, collision_search(prior, mixing(mseed), blocks, p["restarts"], p["seed"]))
         for mseed in mixing_seeds
     ]
     rows = [_collision_row(N, M, regime, kind, mseed, rep) for mseed, rep in reports]
@@ -281,21 +275,15 @@ def _run_probe_dim(p: dict, out: Path):
     N = int(p["N"])
     blocks = build_blocks(p, N)
     manifold = p["manifold"]
-    pairs = int(p.get("pairs", 20))
+    pairs = int(p["pairs"])
     base_seed = int(p["seed"])
 
     def one(i):
         rng = np.random.default_rng(np.random.SeedSequence((base_seed, i)))
         x = rng.normal(size=N)
         y = rng.normal(size=N)
-        est = codimension_probe(
-            x,
-            y,
-            manifold,
-            blocks,
-            seed=np.random.SeedSequence((base_seed, i, 0xB)),
-            **given(p, "restarts"),
-        )
+        seed = np.random.SeedSequence((base_seed, i, 0xB))
+        est = codimension_probe(x, y, manifold, blocks, seed, p["restarts"])
         return i, replace(est, solution=None)      # a pair keeps no (N, N) mixing
 
     probes = [one(i) for i in range(pairs)]
@@ -362,18 +350,18 @@ def _run_mra_sim(p: dict, out: Path):
 
     prior = A = None
     if "prior" in p:
-        prior = _load_prior(p, "mra-sim", N, recovers=p.get("recover", False))
-        A = build_mixing(p.get("mixing", {"kind": "identity"}), N)
-        x_star = _ground_truth(prior, A, p.get("true_seed", 0), p.get("signal_norm"))
+        prior = _load_prior(p, "mra-sim", N, recovers=p["recover"])
+        A = build_mixing(p["mixing"], N)
+        x_star = _ground_truth(prior, A, p["true_seed"], p.get("signal_norm"))
     else:
-        rng = np.random.default_rng(int(p.get("signal_seed", 0)))
+        rng = np.random.default_rng(int(p["signal_seed"]))
         x_star = rng.normal(size=N)
         x_star /= np.linalg.norm(x_star)
 
     csv_files = []
     results: dict = {"group": group.kind, "N": N, "sigma": sigma, "n": n}
 
-    if p.get("block_scalar_check"):
+    if p["block_scalar_check"]:
         M_exact = exact_population_moment(x_star, group)
         energies = second_moment_blocks(x_star, blocks)
         M_mc = simulate_second_moment(x_star, group, n, sigma, seed=base_seed)
@@ -405,22 +393,16 @@ def _run_mra_sim(p: dict, out: Path):
         results["exact_scalar_dev_max"] = max(r["exact_scalar_dev"] for r in rows)
         results["mc_rel_frobenius_max"] = max(r["mc_rel_frobenius"] for r in rows)
 
-    if p.get("recover"):
-        repeats = int(p.get("repeats", 1))
+    if p["recover"]:
+        repeats = int(p["repeats"])
         true_inv = second_moment_blocks(x_star, blocks)
 
         def one(rep):
             inv = simulate_invariants(
                 x_star, group, n, sigma, seed=np.random.SeedSequence((base_seed, rep))
             )
-            rec = recover(
-                inv,
-                prior,
-                A,
-                blocks,
-                seed=np.random.SeedSequence((base_seed, rep, 0xC)),
-                **given(p, restarts="recover_restarts"),
-            )
+            seed = np.random.SeedSequence((base_seed, rep, 0xC))
+            rec = recover(inv, prior, A, blocks, seed, p["recover_restarts"])
             rmse = float(np.sqrt(np.mean((inv - true_inv) ** 2)))
             return {
                 "repeat": rep,
@@ -480,8 +462,7 @@ def _run_threshold(p: dict, out: Path):
     expectation attached.
     """
     kind = p["mixing_kind"]
-    family = p.get("prior_family", {"type": "relu-network"})
-    restarts = p.get("restarts", 50)
+    family = p["prior_family"]
     rows, cells = [], []
     for N in p["N_range"]:
         blocks = block_structure_for_power_spectrum(N)
@@ -493,7 +474,7 @@ def _run_threshold(p: dict, out: Path):
             for seed in p["seeds"]:
                 prior = _cell_prior(family, N, M, seed)
                 A = sample_mixing(N, kind, np.random.SeedSequence((seed, 0xA)))
-                report = collision_search(prior, A, blocks, restarts=restarts, seed=seed)
+                report = collision_search(prior, A, blocks, restarts=p["restarts"], seed=seed)
                 del prior, A        # the next cell draws without this one's arrays
                 cell.append(_collision_row(N, M, regime, kind, seed, report))
             hits = sum(r["verdict"] == "collision" for r in cell)
@@ -574,32 +555,27 @@ def _run_sample_complexity(p: dict, out: Path):
     prior = _load_prior(p, "sweep", group.N, recovers=True)
     A = build_mixing(p["mixing"], group.N)
     signal_norm = p.get("signal_norm")
-    true_seed = p.get("true_seed", 0)
+    true_seed = p["true_seed"]
     if true_seed == "auto-conditioned":
-        true_seed = _conditioned_seed(prior, A, blocks, signal_norm, p.get("amp_threshold", 6.0))
+        true_seed = _conditioned_seed(prior, A, blocks, signal_norm, p["amp_threshold"])
     x_star = _ground_truth(prior, A, true_seed, signal_norm)
     sigma_list = [float(s) for s in p["sigma_list"]]
     target_error = p["target_error"]
     seeds = p["seeds"]
-    n_cap = p.get("n_cap", N_CAP)
-    grid_ratio = p.get("grid_ratio", 2.0 ** 0.25)
-    restarts = p.get("recover_restarts", 10)
 
     def cell_error(key, n, sigma):
         inv = simulate_invariants(
             x_star, group, n, sigma, np.random.default_rng(np.random.SeedSequence(key))
         )
-        rec = recover(
-            inv, prior, A, blocks, seed=np.random.SeedSequence(key + (0xC,)), restarts=restarts
-        )
+        seed = np.random.SeedSequence(key + (0xC,))
+        rec = recover(inv, prior, A, blocks, seed, p["recover_restarts"])
         return rec.error_fn(x_star)
 
     rows = []
     recoveries = 0
     for si, sigma in enumerate(sigma_list):
         n_star = median_err = None
-        n, ni = p.get("n_min", N_MIN), 0
-        while True:
+        for ni, n in enumerate(n_grid(p)):
             errs, misses = [], 0
             for s in seeds:
                 errs.append(cell_error((true_seed, si, ni, s), n, sigma))
@@ -610,9 +586,6 @@ def _run_sample_complexity(p: dict, out: Path):
             if len(errs) == len(seeds) and np.median(errs) <= target_error:
                 n_star, median_err = n, float(np.median(errs))
                 break
-            if n >= n_cap:
-                break
-            n, ni = min(int(np.ceil(n * grid_ratio)), n_cap), ni + 1
         rows.append(
             {"sigma": sigma, "n_star": n_star, "median_error": median_err, "seeds_used": len(seeds)}
         )

@@ -270,12 +270,13 @@ def full_sample_complexity_scan(
     sigma_list,
     target_error,
     seeds,
-    true_seed=0,
-    signal_norm=None,
-    n_min=8,
-    n_cap=10_000_000,
-    grid_ratio=2.0 ** 0.25,
-    recover_restarts=10,
+    *,
+    true_seed,
+    signal_norm,
+    n_min,
+    n_cap,
+    grid_ratio,
+    recover_restarts,
 ):
     """The runner's sample-complexity scan with no early stop: (rows, fitted slope, recoveries).
 

@@ -170,7 +170,7 @@ def test_criterion_5_codimension_bounds():
         for _ in range(20):
             x = rng.normal(size=blocks.N)
             y = rng.normal(size=blocks.N)
-            est = codimension_probe(x, y, manifold, blocks, seed=rng)
+            est = codimension_probe(x, y, manifold, blocks, seed=rng, restarts=50)
             assert est.theoretical_bound == bound
             if est.converged:
                 converged += 1

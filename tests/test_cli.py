@@ -131,7 +131,7 @@ def rule_total(command, params, read=None, sectors=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(config, "MEMORY_BUDGET", 0)
         with pytest.raises(ConfigError) as err:
-            check_memory(command, params, read, sectors)
+            check_memory(command, config.with_defaults(command, params), read, sectors)
     return int(re.search(r"about (\d+) bytes", str(err.value)).group(1))
 
 
@@ -317,7 +317,7 @@ class TestMemoryBudget:
                 "parameters.prior.widths",
             ),
             ("thm1-gl", 'prior={"type":"relu-network","widths":[2,2,20000]}', "parameters.prior.widths"),
-            ("appendixB-blockscalar", 'group={"kind":"dihedral","N":3000}', "parameters.group.N"),
+            ("appendixB-blockscalar", 'group={"kind":"dihedral","N":4000}', "parameters.group.N"),
             ("appendixB-blockscalar", "n=100000000", "parameters.n"),
             ("mra-cyclic-n4", 'group={"kind":"cyclic","N":20000}', "parameters.group.N"),
         ],
@@ -847,6 +847,18 @@ class TestCollideCommand:
         assert results["oracle_separation"] == oracle.separation
         assert results["oracle_scale"] == oracle.scale
 
+    def test_an_oracle_above_latent_dimension_2_exits_2_at_validation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+        params = {"prior": relu(3, 12, 10), "mixing": GL, "seed": 0, "oracle_check": True}
+        path = write_config(tmp_path, envelope("collide", params))
+        for subcommand in ("validate", "run"):
+            assert main([subcommand, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "parameters.oracle_check: the grid oracle needs a prior of latent" in err
+            assert "dimension <= 2, this one has 3" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("prior_type", ["sparse", "sparse-file"])
     def test_a_sparse_oracle_past_its_point_cap_exits_2_before_any_chart(
         self, tmp_path, capsys, monkeypatch, prior_type
@@ -980,12 +992,36 @@ class TestSweepCommand:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
         assert summary["collisions_found"] == sum(",collision," in row for row in rows)
 
+    def test_a_grid_past_its_cell_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        # n_min 1 and a ratio of 1 + 1e-7 step n by one up to 10^7: 10^7 cells per sigma
+        monkeypatch.setattr("momentlab.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+        bounds = {"n_min": 1, "n_cap": 10_000_000, "grid_ratio": 1.0000001}
+        params = {**get_preset("mra-cyclic-n4").parameters(), **bounds}
+        path = write_config(tmp_path, envelope("sweep", params))
+        for subcommand in ("validate", "run"):
+            assert main([subcommand, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "parameters.grid_ratio: the n grid from 1 to 10000000 has more than" in err
+            assert "Traceback" not in err
+
+    def test_a_step_past_the_float_range_is_n_cap(self):
+        # 8 * 1e308 overflows to inf, which no ceil turns into an int
+        assert list(config.n_grid({"n_min": 8, "n_cap": 100, "grid_ratio": 1e308})) == [8, 100]
+
+    def test_a_grid_of_max_grid_cells_validates(self):
+        # from 1 by steps of one (n * 1.00001 < n + 1 up to 10^5): n_cap cells
+        bounds = {"n_min": 1, "grid_ratio": 1.00001}
+        params = {**get_preset("mra-cyclic-n4").parameters(), **bounds}
+        validate_config(envelope("sweep", {**params, "n_cap": config.MAX_GRID_CELLS}))
+        with pytest.raises(ConfigError, match="^parameters.grid_ratio: "):
+            validate_config(envelope("sweep", {**params, "n_cap": config.MAX_GRID_CELLS + 1}))
+
     @pytest.mark.parametrize(
         "bounds, field",
         [
             ({"n_min": 5000, "n_cap": 100}, "parameters.n_min"),
-            ({"n_min": 20_000_000}, "parameters.n_min"),    # n_cap at its default, config.N_CAP
-            ({"n_cap": 4}, "parameters.n_cap"),             # n_min at its default, config.N_MIN
+            ({"n_min": 20_000_000}, "parameters.n_min"),    # n_cap at its default
+            ({"n_cap": 4}, "parameters.n_cap"),             # n_min at its default
         ],
     )
     def test_n_min_above_n_cap_exits_2(self, tmp_path, capsys, bounds, field):
@@ -1127,6 +1163,73 @@ class TestDeterminism:
         run(load_config(path), out_dir=out1)
         run(load_config(path), out_dir=out2)
         assert (out1 / "probes.csv").read_bytes() == (out2 / "probes.csv").read_bytes()
+
+
+#: 2-sparse signals in the standard basis, whose shifted supports collide unmixed.
+SHIFTED_SUPPORTS = {"type": "sparse", "kind": "standard-basis", "N": 4, "M": 2}
+IDENTITY = {"kind": "identity"}
+
+#: A small config of each command (and of each path that reads other defaults), with no
+#: optional field that has a default in config's field table.
+MINIMAL_CONFIGS = {
+    "measure": ("measure", {"signal": [1.0, 1.0, 2.0, 2.0, 3.0]}),
+    "collide": ("collide", {"prior": SHIFTED_SUPPORTS, "mixing": IDENTITY, "seed": 0}),
+    "collide-oracle": ("collide", {"prior": SHIFTED_SUPPORTS, "mixing": IDENTITY, "seed": 0,
+                                   "oracle_check": True}),
+    "probe-dim": ("probe-dim", {"N": 4, "manifold": "general-linear", "seed": 0}),
+    "mra-sim": ("mra-sim", {"group": {"kind": "cyclic", "N": 8}, "sigma": 0.5, "n": 1000,
+                            "seed": 0}),
+    "mra-sim-recover": ("mra-sim", {"group": {"kind": "cyclic", "N": 8}, "sigma": 0.1,
+                                    "n": 1000, "seed": 0, "prior": HARDTANH_PRIOR,
+                                    "recover": True}),
+    "threshold": ("sweep", {"sweep_kind": "threshold", "N_range": [4], "M_range": [2],
+                            "mixing_kind": "general-linear", "seeds": [0]}),
+    "sample-complexity": ("sweep", {
+        "sweep_kind": "sample-complexity", "group": {"kind": "cyclic", "N": 8},
+        "prior": relu(2, 10, 8, seed=11), "mixing": {"kind": "special-orthogonal", "seed": 11},
+        "sigma_list": [0.25], "target_error": 0.3, "seeds": [0, 1],
+    }),
+    "sample-complexity-auto": ("sweep", {
+        "sweep_kind": "sample-complexity", "group": {"kind": "cyclic", "N": 8},
+        "prior": relu(2, 10, 8, seed=11), "mixing": {"kind": "special-orthogonal", "seed": 11},
+        "sigma_list": [0.25], "target_error": 0.3, "seeds": [0, 1],
+        "true_seed": "auto-conditioned", "signal_norm": 0.4,
+    }),
+}
+
+
+class TestDefaults:
+    """Each default has one home, config's field table: a config that writes it out runs
+    the same experiment as one that leaves it to the table."""
+
+    @pytest.mark.parametrize("case", MINIMAL_CONFIGS)
+    def test_writing_out_every_default_changes_no_byte(self, tmp_path, case):
+        command, minimal = MINIMAL_CONFIGS[case]
+        written = dict(minimal)
+        for key, value in config.with_defaults(command, minimal).items():
+            try:
+                validate_config(envelope(command, {**minimal, key: value}))
+            except ConfigError:
+                continue        # unread on this path, as oracle_grid is without oracle_check
+            written[key] = value
+        assert len(written) > len(minimal)
+        reports = {
+            name: run(validate_config(envelope(command, params)), tmp_path / name)
+            for name, params in (("minimal", minimal), ("written", written))
+        }
+        assert reports["minimal"].results == reports["written"].results
+        assert reports["minimal"].provenance["config_sha256"] != (
+            reports["written"].provenance["config_sha256"]
+        )
+        for path in map(Path, reports["minimal"].csv_files):
+            assert path.read_bytes() == (tmp_path / "written" / path.name).read_bytes()
+
+    def test_the_report_echoes_the_config_as_written(self, tmp_path):
+        # the filled copy would add signal_seed 0 to both
+        command, minimal = MINIMAL_CONFIGS["mra-sim"]
+        report = run(validate_config(envelope(command, minimal)), tmp_path)
+        assert report.config_echo["parameters"] == minimal
+        assert report.provenance["seed_list"] == [0]
 
 
 #: Activation tags whose parameters are no finite numbers.

@@ -166,18 +166,18 @@ class TestCollisionSearch:
     def test_rejects_zero_restarts(self):
         blocks = block_structure_for_power_spectrum(4)
         with pytest.raises(ValueError, match="restarts"):
-            collision_search(ambient_network(4), np.eye(4), blocks, restarts=0)
+            collision_search(ambient_network(4), np.eye(4), blocks, restarts=0, seed=0)
 
     def test_checks_mixing_and_prior_length_before_any_solve(self, spy_solves):
         # the objective runs unchecked cores, so the search checks its inputs once
         blocks = block_structure_for_power_spectrum(4)
         solves = spy_solves(injectivity)
         with pytest.raises(DimensionError, match="mixing has shape"):
-            collision_search(ambient_network(4), np.eye(5), blocks)
+            collision_search(ambient_network(4), np.eye(5), blocks, restarts=200, seed=0)
         with pytest.raises(DimensionError, match="prior signals have length 5"):
-            collision_search(sparse_prior(5, 2), np.eye(4), blocks)
+            collision_search(sparse_prior(5, 2), np.eye(4), blocks, restarts=200, seed=0)
         with pytest.raises(TypeError, match="unsupported prior type ndarray"):
-            collision_search(np.eye(4), np.eye(4), blocks)
+            collision_search(np.eye(4), np.eye(4), blocks, restarts=200, seed=0)
         assert solves == []
 
     @pytest.mark.parametrize("K, seed, restarts, used", [(2, 3, 20, 6), (1, 0, 5, 5)])
@@ -766,7 +766,7 @@ class TestCodimensionProbe:
     def test_so_n7_power_spectrum(self, rng):
         blocks = block_structure_for_power_spectrum(7)
         x, y = rng.normal(size=7), rng.normal(size=7)
-        est = codimension_probe(x, y, "special-orthogonal", blocks, seed=0)
+        est = codimension_probe(x, y, "special-orthogonal", blocks, seed=0, restarts=50)
         assert est.ambient_dim == 21
         assert est.theoretical_bound == 18
         assert est.converged
@@ -776,7 +776,7 @@ class TestCodimensionProbe:
     def test_gl_n8_power_spectrum(self, rng):
         blocks = block_structure_for_power_spectrum(8)
         x, y = rng.normal(size=8), rng.normal(size=8)
-        est = codimension_probe(x, y, "general-linear", blocks, seed=0)
+        est = codimension_probe(x, y, "general-linear", blocks, seed=0, restarts=50)
         assert est.ambient_dim == 64
         assert est.theoretical_bound == 59
         assert est.converged
@@ -787,7 +787,7 @@ class TestCodimensionProbe:
         hits = 0
         for i in range(5):
             x, y = rng.normal(size=9), rng.normal(size=9)
-            est = codimension_probe(x, y, "general-linear", blocks, seed=i)
+            est = codimension_probe(x, y, "general-linear", blocks, seed=i, restarts=50)
             assert est.theoretical_bound == 78
             if est.converged:
                 assert est.estimated_solution_dim <= 78
@@ -798,16 +798,16 @@ class TestCodimensionProbe:
         blocks = block_structure_for_power_spectrum(6)
         x = rng.normal(size=6)
         with pytest.raises(ValueError):
-            codimension_probe(x, -x, "general-linear", blocks, seed=0)
+            codimension_probe(x, -x, "general-linear", blocks, seed=0, restarts=50)
         # scaled copies collapse to sign pairs on the rotation manifold
         with pytest.raises(ValueError):
-            codimension_probe(x, 2.0 * x, "special-orthogonal", blocks, seed=0)
+            codimension_probe(x, 2.0 * x, "special-orthogonal", blocks, seed=0, restarts=50)
 
     def test_rejects_zero_restarts(self, rng):
         blocks = block_structure_for_power_spectrum(5)
         x, y = rng.normal(size=5), rng.normal(size=5)
         with pytest.raises(ValueError, match="restarts"):
-            codimension_probe(x, y, "general-linear", blocks, restarts=0)
+            codimension_probe(x, y, "general-linear", blocks, seed=0, restarts=0)
 
     @pytest.mark.parametrize("max_iter, used", [(3, 3), (2, 6)])
     def test_one_solve_per_restart_used(self, monkeypatch, spy_solves, rng, max_iter, used):
@@ -900,7 +900,7 @@ class TestCodimensionProbe:
             y = rng.normal(size=8)
             x /= np.linalg.norm(x)
             y /= np.linalg.norm(y)     # unit pair: probe normalization is a no-op
-            est = codimension_probe(x, y, "general-linear", blocks, seed=i)
+            est = codimension_probe(x, y, "general-linear", blocks, seed=i, restarts=50)
             assert est.converged and est.solution is not None
             for sl in blocks.slices():
                 if sl.stop - sl.start != 1:

@@ -6,7 +6,9 @@ it never uses; a name listed in ``__all__`` counts as used (re-exports).
 Every name a module lists in ``__all__`` is defined in it.
 The third-party modules the package imports are its declared dependencies.
 Each command's runner reads exactly the parameters that the config table
-lets that command's configs carry. Every public top-level function, and
+lets that command's configs carry, and neither the runner nor config states
+a default of its own for one: the table gives each default, and the four
+experiment functions take none. Every public top-level function, and
 every public method of a class, is used by other code of the package, so the
 library holds no code that only the tests call; the console script is the
 one entry point.
@@ -14,6 +16,7 @@ one entry point.
 
 import ast
 import importlib
+import inspect
 import re
 import sys
 import types
@@ -23,6 +26,8 @@ from pathlib import Path
 import pytest
 
 from momentlab.config import _PARAMETERS
+from momentlab.injectivity import brute_force_collision_oracle, codimension_probe, collision_search
+from momentlab.mra import recover
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "momentlab"
@@ -123,12 +128,11 @@ def _functions(*paths) -> dict:
 def keys_read(func, functions: dict) -> set:
     """The keys that ``func`` reads from the dict that is its first argument.
 
-    A key counts when read as ``p["k"]``, ``p.get("k")``, ``"k" in p`` or
-    through ``given(p, ...)``; a call ``f(p, ...)`` of another function in
-    ``functions`` adds the keys ``f`` reads. A key that is no string literal,
-    or a read through another method of the dict, shows up as ``None``, and
-    a call of any other function with the dict raises ``KeyError``, so
-    neither can hide a read.
+    A key counts when read as ``p["k"]``, ``p.get("k")`` or ``"k" in p``; a
+    call ``f(p, ...)`` of another function in ``functions`` adds the keys
+    ``f`` reads. A key that is no string literal, or a read through another
+    method of the dict, shows up as ``None``, and a call of any other
+    function with the dict raises ``KeyError``, so neither can hide a read.
     """
     name = func.args.args[0].arg
 
@@ -150,12 +154,7 @@ def keys_read(func, functions: dict) -> set:
         elif isinstance(node.func, ast.Attribute) and is_dict(node.func.value):
             keys.add(literal(node.args[0]) if node.func.attr == "get" else None)
         elif node.args and is_dict(node.args[0]):
-            callee = getattr(node.func, "id", None)
-            if callee == "given":
-                keys |= {literal(arg) for arg in node.args[1:]}
-                keys |= {literal(kw.value) for kw in node.keywords}
-            else:
-                keys |= keys_read(functions[callee], functions)
+            keys |= keys_read(functions[getattr(node.func, "id", None)], functions)
     return keys
 
 
@@ -172,13 +171,14 @@ def test_the_key_reader_sees_every_form():
         "def helper(q):\n"
         "    return q['e']\n"
         "def _run_x(p, out):\n"
-        "    a = p['a'] + p.get('b', 0)\n"
+        "    a = p['a'] + p.get('b')\n"
         "    if 'c' in p and 'z' not in p:\n"
-        "        given(p, 'd', renamed='f')\n"
+        "        a += p.get('d', 0)\n"
         "    return helper(p), p['g']['not-a-key']\n"
     )
     functions = {node.name: node for node in ast.parse(source).body}
-    assert keys_read(functions["_run_x"], functions) == {"a", "b", "c", "z", "d", "f", "e", "g"}
+    assert keys_read(functions["_run_x"], functions) == {"a", "b", "c", "z", "d", "e", "g"}
+    assert own_defaults(source) == ["6: 'd'"]
 
 
 @pytest.mark.parametrize("command", sorted(_PARAMETERS))
@@ -186,6 +186,40 @@ def test_each_command_reads_exactly_its_table(command):
     functions = _functions(PACKAGE / "runner.py", PACKAGE / "config.py")
     run = functions["_run_" + command.replace("-", "_")]
     assert keys_read(run, functions) == table_keys(command)
+
+
+def own_defaults(source: str) -> list[str]:
+    """``line: key`` of each ``p.get(key, default)`` in ``source``.
+
+    ``p`` names a command's parameters throughout ``runner`` and ``config``. They
+    read a field with a default in the table as ``p["k"]``, since the run gets the
+    parameters with the table's defaults filled in, and a field whose absence is
+    itself the setting with ``in`` or a one-argument ``get``.
+    """
+    return [
+        f"{node.lineno}: {ast.unparse(node.args[0])}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "p"
+        and len(node.args) + len(node.keywords) > 1
+    ]
+
+
+@pytest.mark.parametrize("name", ["runner.py", "config.py"])
+def test_no_default_besides_the_table(name):
+    assert own_defaults((PACKAGE / name).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "func", [collision_search, codimension_probe, brute_force_collision_oracle, recover],
+    ids=lambda f: f.__name__,
+)
+def test_the_experiment_functions_take_no_run_defaults(func):
+    parameters = inspect.signature(func).parameters.values()
+    assert [a.name for a in parameters if a.default is not inspect.Parameter.empty] == []
 
 
 #: Public functions called from outside the package only: the console script.

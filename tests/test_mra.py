@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from momentlab import mra, runner
-from momentlab.config import ConfigError, ExperimentConfig, build_prior
+from momentlab.config import ConfigError, ExperimentConfig, build_prior, with_defaults
 from momentlab.gaussnewton import damped_gauss_newton
 from momentlab.measurements import (
     BlockStructure,
@@ -546,18 +546,18 @@ class TestRecovery:
         blocks = block_structure_for_power_spectrum(4)
         prior = random_relu_network((2, 6, 4), seed=0)
         with pytest.raises(ValueError, match="restarts"):
-            recover(np.ones(blocks.R), prior, np.eye(4), blocks, restarts=0)
+            recover(np.ones(blocks.R), prior, np.eye(4), blocks, seed=0, restarts=0)
 
     def test_checks_mixing_and_prior_length_before_any_solve(self, spy_solves):
         # the objective runs unchecked cores, so recover checks its inputs once
         blocks = block_structure_for_power_spectrum(4)
         solves = spy_solves(mra)
         with pytest.raises(DimensionError, match="mixing has shape"):
-            recover(np.ones(blocks.R), random_relu_network((2, 6, 4)), np.eye(5), blocks)
+            recover(np.ones(blocks.R), random_relu_network((2, 6, 4)), np.eye(5), blocks, 0, 20)
         with pytest.raises(DimensionError, match="prior signals have length 5"):
-            recover(np.ones(blocks.R), random_relu_network((2, 6, 5)), np.eye(4), blocks)
+            recover(np.ones(blocks.R), random_relu_network((2, 6, 5)), np.eye(4), blocks, 0, 20)
         with pytest.raises(TypeError, match="unsupported prior type ndarray"):
-            recover(np.ones(blocks.R), np.eye(4), np.eye(4), blocks)
+            recover(np.ones(blocks.R), np.eye(4), np.eye(4), blocks, 0, 20)
         assert solves == []
 
     @pytest.mark.parametrize("seed, used", [(10, 10), (0, 16)])
@@ -592,18 +592,18 @@ class TestRecovery:
         rec = recover(inv, prior, A, blocks, seed=seed, restarts=restarts)
         assert rec.restarts_used == 1 == len(solves)
         assert rec.residual == np.sqrt(solves[0].f)
-        ref = recover(inv, prior, A, blocks)
+        ref = recover(inv, prior, A, blocks, seed=0, restarts=20)
         np.testing.assert_array_equal(rec.x_hat, ref.x_hat)
 
     def test_recoveries_after_another_instance_keep_its_bits(self, sector_builds):
         # A, then B, then A again: each change of instance rebuilds the one
         # memo entry, and every recovery of A has the bits of an empty memo's
         a, b, inv = memo_instances()
-        first = recover(inv, *a)
-        recover(inv, *b)
-        again = recover(inv, *a)
+        first = recover(inv, *a, seed=0, restarts=20)
+        recover(inv, *b, seed=0, restarts=20)
+        again = recover(inv, *a, seed=0, restarts=20)
         mra._SEARCH_MEMO.clear()
-        fresh = recover(inv, *a)
+        fresh = recover(inv, *a, seed=0, restarts=20)
         assert len(sector_builds) == 4
         for rec in (first, again):
             np.testing.assert_array_equal(rec.x_hat, fresh.x_hat)
@@ -612,8 +612,8 @@ class TestRecovery:
     @pytest.mark.parametrize("change", ["mixing", "layout", "network", "activation"])
     def test_a_changed_instance_rebuilds_the_sector_search(self, sector_builds, change):
         (prior, A, blocks), _, inv = memo_instances()
-        recover(inv, prior, A, blocks)
-        recover(inv, prior, A.copy(), blocks)            # the same content
+        recover(inv, prior, A, blocks, seed=0, restarts=20)
+        recover(inv, prior, A.copy(), blocks, seed=0, restarts=20)     # the same content
         assert len(sector_builds) == 1
         if change == "mixing":
             A = A.copy()
@@ -627,7 +627,7 @@ class TestRecovery:
                 weight[0, 0] = -weight[0, 0]
             act = "leaky-relu(0.1)" if change == "activation" else first.activation
             prior = GeneratorNetwork((Layer(weight, act), last))
-        recover(inv, prior, A, blocks)
+        recover(inv, prior, A, blocks, seed=0, restarts=20)
         assert len(sector_builds) == 2
 
     def test_a_sweep_builds_its_sector_search_once(self, sector_builds, tmp_path):
@@ -755,7 +755,7 @@ class TestRecovery:
                 inv = simulate_invariants(
                     x_star, group, 1000, sigma, np.random.SeedSequence((seed, si, 1000))
                 )
-                f = recover(inv, prior, A, group.blocks).residual ** 2
+                f = recover(inv, prior, A, group.blocks, seed=0, restarts=20).residual ** 2
                 residual, jacobian = recover_objective(prior, A, group.blocks, inv)
                 f_target = (1e-10 * max(1.0, np.linalg.norm(inv))) ** 2
                 starts = np.random.default_rng(seed).normal(size=(50, 2))
@@ -866,7 +866,7 @@ class TestRecovery:
         prior = random_relu_network((2, 10, N), seed=4, activation=activation)
         A = sample_mixing(N, "special-orthogonal", 6)
         inv = -np.arange(1.0, blocks.R + 1)
-        rec = recover(inv, prior, A, blocks)     # a RuntimeWarning fails the test
+        rec = recover(inv, prior, A, blocks, 0, 20)     # a RuntimeWarning fails the test
         np.testing.assert_array_equal(rec.x_hat, np.zeros(N))
         assert rec.residual == np.linalg.norm(inv)
 
@@ -1000,9 +1000,8 @@ class TestSampleComplexity:
                       if v is not None}
             cells.clear()
             results = run_sweep(tmp_path, params)
-            grid = n_grid_reference(
-                params.get("n_min", 8), params.get("n_cap", 10**7), params.get("grid_ratio", 2**0.25)
-            )
+            full = with_defaults("sweep", params)     # the defaults from config's field table
+            grid = n_grid_reference(full["n_min"], full["n_cap"], full["grid_ratio"])
             assert [n for n, _ in cells] == 2 * grid.tolist()
             keys = [(0, si, ni, 0) for si in range(2) for ni in range(len(grid))]
             assert [key for _, key in cells] == keys
